@@ -17,10 +17,10 @@ from .exactmath import (
     ord_lead,
 )
 from .filtration import (
+    Analysis,
     BoundaryNonzeroError,
     JetMatrix,
     b_dim,
-    build_jet_matrix,
     c_dim,
     fiber_dim,
     fiber_euler,
@@ -33,7 +33,6 @@ from .resolution import (
     ResGraph,
     chi_open,
     classify_graph,
-    conductor_bound,
     en_alexander,
     noether_intersections,
     resolve,
@@ -42,13 +41,13 @@ from .semigroup import (
     SemigroupReport,
     apery_set,
     conductor,
-    contains,
     members_box,
     minimal_generators_r1,
     verify_semigroup_properties,
 )
 
 __all__ = [
+    "Analysis",
     "BranchParam",
     "BoundaryNonzeroError",
     "BudgetExceededError",
@@ -59,13 +58,10 @@ __all__ = [
     "SemigroupReport",
     "apery_set",
     "b_dim",
-    "build_jet_matrix",
     "c_dim",
     "chi_open",
     "classify_graph",
     "conductor",
-    "conductor_bound",
-    "contains",
     "en_alexander",
     "expand_truncated",
     "fiber_dim",

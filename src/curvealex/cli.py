@@ -19,19 +19,17 @@ from .curve import BranchParam, Curve, validate_curve
 from .exactmath import (
     NotDivisibleError,
     iter_box,
+    mp_exact_div,
     mp_mul,
     vec_add,
     vec_leq,
 )
 from .filtration import (
+    Analysis,
     BoundaryNonzeroError,
     JetMatrix,
     c_dim,
     fiber_euler,
-    fiber_series,
-    poincare_poly,
-    pprime_poly,
-    stable_jet,
 )
 from .resolution import (
     BudgetExceededError,
@@ -39,20 +37,10 @@ from .resolution import (
     GraphError,
     ResGraph,
     en_alexander,
-    graph_conductor_r1,
     resolve,
 )
 
 COMMANDS = ("resolve", "alexander", "poincare", "fibers", "semigroup", "verify")
-
-VERIFY_CHECKS = (
-    "poincare-equals-alexander",
-    "fiber-euler-equals-alexander",
-    "fiber-product-identity",
-    "exact-divisibility",
-    "resolution-invariance",
-    "window-stability",
-)
 
 
 class ParseError(ValueError):
@@ -121,27 +109,34 @@ def curve_to_json(c: Curve, name: str | None = None) -> dict:
     return data
 
 
-def parse_curve_file(path) -> Curve:
+def _read_json(path):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError("malformed JSON in %s: %s" % (path, exc)) from exc
-    return curve_from_json(data)
+
+
+def parse_curve_file(path) -> Curve:
+    return curve_from_json(_read_json(path))
 
 
 def graph_from_json(data) -> ResGraph:
     try:
         r = int(data["r"])
-        vertices = {int(v["id"]): tuple(int(x) for x in v["m"])
-                    for v in data["vertices"]}
+        ids = [int(v["id"]) for v in data["vertices"]]
+        vertices = {vid: tuple(int(x) for x in v["m"])
+                    for vid, v in zip(ids, data["vertices"])}
         edges = {tuple(sorted((int(a), int(b)))) for a, b in data["edges"]}
         arrows = [(int(a["vertex"]), int(a["branch"])) for a in data["arrows"]]
         root = int(data["root"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("malformed graph file: %s" % exc) from exc
+    if len(vertices) != len(ids):
+        dup = next(vid for vid in ids if ids.count(vid) > 1)
+        raise ParseError("duplicate vertex id %d" % dup)
     if r < 1 or not vertices or root not in vertices:
         raise ParseError("graph needs r >= 1, vertices, and a valid root")
     for vid, m in vertices.items():
@@ -188,25 +183,12 @@ def graph_to_json(g: ResGraph) -> dict:
 
 
 def parse_graph_file(path) -> ResGraph:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError("malformed JSON in %s: %s" % (path, exc)) from exc
-    return graph_from_json(data)
+    return graph_from_json(_read_json(path))
 
 
 def _load_input(path):
     """A curve or a graph file, told apart by their top-level keys."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError("malformed JSON in %s: %s" % (path, exc)) from exc
+    data = _read_json(path)
     if isinstance(data, dict) and "branches" in data:
         return curve_from_json(data), None
     if isinstance(data, dict) and "vertices" in data:
@@ -238,49 +220,34 @@ def _emit(text: str, out_path) -> None:
 # pipelines
 # ---------------------------------------------------------------------------
 
-def alexander_via_graph(c: Curve, bound=None, budget=DEFAULT_BUDGET):
-    return en_alexander(resolve(c, budget), bound=bound)
-
-
-def _default_bound(g: ResGraph):
-    return 2 * graph_conductor_r1(g) + 2 if g.r == 1 else None
-
-
 def run_verify(c: Curve, bound=None, budget=DEFAULT_BUDGET):
     """The six cross-pipeline checks; returns [(name, passed, detail)]."""
     r = c.r
-    graph = resolve(c, budget)
-    if bound is None and r == 1:
-        bound = _default_bound(graph)
-    alex = en_alexander(graph, bound=bound)
+    a = Analysis(c, bound, budget)
+    alex = en_alexander(a.graph, bound=a.bound)
     results = []
 
-    poincare = poincare_poly(c, bound=bound) if r == 1 else poincare_poly(c)
-    ok = poincare == alex
+    ok = a.poincare == alex
     results.append(("poincare-equals-alexander", ok,
                     "" if ok else "poincare != alexander"))
 
-    fibers = fiber_series(c, bound=bound) if r == 1 else fiber_series(c)
+    fibers = a.fiber_series
     ok = fibers == alex
     results.append(("fiber-euler-equals-alexander", ok,
                     "" if ok else "fiber series != alexander"))
 
-    pprime = pprime_poly(c)
-    delta = semigroup.conductor(c)
     divisor = {(1,) * r: 1, (0,) * r: -1}
     product = mp_mul(fibers, divisor)
     if r == 1:
-        box_top = (delta[0] + 1,)
+        box_top = (a.conductor[0] + 1,)
         product = {e: v for e, v in product.items() if vec_leq(e, box_top)}
-    ok = product == pprime
+    ok = product == a.pprime
     results.append(("fiber-product-identity", ok,
                     "" if ok else "fiber series * (t..-1) != pprime"))
 
     if r > 1:
         try:
-            from .exactmath import mp_exact_div
-
-            mp_exact_div(pprime, divisor)
+            mp_exact_div(a.pprime, divisor)
             ok, detail = True, ""
         except NotDivisibleError as exc:
             ok, detail = False, str(exc)
@@ -288,17 +255,14 @@ def run_verify(c: Curve, bound=None, budget=DEFAULT_BUDGET):
         ok, detail = True, "r=1: divisibility convention not applicable"
     results.append(("exact-divisibility", ok, detail))
 
-    alex_extra = en_alexander(resolve(c, budget, extra=3), bound=bound)
+    alex_extra = en_alexander(resolve(c, budget, extra=3), bound=a.bound)
     ok = alex_extra == alex
     results.append(("resolution-invariance", ok,
                     "" if ok else "extra blow-ups changed the product"))
 
-    w_small = tuple(d + 2 for d in delta)
-    w_large = tuple(d + 4 for d in delta)
-    M_small = JetMatrix(c, w_small)
-    M_large = JetMatrix(c, w_large)
-    ok = all(c_dim(M_small, v) == c_dim(M_large, v)
-             for v in iter_box((0,) * r, delta))
+    M_large = JetMatrix(c, tuple(w + 2 for w in a.jet.window))
+    ok = all(c_dim(a.jet, v) == c_dim(M_large, v)
+             for v in iter_box((0,) * r, a.conductor))
     results.append(("window-stability", ok,
                     "" if ok else "c values moved under a wider window"))
     return results
@@ -317,39 +281,44 @@ def _cmd_resolve(args) -> int:
 
 def _cmd_alexander(args) -> int:
     c, g = _load_input(args.input)
-    if args.via in ("poincare", "fibers") and c is None:
-        raise ParseError("--via %s needs a curve file, not a graph" % args.via)
-    if args.via == "poincare":
-        poly = poincare_poly(c, bound=args.bound) if c.r == 1 else poincare_poly(c)
-        r = c.r
-    elif args.via == "fibers":
-        poly = fiber_series(c, bound=args.bound) if c.r == 1 else fiber_series(c)
-        r = c.r
-    else:
+    if args.via == "graph":
         if g is None:
             g = resolve(c, args.budget)
-        bound = args.bound if args.bound is not None else _default_bound(g)
-        poly = en_alexander(g, bound=bound)
-        r = g.r
-    _emit(format_poly(poly, r), args.out)
+        _emit(format_poly(en_alexander(g, bound=args.bound), g.r), args.out)
+        return 0
+    if c is None:
+        raise ParseError("--via %s needs a curve file, not a graph" % args.via)
+    a = Analysis(c, args.bound, args.budget)
+    poly = a.poincare if args.via == "poincare" else a.fiber_series
+    _emit(format_poly(poly, c.r), args.out)
     return 0
 
 
 def _cmd_poincare(args) -> int:
     c = parse_curve_file(args.input)
-    poly = poincare_poly(c, bound=args.bound) if c.r == 1 else poincare_poly(c)
-    _emit(format_poly(poly, c.r), args.out)
+    a = Analysis(c, args.bound, args.budget)
+    _emit(format_poly(a.poincare, c.r), args.out)
     return 0
+
+
+def _window_jet(c: Curve, window) -> JetMatrix:
+    """The jet matrix of an explicit --window, which needs one positive
+    entry per branch."""
+    if len(window) != c.r or min(window) < 1:
+        raise ParseError("--window %s needs %d positive entries, one per "
+                         "branch of this r = %d curve"
+                         % (",".join(str(w) for w in window), c.r, c.r))
+    return JetMatrix(c, window)
 
 
 def _cmd_fibers(args) -> int:
     c = parse_curve_file(args.input)
     if args.window:
-        M = JetMatrix(c, args.window)
+        M = _window_jet(c, args.window)
         top = tuple(w - 2 for w in M.window)
     else:
-        M, delta = stable_jet(c)
-        top = delta
+        a = Analysis(c, budget=args.budget)
+        M, top = a.jet, a.conductor
     lines = []
     for v in iter_box((0,) * c.r, top):
         lines.append("%d\t%s" % (fiber_euler(M, v),
@@ -360,21 +329,18 @@ def _cmd_fibers(args) -> int:
 
 def _cmd_semigroup(args) -> int:
     c = parse_curve_file(args.input)
-    lines = []
-    delta = semigroup.conductor(c)
-    lines.append("conductor\t%s" % ",".join(str(x) for x in delta))
+    M = _window_jet(c, args.window) if args.window else None
+    a = Analysis(c, args.bound, args.budget)
+    lines = ["conductor\t%s" % ",".join(str(x) for x in a.conductor)]
     if c.r == 1:
-        for g in semigroup.minimal_generators_r1(c):
+        for g in semigroup.minimal_generators(a):
             lines.append("generator\t%d" % g)
-        bound = args.bound if args.bound is not None else 2 * delta[0] + 2
-        top = (bound,)
+        top = (a.bound,)
     else:
-        top = vec_add(delta, (2,) * c.r)
-    if args.window:
-        M = JetMatrix(c, args.window)
-        top = tuple(min(t, w - 2) for t, w in zip(top, M.window))
-    else:
-        M = JetMatrix(c, tuple(t + 2 for t in top))
+        top = vec_add(a.conductor, (2,) * c.r)
+    if M is None:
+        M = a.jet if c.r == 1 else JetMatrix(c, tuple(t + 2 for t in top))
+    top = tuple(min(t, w - 2) for t, w in zip(top, M.window))
     box = semigroup.members_box(M, top)
     for v in sorted(box.members):
         lines.append("member\t%s" % ",".join(str(x) for x in v))

@@ -3,8 +3,6 @@ parameter, exponent vectors, and sparse multivariate polynomials over ZZ.
 
 Representations
 ---------------
-* ``Rat`` is :class:`fractions.Fraction` (always in lowest terms, positive
-  denominator, canonical zero ``0/1``).
 * ``UniPoly`` maps exponent (int >= 0) to a nonzero Fraction; ``{}`` is the
   zero polynomial.
 * ``ExpVec`` is a tuple of ints, one entry per curve branch.
@@ -20,7 +18,6 @@ import math
 from fractions import Fraction
 from itertools import product
 
-Rat = Fraction
 INF = math.inf
 
 UniPoly = dict  # exponent -> Fraction
@@ -129,10 +126,6 @@ def up_shift_down(p: UniPoly, k: int) -> UniPoly:
     return {e - k: c for e, c in p.items()}
 
 
-def up_coeff(p: UniPoly, e: int) -> Fraction:
-    return p.get(e, Fraction(0))
-
-
 def ord_lead(p: UniPoly):
     """Order and leading coefficient of a polynomial in the local parameter.
 
@@ -157,10 +150,6 @@ def scaled_order(k: int, o):
 
 def vec_add(u: ExpVec, v: ExpVec) -> ExpVec:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: ExpVec, v: ExpVec) -> ExpVec:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_leq(u: ExpVec, v: ExpVec) -> bool:
@@ -188,10 +177,6 @@ def iter_box(lo: ExpVec, hi: ExpVec):
 # sparse multivariate polynomials over the integers
 # ---------------------------------------------------------------------------
 
-def mp_normal(terms) -> MultiPoly:
-    return {tuple(e): int(c) for e, c in terms.items() if c}
-
-
 def mp_const(r: int, c: int) -> MultiPoly:
     return {(0,) * r: c} if c else {}
 
@@ -207,26 +192,6 @@ def _check_rank(a: MultiPoly, b: MultiPoly) -> None:
     ra, rb = mp_rank(a), mp_rank(b)
     if ra is not None and rb is not None and ra != rb:
         raise DimensionError("mixed %d- and %d-variable polynomials" % (ra, rb))
-
-
-def mp_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    _check_rank(a, b)
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def mp_neg(a: MultiPoly) -> MultiPoly:
-    return {e: -c for e, c in a.items()}
-
-
-def mp_sub(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return mp_add(a, mp_neg(b))
 
 
 def mp_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:

@@ -11,6 +11,8 @@ ranks, and all other dimensions are differences of those.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .curve import Curve, monomial_jet, validate_curve
 from .exactmath import (
     ExpVec,
@@ -23,14 +25,12 @@ from .exactmath import (
     vec_clamp,
     vec_leq,
 )
-from .resolution import conductor_bound
-
-PROBE_DEPTH = 3  # how far past a conductor candidate stability is probed
+from .resolution import DEFAULT_BUDGET, _noether_sums, _run_blowups
 
 
 class BoundaryNonzeroError(RuntimeError):
-    """A fiber Euler characteristic failed to vanish just past the computed
-    conductor box; the window/conductor search could not repair it."""
+    """A fiber Euler characteristic failed to vanish just past the
+    conductor box (a wrong conductor or a bug in the rank table)."""
 
     code = "BoundaryNonzero"
 
@@ -119,10 +119,6 @@ def _rank(mat) -> int:
     return rank
 
 
-def build_jet_matrix(c: Curve, window) -> JetMatrix:
-    return JetMatrix(c, window)
-
-
 def b_dim(M: JetMatrix, v) -> int:
     """dim J(v)/J(w): window rank minus the rank of the columns below v.
     Components of v are clamped into [0, w_i] (conditions with v_i <= 0 are
@@ -172,131 +168,114 @@ def is_member(M: JetMatrix, v) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# conductor-calibrated context shared by the series pipelines
+# one analysis per curve, and the three series read from it
 # ---------------------------------------------------------------------------
 
-def stable_jet(curve: Curve, probe: int = PROBE_DEPTH):
-    """A jet matrix wide enough for every downstream formula, together with
-    the conductor of the semigroup of values.
+class Analysis:
+    """Everything the series pipelines read about one curve, computed once.
 
-    The resolution-derived bound is only trusted after probing: every point
-    of [candidate, candidate + probe] must be a member (with vanishing fiber
-    Euler characteristic when r > 1).  On failure the bound is enlarged and
-    the search repeated.
+    One run of the blow-up engine gives the resolution graph and the
+    conductor of the semigroup of values by Delgado's formula
+    c_i = 2 delta_i + sum_{j != i} (C_i . C_j) (Delgado de la Mata,
+    Manuscripta Math. 59, 1987).  One jet matrix, built on first use, covers
+    every point the series evaluate: the window is the conductor + 2 for
+    r > 1, and max(bound, 2c + 2) + 2 for one branch, whose series are
+    truncated at ``bound`` (default 2c + 2; r > 1 ignores it).
     """
-    cap = conductor_bound(curve)
-    for _ in range(3):
-        window = tuple(x + probe + 1 for x in cap)
-        M = JetMatrix(curve, window)
-        delta = _conductor_search(M, cap, probe)
-        if delta is not None:
-            return M, delta
-        cap = tuple(2 * x + 2 for x in cap)
-    raise BoundaryNonzeroError(
-        "conductor candidate never stabilized up to %r" % (cap,))
 
+    def __init__(self, curve: Curve, bound: int | None = None,
+                 budget: int = DEFAULT_BUDGET):
+        self.curve = curve
+        self.graph, centers = _run_blowups(curve, budget)
+        own, table = _noether_sums(centers, curve.r)
+        self.conductor = tuple(o + sum(x for x in row if x)
+                               for o, row in zip(own, table))
+        if curve.r > 1:
+            bound = None
+        elif bound is None:
+            bound = 2 * self.conductor[0] + 2
+        self.bound = bound
 
-def _conductor_search(M: JetMatrix, cap: ExpVec, probe: int):
-    r = M.r
+    @cached_property
+    def jet(self) -> JetMatrix:
+        if self.curve.r == 1:
+            window = (max(self.bound, 2 * self.conductor[0] + 2) + 2,)
+        else:
+            window = tuple(x + 2 for x in self.conductor)
+        return JetMatrix(self.curve, window)
 
-    def good(v):
-        top = tuple(x + probe for x in v)
-        for u in iter_box(v, top):
-            if not is_member(M, u):
-                return False
-            if r > 1 and fiber_euler(M, u) != 0:
-                return False
-        return True
+    @cached_property
+    def fiber_series(self) -> MultiPoly:
+        """Sum of fiber Euler characteristics: chi of the projectivized
+        extended semigroup, graded by valuation.
 
-    if not good(cap):
-        return None
-    cur = list(cap)
-    for i in range(r):
-        while cur[i] > 0:
-            cur[i] -= 1
-            if not good(tuple(cur)):
-                cur[i] += 1
-                break
-    return tuple(cur)
+        For r > 1 this is a polynomial supported in [0, conductor]; the
+        shell just outside that box must vanish (BoundaryNonzeroError
+        otherwise).  For r = 1 it is an honest infinite series, truncated
+        at ``bound``.
+        """
+        M, r = self.jet, self.curve.r
+        if r == 1:
+            return {(v,): chi for v in range(self.bound + 1)
+                    if (chi := fiber_euler(M, (v,)))}
+        out, bad = {}, []
+        for v in iter_box((0,) * r, vec_add(self.conductor, (1,) * r)):
+            chi = fiber_euler(M, v)
+            if not chi:
+                continue
+            if vec_leq(v, self.conductor):
+                out[v] = chi
+            else:
+                bad.append(v)
+        if bad:
+            raise BoundaryNonzeroError(
+                "nonzero fiber Euler characteristic outside the conductor "
+                "box [0, %r]: %r" % (self.conductor, bad))
+        return out
 
+    @cached_property
+    def pprime(self) -> MultiPoly:
+        """The polynomial L_C * prod (t_i - 1): its coefficient at v is the
+        alternating sum of c(v - 1 + 1_I) over subsets I of the branches."""
+        M, r = self.jet, self.curve.r
+        out = {}
+        for v in iter_box((0,) * r, vec_add(self.conductor, (1,) * r)):
+            coeff = 0
+            for mask in range(1 << r):
+                I = [i + 1 for i in range(r) if mask >> i & 1]
+                sign = -1 if len(I) % 2 else 1
+                arg = vec_add(tuple(a - 1 for a in v), unit_vec(r, I))
+                coeff += sign * c_dim(M, arg)
+            if coeff:
+                out[v] = coeff
+        return out
 
-# ---------------------------------------------------------------------------
-# the three series
-# ---------------------------------------------------------------------------
+    @cached_property
+    def poincare(self) -> MultiPoly:
+        """The Poincare polynomial of the multi-index filtration.
+
+        For r > 1: the exact quotient of pprime by t_1*...*t_r - 1 (the
+        divisibility is a theorem; a remainder means a bug).  For r = 1 the
+        quotient degenerates to the ordinary Poincare series of the
+        filtration, the membership indicator series, truncated at ``bound``.
+        """
+        r = self.curve.r
+        if r == 1:
+            return {(v,): 1 for v in range(self.bound + 1)
+                    if is_member(self.jet, (v,))}
+        return mp_exact_div(self.pprime, {(1,) * r: 1, (0,) * r: -1})
+
 
 def fiber_series(curve: Curve, bound: int | None = None) -> MultiPoly:
-    """Sum of fiber Euler characteristics: chi of the projectivized extended
-    semigroup, graded by valuation.
-
-    For r > 1 this is a polynomial supported in [0, conductor]; the shell
-    just outside that box is asserted to vanish (BoundaryNonzeroError
-    otherwise).  For r = 1 it is an honest infinite series, truncated at
-    ``bound`` (default twice the conductor plus two).
-    """
-    probe = PROBE_DEPTH
-    if curve.r == 1:
-        M, delta = stable_jet(curve)
-        if bound is None:
-            bound = 2 * delta[0] + 2
-        if bound + 2 > M.window[0]:
-            M = JetMatrix(curve, (bound + 2,))
-        out = {}
-        for v in range(bound + 1):
-            chi = fiber_euler(M, (v,))
-            if chi:
-                out[(v,)] = chi
-        return out
-    for _ in range(3):
-        M, delta = stable_jet(curve, probe)
-        out = {}
-        for v in iter_box((0,) * curve.r, delta):
-            chi = fiber_euler(M, v)
-            if chi:
-                out[v] = chi
-        shell_top = vec_add(delta, (1,) * curve.r)
-        bad = [v for v in iter_box((0,) * curve.r, shell_top)
-               if not vec_leq(v, delta) and fiber_euler(M, v) != 0]
-        if not bad:
-            return out
-        probe *= 2
-    raise BoundaryNonzeroError(
-        "nonzero fiber Euler characteristic outside the conductor box: %r"
-        % (bad,))
+    """The fiber series of one curve (see Analysis.fiber_series)."""
+    return Analysis(curve, bound).fiber_series
 
 
 def pprime_poly(curve: Curve) -> MultiPoly:
-    """The polynomial L_C * prod (t_i - 1): its coefficient at v is the
-    alternating sum of c(v - 1 + 1_I) over subsets I of the branches."""
-    M, delta = stable_jet(curve)
-    r = curve.r
-    ones = (1,) * r
-    out = {}
-    for v in iter_box((0,) * r, vec_add(delta, ones)):
-        coeff = 0
-        for mask in range(1 << r):
-            I = [i + 1 for i in range(r) if mask >> i & 1]
-            sign = -1 if len(I) % 2 else 1
-            arg = vec_add(tuple(a - 1 for a in v), unit_vec(r, I))
-            coeff += sign * c_dim(M, arg)
-        if coeff:
-            out[v] = coeff
-    return out
+    """L_C * prod (t_i - 1) of one curve (see Analysis.pprime)."""
+    return Analysis(curve).pprime
 
 
 def poincare_poly(curve: Curve, bound: int | None = None) -> MultiPoly:
-    """The Poincare polynomial of the multi-index filtration.
-
-    For r > 1: the exact quotient of pprime_poly by t_1*...*t_r - 1 (the
-    divisibility is a theorem; a remainder means a bug).  For r = 1 the
-    quotient degenerates to the ordinary Poincare series of the filtration,
-    the membership indicator series, truncated at ``bound``.
-    """
-    if curve.r == 1:
-        M, delta = stable_jet(curve)
-        if bound is None:
-            bound = 2 * delta[0] + 2
-        if bound + 2 > M.window[0]:
-            M = JetMatrix(curve, (bound + 2,))
-        return {(v,): 1 for v in range(bound + 1) if is_member(M, (v,))}
-    divisor = {(1,) * curve.r: 1, (0,) * curve.r: -1}
-    return mp_exact_div(pprime_poly(curve), divisor)
+    """The Poincare polynomial of one curve (see Analysis.poincare)."""
+    return Analysis(curve, bound).poincare

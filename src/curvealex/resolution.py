@@ -138,21 +138,13 @@ def chi_open(g: ResGraph, sid: int) -> int:
 @dataclass
 class VertexClass:
     """Dead ends, star points and separation points of a dual graph, plus
-    the reachability-from-root partial order."""
+    the BFS tree from the root."""
 
     dead_ends: frozenset
     star_points: frozenset
     separation_points: dict  # (i, j) with i < j -> vertex id
     parent: dict  # id -> id or None (BFS tree from the root)
     depth: dict  # id -> distance from root
-
-    def precedes(self, a: int, b: int) -> bool:
-        """True iff a is on the root geodesic to b (a <= b)."""
-        while b is not None and self.depth[b] >= self.depth[a]:
-            if b == a:
-                return True
-            b = self.parent[b]
-        return False
 
     def nearest_star_below(self, sid: int):
         """The nearest strictly smaller star point, or None (root tails)."""
@@ -333,39 +325,27 @@ def resolve(c: Curve, budget: int = DEFAULT_BUDGET, extra: int = 0) -> ResGraph:
     return _run_blowups(c, budget, extra)[0]
 
 
+def _noether_sums(centers, r: int):
+    """Noether sums over a blow-up center log: per branch the sum of
+    m(m-1) over its infinitely near points (twice its delta invariant), and
+    per pair of branches the sum of products of local multiplicities over
+    their common points (the intersection number; None on the diagonal)."""
+    own = [0] * r
+    table = [[None if i == j else 0 for j in range(r)] for i in range(r)]
+    for mult in centers:
+        for i in mult:
+            own[i - 1] += mult[i] * (mult[i] - 1)
+            for j in mult:
+                if i != j:
+                    table[i - 1][j - 1] += mult[i] * mult[j]
+    return own, table
+
+
 def noether_intersections(c: Curve, budget: int = DEFAULT_BUDGET):
     """Pairwise intersection numbers (C_i . C_j): the Noether sum of
     products of local multiplicities over the common infinitely near
     points.  Diagonal entries are None."""
-    _, centers = _run_blowups(c, budget)
-    r = c.r
-    table = [[None if i == j else 0 for j in range(r)] for i in range(r)]
-    for mult in centers:
-        present = sorted(mult)
-        for i in present:
-            for j in present:
-                if i != j:
-                    table[i - 1][j - 1] += mult[i] * mult[j]
-    return table
-
-
-def conductor_bound(c: Curve, budget: int = DEFAULT_BUDGET) -> ExpVec:
-    """Componentwise upper bound for the conductor of the semigroup of
-    values: branch-internal conductor (sum of m(m-1) over its infinitely
-    near points) plus its intersection numbers with the other branches.
-    Verified a posteriori by the conductor search."""
-    _, centers = _run_blowups(c, budget)
-    r = c.r
-    own = [0] * r
-    cross = [0] * r
-    for mult in centers:
-        present = sorted(mult)
-        for i in present:
-            own[i - 1] += mult[i] * (mult[i] - 1)
-            for j in present:
-                if j != i:
-                    cross[i - 1] += mult[i] * mult[j]
-    return tuple(o + x for o, x in zip(own, cross))
+    return _noether_sums(_run_blowups(c, budget)[1], c.r)[1]
 
 
 # ---------------------------------------------------------------------------

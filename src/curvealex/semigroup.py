@@ -7,10 +7,8 @@ from dataclasses import dataclass
 
 from .curve import Curve
 from .exactmath import ExpVec, iter_box
-from .filtration import JetMatrix, is_member, stable_jet
-from .resolution import classify_graph, resolve, _tail_quotient
-
-PROBE_DEPTH = 3
+from .filtration import Analysis, JetMatrix, is_member
+from .resolution import classify_graph, _tail_quotient
 
 
 @dataclass(frozen=True)
@@ -21,12 +19,6 @@ class SemigroupBox:
     members: frozenset
 
 
-def contains(M: JetMatrix, v) -> bool:
-    """Semigroup membership of v, by the rank criterion: every singleton
-    leading-coefficient constraint must cut the jet space down."""
-    return is_member(M, v)
-
-
 def members_box(M: JetMatrix, bound) -> SemigroupBox:
     bound = tuple(bound)
     found = frozenset(v for v in iter_box((0,) * M.r, bound)
@@ -35,20 +27,24 @@ def members_box(M: JetMatrix, bound) -> SemigroupBox:
 
 
 def conductor(c: Curve) -> ExpVec:
-    """Minimal vector below which membership (and, for r > 1, vanishing of
-    the fiber Euler characteristics) has stabilized."""
-    return stable_jet(c)[1]
+    """Conductor of the semigroup of values, by Delgado's formula from the
+    blow-up log alone (no jet matrix is built)."""
+    return Analysis(c).conductor
 
 
 def minimal_generators_r1(c: Curve) -> list:
-    """Minimal generators of the value semigroup of an irreducible branch,
-    by greedy extraction from the membership table."""
-    if c.r != 1:
+    """Minimal generators of the value semigroup of an irreducible branch."""
+    return minimal_generators(Analysis(c))
+
+
+def minimal_generators(a: Analysis) -> list:
+    """Minimal generators of a one-branch analysis, by greedy extraction
+    from its membership table."""
+    if a.curve.r != 1:
         raise ValueError("minimal generators are defined for one branch")
-    delta = conductor(c)[0]
-    bound = 2 * delta + 2  # every minimal generator is < conductor + smallest
-    M = JetMatrix(c, (bound + 2,))
-    members = [v for v in range(bound + 1) if is_member(M, (v,))]
+    # every minimal generator is below the conductor plus the smallest one
+    bound = 2 * a.conductor[0] + 2
+    members = [v for v in range(bound + 1) if is_member(a.jet, (v,))]
     member_set = set(members)
     gens = []
     generated = {0}
@@ -101,12 +97,12 @@ class SemigroupReport:
         return all(self.checks.values())
 
 
-def verify_semigroup_properties(c: Curve, probe: int = PROBE_DEPTH) -> SemigroupReport:
+def verify_semigroup_properties(c: Curve) -> SemigroupReport:
     """Run the four structural checks of an irreducible branch semigroup:
 
     1. conductor - 1 == sum of n_j * generator_j minus the multiplicity;
-    2. every member up to conductor + probe has a unique representation
-       k_0 g_0 + sum k_j g_j with 0 <= k_j <= n_j for j >= 1;
+    2. every member up to twice the conductor plus two has a unique
+       representation k_0 g_0 + sum k_j g_j with 0 <= k_j <= n_j for j >= 1;
     3. (n_j + 1) g_j < g_(j+1);
     4. (n_j + 1) g_j lies in the semigroup generated by g_0 .. g_(j-1).
 
@@ -116,7 +112,8 @@ def verify_semigroup_properties(c: Curve, probe: int = PROBE_DEPTH) -> Semigroup
     """
     if c.r != 1:
         raise ValueError("structural checks are defined for one branch")
-    graph = resolve(c)
+    a = Analysis(c)
+    graph = a.graph
     vc = classify_graph(graph)
     tails = []
     root_like = []
@@ -135,10 +132,9 @@ def verify_semigroup_properties(c: Curve, probe: int = PROBE_DEPTH) -> Semigroup
     gens = [beta0] + [m for m, _ in tails]
     ns = [n for _, n in tails]
 
-    delta = conductor(c)[0]
-    top = delta + probe
-    M = JetMatrix(c, (top + 2,))
-    members = {v for v in range(top + 1) if is_member(M, (v,))}
+    delta = a.conductor[0]
+    top = a.bound
+    members = {v for v in range(top + 1) if is_member(a.jet, (v,))}
 
     checks = {}
     checks["conductor-formula"] = (

@@ -20,20 +20,17 @@ from curvealex.cli import format_poly
 from curvealex.curve import germ_valuation
 from curvealex.exactmath import iter_box, mp_mul, vec_leq
 from curvealex.filtration import (
+    Analysis,
     JetMatrix,
     c_dim,
     fiber_euler,
     fiber_series,
+    is_member,
     poincare_poly,
     pprime_poly,
-    stable_jet,
 )
 from curvealex.resolution import BudgetExceededError, en_alexander, resolve
-from curvealex.semigroup import (
-    conductor,
-    contains,
-    verify_semigroup_properties,
-)
+from curvealex.semigroup import conductor, verify_semigroup_properties
 
 from corpus import (
     CORPUS_MULTI,
@@ -81,10 +78,10 @@ def test_criterion_02_fiber_series_equals_alexander(name):
 
 def test_criterion_02_spot_values():
     node = CORPUS_MULTI["node"]()
-    M, _ = stable_jet(node)
+    M = Analysis(node).jet
     ok = fiber_euler(M, (1, 1)) == 0
     three = CORPUS_MULTI["three-lines"]()
-    M3, _ = stable_jet(three)
+    M3 = Analysis(three).jet
     ok = ok and fiber_euler(M3, (1, 1, 1)) == -1
     _report("criterion-2 spot-values", "node,three-lines", ok)
 
@@ -176,7 +173,7 @@ def test_criterion_09_semigroup_checks(make, gens):
 @pytest.mark.parametrize("name", MULTI)
 def test_criterion_10_support_containment(name):
     c = CORPUS_MULTI[name]()
-    M, _ = stable_jet(c)
+    M = Analysis(c).jet
     poly = en_alexander(resolve(c))
-    ok = all(contains(M, v) for v in poly)
+    ok = all(is_member(M, v) for v in poly)
     _report("criterion-10 support-in-semigroup", name, ok)

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from curvealex import cli
+from curvealex import cli, resolution
 from curvealex.cli import (
     ArrowCountMismatchError,
     NotATreeError,
@@ -14,6 +15,7 @@ from curvealex.cli import (
     parse_curve_file,
     parse_graph_file,
 )
+from curvealex.filtration import JetMatrix
 from curvealex.resolution import resolve
 
 from corpus import make_tacnode
@@ -24,10 +26,37 @@ NODE_JSON = {"branches": [{"x": [[1, "1"]], "y": []},
 NONPRIMITIVE_JSON = {"branches": [{"x": [[2, "1"]], "y": [[4, "1"]]}]}
 
 
+def _a_k(k):
+    return {"branches": [{"x": [[2, "1"]], "y": [[2 * k + 1, "1"]]}]}
+
+
 def _write(tmp_path, name, data):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts runs of the blow-up engine and jet-matrix builds."""
+    counts = {"engine": 0, "jet": 0}
+    engine = resolution._run_blowups
+    init = JetMatrix.__init__
+
+    def counted_engine(*args, **kwargs):
+        counts["engine"] += 1
+        return engine(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        counts["jet"] += 1
+        init(self, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("curvealex") and \
+                getattr(mod, "_run_blowups", None) is engine:
+            monkeypatch.setattr(mod, "_run_blowups", counted_engine)
+    monkeypatch.setattr(JetMatrix, "__init__", counted_init)
+    return counts
 
 
 def test_parse_cusp_file(tmp_path):
@@ -95,6 +124,20 @@ def test_graph_with_cycle_is_rejected():
         graph_from_json(data)
 
 
+def test_graph_with_duplicate_vertex_id_exits_2(tmp_path, capsys):
+    data = {
+        "r": 1,
+        "vertices": [{"id": 1, "m": [2]}, {"id": 2, "m": [3]},
+                     {"id": 2, "m": [6]}],
+        "edges": [[1, 2]],
+        "arrows": [{"vertex": 2, "branch": 1}],
+        "root": 1,
+    }
+    path = _write(tmp_path, "dup-graph.json", data)
+    assert cli.main(["alexander", path]) == 2
+    assert capsys.readouterr().err == "ParseError: duplicate vertex id 2\n"
+
+
 def test_graph_with_missing_arrow_is_rejected():
     data = {
         "r": 2,
@@ -135,13 +178,55 @@ def test_via_poincare_rejects_graph_input(tmp_path, capsys):
     assert cli.main(["alexander", "--via", "poincare", path]) == 2
 
 
-def test_verify_tacnode_all_pass(tmp_path, capsys):
+def test_verify_tacnode_all_pass(tmp_path, capsys, calls):
     c = make_tacnode()
     path = _write(tmp_path, "tacnode.json", curve_to_json(c))
     assert cli.main(["verify", path]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 6
     assert all(line.startswith("PASS ") for line in lines)
+    # one analysis, plus the forced extra blow-ups and the wider window
+    assert calls["engine"] <= 2
+    assert calls["jet"] == 2
+
+
+@pytest.mark.parametrize("argv,engine,jet", [
+    (["semigroup"], 1, 1),
+    (["poincare"], 1, 1),
+    (["alexander", "--via", "fibers"], 1, 1),
+    (["alexander"], 1, 0),
+    (["resolve"], 1, 0),
+])
+def test_one_branch_command_analyses_once(tmp_path, capsys, calls, argv,
+                                          engine, jet):
+    path = _write(tmp_path, "cusp.json", CUSP_JSON)
+    assert cli.main(argv[:1] + [path] + argv[1:]) == 0
+    assert calls == {"engine": engine, "jet": jet}
+
+
+def test_budget_reaches_the_series_commands(tmp_path, capsys):
+    path = _write(tmp_path, "a63.json", _a_k(63))
+    argv = ["poincare", path, "--budget", "200", "--bound", "10"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "".join(
+        "1\t%d\n" % v for v in range(0, 11, 2))
+
+
+def test_small_budget_fails_the_series_commands(tmp_path, capsys):
+    path = _write(tmp_path, "a40.json", _a_k(40))
+    assert cli.main(["poincare", path, "--budget", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("BudgetExceeded: ") and " 10 " in err
+
+
+@pytest.mark.parametrize("cmd,window", [("fibers", "3"),
+                                        ("semigroup", "3,0")])
+def test_bad_window_is_a_parse_error(tmp_path, capsys, cmd, window):
+    path = _write(tmp_path, "node.json", NODE_JSON)
+    assert cli.main([cmd, path, "--window", window]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ParseError: --window %s " % window)
+    assert "r = 2" in err
 
 
 def test_resolve_emits_parseable_graph(tmp_path, capsys):

@@ -1,17 +1,17 @@
 import pytest
 
-from curvealex.exactmath import iter_box, mp_mul, vec_leq
+from curvealex.exactmath import iter_box, mp_mul, vec_add, vec_leq
 from curvealex.filtration import (
+    Analysis,
+    BoundaryNonzeroError,
     JetMatrix,
     b_dim,
-    build_jet_matrix,
     c_dim,
     fiber_dim,
     fiber_euler,
     fiber_series,
     poincare_poly,
     pprime_poly,
-    stable_jet,
 )
 from curvealex.resolution import en_alexander, resolve
 from curvealex.semigroup import conductor
@@ -28,70 +28,70 @@ from corpus import (
 
 
 def test_jet_matrix_node_monomials():
-    M = build_jet_matrix(make_node(), (2, 2))
+    M = JetMatrix(make_node(), (2, 2))
     assert M.monomials == [(0, 0), (0, 1), (1, 0)]
 
 
 def test_jet_matrix_cusp_monomials():
-    M = build_jet_matrix(make_cusp(), (5,))
+    M = JetMatrix(make_cusp(), (5,))
     assert M.monomials == [(0, 0), (0, 1), (1, 0), (2, 0)]
 
 
 def test_jet_matrix_window_of_ones_sees_only_constants():
-    M = build_jet_matrix(make_three_lines(), (1, 1, 1))
+    M = JetMatrix(make_three_lines(), (1, 1, 1))
     assert M.monomials == [(0, 0)]
     assert M.rows == [[1, 1, 1]]
 
 
 def test_b_dim_node_full_box():
-    M = build_jet_matrix(make_node(), (2, 2))
+    M = JetMatrix(make_node(), (2, 2))
     assert b_dim(M, (0, 0)) == 3
 
 
 def test_b_dim_node_at_window_is_zero():
-    M = build_jet_matrix(make_node(), (2, 2))
+    M = JetMatrix(make_node(), (2, 2))
     assert b_dim(M, (2, 2)) == 0
 
 
 def test_b_dim_cusp():
-    M = build_jet_matrix(make_cusp(), (5,))
+    M = JetMatrix(make_cusp(), (5,))
     assert b_dim(M, (2,)) == 3
 
 
 def test_c_dim_cusp_is_membership_indicator():
     # oracle: the numerical semigroup <2, 3>
     members = semigroup_closure([2, 3], 8)
-    M = build_jet_matrix(make_cusp(), (10,))
+    M = JetMatrix(make_cusp(), (10,))
     for v in range(9):
         assert c_dim(M, (v,)) == (1 if v in members else 0)
 
 
 def test_c_dim_node_values():
-    M = build_jet_matrix(make_node(), (3, 3))
+    M = JetMatrix(make_node(), (3, 3))
     assert c_dim(M, (0, 0)) == 1
     assert c_dim(M, (1, 1)) == 2
 
 
 def test_fiber_dim_empty_subset_is_c_dim():
-    M = build_jet_matrix(make_node(), (3, 3))
+    M = JetMatrix(make_node(), (3, 3))
     for v in iter_box((0, 0), (2, 2)):
         assert fiber_dim(M, v, []) == c_dim(M, v)
 
 
 def test_fiber_dim_node_singletons_and_pair():
-    M = build_jet_matrix(make_node(), (3, 3))
+    M = JetMatrix(make_node(), (3, 3))
     assert fiber_dim(M, (1, 1), [1]) == 1
     assert fiber_dim(M, (1, 1), [1, 2]) == 0
 
 
 def test_fiber_euler_node():
-    M = build_jet_matrix(make_node(), (3, 3))
+    M = JetMatrix(make_node(), (3, 3))
     assert fiber_euler(M, (0, 0)) == 1
     assert fiber_euler(M, (1, 1)) == 0
 
 
 def test_fiber_euler_three_lines_triple_point():
-    M = build_jet_matrix(make_three_lines(), (4, 4, 4))
+    M = JetMatrix(make_three_lines(), (4, 4, 4))
     assert fiber_euler(M, (1, 1, 1)) == -1
 
 
@@ -144,8 +144,8 @@ def test_poincare_three_lines():
 @pytest.mark.parametrize("name", sorted(CORPUS_MULTI))
 def test_b_antitone(name):
     c = CORPUS_MULTI[name]()
-    M, delta = stable_jet(c)
-    top = tuple(d + 1 for d in delta)
+    a = Analysis(c)
+    M, top = a.jet, tuple(d + 1 for d in a.conductor)
     values = {v: b_dim(M, v) for v in iter_box((0,) * c.r, top)}
     for v, bv in values.items():
         for i in range(c.r):
@@ -199,3 +199,16 @@ def test_fiber_euler_vanishes_at_and_past_the_conductor(name):
     top = tuple(d + 2 for d in delta)
     for v in iter_box(delta, top):
         assert fiber_euler(M, v) == 0
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_MULTI))
+def test_wrong_conductor_trips_the_boundary_guard(name):
+    a = Analysis(CORPUS_MULTI[name]())
+    # Delta has multidegree conductor - 1, so the shell just past the box
+    # sees its top term only once the conductor is two too small
+    a.conductor = tuple(x - 2 for x in a.conductor)
+    with pytest.raises(BoundaryNonzeroError) as info:
+        a.fiber_series
+    message = str(info.value)
+    assert repr(a.conductor) in message
+    assert repr(vec_add(a.conductor, (1,) * a.curve.r)) in message

@@ -8,7 +8,6 @@ from curvealex.resolution import (
     ResGraph,
     chi_open,
     classify_graph,
-    conductor_bound,
     en_alexander,
     graph_conductor_r1,
     noether_intersections,
@@ -119,12 +118,6 @@ def test_noether_cusp_with_tangent_line_matches_valuation():
     v, _ = germ_valuation({(0, 1): 1}, c.branches[0])
     table = noether_intersections(c)
     assert table[0][1] == table[1][0] == v == 3
-
-
-def test_conductor_bound_values():
-    assert conductor_bound(make_node()) == (1, 1)
-    assert conductor_bound(make_cusp()) == (2,)
-    assert conductor_bound(make_tacnode()) == (2, 2)
 
 
 def test_duplicate_branches_exceed_budget():

@@ -1,13 +1,13 @@
 import pytest
 
+from curvealex import Curve
 from curvealex.curve import germ_valuation
 from curvealex.exactmath import vec_add, vec_leq
-from curvealex.filtration import JetMatrix, stable_jet
+from curvealex.filtration import Analysis, JetMatrix, is_member
 from curvealex.resolution import en_alexander, resolve
 from curvealex.semigroup import (
     apery_set,
     conductor,
-    contains,
     members_box,
     minimal_generators_r1,
     verify_semigroup_properties,
@@ -25,21 +25,21 @@ from corpus import (
 
 
 def test_contains_cusp():
-    M, _ = stable_jet(make_cusp())
-    assert not contains(M, (1,))
-    assert contains(M, (2,))
+    M = Analysis(make_cusp()).jet
+    assert not is_member(M, (1,))
+    assert is_member(M, (2,))
 
 
 def test_contains_node_rejects_mixed_vector():
     # v2(g) = 0 forces a unit, contradicting v1 >= 1
-    M, _ = stable_jet(make_node())
-    assert not contains(M, (1, 0))
+    M = Analysis(make_node()).jet
+    assert not is_member(M, (1, 0))
 
 
 def test_contains_zero_always():
     for make in (make_node, make_cusp, make_tacnode):
-        M, _ = stable_jet(make())
-        assert contains(M, (0,) * M.r)
+        M = Analysis(make()).jet
+        assert is_member(M, (0,) * M.r)
 
 
 def test_conductor_cusp():
@@ -52,6 +52,37 @@ def test_conductor_node():
 
 def test_conductor_tacnode():
     assert conductor(make_tacnode()) == (2, 2)
+
+
+def _lines(k):
+    return Curve([({1: 1}, {1: i}) for i in range(k - 1)] + [({}, {1: 1})])
+
+
+def _pencil(n, k):
+    return Curve([({1: 1}, {k: i}) for i in range(n)])
+
+
+def _a(k):
+    return Curve([({2: 1}, {2 * k + 1: 1})])
+
+
+@pytest.mark.parametrize("curve,expected", [
+    # k transverse lines: each meets the other k - 1 once
+    (_lines(2), (1, 1)),
+    (_lines(4), (3, 3, 3, 3)),
+    # n smooth branches with pairwise contact k: (n - 1) k each
+    (_pencil(3, 2), (4, 4, 4)),
+    (_pencil(4, 3), (9, 9, 9, 9)),
+    # <3, 5> has conductor 8, <2, 3> has 2, and they meet with number 9
+    (Curve([({3: 1}, {5: 1}), ({2: 1}, {3: 1})]), (17, 11)),
+    # A_k = <2, 2k + 1> has conductor 2k
+    (_a(1), (2,)),
+    (_a(20), (40,)),
+    # <4, 6, 13>, Zariski: (2 - 1) 6 + (2 - 1) 13 - 4 + 1 = 16
+    (make_quartic_branch(), (16,)),
+])
+def test_conductor_closed_forms(curve, expected):
+    assert conductor(curve) == expected
 
 
 def test_minimal_generators_cusp():
@@ -79,7 +110,7 @@ def test_minimal_generators_smooth_branch():
 
 
 def _box_2_3(top=8):
-    M, _ = stable_jet(make_cusp())
+    M = Analysis(make_cusp()).jet
     if M.window[0] < top + 2:
         M = JetMatrix(make_cusp(), (top + 2,))
     return members_box(M, (top,))
@@ -128,9 +159,9 @@ def test_verify_properties_smooth_branch_vacuous():
 @pytest.mark.parametrize("name", sorted(CORPUS_MULTI))
 def test_members_closed_under_addition(name):
     c = CORPUS_MULTI[name]()
-    M, delta = stable_jet(c)
-    top = tuple(d + 1 for d in delta)
-    box = members_box(M, top)
+    a = Analysis(c)
+    top = tuple(d + 1 for d in a.conductor)
+    box = members_box(a.jet, top)
     for u in box.members:
         for v in box.members:
             s = vec_add(u, v)
@@ -141,11 +172,11 @@ def test_members_closed_under_addition(name):
 @pytest.mark.parametrize("name", sorted(CORPUS_MULTI))
 def test_alexander_support_lies_in_the_semigroup(name):
     c = CORPUS_MULTI[name]()
-    M, delta = stable_jet(c)
+    a = Analysis(c)
     poly = en_alexander(resolve(c))
     for v in poly:
-        assert vec_leq(v, vec_add(delta, (1,) * c.r))
-        assert contains(M, v), v
+        assert vec_leq(v, vec_add(a.conductor, (1,) * c.r))
+        assert is_member(a.jet, v), v
 
 
 def test_largest_gap_is_conductor_minus_one():
@@ -153,7 +184,7 @@ def test_largest_gap_is_conductor_minus_one():
         c = make()
         delta = conductor(c)[0]
         M = JetMatrix(c, (delta + 4,))
-        gaps = [v for v in range(delta + 2) if not contains(M, (v,))]
+        gaps = [v for v in range(delta + 2) if not is_member(M, (v,))]
         if delta:
             assert max(gaps) == delta - 1
         else:
