@@ -22,7 +22,6 @@ from .filtration import (
     JetMatrix,
     b_dim,
     c_dim,
-    fiber_dim,
     fiber_euler,
     fiber_series,
     poincare_poly,
@@ -64,7 +63,6 @@ __all__ = [
     "conductor",
     "en_alexander",
     "expand_truncated",
-    "fiber_dim",
     "fiber_euler",
     "fiber_series",
     "germ_valuation",

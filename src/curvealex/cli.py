@@ -22,7 +22,6 @@ from .exactmath import (
     mp_exact_div,
     mp_mul,
     vec_add,
-    vec_leq,
 )
 from .filtration import (
     Analysis,
@@ -237,11 +236,13 @@ def run_verify(c: Curve, bound=None, budget=DEFAULT_BUDGET):
                     "" if ok else "fiber series != alexander"))
 
     divisor = {(1,) * r: 1, (0,) * r: -1}
-    product = mp_mul(fibers, divisor)
+    product, pprime = mp_mul(fibers, divisor), a.pprime
     if r == 1:
-        box_top = (a.conductor[0] + 1,)
-        product = {e: v for e, v in product.items() if vec_leq(e, box_top)}
-    ok = product == a.pprime
+        # the fibers stop at the bound, pprime at the conductor + 1
+        top = min(a.bound, a.conductor[0] + 1)
+        product, pprime = ({e: x for e, x in p.items() if e[0] <= top}
+                           for p in (product, pprime))
+    ok = product == pprime
     results.append(("fiber-product-identity", ok,
                     "" if ok else "fiber series * (t..-1) != pprime"))
 
@@ -371,12 +372,14 @@ def _parse_window(text):
 def _build_parser(cmd: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="curvealex %s" % cmd)
     p.add_argument("input", help="input JSON file")
-    p.add_argument("--out", help="write output here instead of stdout")
+    if cmd != "verify":
+        p.add_argument("--out", help="write output here instead of stdout")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="maximum blow-up generations")
-    p.add_argument("--bound", type=int, default=None,
-                   help="series truncation degree for one-branch curves "
-                        "(default: twice the conductor plus two)")
+    if cmd not in ("resolve", "fibers"):
+        p.add_argument("--bound", type=int, default=None,
+                       help="series truncation degree for one-branch curves "
+                            "(default: twice the conductor plus two)")
     if cmd == "alexander":
         p.add_argument("--via", choices=("graph", "poincare", "fibers"),
                        default="graph", help="which pipeline computes it")
@@ -406,6 +409,11 @@ def main(argv=None) -> int:
     parser = _build_parser(cmd)
     args = parser.parse_args(rest)
     try:
+        for flag, least in (("bound", 0), ("budget", 1)):
+            value = getattr(args, flag, None)
+            if value is not None and value < least:
+                raise ParseError("--%s must be at least %d, not %d"
+                                 % (flag, least, value))
         return _HANDLERS[cmd](args)
     except ParseError as exc:
         print("%s: %s" % (exc.code, exc), file=sys.stderr)

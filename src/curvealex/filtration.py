@@ -5,17 +5,17 @@ them.
 Everything reduces to exact ranks of one matrix per window: the rows are the
 jet coordinates of all monomials visible inside the window, the columns are
 (branch, order) pairs in branch-major order.  Since the columns "below v"
-form a per-branch prefix, dim J(v)/J(w) is the difference of two submatrix
-ranks, and all other dimensions are differences of those.
+form a per-branch prefix, dim J(v)/J(w) is a difference in one prefix-rank
+table, and all other dimensions are alternating sums of those.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
+from math import gcd, lcm
 
 from .curve import Curve, monomial_jet, validate_curve
 from .exactmath import (
-    ExpVec,
     MultiPoly,
     iter_box,
     mp_exact_div,
@@ -39,8 +39,9 @@ class JetMatrix:
     """Jet coordinates over a window of every monomial that is visible in it.
 
     A monomial x^a y^b is visible when its valuation on some branch i is
-    below w_i; all other monomials have identically zero jets.  Ranks of
-    column prefixes are memoized (the b table every formula shares).
+    below w_i; all other monomials have identically zero jets.  ``ranks``
+    maps every v in the box [0, window] to the rank of the columns below v:
+    the b table every formula shares, built once with the matrix.
     """
 
     def __init__(self, curve: Curve, window):
@@ -50,16 +51,12 @@ class JetMatrix:
             raise ValueError("window must have a positive entry per branch")
         self.curve = curve
         self.window = window
-        self.offsets = []
-        total = 0
-        for w in window:
-            self.offsets.append(total)
-            total += w
-        self.ncols = total
         self.monomials = sorted(self._visible_monomials())
         self.rows = [monomial_jet(curve, a, b, window)
                      for a, b in self.monomials]
-        self._prefix_rank_memo = {}
+        self.ranks = {}
+        _sweep(self.ranks, [], [_primitive(col) for col in zip(*self.rows)],
+               window)
 
     @property
     def r(self) -> int:
@@ -78,53 +75,58 @@ class JetMatrix:
                 a += 1
         return found
 
-    def _prefix_rank(self, v: ExpVec) -> int:
-        got = self._prefix_rank_memo.get(v)
-        if got is not None:
-            return got
-        cols = []
-        for i, vi in enumerate(v):
-            cols.extend(range(self.offsets[i], self.offsets[i] + vi))
-        sub = [[row[c] for c in cols] for row in self.rows]
-        rank = _rank(sub)
-        self._prefix_rank_memo[v] = rank
-        return rank
+
+def _primitive(vec) -> list:
+    """The integer multiple with content 1 of a rational vector (zero stays
+    zero)."""
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
-def _rank(mat) -> int:
-    rows = [list(r) for r in mat if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for idx in range(rank, len(rows)):
-            if rows[idx][col]:
-                pivot = idx
-                break
-        if pivot is None:
+def _sweep(ranks, basis, columns, window, v=()) -> None:
+    """Record the rank below every point of the box [0, window] that extends
+    v: add the next branch's columns (branch-major, first in ``columns``) to
+    the echelon basis one at a time, recurse, and drop them again."""
+    if len(v) == len(window):
+        ranks[v] = len(basis)
+        return
+    w, depth = window[len(v)], len(basis)
+    for k in range(w + 1):
+        if k:
+            _add_column(basis, columns[k - 1])
+        _sweep(ranks, basis, columns[w:], window, v + (k,))
+    del basis[depth:]
+
+
+def _add_column(basis, column) -> None:
+    """Reduce a copy of an integer column against the basis, dividing out the
+    content after each step, and keep a nonzero remainder.  Each basis vector
+    vanishes at the pivots before it, so one pass clears every pivot."""
+    col = list(column)
+    for p, vec in basis:
+        if not col[p]:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        pval = prow[col]
-        for idx in range(rank + 1, len(rows)):
-            f = rows[idx][col]
-            if f:
-                ratio = f / pval
-                rows[idx] = [a - ratio * b for a, b in zip(rows[idx], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        g = gcd(col[p], vec[p])
+        s, t = vec[p] // g, col[p] // g
+        for j, x in enumerate(vec):
+            col[j] = s * col[j] - t * x
+        g = gcd(*col)
+        if g > 1:
+            for j, x in enumerate(col):
+                col[j] = x // g
+    if any(col):
+        basis.append((next(j for j, x in enumerate(col) if x), col))
 
 
 def b_dim(M: JetMatrix, v) -> int:
     """dim J(v)/J(w): window rank minus the rank of the columns below v.
     Components of v are clamped into [0, w_i] (conditions with v_i <= 0 are
     vacuous; nothing exists above the window)."""
-    full = M._prefix_rank(M.window)
-    return full - M._prefix_rank(vec_clamp(tuple(v), M.window))
+    v = tuple(v)
+    inside = v if v in M.ranks else vec_clamp(v, M.window)
+    return M.ranks[M.window] - M.ranks[inside]
 
 
 def c_dim(M: JetMatrix, v) -> int:
@@ -133,25 +135,17 @@ def c_dim(M: JetMatrix, v) -> int:
     return b_dim(M, v) - b_dim(M, vec_add(v, (1,) * M.r))
 
 
-def fiber_dim(M: JetMatrix, v, I) -> int:
-    """dim of the image of J(v)-jets inside the coordinate subspace where
-    the leading coefficients indexed by I (branch ids 1..r) vanish."""
-    v = tuple(v)
-    return (b_dim(M, vec_add(v, unit_vec(M.r, I)))
-            - b_dim(M, vec_add(v, (1,) * M.r)))
+def _alternating_sum(f, v) -> int:
+    """Sum over the subsets I of the branches of (-1)^|I| f(v + 1_I)."""
+    return sum((-1) ** (sum(u) - sum(v)) * f(u)
+               for u in iter_box(v, vec_add(v, (1,) * len(v))))
 
 
 def fiber_euler(M: JetMatrix, v) -> int:
-    """Euler characteristic of the projectivized fiber over v, by
-    inclusion-exclusion over the 2^r coordinate subspaces."""
-    v = tuple(v)
-    r = M.r
-    total = 0
-    for mask in range(1 << r):
-        I = [i + 1 for i in range(r) if mask >> i & 1]
-        sign = -1 if len(I) % 2 else 1
-        total += sign * fiber_dim(M, v, I)
-    return total
+    """Euler characteristic of the projectivized fiber over v: inclusion-
+    exclusion over the 2^r coordinate subspaces gives sum_I (-1)^|I|
+    (b(v + 1_I) - b(v + 1)), where the b(v + 1) terms cancel."""
+    return _alternating_sum(partial(b_dim, M), tuple(v))
 
 
 def is_member(M: JetMatrix, v) -> bool:
@@ -237,15 +231,9 @@ class Analysis:
     def pprime(self) -> MultiPoly:
         """The polynomial L_C * prod (t_i - 1): its coefficient at v is the
         alternating sum of c(v - 1 + 1_I) over subsets I of the branches."""
-        M, r = self.jet, self.curve.r
-        out = {}
+        c, r, out = partial(c_dim, self.jet), self.curve.r, {}
         for v in iter_box((0,) * r, vec_add(self.conductor, (1,) * r)):
-            coeff = 0
-            for mask in range(1 << r):
-                I = [i + 1 for i in range(r) if mask >> i & 1]
-                sign = -1 if len(I) % 2 else 1
-                arg = vec_add(tuple(a - 1 for a in v), unit_vec(r, I))
-                coeff += sign * c_dim(M, arg)
+            coeff = _alternating_sum(c, tuple(a - 1 for a in v))
             if coeff:
                 out[v] = coeff
         return out

@@ -8,7 +8,10 @@ which the resolver must reject.  ``TANGENT_CUSPS`` is the honest pair of
 distinct tangent cusps y^2 = x^3 and y^2 = -x^3.
 """
 
+from fractions import Fraction
+
 from curvealex import Curve
+from curvealex.exactmath import iter_box
 
 
 def make_node():
@@ -51,6 +54,16 @@ def make_smooth_branch():
     return Curve([({1: 1}, {})])
 
 
+def make_rational_three_branches():
+    """A cusp, the line tangent to it and a transverse line, with p/q
+    coefficients in every branch; the tangent directions (3/4, 1/2) and
+    (1/2, 1/3) agree only once the denominators are taken into account."""
+    q = Fraction
+    return Curve([({2: q(3, 4)}, {2: q(1, 2), 3: q(1, 5)}),
+                  ({1: q(1, 2)}, {1: q(1, 3)}),
+                  ({1: q(1, 3)}, {1: q(-2, 5)})])
+
+
 # name -> factory, every multi-branch curve the exact identities run on
 CORPUS_MULTI = {
     "node": make_node,
@@ -76,3 +89,41 @@ def semigroup_closure(gens, bound):
                 reached.add(u)
                 frontier.append(u)
     return reached
+
+
+def reference_ranks(M):
+    """The rank of the columns of M below v for every v in the window box,
+    each by Gaussian elimination over the rationals on a fresh submatrix
+    (the oracle for ``M.ranks``)."""
+    offsets = [sum(M.window[:i]) for i in range(M.r)]
+    return {v: _rank([[row[o + k] for o, vi in zip(offsets, v)
+                       for k in range(vi)] for row in M.rows])
+            for v in iter_box((0,) * M.r, M.window)}
+
+
+def _rank(mat) -> int:
+    rows = [list(r) for r in mat if any(r)]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for idx in range(rank, len(rows)):
+            if rows[idx][col]:
+                pivot = idx
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        pval = prow[col]
+        for idx in range(rank + 1, len(rows)):
+            f = rows[idx][col]
+            if f:
+                ratio = f / pval
+                rows[idx] = [a - ratio * b for a, b in zip(rows[idx], prow)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank

@@ -190,6 +190,44 @@ def test_verify_tacnode_all_pass(tmp_path, capsys, calls):
     assert calls["jet"] == 2
 
 
+@pytest.mark.parametrize("k,bound", [(1, b) for b in range(5)] + [(40, 3)])
+def test_verify_one_branch_passes_below_the_conductor(tmp_path, capsys, k,
+                                                      bound):
+    path = _write(tmp_path, "a%d.json" % k, _a_k(k))
+    assert cli.main(["verify", path, "--bound", str(bound)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    assert all(line.startswith("PASS ") for line in lines)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["poincare", "--bound", "-1"], "--bound must be at least 0, not -1"),
+    (["alexander", "--bound", "-1"], "--bound must be at least 0, not -1"),
+    (["poincare", "--budget", "0"], "--budget must be at least 1, not 0"),
+    (["resolve", "--budget", "-2"], "--budget must be at least 1, not -2"),
+], ids=["poincare-bound", "alexander-bound", "poincare-budget",
+        "resolve-budget"])
+def test_out_of_range_flag_is_a_parse_error(tmp_path, capsys, argv, message):
+    path = _write(tmp_path, "cusp.json", CUSP_JSON)
+    assert cli.main(argv[:1] + [path] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ParseError: %s\n" % message
+
+
+@pytest.mark.parametrize("argv", [["resolve", "--bound", "3"],
+                                  ["fibers", "--bound", "3"],
+                                  ["verify", "--out", "unused.txt"]],
+                         ids=["resolve-bound", "fibers-bound", "verify-out"])
+def test_flag_the_command_ignores_is_rejected(tmp_path, capsys, argv):
+    path = _write(tmp_path, "cusp.json", CUSP_JSON)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv[:1] + [path] + argv[1:])
+    assert info.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,engine,jet", [
     (["semigroup"], 1, 1),
     (["poincare"], 1, 1),

@@ -1,13 +1,14 @@
+from itertools import combinations
+
 import pytest
 
-from curvealex.exactmath import iter_box, mp_mul, vec_add, vec_leq
+from curvealex.exactmath import iter_box, mp_mul, unit_vec, vec_add, vec_leq
 from curvealex.filtration import (
     Analysis,
     BoundaryNonzeroError,
     JetMatrix,
     b_dim,
     c_dim,
-    fiber_dim,
     fiber_euler,
     fiber_series,
     poincare_poly,
@@ -21,8 +22,11 @@ from corpus import (
     CORPUS_MULTI,
     make_cusp,
     make_node,
+    make_quartic_branch,
+    make_rational_three_branches,
     make_tacnode,
     make_three_lines,
+    reference_ranks,
     semigroup_closure,
 )
 
@@ -72,16 +76,28 @@ def test_c_dim_node_values():
     assert c_dim(M, (1, 1)) == 2
 
 
-def test_fiber_dim_empty_subset_is_c_dim():
-    M = JetMatrix(make_node(), (3, 3))
-    for v in iter_box((0, 0), (2, 2)):
-        assert fiber_dim(M, v, []) == c_dim(M, v)
+RANK_CURVES = dict(CORPUS_ALL, quartic=make_quartic_branch,
+                   rational=make_rational_three_branches)
 
 
-def test_fiber_dim_node_singletons_and_pair():
-    M = JetMatrix(make_node(), (3, 3))
-    assert fiber_dim(M, (1, 1), [1]) == 1
-    assert fiber_dim(M, (1, 1), [1, 2]) == 0
+@pytest.mark.parametrize("name", sorted(RANK_CURVES))
+def test_rank_table_matches_per_point_elimination(name):
+    M = Analysis(RANK_CURVES[name]()).jet
+    assert M.ranks == reference_ranks(M)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_MULTI))
+def test_fiber_euler_is_the_inclusion_exclusion_of_fiber_dims(name):
+    # the paper's formula: sum over I of (-1)^|I| times the dimension of
+    # the J(v)-jets whose leading coefficients indexed by I vanish
+    a = Analysis(CORPUS_MULTI[name]())
+    M, r, ones = a.jet, a.curve.r, (1,) * a.curve.r
+    for v in iter_box((0,) * r, vec_add(a.conductor, ones)):
+        expected = sum(
+            (-1) ** len(I) * (b_dim(M, vec_add(v, unit_vec(r, I)))
+                              - b_dim(M, vec_add(v, ones)))
+            for k in range(r + 1) for I in combinations(range(1, r + 1), k))
+        assert fiber_euler(M, v) == expected
 
 
 def test_fiber_euler_node():
