@@ -86,16 +86,33 @@ def test_rank_table_matches_per_point_elimination(name):
     assert M.ranks == reference_ranks(M)
 
 
+def fiber_dim(M, v, I):
+    # dimension of the J(v)-jets, modulo J(v + 1), whose leading
+    # coefficients indexed by I (branch ids 1..r) vanish
+    return (b_dim(M, vec_add(v, unit_vec(M.r, I)))
+            - b_dim(M, vec_add(v, (1,) * M.r)))
+
+
+def test_fiber_dim_empty_subset_is_c_dim():
+    M = JetMatrix(make_node(), (3, 3))
+    for v in iter_box((0, 0), (2, 2)):
+        assert fiber_dim(M, v, []) == c_dim(M, v)
+
+
+def test_fiber_dim_node_singletons_and_pair():
+    M = JetMatrix(make_node(), (3, 3))
+    assert fiber_dim(M, (1, 1), [1]) == 1
+    assert fiber_dim(M, (1, 1), [1, 2]) == 0
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS_MULTI))
 def test_fiber_euler_is_the_inclusion_exclusion_of_fiber_dims(name):
-    # the paper's formula: sum over I of (-1)^|I| times the dimension of
-    # the J(v)-jets whose leading coefficients indexed by I vanish
+    # the paper's formula: sum over I of (-1)^|I| times the fiber dimension
     a = Analysis(CORPUS_MULTI[name]())
-    M, r, ones = a.jet, a.curve.r, (1,) * a.curve.r
-    for v in iter_box((0,) * r, vec_add(a.conductor, ones)):
+    M, r = a.jet, a.curve.r
+    for v in iter_box((0,) * r, vec_add(a.conductor, (1,) * r)):
         expected = sum(
-            (-1) ** len(I) * (b_dim(M, vec_add(v, unit_vec(r, I)))
-                              - b_dim(M, vec_add(v, ones)))
+            (-1) ** len(I) * fiber_dim(M, v, I)
             for k in range(r + 1) for I in combinations(range(1, r + 1), k))
         assert fiber_euler(M, v) == expected
 
