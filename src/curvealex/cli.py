@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import curve as curve_mod
 from . import semigroup
@@ -29,6 +30,7 @@ from .filtration import (
     JetMatrix,
     c_dim,
     fiber_euler,
+    is_member,
 )
 from .resolution import (
     BudgetExceededError,
@@ -340,11 +342,12 @@ def _cmd_semigroup(args) -> int:
     else:
         top = vec_add(a.conductor, (2,) * c.r)
     if M is None:
-        M = a.jet if c.r == 1 else JetMatrix(c, tuple(t + 2 for t in top))
-    top = tuple(min(t, w - 2) for t, w in zip(top, M.window))
-    box = semigroup.members_box(M, top)
-    for v in sorted(box.members):
-        lines.append("member\t%s" % ",".join(str(x) for x in v))
+        member = a.is_member
+    else:
+        member = partial(is_member, M)
+        top = tuple(min(t, w - 2) for t, w in zip(top, M.window))
+    lines.extend("member\t%s" % ",".join(str(x) for x in v)
+                 for v in iter_box((0,) * c.r, top) if member(v))
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -166,5 +166,5 @@ def monomial_jet(c: Curve, a: int, b: int, w):
         xa = up_pow_trunc(br.x, a, wi)
         yb = up_pow_trunc(br.y, b, wi)
         p = up_mul_trunc(xa, yb, wi)
-        out.extend(p.get(k, Fraction(0)) for k in range(wi))
+        out.extend(p.get(k, 0) for k in range(wi))
     return out

@@ -7,6 +7,10 @@ jet coordinates of all monomials visible inside the window, the columns are
 (branch, order) pairs in branch-major order.  Since the columns "below v"
 form a per-branch prefix, dim J(v)/J(w) is a difference in one prefix-rank
 table, and all other dimensions are alternating sums of those.
+
+One window per curve suffices: the conductor c.  The conductor ideal
+t^c * O-bar lies in the local ring, so v is a value iff min(v, c) is, and
+everything past the window is read at min(v, c) (``Analysis.is_member``).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from math import gcd, lcm
 
 from .curve import Curve, monomial_jet, validate_curve
 from .exactmath import (
+    ExpVec,
     MultiPoly,
     iter_box,
     mp_exact_div,
@@ -29,8 +34,10 @@ from .resolution import DEFAULT_BUDGET, _noether_sums, _run_blowups
 
 
 class BoundaryNonzeroError(RuntimeError):
-    """A fiber Euler characteristic failed to vanish just past the
-    conductor box (a wrong conductor or a bug in the rank table)."""
+    """Just past the conductor box the table contradicts the conductor: a
+    fiber Euler characteristic fails to vanish, or membership differs from
+    membership at min(v, c) (a wrong conductor or a bug in the rank
+    table)."""
 
     code = "BoundaryNonzero"
 
@@ -41,7 +48,9 @@ class JetMatrix:
     A monomial x^a y^b is visible when its valuation on some branch i is
     below w_i; all other monomials have identically zero jets.  ``ranks``
     maps every v in the box [0, window] to the rank of the columns below v:
-    the b table every formula shares, built once with the matrix.
+    the b table every formula shares, built once with the matrix.  An
+    ``Analysis`` builds one at the conductor + 2; other windows come only
+    from an explicit ``--window`` and verify's window-stability check.
     """
 
     def __init__(self, curve: Curve, window):
@@ -171,10 +180,11 @@ class Analysis:
     One run of the blow-up engine gives the resolution graph and the
     conductor of the semigroup of values by Delgado's formula
     c_i = 2 delta_i + sum_{j != i} (C_i . C_j) (Delgado de la Mata,
-    Manuscripta Math. 59, 1987).  One jet matrix, built on first use, covers
-    every point the series evaluate: the window is the conductor + 2 for
-    r > 1, and max(bound, 2c + 2) + 2 for one branch, whose series are
-    truncated at ``bound`` (default 2c + 2; r > 1 ignores it).
+    Manuscripta Math. 59, 1987).  One jet matrix, built on first use at the
+    window conductor + 2, covers every point the series evaluate; reads past
+    it go through ``is_member`` and the conductor rule.  One-branch series
+    are truncated at ``bound`` (default 2c + 2; r > 1 ignores it), which
+    does not size the matrix.
     """
 
     def __init__(self, curve: Curve, bound: int | None = None,
@@ -192,11 +202,29 @@ class Analysis:
 
     @cached_property
     def jet(self) -> JetMatrix:
-        if self.curve.r == 1:
-            window = (max(self.bound, 2 * self.conductor[0] + 2) + 2,)
-        else:
-            window = tuple(x + 2 for x in self.conductor)
-        return JetMatrix(self.curve, window)
+        return JetMatrix(self.curve, tuple(x + 2 for x in self.conductor))
+
+    @cached_property
+    def _checked_conductor(self) -> ExpVec:
+        """The conductor c, once the table agrees with the rule that v is a
+        value iff min(v, c) is: c is a value, and so is a point of the shell
+        [0, c + 1] outside [0, c] iff its clamp into [0, c] is."""
+        c, r = self.conductor, self.curve.r
+        top = vec_add(c, (1,) * r)
+        bad = [] if is_member(self.jet, c) else [c]
+        bad += [v for v in iter_box((0,) * r, top) if not vec_leq(v, c)
+                and is_member(self.jet, v)
+                != is_member(self.jet, vec_clamp(v, c))]
+        if bad:
+            raise BoundaryNonzeroError(
+                "membership does not follow the conductor %r on the shell "
+                "[0, %r] outside [0, %r]: %r" % (c, top, c, bad))
+        return c
+
+    def is_member(self, v) -> bool:
+        """Whether v >= 0 is a value, read at min(v, c); the first call
+        checks the conductor rule on the shell just past the box."""
+        return is_member(self.jet, vec_clamp(v, self._checked_conductor))
 
     @cached_property
     def fiber_series(self) -> MultiPoly:
@@ -210,8 +238,10 @@ class Analysis:
         """
         M, r = self.jet, self.curve.r
         if r == 1:
+            # chi(v) = chi(min(v, c)) by the conductor rule
+            c = self._checked_conductor[0]
             return {(v,): chi for v in range(self.bound + 1)
-                    if (chi := fiber_euler(M, (v,)))}
+                    if (chi := fiber_euler(M, (min(v, c),)))}
         out, bad = {}, []
         for v in iter_box((0,) * r, vec_add(self.conductor, (1,) * r)):
             chi = fiber_euler(M, v)
@@ -250,7 +280,7 @@ class Analysis:
         r = self.curve.r
         if r == 1:
             return {(v,): 1 for v in range(self.bound + 1)
-                    if is_member(self.jet, (v,))}
+                    if self.is_member((v,))}
         return mp_exact_div(self.pprime, {(1,) * r: 1, (0,) * r: -1})
 
 

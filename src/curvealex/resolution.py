@@ -357,16 +357,25 @@ def graph_conductor_r1(g: ResGraph) -> int:
     1 + sum of n_d * m^d over dead-end tails minus the root multiplicity."""
     if g.r != 1:
         raise GraphError("tail formula applies to one-branch graphs only")
+    total = sum(m * n for m, n in _dead_end_tails(g)[1])
+    root_m = g.vertices[g.root][0]
+    return max(total - root_m + 1, 0)
+
+
+def _dead_end_tails(g: ResGraph):
+    """The dead ends of a one-branch graph with no star point below them,
+    and (m, n) for each other dead end, ascending: its multiplicity and
+    n = m(star)/m - 1 for the nearest star point below it."""
     vc = classify_graph(g)
-    total = 0
+    roots, tails = [], []
     for d in sorted(vc.dead_ends):
         st = vc.nearest_star_below(d)
         if st is None:
-            continue
-        n = _tail_quotient(g.vertices[st], g.vertices[d]) - 1
-        total += n * g.vertices[d][0]
-    root_m = g.vertices[g.root][0]
-    return max(total - root_m + 1, 0)
+            roots.append(d)
+        else:
+            tails.append((g.vertices[d][0], _tail_quotient(
+                g.vertices[st], g.vertices[d]) - 1))
+    return roots, sorted(tails)
 
 
 def _tail_quotient(m_star: ExpVec, m_dead: ExpVec) -> int:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .curve import Curve
 from .exactmath import ExpVec, iter_box
 from .filtration import Analysis, JetMatrix, is_member
-from .resolution import classify_graph, _tail_quotient
+from .resolution import _dead_end_tails
 
 
 @dataclass(frozen=True)
@@ -38,27 +38,15 @@ def minimal_generators_r1(c: Curve) -> list:
 
 
 def minimal_generators(a: Analysis) -> list:
-    """Minimal generators of a one-branch analysis, by greedy extraction
-    from its membership table."""
+    """Minimal generators of a one-branch analysis: the nonzero members
+    below 2c + 3 that are not a sum of two nonzero members (every generator
+    is below the conductor plus the multiplicity)."""
     if a.curve.r != 1:
         raise ValueError("minimal generators are defined for one branch")
-    # every minimal generator is below the conductor plus the smallest one
-    bound = 2 * a.conductor[0] + 2
-    members = [v for v in range(bound + 1) if is_member(a.jet, (v,))]
-    member_set = set(members)
-    gens = []
-    generated = {0}
-    while True:
-        missing = [v for v in members if v not in generated]
-        if not missing:
-            break
-        g = missing[0]
-        gens.append(g)
-        generated = _closure(gens, bound)
-        if generated - member_set:
-            raise AssertionError(
-                "generated semigroup escaped the member table")
-    return gens
+    members = [v for v in range(1, 2 * a.conductor[0] + 3)
+               if a.is_member((v,))]
+    sums = {u + v for u in members for v in members}
+    return [v for v in members if v not in sums]
 
 
 def _closure(gens, bound) -> set:
@@ -114,17 +102,7 @@ def verify_semigroup_properties(c: Curve) -> SemigroupReport:
         raise ValueError("structural checks are defined for one branch")
     a = Analysis(c)
     graph = a.graph
-    vc = classify_graph(graph)
-    tails = []
-    root_like = []
-    for d in sorted(vc.dead_ends):
-        st = vc.nearest_star_below(d)
-        if st is None:
-            root_like.append(d)
-        else:
-            n = _tail_quotient(graph.vertices[st], graph.vertices[d]) - 1
-            tails.append((graph.vertices[d][0], n))
-    tails.sort()
+    root_like, tails = _dead_end_tails(graph)
     if len(root_like) != 1:
         raise AssertionError("expected exactly one tail-free dead end, got %r"
                              % (root_like,))
@@ -134,7 +112,7 @@ def verify_semigroup_properties(c: Curve) -> SemigroupReport:
 
     delta = a.conductor[0]
     top = a.bound
-    members = {v for v in range(top + 1) if is_member(a.jet, (v,))}
+    members = {v for v in range(top + 1) if a.is_member((v,))}
 
     checks = {}
     checks["conductor-formula"] = (

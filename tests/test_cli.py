@@ -15,6 +15,7 @@ from curvealex.cli import (
     parse_curve_file,
     parse_graph_file,
 )
+from curvealex.exactmath import iter_box
 from curvealex.filtration import JetMatrix
 from curvealex.resolution import resolve
 
@@ -38,8 +39,9 @@ def _write(tmp_path, name, data):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts runs of the blow-up engine and jet-matrix builds."""
-    counts = {"engine": 0, "jet": 0}
+    """Counts runs of the blow-up engine and jet-matrix builds, and records
+    the window of each build."""
+    counts = {"engine": 0, "jet": 0, "windows": []}
     engine = resolution._run_blowups
     init = JetMatrix.__init__
 
@@ -50,6 +52,7 @@ def calls(monkeypatch):
     def counted_init(self, *args, **kwargs):
         counts["jet"] += 1
         init(self, *args, **kwargs)
+        counts["windows"].append(self.window)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("curvealex") and \
@@ -239,7 +242,25 @@ def test_one_branch_command_analyses_once(tmp_path, capsys, calls, argv,
                                           engine, jet):
     path = _write(tmp_path, "cusp.json", CUSP_JSON)
     assert cli.main(argv[:1] + [path] + argv[1:]) == 0
-    assert calls == {"engine": engine, "jet": jet}
+    # the cusp's conductor is 2: one window of conductor + 2
+    assert calls == {"engine": engine, "jet": jet, "windows": [(4,)] * jet}
+
+
+def test_bound_truncates_without_sizing_the_window(tmp_path, capsys, calls):
+    path = _write(tmp_path, "cusp.json", CUSP_JSON)
+    assert cli.main(["poincare", path, "--bound", "1000"]) == 0
+    assert capsys.readouterr().out == "".join(
+        "1\t%d\n" % v for v in [0] + list(range(2, 1001)))
+    assert calls["windows"] == [(4,)]
+
+
+def test_multi_branch_semigroup_builds_one_window(tmp_path, capsys, calls):
+    path = _write(tmp_path, "node.json", NODE_JSON)
+    assert cli.main(["semigroup", path]) == 0
+    members = ["0,0"] + ["%d,%d" % v for v in iter_box((1, 1), (3, 3))]
+    assert capsys.readouterr().out == "conductor\t1,1\n" + "".join(
+        "member\t%s\n" % v for v in members)
+    assert calls["windows"] == [(3, 3)]
 
 
 def test_budget_reaches_the_series_commands(tmp_path, capsys):

@@ -11,6 +11,7 @@ from curvealex.filtration import (
     c_dim,
     fiber_euler,
     fiber_series,
+    is_member,
     poincare_poly,
     pprime_poly,
 )
@@ -245,3 +246,46 @@ def test_wrong_conductor_trips_the_boundary_guard(name):
     message = str(info.value)
     assert repr(a.conductor) in message
     assert repr(vec_add(a.conductor, (1,) * a.curve.r)) in message
+
+
+def _wide_reference(a):
+    # the windows analyses used before the conductor rule: 2c + 4 read on
+    # [0, 2c + 2] for one branch, c + 4 read on [0, c + 2] otherwise
+    c, r = a.conductor, a.curve.r
+    top = (2 * c[0] + 2,) if r == 1 else vec_add(c, (2,) * r)
+    return JetMatrix(a.curve, vec_add(top, (2,) * r)), top
+
+
+@pytest.mark.parametrize("name", sorted(RANK_CURVES))
+def test_conductor_rule_matches_a_wide_window(name):
+    a = Analysis(RANK_CURVES[name]())
+    wide, top = _wide_reference(a)
+    assert a.jet.window == vec_add(a.conductor, (2,) * a.curve.r)
+    for v in iter_box((0,) * a.curve.r, top):
+        assert a.is_member(v) == is_member(wide, v), v
+
+
+@pytest.mark.parametrize("name", sorted(RANK_CURVES))
+def test_conductor_one_too_small_trips_the_rule_guard(name):
+    a = Analysis(RANK_CURVES[name]())
+    a.conductor = tuple(x - 1 for x in a.conductor)
+    with pytest.raises(BoundaryNonzeroError) as info:
+        a.is_member((0,) * a.curve.r)
+    message = str(info.value)
+    assert repr(a.conductor) in message
+    assert repr(vec_add(a.conductor, (1,) * a.curve.r)) in message
+
+
+@pytest.mark.parametrize("make,wrong,points", [
+    # node values: (0, 0) and every v >= (1, 1); (1, 0) is no value, and
+    # on the shell (0, 1), (1, 1) and (2, 1) differ from their clamps
+    (make_node, (1, 0), [(1, 0), (0, 1), (1, 1), (2, 1)]),
+    # <4, 6, 13>: 2 and 3 are both gaps, so only the value test at c sees it
+    (make_quartic_branch, (2,), [(2,)]),
+])
+def test_rule_guard_names_every_disagreeing_point(make, wrong, points):
+    a = Analysis(make())
+    a.conductor = wrong
+    with pytest.raises(BoundaryNonzeroError) as info:
+        a.is_member(wrong)
+    assert str(info.value).endswith(": %r" % (points,))

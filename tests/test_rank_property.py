@@ -1,4 +1,5 @@
-"""Property test of the prefix-rank table against per-point elimination."""
+"""Property tests of the prefix-rank table against per-point elimination,
+and of the conductor rule of one-branch analyses against a wide window."""
 
 from fractions import Fraction
 from math import gcd
@@ -7,10 +8,20 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from curvealex import Curve, JetMatrix  # noqa: E402
+from curvealex import (  # noqa: E402
+    Analysis,
+    BudgetExceededError,
+    Curve,
+    JetMatrix,
+)
+from curvealex.filtration import is_member  # noqa: E402
+from curvealex.semigroup import (  # noqa: E402
+    minimal_generators,
+    verify_semigroup_properties,
+)
 
 from corpus import reference_ranks  # noqa: E402
 
@@ -38,3 +49,27 @@ def jet_matrices(draw):
 @given(jet_matrices())
 def test_rank_table_matches_per_point_elimination(M):
     assert M.ranks == reference_ranks(M)
+
+
+def _not_an_axis_cover(branch):
+    # (0, y(t)) with ord y > 1 covers the y axis ord y times, and the same
+    # for the x axis; the support gcd does not see it
+    x, y = branch
+    return bool(x and y) or min(x.keys() | y.keys()) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(BRANCHES.filter(_not_an_axis_cover))
+def test_conductor_rule_matches_a_wide_window(branch):
+    c = Curve([branch])
+    try:
+        a = Analysis(c)
+    except BudgetExceededError:
+        # a rarer map of degree > 1 onto its image, such as
+        # (t^2 + t^3, (t^2 + t^3)^2): not a branch parametrization
+        assume(False)
+    top = 2 * a.conductor[0] + 2
+    wide = JetMatrix(c, (top + 2,))
+    assert [a.is_member((v,)) for v in range(top + 1)] == \
+        [is_member(wide, (v,)) for v in range(top + 1)]
+    assert minimal_generators(a) == verify_semigroup_properties(c).generators

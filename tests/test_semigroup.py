@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from curvealex import Curve
@@ -107,6 +109,19 @@ def test_minimal_generators_quartic_branch():
 
 def test_minimal_generators_smooth_branch():
     assert minimal_generators_r1(make_smooth_branch()) == [1]
+
+
+@pytest.mark.parametrize("curve", [
+    make_cusp(), make_quartic_branch(), make_smooth_branch(), _a(20),
+    Curve([({3: 1}, {5: 1})]),
+    Curve([({8: 1}, {12: 1, 14: 1, 15: 1})]),
+    Curve([({2: Fraction(3, 4)}, {2: Fraction(1, 2), 3: Fraction(1, 5)})]),
+], ids=["cusp", "quartic", "smooth", "a20", "3-5", "8-12-14-15", "p/q"])
+def test_minimal_generators_are_the_generators_of_the_graph(curve):
+    # the graph reads beta_0 off the root tail and the others off the
+    # dead ends below star points; the jet table is not consulted
+    assert minimal_generators_r1(curve) == \
+        verify_semigroup_properties(curve).generators
 
 
 def _box_2_3(top=8):
