@@ -28,8 +28,7 @@ from .filtration import (
     Analysis,
     BoundaryNonzeroError,
     JetMatrix,
-    c_dim,
-    fiber_euler,
+    fiber_eulers,
     is_member,
 )
 from .resolution import (
@@ -263,9 +262,17 @@ def run_verify(c: Curve, bound=None, budget=DEFAULT_BUDGET):
     results.append(("resolution-invariance", ok,
                     "" if ok else "extra blow-ups changed the product"))
 
-    M_large = JetMatrix(c, tuple(w + 2 for w in a.jet.window))
-    ok = all(c_dim(a.jet, v) == c_dim(M_large, v)
-             for v in iter_box((0,) * r, a.conductor))
+    # c(v) = ranks[v + 1] - ranks[v] on [0, c] (``c_dim``: the window rank
+    # cancels), so the wider table needs only the box [0, c + 1]; v + 1
+    # runs over [1, c + 1] in the same order as v over [0, c]
+    top = vec_add(a.conductor, (1,) * r)
+
+    def c_values(M):
+        return [M.ranks[u] - M.ranks[v] for u, v in
+                zip(iter_box((1,) * r, top), iter_box((0,) * r, a.conductor))]
+
+    wide = JetMatrix(c, tuple(w + 2 for w in a.jet.window), box=top)
+    ok = c_values(a.jet) == c_values(wide)
     results.append(("window-stability", ok,
                     "" if ok else "c values moved under a wider window"))
     return results
@@ -322,10 +329,9 @@ def _cmd_fibers(args) -> int:
     else:
         a = Analysis(c, budget=args.budget)
         M, top = a.jet, a.conductor
-    lines = []
-    for v in iter_box((0,) * c.r, top):
-        lines.append("%d\t%s" % (fiber_euler(M, v),
-                                 ",".join(str(x) for x in v)))
+    chi = fiber_eulers(M)
+    lines = ["%d\t%s" % (chi[v], ",".join(str(x) for x in v))
+             for v in iter_box((0,) * c.r, top)]
     _emit("\n".join(lines), args.out)
     return 0
 

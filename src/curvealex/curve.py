@@ -95,8 +95,10 @@ def validate_curve(c: Curve) -> None:
     """Check every branch parametrization; raises a ValidationError subclass.
 
     Rejects branches that are identically zero, do not pass through the
-    origin (some coordinate has a nonzero constant term), or factor through
-    tau^d with d > 1 (a retraced, non-primitive parametrization).
+    origin (some coordinate has a nonzero constant term), factor through
+    tau^d with d > 1 (a retraced, non-primitive parametrization), or have one
+    coordinate identically zero and the other of order k > 1 (a k-fold cover
+    of an axis, whatever the support gcd).
     """
     for idx, b in enumerate(c.branches, start=1):
         if not b.x and not b.y:
@@ -108,6 +110,11 @@ def validate_curve(c: Curve) -> None:
             raise NonPrimitiveError(
                 "branch %d factors through tau^%d"
                 % (idx, _gcd_of_support(b)))
+        k = min(b.ord_x, b.ord_y)
+        if not (b.x and b.y) and k > 1:
+            raise NonPrimitiveError(
+                "branch %d is a %d-fold cover of the %s axis"
+                % (idx, k, "y" if not b.x else "x"))
 
 
 def germ_valuation(g, branch: BranchParam):

@@ -6,7 +6,10 @@ Everything reduces to exact ranks of one matrix per window: the rows are the
 jet coordinates of all monomials visible inside the window, the columns are
 (branch, order) pairs in branch-major order.  Since the columns "below v"
 form a per-branch prefix, dim J(v)/J(w) is a difference in one prefix-rank
-table, and all other dimensions are alternating sums of those.
+table, and all other dimensions are alternating sums of those.  The series
+read every alternating sum at once, by r difference sweeps over a whole
+table (``_differences``); the per-point functions (``b_dim``, ``c_dim``,
+``fiber_euler``, ``is_member``) stay as the reference.
 
 One window per curve suffices: the conductor c.  The conductor ideal
 t^c * O-bar lies in the local ring, so v is a value iff min(v, c) is, and
@@ -16,7 +19,8 @@ everything past the window is read at min(v, c) (``Analysis.is_member``).
 from __future__ import annotations
 
 from functools import cached_property, partial
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 
 from .curve import Curve, monomial_jet, validate_curve
 from .exactmath import (
@@ -51,9 +55,12 @@ class JetMatrix:
     the b table every formula shares, built once with the matrix.  An
     ``Analysis`` builds one at the conductor + 2; other windows come only
     from an explicit ``--window`` and verify's window-stability check.
+    That check passes a smaller ``box`` (inside the window): ``ranks`` then
+    covers only [0, box], and the window rank that ``b_dim`` reads is not
+    recorded.
     """
 
-    def __init__(self, curve: Curve, window):
+    def __init__(self, curve: Curve, window, box=None):
         validate_curve(curve)
         window = tuple(int(x) for x in window)
         if len(window) != curve.r or any(w < 1 for w in window):
@@ -65,7 +72,7 @@ class JetMatrix:
                      for a, b in self.monomials]
         self.ranks = {}
         _sweep(self.ranks, [], [_primitive(col) for col in zip(*self.rows)],
-               window)
+               window, window if box is None else box)
 
     @property
     def r(self) -> int:
@@ -94,18 +101,19 @@ def _primitive(vec) -> list:
     return [x // g for x in ints] if g > 1 else ints
 
 
-def _sweep(ranks, basis, columns, window, v=()) -> None:
-    """Record the rank below every point of the box [0, window] that extends
-    v: add the next branch's columns (branch-major, first in ``columns``) to
-    the echelon basis one at a time, recurse, and drop them again."""
+def _sweep(ranks, basis, columns, window, box, v=()) -> None:
+    """Record the rank below every point of the box [0, box] that extends v:
+    add the next branch's columns (branch-major, first in ``columns``, each
+    branch ``window`` long) to the echelon basis one at a time, recurse, and
+    drop them again."""
     if len(v) == len(window):
         ranks[v] = len(basis)
         return
-    w, depth = window[len(v)], len(basis)
-    for k in range(w + 1):
+    i, depth = len(v), len(basis)
+    for k in range(box[i] + 1):
         if k:
             _add_column(basis, columns[k - 1])
-        _sweep(ranks, basis, columns[w:], window, v + (k,))
+        _sweep(ranks, basis, columns[window[i]:], window, box, v + (k,))
     del basis[depth:]
 
 
@@ -148,6 +156,49 @@ def _alternating_sum(f, v) -> int:
     """Sum over the subsets I of the branches of (-1)^|I| f(v + 1_I)."""
     return sum((-1) ** (sum(u) - sum(v)) * f(u)
                for u in iter_box(v, vec_add(v, (1,) * len(v))))
+
+
+def _differences(values, shape) -> list:
+    """g(v) = sum over the subsets I of the branches of (-1)^|I| f(v + 1_I),
+    for a table f given by its ``values`` on a box of ``shape`` points per
+    axis in lexicographic order; g comes back the same way, on the box one
+    point shorter on every axis.  r sweeps, the i-th taking f(v) - f(v + e_i)
+    (v + e_i lies ``step`` places after v)."""
+    for i, n in enumerate(shape):
+        step = prod(shape[i + 1:])
+        block = n * step
+        values = [x - y for k in range(0, len(values), block)
+                  for x, y in zip(values[k:k + block - step],
+                                  values[k + step:k + block])]
+        shape = shape[:i] + (n - 1,) + shape[i + 1:]
+    return values
+
+
+def fiber_eulers(M: JetMatrix) -> dict:
+    """``fiber_euler`` at every point of [0, window - 1], by difference
+    sweeps over the rank table: b = (window rank) - ranks, and the window
+    rank cancels in the alternating sum."""
+    zero = (0,) * M.r
+    ranks = [M.ranks[v] for v in iter_box(zero, M.window)]
+    chi = _differences(ranks, tuple(w + 1 for w in M.window))
+    return {v: -x for v, x in
+            zip(iter_box(zero, tuple(w - 1 for w in M.window)), chi)}
+
+
+def pprime_coefficients(M: JetMatrix) -> dict:
+    """The alternating sum of c(v - 1 + 1_I) over the subsets I of the
+    branches at every point v of [0, window - 1], by difference sweeps over
+    the table c(u) = ranks[u + 1] - ranks[max(u, 0)] on [-1, window - 1]
+    (``c_dim``: the window rank cancels, and b clamps a negative component
+    to 0)."""
+    zero = (0,) * M.r
+    # in lexicographic order of u, u + 1 runs over [0, window] and
+    # max(u, 0) over the product of the clamped axes 0, 0, 1, ..., w - 1
+    c = [M.ranks[up] - M.ranks[lo] for up, lo in
+         zip(iter_box(zero, M.window),
+             product(*([0, *range(w)] for w in M.window)))]
+    coeffs = _differences(c, tuple(w + 1 for w in M.window))
+    return dict(zip(iter_box(zero, tuple(w - 1 for w in M.window)), coeffs))
 
 
 def fiber_euler(M: JetMatrix, v) -> int:
@@ -236,19 +287,19 @@ class Analysis:
         otherwise).  For r = 1 it is an honest infinite series, truncated
         at ``bound``.
         """
-        M, r = self.jet, self.curve.r
-        if r == 1:
+        chi = fiber_eulers(self.jet)
+        if self.curve.r == 1:
             # chi(v) = chi(min(v, c)) by the conductor rule
             c = self._checked_conductor[0]
-            return {(v,): chi for v in range(self.bound + 1)
-                    if (chi := fiber_euler(M, (min(v, c),)))}
+            return {(v,): x for v in range(self.bound + 1)
+                    if (x := chi[(min(v, c),)])}
+        # chi covers [0, window - 1] = [0, conductor + 1]
         out, bad = {}, []
-        for v in iter_box((0,) * r, vec_add(self.conductor, (1,) * r)):
-            chi = fiber_euler(M, v)
-            if not chi:
+        for v, x in chi.items():
+            if not x:
                 continue
             if vec_leq(v, self.conductor):
-                out[v] = chi
+                out[v] = x
             else:
                 bad.append(v)
         if bad:
@@ -260,13 +311,11 @@ class Analysis:
     @cached_property
     def pprime(self) -> MultiPoly:
         """The polynomial L_C * prod (t_i - 1): its coefficient at v is the
-        alternating sum of c(v - 1 + 1_I) over subsets I of the branches."""
-        c, r, out = partial(c_dim, self.jet), self.curve.r, {}
-        for v in iter_box((0,) * r, vec_add(self.conductor, (1,) * r)):
-            coeff = _alternating_sum(c, tuple(a - 1 for a in v))
-            if coeff:
-                out[v] = coeff
-        return out
+        alternating sum of c(v - 1 + 1_I) over subsets I of the branches,
+        read on [0, conductor + 1] by ``pprime_coefficients``.  It is built
+        from c, not from the fiber series, so that verify's fiber-product
+        identity compares two computations."""
+        return {v: x for v, x in pprime_coefficients(self.jet).items() if x}
 
     @cached_property
     def poincare(self) -> MultiPoly:

@@ -30,6 +30,11 @@ def make_three_lines():
     return Curve([({1: 1}, {}), ({}, {1: 1}), ({1: 1}, {1: 1})])
 
 
+def make_four_lines():
+    return Curve([({1: 1}, {}), ({}, {1: 1}), ({1: 1}, {1: 1}),
+                  ({1: 1}, {1: -1})])
+
+
 def make_cusp_tangent_line():
     return Curve([({2: 1}, {3: 1}), ({1: 1}, {})])
 

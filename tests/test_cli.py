@@ -40,8 +40,8 @@ def _write(tmp_path, name, data):
 @pytest.fixture
 def calls(monkeypatch):
     """Counts runs of the blow-up engine and jet-matrix builds, and records
-    the window of each build."""
-    counts = {"engine": 0, "jet": 0, "windows": []}
+    the window and the prefix-rank table size of each build."""
+    counts = {"engine": 0, "jet": 0, "windows": [], "sizes": []}
     engine = resolution._run_blowups
     init = JetMatrix.__init__
 
@@ -53,6 +53,7 @@ def calls(monkeypatch):
         counts["jet"] += 1
         init(self, *args, **kwargs)
         counts["windows"].append(self.window)
+        counts["sizes"].append(len(self.ranks))
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("curvealex") and \
@@ -191,6 +192,30 @@ def test_verify_tacnode_all_pass(tmp_path, capsys, calls):
     # one analysis, plus the forced extra blow-ups and the wider window
     assert calls["engine"] <= 2
     assert calls["jet"] == 2
+    # the conductor is (2, 2): the analysis table covers [0, c + 2], the
+    # wider window's only [0, c + 1], the points its check reads
+    assert calls["windows"] == [(4, 4), (6, 6)]
+    assert calls["sizes"] == [5 * 5, 4 * 4]
+
+
+def test_verify_fails_when_the_wider_window_moves_c(tmp_path, capsys,
+                                                    monkeypatch):
+    class Moved(JetMatrix):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # c(v) = ranks[v + 1] - ranks[v]: this moves c at (2, 2) only
+            self.ranks[(3, 3)] += 1
+
+    monkeypatch.setattr(cli, "JetMatrix", Moved)
+    path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
+    assert cli.main(["verify", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:5] == ["PASS " + name for name in (
+        "poincare-equals-alexander", "fiber-euler-equals-alexander",
+        "fiber-product-identity", "exact-divisibility",
+        "resolution-invariance")]
+    assert lines[5:] == [
+        "FAIL window-stability: c values moved under a wider window"]
 
 
 @pytest.mark.parametrize("k,bound", [(1, b) for b in range(5)] + [(40, 3)])
@@ -243,7 +268,8 @@ def test_one_branch_command_analyses_once(tmp_path, capsys, calls, argv,
     path = _write(tmp_path, "cusp.json", CUSP_JSON)
     assert cli.main(argv[:1] + [path] + argv[1:]) == 0
     # the cusp's conductor is 2: one window of conductor + 2
-    assert calls == {"engine": engine, "jet": jet, "windows": [(4,)] * jet}
+    assert calls == {"engine": engine, "jet": jet, "windows": [(4,)] * jet,
+                     "sizes": [5] * jet}
 
 
 def test_bound_truncates_without_sizing_the_window(tmp_path, capsys, calls):
@@ -315,6 +341,31 @@ def test_fibers_command_output(tmp_path, capsys):
 def test_unknown_subcommand_exits_64(capsys):
     assert cli.main(["frobnicate"]) == 64
     assert cli.main([]) == 64
+
+
+AXIS_COVER = {"x": [], "y": [[2, "1"], [3, "1"]]}
+X_AXIS = {"x": [[1, "1"]], "y": []}
+
+
+@pytest.mark.parametrize("cmd", ["semigroup", "resolve"])
+@pytest.mark.parametrize("branches,idx", [([AXIS_COVER], 1),
+                                          ([X_AXIS, AXIS_COVER], 2)],
+                         ids=["alone", "beside-the-x-axis"])
+def test_axis_cover_is_non_primitive(tmp_path, capsys, cmd, branches, idx):
+    path = _write(tmp_path, "cover.json", {"branches": branches})
+    assert cli.main([cmd, path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("NonPrimitive: branch %d is a 2-fold cover of "
+                            "the y axis\n" % idx)
+
+
+@pytest.mark.parametrize("cmd", ["semigroup", "resolve"])
+def test_smooth_branch_on_an_axis_is_accepted(tmp_path, capsys, cmd):
+    data = {"branches": [{"x": [], "y": [[1, "1"], [3, "1"]]}]}
+    path = _write(tmp_path, "axis.json", data)
+    assert cli.main([cmd, path]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_duplicate_branch_curve_exits_1(tmp_path, capsys):

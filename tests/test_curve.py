@@ -28,6 +28,18 @@ def test_validate_rejects_nonprimitive():
         validate_curve(Curve([({2: 1}, {4: 1})]))
 
 
+def test_validate_rejects_an_x_axis_cover_of_gcd_one():
+    with pytest.raises(NonPrimitiveError,
+                       match="^branch 1 is a 3-fold cover of the x axis$"):
+        validate_curve(Curve([({3: 1, 4: 2}, {})]))
+
+
+def test_validate_keeps_the_support_gcd_message_on_an_axis():
+    with pytest.raises(NonPrimitiveError,
+                       match="^branch 1 factors through tau\\^2$"):
+        validate_curve(Curve([({}, {2: 1, 4: 1})]))
+
+
 def test_validate_rejects_missing_origin():
     with pytest.raises(OrderZeroError):
         validate_curve(Curve([({0: 1, 1: 1}, {1: 1})]))

@@ -10,6 +10,7 @@ from curvealex.filtration import (
     b_dim,
     c_dim,
     fiber_euler,
+    fiber_eulers,
     fiber_series,
     is_member,
     poincare_poly,
@@ -22,6 +23,7 @@ from corpus import (
     CORPUS_ALL,
     CORPUS_MULTI,
     make_cusp,
+    make_four_lines,
     make_node,
     make_quartic_branch,
     make_rational_three_branches,
@@ -85,6 +87,33 @@ RANK_CURVES = dict(CORPUS_ALL, quartic=make_quartic_branch,
 def test_rank_table_matches_per_point_elimination(name):
     M = Analysis(RANK_CURVES[name]()).jet
     assert M.ranks == reference_ranks(M)
+
+
+SWEEP_CURVES = dict(CORPUS_ALL, rational=make_rational_three_branches,
+                    four_lines=make_four_lines)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CURVES))
+def test_fiber_euler_sweeps_match_the_per_point_sums(name):
+    M = Analysis(SWEEP_CURVES[name]()).jet
+    box = iter_box((0,) * M.r, tuple(w - 1 for w in M.window))
+    assert fiber_eulers(M) == {v: fiber_euler(M, v) for v in box}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CURVES))
+def test_pprime_sweeps_match_the_per_point_sums(name):
+    a = Analysis(SWEEP_CURVES[name]())
+    M, r = a.jet, a.curve.r
+    expected = {}
+    for v in iter_box((0,) * r, vec_add(a.conductor, (1,) * r)):
+        below = tuple(x - 1 for x in v)
+        coeff = sum(
+            (-1) ** len(I) * c_dim(M, vec_add(below, unit_vec(r, I)))
+            for k in range(r + 1) for I in combinations(range(1, r + 1), k))
+        if coeff:
+            expected[v] = coeff
+    assert expected
+    assert a.pprime == expected
 
 
 def fiber_dim(M, v, I):
