@@ -8,7 +8,7 @@ computed three independent ways with exact rational arithmetic:
 together with a verification harness checking that they coincide exactly.
 """
 
-from .curve import BranchParam, Curve, germ_valuation, monomial_jet, validate_curve
+from .curve import BranchParam, Curve, germ_valuation, validate_curve
 from .exactmath import (
     NotDivisibleError,
     expand_truncated,
@@ -23,9 +23,6 @@ from .filtration import (
     b_dim,
     c_dim,
     fiber_euler,
-    fiber_series,
-    poincare_poly,
-    pprime_poly,
 )
 from .resolution import (
     BudgetExceededError,
@@ -39,9 +36,7 @@ from .resolution import (
 from .semigroup import (
     SemigroupReport,
     apery_set,
-    conductor,
     members_box,
-    minimal_generators_r1,
     verify_semigroup_properties,
 )
 
@@ -60,21 +55,15 @@ __all__ = [
     "c_dim",
     "chi_open",
     "classify_graph",
-    "conductor",
     "en_alexander",
     "expand_truncated",
     "fiber_euler",
-    "fiber_series",
     "germ_valuation",
     "members_box",
-    "minimal_generators_r1",
-    "monomial_jet",
     "mp_exact_div",
     "mp_mul",
     "noether_intersections",
     "ord_lead",
-    "poincare_poly",
-    "pprime_poly",
     "resolve",
     "validate_curve",
     "verify_semigroup_properties",

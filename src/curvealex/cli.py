@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import curve as curve_mod
 from . import semigroup
@@ -378,7 +378,11 @@ def _parse_window(text):
         raise ParseError("bad --window %r" % text) from exc
 
 
+@cache
 def _build_parser(cmd: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, built once: each parser holds reference
+    cycles, so a fresh one per call would be garbage for the cyclic
+    collector."""
     p = argparse.ArgumentParser(prog="curvealex %s" % cmd)
     p.add_argument("input", help="input JSON file")
     if cmd != "verify":

@@ -8,6 +8,7 @@ t_1, ..., t_r everywhere downstream).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .exactmath import (
     INF,
@@ -15,9 +16,7 @@ from .exactmath import (
     ord_lead,
     scaled_order,
     up_mul,
-    up_mul_trunc,
     up_normal,
-    up_pow_trunc,
     up_scale,
 )
 
@@ -80,17 +79,6 @@ class Curve:
         return "Curve(%r)" % (self.branches,)
 
 
-def _gcd_of_support(branch: BranchParam) -> int:
-    from math import gcd
-
-    g = 0
-    for e in branch.x:
-        g = gcd(g, e)
-    for e in branch.y:
-        g = gcd(g, e)
-    return g
-
-
 def validate_curve(c: Curve) -> None:
     """Check every branch parametrization; raises a ValidationError subclass.
 
@@ -106,10 +94,10 @@ def validate_curve(c: Curve) -> None:
         if min(b.ord_x, b.ord_y) < 1:
             raise OrderZeroError(
                 "branch %d does not pass through the origin" % idx)
-        if _gcd_of_support(b) > 1:
+        g = gcd(*b.x, *b.y)
+        if g > 1:
             raise NonPrimitiveError(
-                "branch %d factors through tau^%d"
-                % (idx, _gcd_of_support(b)))
+                "branch %d factors through tau^%d" % (idx, g))
         k = min(b.ord_x, b.ord_y)
         if not (b.x and b.y) and k > 1:
             raise NonPrimitiveError(
@@ -160,18 +148,3 @@ def monomial_order(c: Curve, a: int, b: int):
         ob = scaled_order(b, br.ord_y)
         out.append(oa + ob if oa != INF and ob != INF else INF)
     return tuple(out)
-
-
-def monomial_jet(c: Curve, a: int, b: int, w):
-    """Jet coordinates of x^a y^b over the window w.
-
-    For each branch i (in order) and each 0 <= k < w_i, the coefficient of
-    tau^k in x_i(tau)^a * y_i(tau)^b.  Coordinates are branch-major.
-    """
-    out = []
-    for br, wi in zip(c.branches, w):
-        xa = up_pow_trunc(br.x, a, wi)
-        yb = up_pow_trunc(br.y, b, wi)
-        p = up_mul_trunc(xa, yb, wi)
-        out.extend(p.get(k, 0) for k in range(wi))
-    return out

@@ -106,19 +106,6 @@ def up_mul_trunc(p: UniPoly, q: UniPoly, n: int) -> UniPoly:
     return out
 
 
-def up_pow_trunc(p: UniPoly, k: int, n: int) -> UniPoly:
-    """p**k with every term of exponent >= n dropped (k >= 0)."""
-    out = {0: Fraction(1)} if n > 0 else {}
-    base = {e: c for e, c in p.items() if e < n}
-    while k:
-        if k & 1:
-            out = up_mul_trunc(out, base, n)
-        k >>= 1
-        if k:
-            base = up_mul_trunc(base, base, n)
-    return out
-
-
 def up_shift_down(p: UniPoly, k: int) -> UniPoly:
     """Exact division by tau**k; requires order(p) >= k."""
     if any(e < k for e in p):

@@ -3,7 +3,8 @@ codimension counts, fiber Euler characteristics, and the series built from
 them.
 
 Everything reduces to exact ranks of one matrix per window: the rows are the
-jet coordinates of all monomials visible inside the window, the columns are
+jet coordinates of all monomials visible inside the window, each built from
+the previous row by one truncated product per branch, and the columns are
 (branch, order) pairs in branch-major order.  Since the columns "below v"
 form a per-branch prefix, dim J(v)/J(w) is a difference in one prefix-rank
 table, and all other dimensions are alternating sums of those.  The series
@@ -18,18 +19,19 @@ everything past the window is read at min(v, c) (``Analysis.is_member``).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
 from math import gcd, lcm, prod
 
-from .curve import Curve, monomial_jet, validate_curve
+from .curve import Curve, validate_curve
 from .exactmath import (
     ExpVec,
     MultiPoly,
     iter_box,
     mp_exact_div,
-    scaled_order,
     unit_vec,
+    up_mul_trunc,
     vec_add,
     vec_clamp,
     vec_leq,
@@ -50,7 +52,10 @@ class JetMatrix:
     """Jet coordinates over a window of every monomial that is visible in it.
 
     A monomial x^a y^b is visible when its valuation on some branch i is
-    below w_i; all other monomials have identically zero jets.  ``ranks``
+    below w_i; all other monomials have identically zero jets.  ``rows``
+    follow ``monomials`` in lexicographic order of (a, b), and each is built
+    from the one before it, times y_i on each branch i (times x_i from
+    (a - 1, 0) when b = 0), truncated at w_i.  ``ranks``
     maps every v in the box [0, window] to the rank of the columns below v:
     the b table every formula shares, built once with the matrix.  An
     ``Analysis`` builds one at the conductor + 2; other windows come only
@@ -67,9 +72,23 @@ class JetMatrix:
             raise ValueError("window must have a positive entry per branch")
         self.curve = curve
         self.window = window
-        self.monomials = sorted(self._visible_monomials())
-        self.rows = [monomial_jet(curve, a, b, window)
-                     for a, b in self.monomials]
+        self.monomials, self.rows = [], []
+        # x^a y^b is visible iff its jet is nonzero on some branch (leading
+        # coefficients never cancel); the visible b form a prefix for each
+        # a, and so do the visible a
+        xa, a = [{0: Fraction(1)}] * curve.r, 0
+        while any(xa):
+            jet, b = xa, 0
+            while any(jet):
+                self.monomials.append((a, b))
+                self.rows.append([p.get(k, 0) for p, w in zip(jet, window)
+                                  for k in range(w)])
+                jet = [up_mul_trunc(p, br.y, w) for p, br, w
+                       in zip(jet, curve.branches, window)]
+                b += 1
+            xa = [up_mul_trunc(p, br.x, w) for p, br, w
+                  in zip(xa, curve.branches, window)]
+            a += 1
         self.ranks = {}
         _sweep(self.ranks, [], [_primitive(col) for col in zip(*self.rows)],
                window, window if box is None else box)
@@ -77,19 +96,6 @@ class JetMatrix:
     @property
     def r(self) -> int:
         return self.curve.r
-
-    def _visible_monomials(self):
-        found = set()
-        for i, br in enumerate(self.curve.branches):
-            ax, ay, wi = br.ord_x, br.ord_y, self.window[i]
-            a = 0
-            while scaled_order(a, ax) < wi:
-                b = 0
-                while scaled_order(a, ax) + scaled_order(b, ay) < wi:
-                    found.add((a, b))
-                    b += 1
-                a += 1
-        return found
 
 
 def _primitive(vec) -> list:
@@ -331,18 +337,3 @@ class Analysis:
             return {(v,): 1 for v in range(self.bound + 1)
                     if self.is_member((v,))}
         return mp_exact_div(self.pprime, {(1,) * r: 1, (0,) * r: -1})
-
-
-def fiber_series(curve: Curve, bound: int | None = None) -> MultiPoly:
-    """The fiber series of one curve (see Analysis.fiber_series)."""
-    return Analysis(curve, bound).fiber_series
-
-
-def pprime_poly(curve: Curve) -> MultiPoly:
-    """L_C * prod (t_i - 1) of one curve (see Analysis.pprime)."""
-    return Analysis(curve).pprime
-
-
-def poincare_poly(curve: Curve, bound: int | None = None) -> MultiPoly:
-    """The Poincare polynomial of one curve (see Analysis.poincare)."""
-    return Analysis(curve, bound).poincare

@@ -1,5 +1,5 @@
-"""The semigroup of values: membership, conductor, minimal generators and
-the structural checks available for irreducible branches."""
+"""The semigroup of values: membership boxes, minimal generators and the
+structural checks available for irreducible branches."""
 
 from __future__ import annotations
 
@@ -24,17 +24,6 @@ def members_box(M: JetMatrix, bound) -> SemigroupBox:
     found = frozenset(v for v in iter_box((0,) * M.r, bound)
                       if is_member(M, v))
     return SemigroupBox(bound, found)
-
-
-def conductor(c: Curve) -> ExpVec:
-    """Conductor of the semigroup of values, by Delgado's formula from the
-    blow-up log alone (no jet matrix is built)."""
-    return Analysis(c).conductor
-
-
-def minimal_generators_r1(c: Curve) -> list:
-    """Minimal generators of the value semigroup of an irreducible branch."""
-    return minimal_generators(Analysis(c))
 
 
 def minimal_generators(a: Analysis) -> list:

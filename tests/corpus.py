@@ -11,7 +11,8 @@ distinct tangent cusps y^2 = x^3 and y^2 = -x^3.
 from fractions import Fraction
 
 from curvealex import Curve
-from curvealex.exactmath import iter_box
+from curvealex.curve import monomial_order
+from curvealex.exactmath import iter_box, up_mul
 
 
 def make_node():
@@ -59,6 +60,10 @@ def make_smooth_branch():
     return Curve([({1: 1}, {})])
 
 
+def make_axes_and_cusp():
+    return Curve([({1: 1}, {}), ({}, {1: 1}), ({2: 1}, {3: 1})])
+
+
 def make_rational_three_branches():
     """A cusp, the line tangent to it and a transverse line, with p/q
     coefficients in every branch; the tangent directions (3/4, 1/2) and
@@ -94,6 +99,32 @@ def semigroup_closure(gens, bound):
                 reached.add(u)
                 frontier.append(u)
     return reached
+
+
+def monomial_jet(c, a, b, w):
+    """Jet coordinates of x^a y^b over the window w (the oracle for
+    ``JetMatrix.rows``).
+
+    For each branch i (in order) and each 0 <= k < w_i, the coefficient of
+    tau^k in x_i(tau)^a * y_i(tau)^b, read from the untruncated product.
+    Coordinates are branch-major.
+    """
+    out = []
+    for br, wi in zip(c.branches, w):
+        p = {0: Fraction(1)}
+        for factor in [br.x] * a + [br.y] * b:
+            p = up_mul(p, factor)
+        out.extend(p.get(k, 0) for k in range(wi))
+    return out
+
+
+def reference_monomials(M):
+    """The (a, b) with a*ord(x_i) + b*ord(y_i) below w_i on some branch i,
+    in lexicographic order (the oracle for ``M.monomials``)."""
+    top = max(M.window)  # every order is at least 1
+    return [(a, b) for a in range(top) for b in range(top)
+            if any(o < w for o, w in
+                   zip(monomial_order(M.curve, a, b), M.window))]
 
 
 def reference_ranks(M):

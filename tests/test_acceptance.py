@@ -24,13 +24,10 @@ from curvealex.filtration import (
     JetMatrix,
     c_dim,
     fiber_euler,
-    fiber_series,
     is_member,
-    poincare_poly,
-    pprime_poly,
 )
 from curvealex.resolution import BudgetExceededError, en_alexander, resolve
-from curvealex.semigroup import conductor, verify_semigroup_properties
+from curvealex.semigroup import verify_semigroup_properties
 
 from corpus import (
     CORPUS_MULTI,
@@ -52,7 +49,7 @@ def _report(criterion, label, ok):
 def test_criterion_01_poincare_equals_alexander(name):
     start = time.monotonic()
     c = CORPUS_MULTI[name]()
-    lhs = format_poly(poincare_poly(c), c.r)
+    lhs = format_poly(Analysis(c).poincare, c.r)
     rhs = format_poly(en_alexander(resolve(c)), c.r)
     elapsed = time.monotonic() - start
     _report("criterion-1 poincare-equals-alexander-bytes", name,
@@ -66,14 +63,14 @@ def test_criterion_01_poincare_equals_alexander(name):
                           "evaluated on this datum")
 def test_criterion_01_identity_on_the_duplicate_cusp_datum():
     c = make_tangent_cusps_duplicate()
-    assert poincare_poly(c) == en_alexander(resolve(c))
+    assert Analysis(c).poincare == en_alexander(resolve(c))
 
 
 @pytest.mark.parametrize("name", MULTI)
 def test_criterion_02_fiber_series_equals_alexander(name):
     c = CORPUS_MULTI[name]()
     _report("criterion-2 fiber-series-equals-alexander", name,
-            fiber_series(c) == en_alexander(resolve(c)))
+            Analysis(c).fiber_series == en_alexander(resolve(c)))
 
 
 def test_criterion_02_spot_values():
@@ -90,14 +87,15 @@ def test_criterion_02_spot_values():
 def test_criterion_03_fiber_product_identity(name):
     c = make_cusp() if name == "cusp" else CORPUS_MULTI[name]()
     r = c.r
-    delta = conductor(c)
+    delta = Analysis(c).conductor
     bound = 2 * delta[0] + 2 if r == 1 else None
-    fibers = fiber_series(c, bound=bound) if r == 1 else fiber_series(c)
+    fibers = Analysis(c, bound=bound).fiber_series
     product = mp_mul(fibers, {(1,) * r: 1, (0,) * r: -1})
     if r == 1:
         top = (delta[0] + 1,)
         product = {e: v for e, v in product.items() if vec_leq(e, top)}
-    _report("criterion-3 fiber-product-identity", name, product == pprime_poly(c))
+    _report("criterion-3 fiber-product-identity", name,
+            product == Analysis(c).pprime)
 
 
 @pytest.mark.parametrize("name", MULTI)
@@ -106,7 +104,7 @@ def test_criterion_04_exact_divisibility(name):
 
     c = CORPUS_MULTI[name]()
     try:
-        mp_exact_div(pprime_poly(c), {(1,) * c.r: 1, (0,) * c.r: -1})
+        mp_exact_div(Analysis(c).pprime, {(1,) * c.r: 1, (0,) * c.r: -1})
         ok = True
     except NotDivisibleError:
         ok = False
@@ -118,7 +116,7 @@ def test_criterion_05_r1_convention_through_degree_20():
     members = semigroup_closure([2, 3], 20)
     expected = {(v,): 1 for v in members}
     alex = en_alexander(resolve(c), bound=20)
-    poincare = poincare_poly(c, bound=20)
+    poincare = Analysis(c, bound=20).poincare
     _report("criterion-5 one-branch-zeta-convention", "cusp",
             alex == poincare == expected)
 
@@ -135,7 +133,7 @@ def test_criterion_06_resolution_invariance(name):
 @pytest.mark.parametrize("name", MULTI + ["cusp"])
 def test_criterion_07_window_stability(name):
     c = make_cusp() if name == "cusp" else CORPUS_MULTI[name]()
-    delta = conductor(c)
+    delta = Analysis(c).conductor
     small = JetMatrix(c, tuple(d + 2 for d in delta))
     large = JetMatrix(c, tuple(d + 4 for d in delta))
     ok = all(c_dim(small, v) == c_dim(large, v)
@@ -146,7 +144,7 @@ def test_criterion_07_window_stability(name):
 @pytest.mark.parametrize("name", MULTI)
 def test_criterion_08_conductor_vanishing(name):
     c = CORPUS_MULTI[name]()
-    delta = conductor(c)
+    delta = Analysis(c).conductor
     M = JetMatrix(c, tuple(d + 4 for d in delta))
     ok = all(fiber_euler(M, v) == 0
              for v in iter_box(delta, tuple(d + 2 for d in delta)))

@@ -1,5 +1,9 @@
+import gc
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -341,6 +345,47 @@ def test_fibers_command_output(tmp_path, capsys):
 def test_unknown_subcommand_exits_64(capsys):
     assert cli.main(["frobnicate"]) == 64
     assert cli.main([]) == 64
+
+
+def _run_module(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "curvealex.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_module_entry_point_without_arguments_prints_usage():
+    proc = _run_module()
+    assert proc.returncode == 64
+    assert proc.stdout == ""
+    assert proc.stderr == ("usage: curvealex {%s} INPUT [flags]\n"
+                           % "|".join(cli.COMMANDS))
+
+
+def test_module_entry_point_verifies_a_cusp(tmp_path):
+    proc = _run_module("verify", _write(tmp_path, "cusp.json", CUSP_JSON))
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6
+    assert all(line.startswith("PASS ") for line in lines)
+
+
+# resolve is left out: the json encoder's indented output leaves cycles
+@pytest.mark.parametrize("argv", [["verify"], ["semigroup"], ["poincare"],
+                                  ["fibers"], ["alexander"],
+                                  ["alexander", "--via", "fibers"]],
+                         ids=" ".join)
+def test_a_repeated_command_leaves_no_cyclic_garbage(tmp_path, capsys,
+                                                      argv):
+    argv = [argv[0], _write(tmp_path, "cusp.json", CUSP_JSON), *argv[1:]]
+    assert cli.main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 AXIS_COVER = {"x": [], "y": [[2, "1"], [3, "1"]]}

@@ -10,13 +10,12 @@ from curvealex.curve import (
     OrderZeroError,
     ZeroBranchError,
     germ_valuation,
-    monomial_jet,
     monomial_order,
     validate_curve,
 )
 from curvealex.exactmath import INF, up_mul
 
-from corpus import make_cusp, make_node
+from corpus import make_cusp, make_node, monomial_jet
 
 
 def test_validate_accepts_cusp():

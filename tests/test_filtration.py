@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -11,17 +12,14 @@ from curvealex.filtration import (
     c_dim,
     fiber_euler,
     fiber_eulers,
-    fiber_series,
     is_member,
-    poincare_poly,
-    pprime_poly,
 )
 from curvealex.resolution import en_alexander, resolve
-from curvealex.semigroup import conductor
 
 from corpus import (
     CORPUS_ALL,
     CORPUS_MULTI,
+    make_axes_and_cusp,
     make_cusp,
     make_four_lines,
     make_node,
@@ -29,6 +27,8 @@ from corpus import (
     make_rational_three_branches,
     make_tacnode,
     make_three_lines,
+    monomial_jet,
+    reference_monomials,
     reference_ranks,
     semigroup_closure,
 )
@@ -48,6 +48,26 @@ def test_jet_matrix_window_of_ones_sees_only_constants():
     M = JetMatrix(make_three_lines(), (1, 1, 1))
     assert M.monomials == [(0, 0)]
     assert M.rows == [[1, 1, 1]]
+
+
+JET_CURVES = dict(CORPUS_ALL, **{
+    "four-lines": make_four_lines,
+    "p/q-three-branches": make_rational_three_branches,
+    "axes-and-cusp": make_axes_and_cusp,
+})
+
+
+@pytest.mark.parametrize("name", sorted(JET_CURVES))
+def test_jet_rows_are_the_monomial_jets(name):
+    c = JET_CURVES[name]()
+    for M in (Analysis(c).jet, JetMatrix(c, (1,) * c.r),
+              JetMatrix(c, (3, 7, 5, 4)[:c.r])):
+        assert M.monomials == reference_monomials(M)
+        assert M.rows == [monomial_jet(c, a, b, M.window)
+                          for a, b in M.monomials]
+        # exact Fraction values, padded with int zeros
+        assert all(type(x) is (Fraction if x else int)
+                   for row in M.rows for x in row)
 
 
 def test_b_dim_node_full_box():
@@ -159,24 +179,25 @@ def test_fiber_euler_three_lines_triple_point():
 
 
 def test_fiber_series_node():
-    assert fiber_series(make_node()) == {(0, 0): 1}
+    assert Analysis(make_node()).fiber_series == {(0, 0): 1}
 
 
 def test_fiber_series_tacnode():
-    assert fiber_series(make_tacnode()) == {(0, 0): 1, (1, 1): 1}
+    assert Analysis(make_tacnode()).fiber_series == {(0, 0): 1, (1, 1): 1}
 
 
 def test_fiber_series_cusp_is_truncated_membership_series():
     members = semigroup_closure([2, 3], 12)
-    assert fiber_series(make_cusp(), bound=12) == {(v,): 1 for v in members}
+    assert Analysis(make_cusp(), bound=12).fiber_series == \
+        {(v,): 1 for v in members}
 
 
 def test_pprime_node():
-    assert pprime_poly(make_node()) == {(1, 1): 1, (0, 0): -1}
+    assert Analysis(make_node()).pprime == {(1, 1): 1, (0, 0): -1}
 
 
 def test_pprime_tacnode():
-    assert pprime_poly(make_tacnode()) == {(2, 2): 1, (0, 0): -1}
+    assert Analysis(make_tacnode()).pprime == {(2, 2): 1, (0, 0): -1}
 
 
 def test_pprime_cusp_telescopes_the_gap_indicator():
@@ -188,20 +209,21 @@ def test_pprime_cusp_telescopes_the_gap_indicator():
         coeff = (1 if v - 1 in members else 0) - (1 if v in members else 0)
         if coeff:
             expected[(v,)] = coeff
-    assert pprime_poly(make_cusp()) == expected
+    assert Analysis(make_cusp()).pprime == expected
     assert expected == {(0,): -1, (1,): 1, (2,): -1}
 
 
 def test_poincare_node():
-    assert poincare_poly(make_node()) == {(0, 0): 1}
+    assert Analysis(make_node()).poincare == {(0, 0): 1}
 
 
 def test_poincare_tacnode():
-    assert poincare_poly(make_tacnode()) == {(0, 0): 1, (1, 1): 1}
+    assert Analysis(make_tacnode()).poincare == {(0, 0): 1, (1, 1): 1}
 
 
 def test_poincare_three_lines():
-    assert poincare_poly(make_three_lines()) == {(0, 0, 0): 1, (1, 1, 1): -1}
+    assert Analysis(make_three_lines()).poincare == \
+        {(0, 0, 0): 1, (1, 1, 1): -1}
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_MULTI))
@@ -220,7 +242,7 @@ def test_b_antitone(name):
 @pytest.mark.parametrize("name", sorted(CORPUS_MULTI))
 def test_window_stability(name):
     c = CORPUS_MULTI[name]()
-    delta = conductor(c)
+    delta = Analysis(c).conductor
     small = JetMatrix(c, tuple(d + 2 for d in delta))
     large = JetMatrix(c, tuple(d + 4 for d in delta))
     for v in iter_box((0,) * c.r, delta):
@@ -231,33 +253,33 @@ def test_window_stability(name):
 def test_fiber_product_identity_on_the_box(name):
     c = CORPUS_ALL[name]()
     r = c.r
-    delta = conductor(c)
+    delta = Analysis(c).conductor
     bound = 2 * delta[0] + 2 if r == 1 else None
-    fibers = fiber_series(c, bound=bound) if r == 1 else fiber_series(c)
+    fibers = Analysis(c, bound=bound).fiber_series
     divisor = {(1,) * r: 1, (0,) * r: -1}
     product = mp_mul(fibers, divisor)
     box_top = tuple(d + 1 for d in delta)
     if r == 1:
         product = {e: v for e, v in product.items() if vec_leq(e, box_top)}
-    assert product == pprime_poly(c)
+    assert product == Analysis(c).pprime
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_MULTI))
 def test_poincare_equals_alexander(name):
     c = CORPUS_MULTI[name]()
-    assert poincare_poly(c) == en_alexander(resolve(c))
+    assert Analysis(c).poincare == en_alexander(resolve(c))
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_MULTI))
 def test_fiber_series_equals_alexander(name):
     c = CORPUS_MULTI[name]()
-    assert fiber_series(c) == en_alexander(resolve(c))
+    assert Analysis(c).fiber_series == en_alexander(resolve(c))
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_MULTI))
 def test_fiber_euler_vanishes_at_and_past_the_conductor(name):
     c = CORPUS_MULTI[name]()
-    delta = conductor(c)
+    delta = Analysis(c).conductor
     M = JetMatrix(c, tuple(d + 4 for d in delta))
     top = tuple(d + 2 for d in delta)
     for v in iter_box(delta, top):

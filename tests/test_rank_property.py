@@ -1,5 +1,5 @@
-"""Property tests of the prefix-rank table against per-point elimination,
-of the difference sweeps against the per-point alternating sums, and of the
+"""Property tests of the jet rows against the per-monomial jets, of the
+prefix-rank table against per-point elimination, of the difference sweeps against the per-point alternating sums, and of the
 conductor rule of one-branch analyses against a wide window."""
 
 from fractions import Fraction
@@ -31,7 +31,11 @@ from curvealex.semigroup import (  # noqa: E402
     verify_semigroup_properties,
 )
 
-from corpus import reference_ranks  # noqa: E402
+from corpus import (  # noqa: E402
+    monomial_jet,
+    reference_monomials,
+    reference_ranks,
+)
 
 COEFFS = st.builds(Fraction, st.integers(-3, 3).filter(bool),
                    st.integers(1, 4))
@@ -59,6 +63,14 @@ def jet_matrices(draw):
                              min_size=1, max_size=3))
     window = draw(st.tuples(*(st.integers(1, 5) for _ in branches)))
     return JetMatrix(Curve(branches), window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(jet_matrices())
+def test_jet_rows_match_the_monomial_jets(M):
+    assert M.monomials == reference_monomials(M)
+    assert M.rows == [monomial_jet(M.curve, a, b, M.window)
+                      for a, b in M.monomials]
 
 
 @settings(max_examples=100, deadline=None)

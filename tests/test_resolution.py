@@ -13,7 +13,8 @@ from curvealex.resolution import (
     noether_intersections,
     resolve,
 )
-from curvealex.semigroup import minimal_generators_r1
+from curvealex.filtration import Analysis
+from curvealex.semigroup import minimal_generators
 
 from corpus import (
     CORPUS_ALL,
@@ -164,7 +165,7 @@ def test_dead_end_multiplicities_are_the_minimal_generators(make):
     g = resolve(c)
     vc = classify_graph(g)
     dead_multiplicities = sorted(g.vertices[d][0] for d in vc.dead_ends)
-    assert dead_multiplicities == minimal_generators_r1(c)
+    assert dead_multiplicities == minimal_generators(Analysis(c))
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_ALL))

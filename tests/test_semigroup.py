@@ -9,9 +9,8 @@ from curvealex.filtration import Analysis, JetMatrix, is_member
 from curvealex.resolution import en_alexander, resolve
 from curvealex.semigroup import (
     apery_set,
-    conductor,
     members_box,
-    minimal_generators_r1,
+    minimal_generators,
     verify_semigroup_properties,
 )
 
@@ -45,15 +44,15 @@ def test_contains_zero_always():
 
 
 def test_conductor_cusp():
-    assert conductor(make_cusp()) == (2,)
+    assert Analysis(make_cusp()).conductor == (2,)
 
 
 def test_conductor_node():
-    assert conductor(make_node()) == (1, 1)
+    assert Analysis(make_node()).conductor == (1, 1)
 
 
 def test_conductor_tacnode():
-    assert conductor(make_tacnode()) == (2, 2)
+    assert Analysis(make_tacnode()).conductor == (2, 2)
 
 
 def _lines(k):
@@ -84,11 +83,11 @@ def _a(k):
     (make_quartic_branch(), (16,)),
 ])
 def test_conductor_closed_forms(curve, expected):
-    assert conductor(curve) == expected
+    assert Analysis(curve).conductor == expected
 
 
 def test_minimal_generators_cusp():
-    assert minimal_generators_r1(make_cusp()) == [2, 3]
+    assert minimal_generators(Analysis(make_cusp())) == [2, 3]
 
 
 def test_minimal_generators_quartic_branch():
@@ -104,11 +103,11 @@ def test_minimal_generators_quartic_branch():
     M = JetMatrix(c, (bound + 2,))
     members = {v[0] for v in members_box(M, (bound,)).members}
     assert members == semigroup_closure([4, 6, 13], bound)
-    assert minimal_generators_r1(c) == [4, 6, 13]
+    assert minimal_generators(Analysis(c)) == [4, 6, 13]
 
 
 def test_minimal_generators_smooth_branch():
-    assert minimal_generators_r1(make_smooth_branch()) == [1]
+    assert minimal_generators(Analysis(make_smooth_branch())) == [1]
 
 
 @pytest.mark.parametrize("curve", [
@@ -120,7 +119,7 @@ def test_minimal_generators_smooth_branch():
 def test_minimal_generators_are_the_generators_of_the_graph(curve):
     # the graph reads beta_0 off the root tail and the others off the
     # dead ends below star points; the jet table is not consulted
-    assert minimal_generators_r1(curve) == \
+    assert minimal_generators(Analysis(curve)) == \
         verify_semigroup_properties(curve).generators
 
 
@@ -197,7 +196,7 @@ def test_alexander_support_lies_in_the_semigroup(name):
 def test_largest_gap_is_conductor_minus_one():
     for make in (make_cusp, make_quartic_branch):
         c = make()
-        delta = conductor(c)[0]
+        delta = Analysis(c).conductor[0]
         M = JetMatrix(c, (delta + 4,))
         gaps = [v for v in range(delta + 2) if not is_member(M, (v,))]
         if delta:
