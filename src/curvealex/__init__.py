@@ -8,7 +8,7 @@ computed three independent ways with exact rational arithmetic:
 together with a verification harness checking that they coincide exactly.
 """
 
-from .curve import BranchParam, Curve, germ_valuation, validate_curve
+from .curve import BranchParam, Curve, validate_curve
 from .exactmath import (
     NotDivisibleError,
     expand_truncated,
@@ -16,14 +16,7 @@ from .exactmath import (
     mp_mul,
     ord_lead,
 )
-from .filtration import (
-    Analysis,
-    BoundaryNonzeroError,
-    JetMatrix,
-    b_dim,
-    c_dim,
-    fiber_euler,
-)
+from .filtration import Analysis, BoundaryNonzeroError, JetMatrix
 from .resolution import (
     BudgetExceededError,
     ResGraph,
@@ -33,12 +26,7 @@ from .resolution import (
     noether_intersections,
     resolve,
 )
-from .semigroup import (
-    SemigroupReport,
-    apery_set,
-    members_box,
-    verify_semigroup_properties,
-)
+from .semigroup import SemigroupReport, verify_semigroup_properties
 
 __all__ = [
     "Analysis",
@@ -50,16 +38,10 @@ __all__ = [
     "NotDivisibleError",
     "ResGraph",
     "SemigroupReport",
-    "apery_set",
-    "b_dim",
-    "c_dim",
     "chi_open",
     "classify_graph",
     "en_alexander",
     "expand_truncated",
-    "fiber_euler",
-    "germ_valuation",
-    "members_box",
     "mp_exact_div",
     "mp_mul",
     "noether_intersections",

@@ -12,24 +12,18 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 from . import curve as curve_mod
 from . import semigroup
 from .curve import BranchParam, Curve, validate_curve
-from .exactmath import (
-    NotDivisibleError,
-    iter_box,
-    mp_exact_div,
-    mp_mul,
-    vec_add,
-)
+from .exactmath import NotDivisibleError, iter_box, mp_mul, vec_add
 from .filtration import (
     Analysis,
     BoundaryNonzeroError,
     JetMatrix,
     fiber_eulers,
-    is_member,
+    members,
 )
 from .resolution import (
     BudgetExceededError,
@@ -97,16 +91,6 @@ def curve_from_json(data) -> Curve:
     c = Curve(out)
     validate_curve(c)
     return c
-
-
-def curve_to_json(c: Curve, name: str | None = None) -> dict:
-    data = {"branches": [
-        {"x": [[e, str(v)] for e, v in sorted(b.x.items())],
-         "y": [[e, str(v)] for e, v in sorted(b.y.items())]}
-        for b in c.branches]}
-    if name:
-        data["name"] = name
-    return data
 
 
 def _read_json(path):
@@ -200,7 +184,7 @@ def _load_input(path):
 # output formatting
 # ---------------------------------------------------------------------------
 
-def format_poly(p: dict, r: int) -> str:
+def format_poly(p: dict) -> str:
     """One term per line: coefficient, tab, comma-joined exponents, sorted
     lexicographically; byte-for-byte deterministic."""
     lines = ["%d\t%s" % (p[e], ",".join(str(x) for x in e))
@@ -247,23 +231,18 @@ def run_verify(c: Curve, bound=None, budget=DEFAULT_BUDGET):
     results.append(("fiber-product-identity", ok,
                     "" if ok else "fiber series * (t..-1) != pprime"))
 
-    if r > 1:
-        try:
-            mp_exact_div(a.pprime, divisor)
-            ok, detail = True, ""
-        except NotDivisibleError as exc:
-            ok, detail = False, str(exc)
-    else:
-        ok, detail = True, "r=1: divisibility convention not applicable"
-    results.append(("exact-divisibility", ok, detail))
+    # for r > 1, check 1 already divided pprime by the divisor (a.poincare),
+    # and a remainder raises NotDivisibleError there; for r = 1 the
+    # divisibility convention does not apply
+    results.append(("exact-divisibility", True, ""))
 
     alex_extra = en_alexander(resolve(c, budget, extra=3), bound=a.bound)
     ok = alex_extra == alex
     results.append(("resolution-invariance", ok,
                     "" if ok else "extra blow-ups changed the product"))
 
-    # c(v) = ranks[v + 1] - ranks[v] on [0, c] (``c_dim``: the window rank
-    # cancels), so the wider table needs only the box [0, c + 1]; v + 1
+    # c(v) = dim J(v)/J(v + 1) = ranks[v + 1] - ranks[v] on [0, c], so the
+    # wider table needs only the box [0, c + 1]; v + 1
     # runs over [1, c + 1] in the same order as v over [0, c]
     top = vec_add(a.conductor, (1,) * r)
 
@@ -294,20 +273,20 @@ def _cmd_alexander(args) -> int:
     if args.via == "graph":
         if g is None:
             g = resolve(c, args.budget)
-        _emit(format_poly(en_alexander(g, bound=args.bound), g.r), args.out)
+        _emit(format_poly(en_alexander(g, bound=args.bound)), args.out)
         return 0
     if c is None:
         raise ParseError("--via %s needs a curve file, not a graph" % args.via)
     a = Analysis(c, args.bound, args.budget)
     poly = a.poincare if args.via == "poincare" else a.fiber_series
-    _emit(format_poly(poly, c.r), args.out)
+    _emit(format_poly(poly), args.out)
     return 0
 
 
 def _cmd_poincare(args) -> int:
     c = parse_curve_file(args.input)
     a = Analysis(c, args.bound, args.budget)
-    _emit(format_poly(a.poincare, c.r), args.out)
+    _emit(format_poly(a.poincare), args.out)
     return 0
 
 
@@ -350,7 +329,7 @@ def _cmd_semigroup(args) -> int:
     if M is None:
         member = a.is_member
     else:
-        member = partial(is_member, M)
+        member = members(M).__contains__
         top = tuple(min(t, w - 2) for t, w in zip(top, M.window))
     lines.extend("member\t%s" % ",".join(str(x) for x in v)
                  for v in iter_box((0,) * c.r, top) if member(v))

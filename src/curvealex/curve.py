@@ -7,18 +7,9 @@ t_1, ..., t_r everywhere downstream).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
-from .exactmath import (
-    INF,
-    UniPoly,
-    ord_lead,
-    scaled_order,
-    up_mul,
-    up_normal,
-    up_scale,
-)
+from .exactmath import ord_lead, up_normal
 
 
 class ValidationError(ValueError):
@@ -103,48 +94,3 @@ def validate_curve(c: Curve) -> None:
             raise NonPrimitiveError(
                 "branch %d is a %d-fold cover of the %s axis"
                 % (idx, k, "y" if not b.x else "x"))
-
-
-def germ_valuation(g, branch: BranchParam):
-    """Order and leading coefficient of g(x(tau), y(tau)).
-
-    ``g`` maps exponent pairs (a, b) to rational coefficients.  The
-    substitution is exact (both inputs are polynomials); a germ vanishing
-    identically on the branch yields ``(INF, None)``.
-    """
-    amax = max((a for a, _ in g), default=0)
-    bmax = max((b for _, b in g), default=0)
-    xpow = _power_table(branch.x, amax)
-    ypow = _power_table(branch.y, bmax)
-    total = {}
-    for (a, b), coef in g.items():
-        coef = Fraction(coef)
-        if not coef:
-            continue
-        term = up_scale(up_mul(xpow[a], ypow[b]), coef)
-        for e, v in term.items():
-            s = total.get(e, 0) + v
-            if s:
-                total[e] = s
-            else:
-                total.pop(e, None)
-    return ord_lead(total)
-
-
-def _power_table(p: UniPoly, kmax: int):
-    table = [{0: Fraction(1)}]
-    for _ in range(kmax):
-        table.append(up_mul(table[-1], p))
-    return table
-
-
-def monomial_order(c: Curve, a: int, b: int):
-    """Valuation vector of the monomial x^a y^b: component i is
-    a*ord(x_i) + b*ord(y_i), with an absent coordinate (order INF)
-    contributing nothing when its power is zero."""
-    out = []
-    for br in c.branches:
-        oa = scaled_order(a, br.ord_x)
-        ob = scaled_order(b, br.ord_y)
-        out.append(oa + ob if oa != INF and ob != INF else INF)
-    return tuple(out)

@@ -124,13 +124,6 @@ def ord_lead(p: UniPoly):
     return e, p[e]
 
 
-def scaled_order(k: int, o):
-    """k * o with the convention 0 * INF == 0 (absent factor contributes 0)."""
-    if k == 0:
-        return 0
-    return k * o
-
-
 # ---------------------------------------------------------------------------
 # exponent vectors
 # ---------------------------------------------------------------------------
@@ -147,12 +140,6 @@ def vec_leq(u: ExpVec, v: ExpVec) -> bool:
 def vec_clamp(v: ExpVec, hi: ExpVec) -> ExpVec:
     """Clamp each component into [0, hi_i]."""
     return tuple(min(max(a, 0), h) for a, h in zip(v, hi))
-
-
-def unit_vec(r: int, members) -> ExpVec:
-    """Indicator vector of a subset of branch indices 1..r."""
-    chosen = set(members)
-    return tuple(1 if i + 1 in chosen else 0 for i in range(r))
 
 
 def iter_box(lo: ExpVec, hi: ExpVec):

@@ -1,16 +1,16 @@
 """The multi-index filtration on functions of the curve: jet matrices,
-codimension counts, fiber Euler characteristics, and the series built from
-them.
+their prefix-rank tables, and the membership, fiber Euler characteristics
+and series read from them.
 
 Everything reduces to exact ranks of one matrix per window: the rows are the
 jet coordinates of all monomials visible inside the window, each built from
 the previous row by one truncated product per branch, and the columns are
 (branch, order) pairs in branch-major order.  Since the columns "below v"
 form a per-branch prefix, dim J(v)/J(w) is a difference in one prefix-rank
-table, and all other dimensions are alternating sums of those.  The series
-read every alternating sum at once, by r difference sweeps over a whole
-table (``_differences``); the per-point functions (``b_dim``, ``c_dim``,
-``fiber_euler``, ``is_member``) stay as the reference.
+table, and all other dimensions are alternating sums of those.  Every read
+takes a whole table: the series by r difference sweeps (``_differences``),
+membership by one pass comparing each point with its r successors
+(``members``).
 
 One window per curve suffices: the conductor c.  The conductor ideal
 t^c * O-bar lies in the local ring, so v is a value iff min(v, c) is, and
@@ -20,7 +20,7 @@ everything past the window is read at min(v, c) (``Analysis.is_member``).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
 
@@ -30,7 +30,6 @@ from .exactmath import (
     MultiPoly,
     iter_box,
     mp_exact_div,
-    unit_vec,
     up_mul_trunc,
     vec_add,
     vec_clamp,
@@ -57,12 +56,11 @@ class JetMatrix:
     from the one before it, times y_i on each branch i (times x_i from
     (a - 1, 0) when b = 0), truncated at w_i.  ``ranks``
     maps every v in the box [0, window] to the rank of the columns below v:
-    the b table every formula shares, built once with the matrix.  An
+    the table every formula shares, built once with the matrix.  An
     ``Analysis`` builds one at the conductor + 2; other windows come only
     from an explicit ``--window`` and verify's window-stability check.
     That check passes a smaller ``box`` (inside the window): ``ranks`` then
-    covers only [0, box], and the window rank that ``b_dim`` reads is not
-    recorded.
+    covers only [0, box], the points whose c values that check compares.
     """
 
     def __init__(self, curve: Curve, window, box=None):
@@ -143,27 +141,6 @@ def _add_column(basis, column) -> None:
         basis.append((next(j for j, x in enumerate(col) if x), col))
 
 
-def b_dim(M: JetMatrix, v) -> int:
-    """dim J(v)/J(w): window rank minus the rank of the columns below v.
-    Components of v are clamped into [0, w_i] (conditions with v_i <= 0 are
-    vacuous; nothing exists above the window)."""
-    v = tuple(v)
-    inside = v if v in M.ranks else vec_clamp(v, M.window)
-    return M.ranks[M.window] - M.ranks[inside]
-
-
-def c_dim(M: JetMatrix, v) -> int:
-    """dim J(v)/J(v+1)."""
-    v = tuple(v)
-    return b_dim(M, v) - b_dim(M, vec_add(v, (1,) * M.r))
-
-
-def _alternating_sum(f, v) -> int:
-    """Sum over the subsets I of the branches of (-1)^|I| f(v + 1_I)."""
-    return sum((-1) ** (sum(u) - sum(v)) * f(u)
-               for u in iter_box(v, vec_add(v, (1,) * len(v))))
-
-
 def _differences(values, shape) -> list:
     """g(v) = sum over the subsets I of the branches of (-1)^|I| f(v + 1_I),
     for a table f given by its ``values`` on a box of ``shape`` points per
@@ -181,9 +158,11 @@ def _differences(values, shape) -> list:
 
 
 def fiber_eulers(M: JetMatrix) -> dict:
-    """``fiber_euler`` at every point of [0, window - 1], by difference
-    sweeps over the rank table: b = (window rank) - ranks, and the window
-    rank cancels in the alternating sum."""
+    """The Euler characteristic of the projectivized fiber over every point v
+    of [0, window - 1]: inclusion-exclusion over the 2^r coordinate
+    subspaces gives the alternating sum of b(v + 1_I) = dim J(v + 1_I)/J(w)
+    over the subsets I of the branches, read by difference sweeps over the
+    rank table (b = window rank - ranks, and the window rank cancels)."""
     zero = (0,) * M.r
     ranks = [M.ranks[v] for v in iter_box(zero, M.window)]
     chi = _differences(ranks, tuple(w + 1 for w in M.window))
@@ -195,8 +174,7 @@ def pprime_coefficients(M: JetMatrix) -> dict:
     """The alternating sum of c(v - 1 + 1_I) over the subsets I of the
     branches at every point v of [0, window - 1], by difference sweeps over
     the table c(u) = ranks[u + 1] - ranks[max(u, 0)] on [-1, window - 1]
-    (``c_dim``: the window rank cancels, and b clamps a negative component
-    to 0)."""
+    (c(u) = dim J(u)/J(u + 1), where a condition u_i < 0 is vacuous)."""
     zero = (0,) * M.r
     # in lexicographic order of u, u + 1 runs over [0, window] and
     # max(u, 0) over the product of the clamped axes 0, 0, 1, ..., w - 1
@@ -207,24 +185,17 @@ def pprime_coefficients(M: JetMatrix) -> dict:
     return dict(zip(iter_box(zero, tuple(w - 1 for w in M.window)), coeffs))
 
 
-def fiber_euler(M: JetMatrix, v) -> int:
-    """Euler characteristic of the projectivized fiber over v: inclusion-
-    exclusion over the 2^r coordinate subspaces gives sum_I (-1)^|I|
-    (b(v + 1_I) - b(v + 1)), where the b(v + 1) terms cancel."""
-    return _alternating_sum(partial(b_dim, M), tuple(v))
-
-
-def is_member(M: JetMatrix, v) -> bool:
-    """Whether some germ takes the exact valuation vector v with every
-    leading coefficient nonzero: each singleton constraint must drop the
-    dimension (over an infinite field a space is never a finite union of
-    proper subspaces)."""
-    v = tuple(v)
-    b0 = b_dim(M, v)
-    if b0 == 0:
-        return False
-    return all(b_dim(M, vec_add(v, unit_vec(M.r, [i]))) < b0
-               for i in range(1, M.r + 1))
+def members(M: JetMatrix) -> set:
+    """The values in [0, window - 1], in one pass over the rank table: some
+    germ takes the exact valuation vector v with every leading coefficient
+    nonzero iff each singleton constraint drops the dimension, that is
+    ranks[v + e_i] > ranks[v] for every branch i (over an infinite field a
+    space is never a finite union of proper subspaces).  One such rise also
+    makes J(v) nonzero."""
+    ranks, zero = M.ranks, (0,) * M.r
+    return {v for v in iter_box(zero, tuple(w - 1 for w in M.window))
+            if all(ranks[v[:i] + (x + 1,) + v[i + 1:]] > ranks[v]
+                   for i, x in enumerate(v))}
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +210,9 @@ class Analysis:
     c_i = 2 delta_i + sum_{j != i} (C_i . C_j) (Delgado de la Mata,
     Manuscripta Math. 59, 1987).  One jet matrix, built on first use at the
     window conductor + 2, covers every point the series evaluate; reads past
-    it go through ``is_member`` and the conductor rule.  One-branch series
-    are truncated at ``bound`` (default 2c + 2; r > 1 ignores it), which
-    does not size the matrix.
+    it go through ``is_member``, which looks up ``members`` of the matrix
+    by the conductor rule.  One-branch series are truncated at ``bound``
+    (default 2c + 2; r > 1 ignores it), which does not size the matrix.
     """
 
     def __init__(self, curve: Curve, bound: int | None = None,
@@ -262,16 +233,19 @@ class Analysis:
         return JetMatrix(self.curve, tuple(x + 2 for x in self.conductor))
 
     @cached_property
+    def _members(self) -> set:
+        return members(self.jet)
+
+    @cached_property
     def _checked_conductor(self) -> ExpVec:
         """The conductor c, once the table agrees with the rule that v is a
         value iff min(v, c) is: c is a value, and so is a point of the shell
         [0, c + 1] outside [0, c] iff its clamp into [0, c] is."""
-        c, r = self.conductor, self.curve.r
+        c, r, values = self.conductor, self.curve.r, self._members
         top = vec_add(c, (1,) * r)
-        bad = [] if is_member(self.jet, c) else [c]
+        bad = [] if c in values else [c]
         bad += [v for v in iter_box((0,) * r, top) if not vec_leq(v, c)
-                and is_member(self.jet, v)
-                != is_member(self.jet, vec_clamp(v, c))]
+                and (v in values) != (vec_clamp(v, c) in values)]
         if bad:
             raise BoundaryNonzeroError(
                 "membership does not follow the conductor %r on the shell "
@@ -281,7 +255,7 @@ class Analysis:
     def is_member(self, v) -> bool:
         """Whether v >= 0 is a value, read at min(v, c); the first call
         checks the conductor rule on the shell just past the box."""
-        return is_member(self.jet, vec_clamp(v, self._checked_conductor))
+        return vec_clamp(v, self._checked_conductor) in self._members
 
     @cached_property
     def fiber_series(self) -> MultiPoly:

@@ -1,29 +1,13 @@
-"""The semigroup of values: membership boxes, minimal generators and the
-structural checks available for irreducible branches."""
+"""The semigroup of values of an irreducible branch: its minimal generators
+and the structural checks on its resolution graph."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .curve import Curve
-from .exactmath import ExpVec, iter_box
-from .filtration import Analysis, JetMatrix, is_member
+from .filtration import Analysis
 from .resolution import _dead_end_tails
-
-
-@dataclass(frozen=True)
-class SemigroupBox:
-    """All semigroup members inside the box [0, bound]."""
-
-    bound: ExpVec
-    members: frozenset
-
-
-def members_box(M: JetMatrix, bound) -> SemigroupBox:
-    bound = tuple(bound)
-    found = frozenset(v for v in iter_box((0,) * M.r, bound)
-                      if is_member(M, v))
-    return SemigroupBox(bound, found)
 
 
 def minimal_generators(a: Analysis) -> list:
@@ -49,16 +33,6 @@ def _closure(gens, bound) -> set:
                 reached.add(u)
                 frontier.append(u)
     return reached
-
-
-def apery_set(box: SemigroupBox, m: int) -> set:
-    """Members s <= bound with s - m outside the semigroup (r = 1 only)."""
-    if any(len(v) != 1 for v in box.members):
-        raise ValueError("Apery sets are taken on the one-branch ray")
-    members = {v[0] for v in box.members}
-    if m not in members:
-        raise ValueError("%d is not a member" % m)
-    return {s for s in members if s - m not in members}
 
 
 @dataclass

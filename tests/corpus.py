@@ -1,4 +1,5 @@
-"""Shared test curves.
+"""Shared test curves, and the per-point references the tests check the
+library's whole-table reads against.
 
 Every curve with r > 1 used by the identity checks, plus the one-branch
 curves used by the semigroup checks.  ``TANGENT_CUSPS_DUPLICATE`` is kept
@@ -8,11 +9,20 @@ which the resolver must reject.  ``TANGENT_CUSPS`` is the honest pair of
 distinct tangent cusps y^2 = x^3 and y^2 = -x^3.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from curvealex import Curve
-from curvealex.curve import monomial_order
-from curvealex.exactmath import iter_box, up_mul
+from curvealex.exactmath import (
+    INF,
+    ExpVec,
+    iter_box,
+    ord_lead,
+    up_mul,
+    up_scale,
+    vec_add,
+    vec_clamp,
+)
 
 
 def make_node():
@@ -101,6 +111,70 @@ def semigroup_closure(gens, bound):
     return reached
 
 
+def curve_to_json(c, name=None) -> dict:
+    """The curve-file JSON of a curve, as ``cli.curve_from_json`` reads
+    it."""
+    data = {"branches": [
+        {"x": [[e, str(v)] for e, v in sorted(b.x.items())],
+         "y": [[e, str(v)] for e, v in sorted(b.y.items())]}
+        for b in c.branches]}
+    if name:
+        data["name"] = name
+    return data
+
+
+def germ_valuation(g, branch):
+    """Order and leading coefficient of g(x(tau), y(tau)).
+
+    ``g`` maps exponent pairs (a, b) to rational coefficients.  The
+    substitution is exact (both inputs are polynomials); a germ vanishing
+    identically on the branch yields ``(INF, None)``.
+    """
+    amax = max((a for a, _ in g), default=0)
+    bmax = max((b for _, b in g), default=0)
+    xpow = _power_table(branch.x, amax)
+    ypow = _power_table(branch.y, bmax)
+    total = {}
+    for (a, b), coef in g.items():
+        coef = Fraction(coef)
+        if not coef:
+            continue
+        term = up_scale(up_mul(xpow[a], ypow[b]), coef)
+        for e, v in term.items():
+            s = total.get(e, 0) + v
+            if s:
+                total[e] = s
+            else:
+                total.pop(e, None)
+    return ord_lead(total)
+
+
+def _power_table(p, kmax):
+    table = [{0: Fraction(1)}]
+    for _ in range(kmax):
+        table.append(up_mul(table[-1], p))
+    return table
+
+
+def _scaled_order(k, o):
+    """k * o with the convention 0 * INF == 0 (absent factor contributes 0)."""
+    if k == 0:
+        return 0
+    return k * o
+
+
+def monomial_order(c, a, b):
+    """Valuation vector of the monomial x^a y^b: component i is
+    a*ord(x_i) + b*ord(y_i), with an absent coordinate (order INF)
+    contributing nothing when its power is zero."""
+    out = []
+    for br in c.branches:
+        oa = _scaled_order(a, br.ord_x)
+        ob = _scaled_order(b, br.ord_y)
+        out.append(oa + ob if oa != INF and ob != INF else INF)
+    return tuple(out)
+
+
 def monomial_jet(c, a, b, w):
     """Jet coordinates of x^a y^b over the window w (the oracle for
     ``JetMatrix.rows``).
@@ -163,3 +237,73 @@ def _rank(mat) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+def unit_vec(r, members):
+    """Indicator vector of a subset of branch indices 1..r."""
+    chosen = set(members)
+    return tuple(1 if i + 1 in chosen else 0 for i in range(r))
+
+
+def b_dim(M, v) -> int:
+    """dim J(v)/J(w): window rank minus the rank of the columns below v.
+    Components of v are clamped into [0, w_i] (conditions with v_i <= 0 are
+    vacuous; nothing exists above the window)."""
+    v = tuple(v)
+    inside = v if v in M.ranks else vec_clamp(v, M.window)
+    return M.ranks[M.window] - M.ranks[inside]
+
+
+def c_dim(M, v) -> int:
+    """dim J(v)/J(v+1)."""
+    v = tuple(v)
+    return b_dim(M, v) - b_dim(M, vec_add(v, (1,) * M.r))
+
+
+def fiber_euler(M, v) -> int:
+    """Euler characteristic of the projectivized fiber over v, point by
+    point (the oracle for ``fiber_eulers``): inclusion-exclusion over the
+    2^r coordinate subspaces gives sum_I (-1)^|I| (b(v + 1_I) - b(v + 1)),
+    where the b(v + 1) terms cancel."""
+    v = tuple(v)
+    return sum((-1) ** (sum(u) - sum(v)) * b_dim(M, u)
+               for u in iter_box(v, vec_add(v, (1,) * len(v))))
+
+
+def is_member(M, v) -> bool:
+    """Whether some germ takes the exact valuation vector v with every
+    leading coefficient nonzero, point by point (the oracle for
+    ``members``): each singleton constraint must drop the dimension (over
+    an infinite field a space is never a finite union of proper
+    subspaces)."""
+    v = tuple(v)
+    b0 = b_dim(M, v)
+    if b0 == 0:
+        return False
+    return all(b_dim(M, vec_add(v, unit_vec(M.r, [i]))) < b0
+               for i in range(1, M.r + 1))
+
+
+@dataclass(frozen=True)
+class SemigroupBox:
+    """All semigroup members inside the box [0, bound]."""
+
+    bound: ExpVec
+    members: frozenset
+
+
+def members_box(M, bound) -> SemigroupBox:
+    bound = tuple(bound)
+    found = frozenset(v for v in iter_box((0,) * M.r, bound)
+                      if is_member(M, v))
+    return SemigroupBox(bound, found)
+
+
+def apery_set(box: SemigroupBox, m: int) -> set:
+    """Members s <= bound with s - m outside the semigroup (r = 1 only)."""
+    if any(len(v) != 1 for v in box.members):
+        raise ValueError("Apery sets are taken on the one-branch ray")
+    members = {v[0] for v in box.members}
+    if m not in members:
+        raise ValueError("%d is not a member" % m)
+    return {s for s in members if s - m not in members}

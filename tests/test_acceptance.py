@@ -17,20 +17,17 @@ import time
 import pytest
 
 from curvealex.cli import format_poly
-from curvealex.curve import germ_valuation
 from curvealex.exactmath import iter_box, mp_mul, vec_leq
-from curvealex.filtration import (
-    Analysis,
-    JetMatrix,
-    c_dim,
-    fiber_euler,
-    is_member,
-)
+from curvealex.filtration import Analysis, JetMatrix
 from curvealex.resolution import BudgetExceededError, en_alexander, resolve
 from curvealex.semigroup import verify_semigroup_properties
 
 from corpus import (
     CORPUS_MULTI,
+    c_dim,
+    fiber_euler,
+    germ_valuation,
+    is_member,
     make_cusp,
     make_quartic_branch,
     make_tangent_cusps_duplicate,
@@ -49,8 +46,8 @@ def _report(criterion, label, ok):
 def test_criterion_01_poincare_equals_alexander(name):
     start = time.monotonic()
     c = CORPUS_MULTI[name]()
-    lhs = format_poly(Analysis(c).poincare, c.r)
-    rhs = format_poly(en_alexander(resolve(c)), c.r)
+    lhs = format_poly(Analysis(c).poincare)
+    rhs = format_poly(en_alexander(resolve(c)))
     elapsed = time.monotonic() - start
     _report("criterion-1 poincare-equals-alexander-bytes", name,
             lhs == rhs and elapsed < 10.0)

@@ -12,7 +12,6 @@ from curvealex.cli import (
     ArrowCountMismatchError,
     NotATreeError,
     curve_from_json,
-    curve_to_json,
     format_poly,
     graph_from_json,
     graph_to_json,
@@ -20,10 +19,10 @@ from curvealex.cli import (
     parse_graph_file,
 )
 from curvealex.exactmath import iter_box
-from curvealex.filtration import JetMatrix
+from curvealex.filtration import Analysis, JetMatrix
 from curvealex.resolution import resolve
 
-from corpus import make_tacnode
+from corpus import curve_to_json, make_tacnode
 
 CUSP_JSON = {"branches": [{"x": [[2, "1"]], "y": [[3, "1"]]}]}
 NODE_JSON = {"branches": [{"x": [[1, "1"]], "y": []},
@@ -421,6 +420,20 @@ def test_duplicate_branch_curve_exits_1(tmp_path, capsys):
     assert "BudgetExceeded" in capsys.readouterr().err
 
 
+def test_verify_exits_1_when_pprime_leaves_a_remainder(tmp_path, capsys,
+                                                       monkeypatch):
+    # check 1 divides pprime by t_1 t_2 - 1 and raises before any line is
+    # printed, so the exact-divisibility check itself never sees a remainder
+    monkeypatch.setattr(Analysis, "pprime",
+                        property(lambda self: {(1, 0): 1, (0, 0): -1}))
+    path = _write(tmp_path, "node.json", NODE_JSON)
+    assert cli.main(["verify", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("NotDivisible: remainder with leading term "
+                            "(1, 0) while dividing\n")
+
+
 def test_format_poly_is_sorted_and_tab_separated():
     p = {(1, 1): 1, (0, 0): -1, (2, 0): 3}
-    assert format_poly(p, 2) == "-1\t0,0\n1\t1,1\n3\t2,0"
+    assert format_poly(p) == "-1\t0,0\n1\t1,1\n3\t2,0"

@@ -9,13 +9,17 @@ from curvealex.curve import (
     NonPrimitiveError,
     OrderZeroError,
     ZeroBranchError,
-    germ_valuation,
-    monomial_order,
     validate_curve,
 )
 from curvealex.exactmath import INF, up_mul
 
-from corpus import make_cusp, make_node, monomial_jet
+from corpus import (
+    germ_valuation,
+    make_cusp,
+    make_node,
+    monomial_jet,
+    monomial_order,
+)
 
 
 def test_validate_accepts_cusp():

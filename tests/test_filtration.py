@@ -3,22 +3,23 @@ from itertools import combinations
 
 import pytest
 
-from curvealex.exactmath import iter_box, mp_mul, unit_vec, vec_add, vec_leq
+from curvealex.exactmath import iter_box, mp_mul, vec_add, vec_leq
 from curvealex.filtration import (
     Analysis,
     BoundaryNonzeroError,
     JetMatrix,
-    b_dim,
-    c_dim,
-    fiber_euler,
     fiber_eulers,
-    is_member,
+    members,
 )
 from curvealex.resolution import en_alexander, resolve
 
 from corpus import (
     CORPUS_ALL,
     CORPUS_MULTI,
+    b_dim,
+    c_dim,
+    fiber_euler,
+    is_member,
     make_axes_and_cusp,
     make_cusp,
     make_four_lines,
@@ -31,6 +32,7 @@ from corpus import (
     reference_monomials,
     reference_ranks,
     semigroup_closure,
+    unit_vec,
 )
 
 
@@ -68,6 +70,15 @@ def test_jet_rows_are_the_monomial_jets(name):
         # exact Fraction values, padded with int zeros
         assert all(type(x) is (Fraction if x else int)
                    for row in M.rows for x in row)
+
+
+@pytest.mark.parametrize("name", sorted(JET_CURVES))
+def test_members_are_the_per_point_members(name):
+    c = JET_CURVES[name]()
+    for M in (Analysis(c).jet, JetMatrix(c, (1,) * c.r),
+              JetMatrix(c, (3, 7, 5, 4)[:c.r])):
+        box = iter_box((0,) * c.r, tuple(w - 1 for w in M.window))
+        assert members(M) == {v for v in box if is_member(M, v)}
 
 
 def test_b_dim_node_full_box():

@@ -1,6 +1,8 @@
 """Property tests of the jet rows against the per-monomial jets, of the
-prefix-rank table against per-point elimination, of the difference sweeps against the per-point alternating sums, and of the
-conductor rule of one-branch analyses against a wide window."""
+prefix-rank table against per-point elimination, of the difference sweeps
+against the per-point alternating sums, of the membership pass against
+per-point membership, and of the conductor rule of one-branch analyses
+against a wide window."""
 
 from fractions import Fraction
 from math import gcd
@@ -20,10 +22,8 @@ from curvealex import (  # noqa: E402
 )
 from curvealex.exactmath import iter_box, vec_add  # noqa: E402
 from curvealex.filtration import (  # noqa: E402
-    c_dim,
-    fiber_euler,
     fiber_eulers,
-    is_member,
+    members,
     pprime_coefficients,
 )
 from curvealex.semigroup import (  # noqa: E402
@@ -32,6 +32,9 @@ from curvealex.semigroup import (  # noqa: E402
 )
 
 from corpus import (  # noqa: E402
+    c_dim,
+    fiber_euler,
+    is_member,
     monomial_jet,
     reference_monomials,
     reference_ranks,
@@ -88,6 +91,13 @@ def test_difference_sweeps_match_the_per_point_sums(M):
         v: sum((-1) ** (sum(u) - sum(v) + M.r) * c_dim(M, u)
                for u in iter_box(vec_add(v, (-1,) * M.r), v))
         for v in box}
+
+
+@settings(max_examples=100, deadline=None)
+@given(jet_matrices())
+def test_members_match_the_per_point_membership(M):
+    box = iter_box((0,) * M.r, tuple(w - 1 for w in M.window))
+    assert members(M) == {v for v in box if is_member(M, v)}
 
 
 @settings(max_examples=100, deadline=None)

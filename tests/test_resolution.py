@@ -1,7 +1,6 @@
 import pytest
 
 from curvealex import Curve
-from curvealex.curve import germ_valuation
 from curvealex.resolution import (
     BudgetExceededError,
     GraphError,
@@ -19,6 +18,7 @@ from curvealex.semigroup import minimal_generators
 from corpus import (
     CORPUS_ALL,
     CORPUS_MULTI,
+    germ_valuation,
     make_cusp,
     make_cusp_tangent_line,
     make_node,

@@ -3,24 +3,25 @@ from fractions import Fraction
 import pytest
 
 from curvealex import Curve
-from curvealex.curve import germ_valuation
 from curvealex.exactmath import vec_add, vec_leq
-from curvealex.filtration import Analysis, JetMatrix, is_member
+from curvealex.filtration import Analysis, JetMatrix
 from curvealex.resolution import en_alexander, resolve
 from curvealex.semigroup import (
-    apery_set,
-    members_box,
     minimal_generators,
     verify_semigroup_properties,
 )
 
 from corpus import (
     CORPUS_MULTI,
+    apery_set,
+    germ_valuation,
+    is_member,
     make_cusp,
     make_node,
     make_quartic_branch,
     make_smooth_branch,
     make_tacnode,
+    members_box,
     semigroup_closure,
 )
 
