@@ -11,7 +11,6 @@ together with a verification harness checking that they coincide exactly.
 from .curve import BranchParam, Curve, validate_curve
 from .exactmath import (
     NotDivisibleError,
-    expand_truncated,
     mp_exact_div,
     mp_mul,
     ord_lead,
@@ -41,7 +40,6 @@ __all__ = [
     "chi_open",
     "classify_graph",
     "en_alexander",
-    "expand_truncated",
     "mp_exact_div",
     "mp_mul",
     "noether_intersections",

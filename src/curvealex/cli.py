@@ -23,7 +23,6 @@ from .filtration import (
     BoundaryNonzeroError,
     JetMatrix,
     fiber_eulers,
-    members,
 )
 from .resolution import (
     BudgetExceededError,
@@ -290,20 +289,19 @@ def _cmd_poincare(args) -> int:
     return 0
 
 
-def _window_jet(c: Curve, window) -> JetMatrix:
-    """The jet matrix of an explicit --window, which needs one positive
-    entry per branch."""
+def _checked_window(c: Curve, window) -> tuple:
+    """An explicit --window, which needs one positive entry per branch."""
     if len(window) != c.r or min(window) < 1:
         raise ParseError("--window %s needs %d positive entries, one per "
                          "branch of this r = %d curve"
                          % (",".join(str(w) for w in window), c.r, c.r))
-    return JetMatrix(c, window)
+    return window
 
 
 def _cmd_fibers(args) -> int:
     c = parse_curve_file(args.input)
     if args.window:
-        M = _window_jet(c, args.window)
+        M = JetMatrix(c, _checked_window(c, args.window))
         top = tuple(w - 2 for w in M.window)
     else:
         a = Analysis(c, budget=args.budget)
@@ -317,7 +315,7 @@ def _cmd_fibers(args) -> int:
 
 def _cmd_semigroup(args) -> int:
     c = parse_curve_file(args.input)
-    M = _window_jet(c, args.window) if args.window else None
+    window = _checked_window(c, args.window) if args.window else None
     a = Analysis(c, args.bound, args.budget)
     lines = ["conductor\t%s" % ",".join(str(x) for x in a.conductor)]
     if c.r == 1:
@@ -326,13 +324,11 @@ def _cmd_semigroup(args) -> int:
         top = (a.bound,)
     else:
         top = vec_add(a.conductor, (2,) * c.r)
-    if M is None:
-        member = a.is_member
-    else:
-        member = members(M).__contains__
-        top = tuple(min(t, w - 2) for t, w in zip(top, M.window))
+    if window:
+        # the window only shortens the output: members on [0, window - 2]
+        top = tuple(min(t, w - 2) for t, w in zip(top, window))
     lines.extend("member\t%s" % ",".join(str(x) for x in v)
-                 for v in iter_box((0,) * c.r, top) if member(v))
+                 for v in iter_box((0,) * c.r, top) if a.is_member(v))
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -218,44 +218,3 @@ def mp_exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
                 rem.pop(key, None)
     return quo
 
-
-def _trunc_mul(a: MultiPoly, b: MultiPoly, bound: int) -> MultiPoly:
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if any(x > bound for x in e):
-                continue
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def expand_truncated(r: int, factors_num, factors_den, bound: int) -> MultiPoly:
-    """Power-series expansion of prod (1-t^m)^mult / prod (1-t^m)^mult.
-
-    Every factor exponent vector must be positive in at least one component
-    (so each geometric series converges t-adically); terms with any exponent
-    exceeding ``bound`` are dropped.
-    """
-    for m, mult in list(factors_num) + list(factors_den):
-        if len(m) != r:
-            raise DimensionError("factor %r is not %d-variate" % (m, r))
-        if mult <= 0:
-            raise ValueError("factor multiplicities must be positive")
-        if not any(x > 0 for x in m):
-            raise ValueError("factor exponent %r has no positive component" % (m,))
-    series = mp_const(r, 1)
-    for m, mult in factors_num:
-        binom = mp_one_minus(m)
-        for _ in range(mult):
-            series = _trunc_mul(series, binom, bound)
-    for m, mult in factors_den:
-        kmax = min(bound // x for x in m if x > 0)
-        geom = {tuple(k * x for x in m): 1 for k in range(kmax + 1)}
-        for _ in range(mult):
-            series = _trunc_mul(series, geom, bound)
-    return series

@@ -33,10 +33,8 @@ from fractions import Fraction
 from .curve import Curve, validate_curve
 from .exactmath import (
     INF,
-    ExpVec,
     MultiPoly,
     UniPoly,
-    expand_truncated,
     mp_const,
     mp_exact_div,
     mp_mul,
@@ -352,74 +350,39 @@ def noether_intersections(c: Curve, budget: int = DEFAULT_BUDGET):
 # the Eisenbud-Neumann product
 # ---------------------------------------------------------------------------
 
-def graph_conductor_r1(g: ResGraph) -> int:
-    """Conductor of an irreducible branch read off its dual graph:
-    1 + sum of n_d * m^d over dead-end tails minus the root multiplicity."""
-    if g.r != 1:
-        raise GraphError("tail formula applies to one-branch graphs only")
-    total = sum(m * n for m, n in _dead_end_tails(g)[1])
-    root_m = g.vertices[g.root][0]
-    return max(total - root_m + 1, 0)
-
-
-def _dead_end_tails(g: ResGraph):
-    """The dead ends of a one-branch graph with no star point below them,
-    and (m, n) for each other dead end, ascending: its multiplicity and
-    n = m(star)/m - 1 for the nearest star point below it."""
-    vc = classify_graph(g)
-    roots, tails = [], []
-    for d in sorted(vc.dead_ends):
-        st = vc.nearest_star_below(d)
-        if st is None:
-            roots.append(d)
-        else:
-            tails.append((g.vertices[d][0], _tail_quotient(
-                g.vertices[st], g.vertices[d]) - 1))
-    return roots, sorted(tails)
-
-
-def _tail_quotient(m_star: ExpVec, m_dead: ExpVec) -> int:
-    quot = None
-    for a, b in zip(m_star, m_dead):
-        if a % b:
-            raise GraphError(
-                "star multiplicity %r is not a multiple of dead end %r"
-                % (m_star, m_dead))
-        q = a // b
-        if quot is not None and q != quot:
-            raise GraphError(
-                "inconsistent tail quotient between %r and %r"
-                % (m_star, m_dead))
-        quot = q
-    return quot
-
-
 def en_alexander(g: ResGraph, bound: int | None = None) -> MultiPoly:
-    """Alexander polynomial from the resolution graph:
-    the product over vertices of (1 - t^m)^(-chi of the smooth part).
+    """Alexander polynomial from the resolution graph: the product over
+    vertices of (1 - t^m)^(-chi of the smooth part), times (1 - t) for
+    r = 1.
 
-    For r > 1 the negative exponents are cleared by exact division and the
-    result is a polynomial with constant term 1.  For r = 1 the product is
-    the monodromy zeta function, an infinite series, returned truncated at
-    ``bound`` (default: twice the conductor plus two).
+    The product is Delta, a polynomial with constant term 1: the numerator
+    binomials are multiplied out, then the denominator binomials divided
+    off exactly, largest m first (``mp_exact_div`` reads the leading term of
+    the whole remainder at every step, and the largest divisor first keeps
+    that remainder short).  A graph that is no curve's resolution graph can
+    leave a remainder: NotDivisibleError.  For r > 1 Delta is the result.
+    For r = 1 the result is the monodromy zeta function Delta / (1 - t), an
+    infinite series: the prefix sums of Delta, truncated at ``bound``
+    (default 2 deg Delta + 2, twice the conductor plus two).
     """
-    num = []  # factors with positive exponent after negation
-    den = []
+    num, den = [], []
     for sid in sorted(g.vertices):
         chi = chi_open(g, sid)
-        if chi < 0:
-            num.append((g.vertices[sid], -chi))
-        elif chi > 0:
-            den.append((g.vertices[sid], chi))
+        (num if chi < 0 else den).extend([g.vertices[sid]] * abs(chi))
     if g.r == 1:
-        if bound is None:
-            bound = 2 * graph_conductor_r1(g) + 2
-        return expand_truncated(1, num, den, bound)
+        num.append((1,))
     poly = mp_const(g.r, 1)
-    for m, mult in num:
-        for _ in range(mult):
-            poly = mp_mul(poly, mp_one_minus(m))
-    for m, mult in den:
-        for _ in range(mult):
-            poly = mp_exact_div(poly, mp_one_minus(m))
-    return poly
+    for m in num:
+        poly = mp_mul(poly, mp_one_minus(m))
+    for m in sorted(den, reverse=True):
+        poly = mp_exact_div(poly, mp_one_minus(m))
+    if g.r > 1:
+        return poly
+    if bound is None:
+        bound = 2 * max(poly)[0] + 2
+    series, total = {}, 0
+    for v in range(bound + 1):
+        total += poly.get((v,), 0)
+        if total:
+            series[(v,)] = total
+    return series

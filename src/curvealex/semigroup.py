@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .curve import Curve
 from .filtration import Analysis
-from .resolution import _dead_end_tails
+from .resolution import GraphError, ResGraph, classify_graph
 
 
 def minimal_generators(a: Analysis) -> list:
@@ -91,6 +91,26 @@ def verify_semigroup_properties(c: Curve) -> SemigroupReport:
                                               (ns[j] + 1) * gens[j + 1])
         for j in range(len(ns)))
     return SemigroupReport(gens, ns, delta, checks)
+
+
+def _dead_end_tails(g: ResGraph):
+    """The dead ends of a one-branch graph with no star point below them,
+    and (m, n) for each other dead end, ascending: its multiplicity and
+    n = m(star)/m - 1 for the nearest star point below it."""
+    vc = classify_graph(g)
+    roots, tails = [], []
+    for d in sorted(vc.dead_ends):
+        st = vc.nearest_star_below(d)
+        if st is None:
+            roots.append(d)
+            continue
+        (m_star,), (m,) = g.vertices[st], g.vertices[d]
+        if m_star % m:
+            raise GraphError(
+                "star multiplicity %r is not a multiple of dead end %r"
+                % (g.vertices[st], g.vertices[d]))
+        tails.append((m, m_star // m - 1))
+    return roots, sorted(tails)
 
 
 def _representations(v: int, gens, ns) -> int:

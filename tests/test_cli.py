@@ -22,7 +22,7 @@ from curvealex.exactmath import iter_box
 from curvealex.filtration import Analysis, JetMatrix
 from curvealex.resolution import resolve
 
-from corpus import curve_to_json, make_tacnode
+from corpus import curve_to_json, make_cusp_tangent_line, make_tacnode
 
 CUSP_JSON = {"branches": [{"x": [[2, "1"]], "y": [[3, "1"]]}]}
 NODE_JSON = {"branches": [{"x": [[1, "1"]], "y": []},
@@ -179,6 +179,18 @@ def test_alexander_accepts_graph_file(tmp_path, capsys):
     assert capsys.readouterr().out == "1\t0,0\n1\t1,1\n"
 
 
+def test_one_branch_graph_that_resolves_no_curve_exits_1(tmp_path, capsys):
+    # (1 - t) / (1 - t^2) = 1 / (1 + t) is no Alexander polynomial
+    data = {"r": 1, "vertices": [{"id": 1, "m": [2]}, {"id": 2, "m": [3]}],
+            "edges": [[1, 2]], "arrows": [{"vertex": 2, "branch": 1}],
+            "root": 1}
+    path = _write(tmp_path, "fabricated-graph.json", data)
+    assert cli.main(["alexander", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("NotDivisible: ")
+
+
 def test_via_poincare_rejects_graph_input(tmp_path, capsys):
     g = resolve(make_tacnode())
     path = _write(tmp_path, "tac-graph.json", graph_to_json(g))
@@ -265,6 +277,7 @@ def test_flag_the_command_ignores_is_rejected(tmp_path, capsys, argv):
     (["alexander", "--via", "fibers"], 1, 1),
     (["alexander"], 1, 0),
     (["resolve"], 1, 0),
+    (["semigroup", "--window", "6"], 1, 1),
 ])
 def test_one_branch_command_analyses_once(tmp_path, capsys, calls, argv,
                                           engine, jet):
@@ -315,6 +328,59 @@ def test_bad_window_is_a_parse_error(tmp_path, capsys, cmd, window):
     err = capsys.readouterr().err
     assert err.startswith("ParseError: --window %s " % window)
     assert "r = 2" in err
+
+
+WINDOW_CURVES = {"cusp": CUSP_JSON, "node": NODE_JSON,
+                 "tacnode": curve_to_json(make_tacnode()),
+                 "cusp-tangent-line": curve_to_json(make_cusp_tangent_line())}
+
+
+def _windows(conductor):
+    """Ones, c + 2, c + 5 and a staggered window c_i + 1 + 2i."""
+    return [tuple(1 for _ in conductor),
+            tuple(x + 2 for x in conductor),
+            tuple(x + 5 for x in conductor),
+            tuple(x + 1 + 2 * i for i, x in enumerate(conductor))]
+
+
+def _run(argv, capsys):
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_CURVES))
+def test_semigroup_window_cuts_the_plain_members(tmp_path, capsys, name):
+    path = _write(tmp_path, name + ".json", WINDOW_CURVES[name])
+    plain = _run(["semigroup", path], capsys)
+    conductor = Analysis(parse_curve_file(path)).conductor
+    for window in _windows(conductor):
+        text = ",".join(str(w) for w in window)
+        expected = [line for line in plain if not line.startswith("member")
+                    or all(int(x) <= w - 2 for x, w in
+                           zip(line.split("\t")[1].split(","), window))]
+        assert _run(["semigroup", path, "--window", text], capsys) == \
+            expected, text
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_CURVES))
+def test_fibers_window_agrees_with_the_plain_fibers(tmp_path, capsys, name):
+    path = _write(tmp_path, name + ".json", WINDOW_CURVES[name])
+    plain = _run(["fibers", path], capsys)
+    conductor = Analysis(parse_curve_file(path)).conductor
+    chi = {v: x for x, v in (line.split("\t") for line in plain)}
+    for window in _windows(conductor):
+        text = ",".join(str(w) for w in window)
+        # a window of ones leaves the box [0, -1] empty: one blank line
+        lines = [line for line in
+                 _run(["fibers", path, "--window", text], capsys) if line]
+        if window == tuple(x + 2 for x in conductor):
+            assert lines == plain
+        points = [tuple(int(x) for x in line.split("\t")[1].split(","))
+                  for line in lines]
+        assert points == list(iter_box((0,) * len(window),
+                                       tuple(w - 2 for w in window)))
+        for x, v in (line.split("\t") for line in lines):
+            assert chi.get(v, x) == x, (text, v)
 
 
 def test_resolve_emits_parseable_graph(tmp_path, capsys):

@@ -7,14 +7,12 @@ from curvealex.exactmath import (
     INF,
     DimensionError,
     NotDivisibleError,
-    expand_truncated,
     mp_exact_div,
     mp_mul,
     ord_lead,
     up_mul,
     up_normal,
 )
-from corpus import semigroup_closure
 
 
 def test_ord_lead_reads_smallest_exponent():
@@ -69,28 +67,6 @@ def test_mp_exact_div_nonzero_remainder_raises():
         mp_exact_div({(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (0, 1): -1})
 
 
-def test_expand_truncated_semigroup_2_3():
-    # oracle: enumerate the numerical semigroup <2, 3> up to 6
-    members = semigroup_closure([2, 3], 6)
-    expected = {(v,): 1 for v in members}
-    got = expand_truncated(1, [((6,), 1)], [((2,), 1), ((3,), 1)], 6)
-    assert got == expected
-
-
-def test_expand_truncated_empty_product_is_one():
-    assert expand_truncated(2, [], [], 5) == {(0, 0): 1}
-
-
-def test_expand_truncated_geometric_series():
-    got = expand_truncated(1, [], [((1,), 1)], 3)
-    assert got == {(0,): 1, (1,): 1, (2,): 1, (3,): 1}
-
-
-def test_expand_truncated_rejects_zero_direction():
-    with pytest.raises(ValueError):
-        expand_truncated(2, [((0, 0), 1)], [], 4)
-
-
 def _random_unipoly(rng, nonzero=False):
     terms = {e: Fraction(rng.randint(-4, 4), rng.randint(1, 4))
              for e in rng.sample(range(7), rng.randint(0, 5))}
@@ -133,19 +109,3 @@ def test_exact_division_round_trip_on_random_polynomials():
         a = _random_multipoly(rng, r)
         b = _random_multipoly(rng, r, nonzero=True)
         assert mp_exact_div(mp_mul(a, b), b) == a
-
-
-def test_expand_truncated_cancels_matching_factors():
-    rng = random.Random(13)
-    for _ in range(50):
-        r = rng.choice([1, 2])
-        factors = []
-        for _ in range(rng.randint(1, 3)):
-            m = tuple(rng.randint(0, 3) for _ in range(r))
-            if any(m):
-                factors.append((m, rng.randint(1, 2)))
-        if not factors:
-            continue
-        bound = rng.randint(1, 8)
-        got = expand_truncated(r, factors, factors, bound)
-        assert got == {(0,) * r: 1}

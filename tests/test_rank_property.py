@@ -2,7 +2,8 @@
 prefix-rank table against per-point elimination, of the difference sweeps
 against the per-point alternating sums, of the membership pass against
 per-point membership, and of the conductor rule of one-branch analyses
-against a wide window."""
+against a wide window and their Poincare series against the
+Eisenbud-Neumann product."""
 
 from fractions import Fraction
 from math import gcd
@@ -19,6 +20,7 @@ from curvealex import (  # noqa: E402
     BudgetExceededError,
     Curve,
     JetMatrix,
+    en_alexander,
 )
 from curvealex.exactmath import iter_box, vec_add  # noqa: E402
 from curvealex.filtration import (  # noqa: E402
@@ -115,3 +117,4 @@ def test_conductor_rule_matches_a_wide_window(branch):
     assert [a.is_member((v,)) for v in range(top + 1)] == \
         [is_member(wide, (v,)) for v in range(top + 1)]
     assert minimal_generators(a) == verify_semigroup_properties(c).generators
+    assert en_alexander(a.graph) == a.poincare

@@ -8,7 +8,6 @@ from curvealex.resolution import (
     chi_open,
     classify_graph,
     en_alexander,
-    graph_conductor_r1,
     noether_intersections,
     resolve,
 )
@@ -23,6 +22,7 @@ from corpus import (
     make_cusp_tangent_line,
     make_node,
     make_quartic_branch,
+    make_smooth_branch,
     make_tacnode,
     make_tangent_cusps_duplicate,
 )
@@ -189,6 +189,12 @@ def test_all_multiplicities_positive_everywhere():
         assert all(x >= 1 for m in g.vertices.values() for x in m), name
 
 
-def test_graph_conductor_r1_matches_semigroup():
-    assert graph_conductor_r1(resolve(make_cusp())) == 2
-    assert graph_conductor_r1(resolve(make_quartic_branch())) == 16
+@pytest.mark.parametrize("make,top", [(make_cusp, 6),
+                                      (make_quartic_branch, 34),
+                                      (make_smooth_branch, 2)])
+def test_one_branch_series_stops_at_twice_the_conductor_plus_two(make, top):
+    c = make()
+    assert 2 * Analysis(c).conductor[0] + 2 == top
+    series = en_alexander(resolve(c))
+    assert max(series) == (top,)
+    assert series == en_alexander(resolve(c), bound=top)
