@@ -192,11 +192,14 @@ def format_poly(p: dict) -> str:
 
 
 def _emit(text: str, out_path) -> None:
+    """Write text and a final newline; empty text (an empty box) writes
+    nothing."""
+    text = text + "\n" if text else ""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------

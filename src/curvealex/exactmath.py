@@ -3,8 +3,10 @@ parameter, exponent vectors, and sparse multivariate polynomials over ZZ.
 
 Representations
 ---------------
-* ``UniPoly`` maps exponent (int >= 0) to a nonzero Fraction; ``{}`` is the
-  zero polynomial.
+* ``UniPoly`` maps exponent (int >= 0) to a nonzero Fraction or int; ``{}``
+  is the zero polynomial.  Curves are parsed into Fraction coefficients;
+  the blow-up engine and the jet rows run on the integer multiples that
+  ``up_integral`` clears them to.
 * ``ExpVec`` is a tuple of ints, one entry per curve branch.
 * ``MultiPoly`` maps ExpVec to a nonzero int; ``{}`` is zero.
 
@@ -20,7 +22,7 @@ from itertools import product
 
 INF = math.inf
 
-UniPoly = dict  # exponent -> Fraction
+UniPoly = dict  # exponent -> Fraction or int
 ExpVec = tuple  # of ints
 MultiPoly = dict  # ExpVec -> int
 
@@ -38,7 +40,7 @@ class DimensionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Fraction
+# univariate polynomials over Fraction or int
 # ---------------------------------------------------------------------------
 
 def up_normal(terms) -> UniPoly:
@@ -53,26 +55,12 @@ def up_normal(terms) -> UniPoly:
     return out
 
 
-def up_add(p: UniPoly, q: UniPoly) -> UniPoly:
-    out = dict(p)
-    for e, c in q.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def up_scale(p: UniPoly, c) -> UniPoly:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {e: c * v for e, v in p.items()}
-
-
-def up_sub(p: UniPoly, q: UniPoly) -> UniPoly:
-    return up_add(p, up_scale(q, -1))
+def up_integral(polys):
+    """The least d > 0 with every d * p integral, and those d * p (int
+    coefficients)."""
+    d = math.lcm(*(c.denominator for p in polys for c in p.values()))
+    return d, [{e: c.numerator * (d // c.denominator) for e, c in p.items()}
+               for p in polys]
 
 
 def up_mul(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -104,13 +92,6 @@ def up_mul_trunc(p: UniPoly, q: UniPoly, n: int) -> UniPoly:
             else:
                 out.pop(e, None)
     return out
-
-
-def up_shift_down(p: UniPoly, k: int) -> UniPoly:
-    """Exact division by tau**k; requires order(p) >= k."""
-    if any(e < k for e in p):
-        raise ValueError("polynomial not divisible by tau^%d" % k)
-    return {e - k: c for e, c in p.items()}
 
 
 def ord_lead(p: UniPoly):

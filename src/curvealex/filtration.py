@@ -19,10 +19,9 @@ everything past the window is read at min(v, c) (``Analysis.is_member``).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .curve import Curve, validate_curve
 from .exactmath import (
@@ -30,6 +29,7 @@ from .exactmath import (
     MultiPoly,
     iter_box,
     mp_exact_div,
+    up_integral,
     up_mul_trunc,
     vec_add,
     vec_clamp,
@@ -52,9 +52,12 @@ class JetMatrix:
 
     A monomial x^a y^b is visible when its valuation on some branch i is
     below w_i; all other monomials have identically zero jets.  ``rows``
-    follow ``monomials`` in lexicographic order of (a, b), and each is built
-    from the one before it, times y_i on each branch i (times x_i from
-    (a - 1, 0) when b = 0), truncated at w_i.  ``ranks``
+    follow ``monomials`` in lexicographic order of (a, b).  Row x^a y^b is
+    Dx^a Dy^b times the jet of x^a y^b, where Dx (Dy) is the least common
+    denominator of the x (y) coefficients over all branches, so every entry
+    is an int; scaling a row changes the rank of no set of columns.  Each
+    row is built from the one before it, times Dy y_i on each branch i
+    (times Dx x_i from (a - 1, 0) when b = 0), truncated at w_i.  ``ranks``
     maps every v in the box [0, window] to the rank of the columns below v:
     the table every formula shares, built once with the matrix.  An
     ``Analysis`` builds one at the conductor + 2; other windows come only
@@ -71,21 +74,24 @@ class JetMatrix:
         self.curve = curve
         self.window = window
         self.monomials, self.rows = [], []
+        # the coordinate change (x, y) -> (Dx x, Dy y) makes every branch
+        # integral and scales row x^a y^b by Dx^a Dy^b, which changes no rank
+        xs = up_integral([br.x for br in curve.branches])[1]
+        ys = up_integral([br.y for br in curve.branches])[1]
         # x^a y^b is visible iff its jet is nonzero on some branch (leading
         # coefficients never cancel); the visible b form a prefix for each
         # a, and so do the visible a
-        xa, a = [{0: Fraction(1)}] * curve.r, 0
+        xa, a = [{0: 1}] * curve.r, 0
         while any(xa):
             jet, b = xa, 0
             while any(jet):
                 self.monomials.append((a, b))
                 self.rows.append([p.get(k, 0) for p, w in zip(jet, window)
                                   for k in range(w)])
-                jet = [up_mul_trunc(p, br.y, w) for p, br, w
-                       in zip(jet, curve.branches, window)]
+                jet = [up_mul_trunc(p, y, w) for p, y, w
+                       in zip(jet, ys, window)]
                 b += 1
-            xa = [up_mul_trunc(p, br.x, w) for p, br, w
-                  in zip(xa, curve.branches, window)]
+            xa = [up_mul_trunc(p, x, w) for p, x, w in zip(xa, xs, window)]
             a += 1
         self.ranks = {}
         _sweep(self.ranks, [], [_primitive(col) for col in zip(*self.rows)],
@@ -97,12 +103,9 @@ class JetMatrix:
 
 
 def _primitive(vec) -> list:
-    """The integer multiple with content 1 of a rational vector (zero stays
-    zero)."""
-    den = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (den // x.denominator) for x in vec]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    """An integer vector divided by its content (zero stays zero)."""
+    g = gcd(*vec)
+    return [x // g for x in vec] if g > 1 else list(vec)
 
 
 def _sweep(ranks, basis, columns, window, box, v=()) -> None:

@@ -5,9 +5,9 @@ Local model
 -----------
 Every infinitely near point carries its own affine chart.  Each resident
 branch is parametrized there by a pair of rational functions p(tau)/q(tau)
-with q(0) != 0 (the class :class:`RatFunc`); this family is closed under the
-two blow-up substitutions, so the whole recursion runs with no series
-truncation at all.
+with integer coefficients and q(0) != 0 (the class :class:`RatFunc`); this
+family is closed under the two blow-up substitutions, so the whole recursion
+runs on integers with no series truncation at all.
 
 At any point the incident exceptional divisors (at most two, always meeting
 transversally) have local equation u = 0 or v = 0, and this stays true after
@@ -21,7 +21,7 @@ every blow-up:
 
 A resident lands on the new divisor at direction y/x evaluated at tau = 0
 (INF when x vanishes to higher order); residents regroup by that exact
-rational value.
+rational value, the only Fraction the engine makes.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .curve import Curve, validate_curve
 from .exactmath import (
@@ -39,11 +40,8 @@ from .exactmath import (
     mp_exact_div,
     mp_mul,
     mp_one_minus,
-    ord_lead,
+    up_integral,
     up_mul,
-    up_shift_down,
-    up_sub,
-    up_scale,
 )
 
 DEFAULT_BUDGET = 64
@@ -61,41 +59,57 @@ class GraphError(ValueError):
 
 
 class RatFunc:
-    """A germ of one local coordinate along a branch: num/den with den(0) != 0,
-    read as a power series in tau."""
+    """A germ of one local coordinate along a branch: num/den, read as a
+    power series in tau.  Both are integer polynomials, divided by their
+    joint content, with den(0) > 0; ``ord`` is the order of num."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "ord")
 
-    def __init__(self, num: UniPoly, den: UniPoly | None = None):
-        self.num = dict(num)
-        self.den = dict(den) if den is not None else {0: Fraction(1)}
-        if self.den.get(0, 0) == 0:
+    def __init__(self, num: UniPoly, den: UniPoly):
+        if den.get(0, 0) == 0:
             raise ValueError("denominator must be a unit at tau = 0")
+        g = gcd(*num.values(), *den.values())
+        if den[0] < 0:
+            g = -g
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den = {e: c // g for e, c in den.items()}
+        self.num, self.den = num, den
+        self.ord = min(num) if num else INF
 
-    def order(self):
-        return ord_lead(self.num)[0]
-
-    def lead(self) -> Fraction:
-        o, c = ord_lead(self.num)
-        if c is None:
-            raise ZeroDivisionError("leading coefficient of the zero series")
-        return c / self.den[0]
+    @classmethod
+    def of(cls, p: UniPoly) -> "RatFunc":
+        """A branch coordinate p with rational coefficients: (d p) / d for
+        the least common denominator d."""
+        d, (num,) = up_integral([p])
+        return cls(num, {0: d})
 
     def div(self, other: "RatFunc") -> "RatFunc":
-        """Quotient self/other; requires order(self) >= order(other)."""
-        k = other.order()
+        """Quotient self/other; requires ord(self) >= ord(other)."""
+        k = other.ord
         if k == INF:
             raise ZeroDivisionError("division by an identically zero coordinate")
-        if self.order() < k:
+        if self.ord < k:
             raise ValueError("quotient would have a pole at tau = 0")
-        num = up_shift_down(self.num, k) if k else dict(self.num)
-        onum = up_shift_down(other.num, k) if k else dict(other.num)
+        num, onum = self.num, other.num
+        if k:
+            num = {e - k: c for e, c in num.items()}
+            onum = {e - k: c for e, c in onum.items()}
         return RatFunc(up_mul(num, other.den), up_mul(self.den, onum))
 
-    def sub_const(self, c: Fraction) -> "RatFunc":
+    def sub_const(self, c) -> "RatFunc":
+        """self - c for a rational c = p/q: (q num - p den) / (q den)."""
         if not c:
             return self
-        return RatFunc(up_sub(self.num, up_scale(self.den, c)), self.den)
+        p, q = c.numerator, c.denominator
+        num = {e: q * x for e, x in self.num.items()}
+        for e, x in self.den.items():
+            s = num.get(e, 0) - p * x
+            if s:
+                num[e] = s
+            else:
+                num.pop(e)
+        return RatFunc(num, {e: q * x for e, x in self.den.items()})
 
 
 @dataclass
@@ -208,7 +222,7 @@ class _Point:
         self.divisors = divisors  # list of (vertex id, "x" | "y")
         self.depth = depth
         for _, fx, fy in residents:
-            assert min(fx.order(), fy.order()) >= 1, "resident misses the point"
+            assert min(fx.ord, fy.ord) >= 1, "resident misses the point"
 
 
 def _settled(pt: _Point) -> bool:
@@ -218,16 +232,19 @@ def _settled(pt: _Point) -> bool:
         return False
     _, fx, fy = pt.residents[0]
     _, axis = pt.divisors[0]
-    along = fx.order() if axis == "x" else fy.order()
+    along = fx.ord if axis == "x" else fy.ord
     return along == 1
 
 
 def _direction(fx: RatFunc, fy: RatFunc):
-    ox, oy = fx.order(), fy.order()
+    """y/x at tau = 0: 0, INF, or the exact ratio of the leading terms."""
+    ox, oy = fx.ord, fy.ord
     if oy > ox:
-        return Fraction(0)
+        return 0
     if oy == ox:
-        return fy.lead() / fx.lead()
+        if ox == INF:
+            raise ZeroDivisionError("leading coefficient of the zero series")
+        return Fraction(fy.num[oy] * fx.den[0], fx.num[ox] * fy.den[0])
     return INF
 
 
@@ -241,7 +258,7 @@ def _run_blowups(c: Curve, budget: int, extra: int = 0):
     edges = set()
     arrows = {}
     centers = []
-    start = [(i, RatFunc(b.x), RatFunc(b.y))
+    start = [(i, RatFunc.of(b.x), RatFunc.of(b.y))
              for i, b in enumerate(c.branches, start=1)]
     pending = deque([_Point(start, [], 0)])
     nid = 0
@@ -258,7 +275,7 @@ def _run_blowups(c: Curve, budget: int, extra: int = 0):
                 "no separation after %d blow-ups; branches %r look coincident"
                 % (budget, sorted(b for b, _, _ in pt.residents)))
         nid += 1
-        mult = {bid: min(fx.order(), fy.order())
+        mult = {bid: min(fx.ord, fy.ord)
                 for bid, fx, fy in pt.residents}
         m_new = tuple(
             mult.get(i, 0) + sum(vertices[vid][i - 1] for vid, _ in pt.divisors)

@@ -11,6 +11,7 @@ distinct tangent cusps y^2 = x^3 and y^2 = -x^3.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from curvealex import Curve
 from curvealex.exactmath import (
@@ -19,7 +20,6 @@ from curvealex.exactmath import (
     iter_box,
     ord_lead,
     up_mul,
-    up_scale,
     vec_add,
     vec_clamp,
 )
@@ -149,6 +149,14 @@ def germ_valuation(g, branch):
     return ord_lead(total)
 
 
+def up_scale(p, c):
+    """c * p for a rational c."""
+    c = Fraction(c)
+    if not c:
+        return {}
+    return {e: c * v for e, v in p.items()}
+
+
 def _power_table(p, kmax):
     table = [{0: Fraction(1)}]
     for _ in range(kmax):
@@ -176,8 +184,8 @@ def monomial_order(c, a, b):
 
 
 def monomial_jet(c, a, b, w):
-    """Jet coordinates of x^a y^b over the window w (the oracle for
-    ``JetMatrix.rows``).
+    """Jet coordinates of x^a y^b over the window w (scaled by
+    ``reference_rows`` into the oracle for ``JetMatrix.rows``).
 
     For each branch i (in order) and each 0 <= k < w_i, the coefficient of
     tau^k in x_i(tau)^a * y_i(tau)^b, read from the untruncated product.
@@ -190,6 +198,18 @@ def monomial_jet(c, a, b, w):
             p = up_mul(p, factor)
         out.extend(p.get(k, 0) for k in range(wi))
     return out
+
+
+def reference_rows(M):
+    """Dx^a Dy^b times the jet of x^a y^b over the window, for every (a, b)
+    in ``M.monomials`` (the oracle for ``JetMatrix.rows``), where Dx and Dy
+    are the least common denominators of the x and of the y coefficients
+    over all branches of the curve."""
+    dx = lcm(*(v.denominator for b in M.curve.branches for v in b.x.values()))
+    dy = lcm(*(v.denominator for b in M.curve.branches for v in b.y.values()))
+    return [[dx ** a * dy ** b * x
+             for x in monomial_jet(M.curve, a, b, M.window)]
+            for a, b in M.monomials]
 
 
 def reference_monomials(M):
@@ -231,7 +251,7 @@ def _rank(mat) -> int:
         for idx in range(rank + 1, len(rows)):
             f = rows[idx][col]
             if f:
-                ratio = f / pval
+                ratio = Fraction(f) / pval
                 rows[idx] = [a - ratio * b for a, b in zip(rows[idx], prow)]
         rank += 1
         if rank == len(rows):

@@ -370,9 +370,7 @@ def test_fibers_window_agrees_with_the_plain_fibers(tmp_path, capsys, name):
     chi = {v: x for x, v in (line.split("\t") for line in plain)}
     for window in _windows(conductor):
         text = ",".join(str(w) for w in window)
-        # a window of ones leaves the box [0, -1] empty: one blank line
-        lines = [line for line in
-                 _run(["fibers", path, "--window", text], capsys) if line]
+        lines = _run(["fibers", path, "--window", text], capsys)
         if window == tuple(x + 2 for x in conductor):
             assert lines == plain
         points = [tuple(int(x) for x in line.split("\t")[1].split(","))
@@ -381,6 +379,19 @@ def test_fibers_window_agrees_with_the_plain_fibers(tmp_path, capsys, name):
                                        tuple(w - 2 for w in window)))
         for x, v in (line.split("\t") for line in lines):
             assert chi.get(v, x) == x, (text, v)
+
+
+@pytest.mark.parametrize("name, window", [("cusp", "1"), ("node", "1,1")])
+def test_fibers_window_of_ones_prints_nothing(tmp_path, capsys, name,
+                                              window):
+    # a window of ones leaves the box [0, -1] empty
+    path = _write(tmp_path, name + ".json", WINDOW_CURVES[name])
+    assert cli.main(["fibers", path, "--window", window]) == 0
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "fibers.txt"
+    assert cli.main(["fibers", path, "--window", window,
+                     "--out", str(out)]) == 0
+    assert out.read_text() == ""
 
 
 def test_resolve_emits_parseable_graph(tmp_path, capsys):

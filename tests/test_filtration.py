@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -28,9 +27,9 @@ from corpus import (
     make_rational_three_branches,
     make_tacnode,
     make_three_lines,
-    monomial_jet,
     reference_monomials,
     reference_ranks,
+    reference_rows,
     semigroup_closure,
     unit_vec,
 )
@@ -65,11 +64,8 @@ def test_jet_rows_are_the_monomial_jets(name):
     for M in (Analysis(c).jet, JetMatrix(c, (1,) * c.r),
               JetMatrix(c, (3, 7, 5, 4)[:c.r])):
         assert M.monomials == reference_monomials(M)
-        assert M.rows == [monomial_jet(c, a, b, M.window)
-                          for a, b in M.monomials]
-        # exact Fraction values, padded with int zeros
-        assert all(type(x) is (Fraction if x else int)
-                   for row in M.rows for x in row)
+        assert M.rows == reference_rows(M)
+        assert all(type(x) is int for row in M.rows for x in row)
 
 
 @pytest.mark.parametrize("name", sorted(JET_CURVES))

@@ -1,12 +1,13 @@
 """Property tests of the jet rows against the per-monomial jets, of the
 prefix-rank table against per-point elimination, of the difference sweeps
 against the per-point alternating sums, of the membership pass against
-per-point membership, and of the conductor rule of one-branch analyses
+per-point membership, of the conductor rule of one-branch analyses
 against a wide window and their Poincare series against the
-Eisenbud-Neumann product."""
+Eisenbud-Neumann product, and of every invariant against a rescaling of
+the coordinates."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -28,6 +29,10 @@ from curvealex.filtration import (  # noqa: E402
     members,
     pprime_coefficients,
 )
+from curvealex.resolution import (  # noqa: E402
+    _run_blowups,
+    noether_intersections,
+)
 from curvealex.semigroup import (  # noqa: E402
     minimal_generators,
     verify_semigroup_properties,
@@ -37,9 +42,10 @@ from corpus import (  # noqa: E402
     c_dim,
     fiber_euler,
     is_member,
-    monomial_jet,
+    make_rational_three_branches,
     reference_monomials,
     reference_ranks,
+    reference_rows,
 )
 
 COEFFS = st.builds(Fraction, st.integers(-3, 3).filter(bool),
@@ -74,8 +80,8 @@ def jet_matrices(draw):
 @given(jet_matrices())
 def test_jet_rows_match_the_monomial_jets(M):
     assert M.monomials == reference_monomials(M)
-    assert M.rows == [monomial_jet(M.curve, a, b, M.window)
-                      for a, b in M.monomials]
+    assert M.rows == reference_rows(M)
+    assert all(type(x) is int for row in M.rows for x in row)
 
 
 @settings(max_examples=100, deadline=None)
@@ -118,3 +124,52 @@ def test_conductor_rule_matches_a_wide_window(branch):
         [is_member(wide, (v,)) for v in range(top + 1)]
     assert minimal_generators(a) == verify_semigroup_properties(c).generators
     assert en_alexander(a.graph) == a.poincare
+
+
+SCALES = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                   st.integers(1, 6))
+
+
+def _scaled(c, lam, mu):
+    """The curve in the coordinates (lam x, mu y)."""
+    return Curve([({e: lam * v for e, v in b.x.items()},
+                   {e: mu * v for e, v in b.y.items()}) for b in c.branches])
+
+
+def _invariants(c):
+    a = Analysis(c)
+    return (en_alexander(a.graph), noether_intersections(c), a.conductor,
+            a.jet.ranks, a.poincare, a.fiber_series)
+
+
+def _check_scaling(c, lam, mu):
+    d = _scaled(c, lam, mu)
+    assert _invariants(d) == _invariants(c)
+    if lam > 0 and mu > 0:
+        # directions keep their signs, so siblings keep their order
+        assert _run_blowups(d, 64) == _run_blowups(c, 64)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(BRANCHES.filter(_not_an_axis_cover), min_size=1, max_size=3),
+       SCALES, SCALES)
+def test_invariants_do_not_see_a_rescaling(branches, lam, mu):
+    c = Curve(branches)
+    try:
+        conductor = Analysis(c).conductor
+    except BudgetExceededError:
+        # coincident branches, or a map of degree > 1 onto its image
+        with pytest.raises(BudgetExceededError):
+            _run_blowups(_scaled(c, lam, mu), 64)
+        return
+    # the rank table covers [0, conductor + 2]; a few thousand points keep
+    # the property fast
+    assume(prod(x + 3 for x in conductor) <= 4000)
+    _check_scaling(c, lam, mu)
+
+
+@pytest.mark.parametrize("lam, mu", [(12, 30), (Fraction(-2, 7),
+                                                Fraction(5, 3))])
+def test_rescaled_rational_curve_keeps_its_invariants(lam, mu):
+    # (12, 30) clears every denominator of the p/q curve
+    _check_scaling(make_rational_three_branches(), lam, mu)
