@@ -6,43 +6,44 @@ Everything reduces to exact ranks of one matrix per window: the rows are the
 jet coordinates of all monomials visible inside the window, each built from
 the previous row by one truncated product per branch, and the columns are
 (branch, order) pairs in branch-major order.  Since the columns "below v"
-form a per-branch prefix, dim J(v)/J(w) is a difference in one prefix-rank
-table, and all other dimensions are alternating sums of those.  Every read
-takes a whole table: the series by r difference sweeps (``_differences``),
-membership by one pass comparing each point with its r successors
-(``members``).
+form a per-branch prefix, h(v) = dim O/J(v) is the rank below v, and all
+other dimensions are alternating sums of that one prefix-rank table, kept
+as a flat list in lexicographic order.  Every read takes the whole table,
+axis by axis (``_along``): the series by r difference sweeps
+(``_differences``), membership by comparing each point with its r
+successors (``members``).
 
-One window per curve suffices: the conductor c.  The conductor ideal
-t^c * O-bar lies in the local ring, so v is a value iff min(v, c) is, and
-everything past the window is read at min(v, c) (``Analysis.is_member``).
+One window per curve suffices: the conductor c + 2.  The conductor ideal
+t^c * O-bar lies in the local ring, so past c the table is linear,
+h(v) = h(min(v, c)) + sum_i max(v_i - c_i, 0), and v is a value iff
+min(v, c) is.  An ``Analysis`` therefore sweeps only [0, c], certifies c
+from that table and the rank of the whole window, and fills the rest of
+[0, c + 2] by the rule.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
+from itertools import compress
 from math import gcd, prod
 
 from .curve import Curve, validate_curve
 from .exactmath import (
-    ExpVec,
     MultiPoly,
     iter_box,
     mp_exact_div,
     up_integral,
     up_mul_trunc,
-    vec_add,
     vec_clamp,
-    vec_leq,
 )
 from .resolution import DEFAULT_BUDGET, _noether_sums, _run_blowups
 
 
 class BoundaryNonzeroError(RuntimeError):
-    """Just past the conductor box the table contradicts the conductor: a
-    fiber Euler characteristic fails to vanish, or membership differs from
-    membership at min(v, c) (a wrong conductor or a bug in the rank
-    table)."""
+    """The rank table contradicts the conductor it was swept for: h(c) is
+    not sum(c) - delta, a step into c rises, or the rank of the whole window
+    is not the one the conductor rule predicts (a wrong conductor or a bug
+    in the rank table).  The message carries the numbers that decided it."""
 
     code = "BoundaryNonzero"
 
@@ -57,13 +58,16 @@ class JetMatrix:
     denominator of the x (y) coefficients over all branches, so every entry
     is an int; scaling a row changes the rank of no set of columns.  Each
     row is built from the one before it, times Dy y_i on each branch i
-    (times Dx x_i from (a - 1, 0) when b = 0), truncated at w_i.  ``ranks``
-    maps every v in the box [0, window] to the rank of the columns below v:
-    the table every formula shares, built once with the matrix.  An
-    ``Analysis`` builds one at the conductor + 2; other windows come only
-    from an explicit ``--window`` and verify's window-stability check.
-    That check passes a smaller ``box`` (inside the window): ``ranks`` then
-    covers only [0, box], the points whose c values that check compares.
+    (times Dx x_i from (a - 1, 0) when b = 0), truncated at w_i.
+
+    ``ranks`` lists, in lexicographic order of v, the rank of the columns
+    below every v in the box [0, box] (the whole window by default): the
+    table every formula shares, built once with the matrix.  ``rank`` is
+    the rank of all columns, h(window).  An ``Analysis`` sweeps the box
+    [0, c] of its window c + 2 and fills the rest of the table itself;
+    verify's window-stability check sweeps [0, c + 1] of a wider window,
+    the points whose c values it compares; ``fibers --window`` sweeps its
+    whole window.
     """
 
     def __init__(self, curve: Curve, window, box=None):
@@ -93,9 +97,18 @@ class JetMatrix:
                 b += 1
             xa = [up_mul_trunc(p, x, w) for p, x, w in zip(xa, xs, window)]
             a += 1
-        self.ranks = {}
-        _sweep(self.ranks, [], [_primitive(col) for col in zip(*self.rows)],
-               window, window if box is None else box)
+        columns = [_primitive(col) for col in zip(*self.rows)]
+        box = window if box is None else box
+        self.ranks, basis = [], []
+        _sweep(self.ranks, basis, columns, window, box)
+        # the basis holds the columns below the box's top corner; the rest
+        # of every branch completes the rank of the whole matrix
+        start = 0
+        for w, top in zip(window, box):
+            for col in columns[start + top:start + w]:
+                _add_column(basis, col)
+            start += w
+        self.rank = len(basis)
 
     @property
     def r(self) -> int:
@@ -108,20 +121,25 @@ def _primitive(vec) -> list:
     return [x // g for x in vec] if g > 1 else list(vec)
 
 
-def _sweep(ranks, basis, columns, window, box, v=()) -> None:
-    """Record the rank below every point of the box [0, box] that extends v:
-    add the next branch's columns (branch-major, first in ``columns``, each
-    branch ``window`` long) to the echelon basis one at a time, recurse, and
-    drop them again."""
-    if len(v) == len(window):
-        ranks[v] = len(basis)
+def _sweep(ranks, basis, columns, window, box, i=0) -> None:
+    """Append the rank below every point of the box [0, box] whose first i
+    coordinates the basis already holds, in lexicographic order: add the
+    next branch's columns (branch-major, first in ``columns``, each branch
+    ``window`` long) to the echelon basis one at a time, and recurse.  The
+    basis is left at the box's top corner."""
+    if i == len(window) - 1:
+        ranks.append(len(basis))
+        for col in columns[:box[i]]:
+            _add_column(basis, col)
+            ranks.append(len(basis))
         return
-    i, depth = len(v), len(basis)
+    rest = columns[window[i]:]
     for k in range(box[i] + 1):
         if k:
+            del basis[depth:]
             _add_column(basis, columns[k - 1])
-        _sweep(ranks, basis, columns[window[i]:], window, box, v + (k,))
-    del basis[depth:]
+        depth = len(basis)
+        _sweep(ranks, basis, rest, window, box, i + 1)
 
 
 def _add_column(basis, column) -> None:
@@ -144,20 +162,55 @@ def _add_column(basis, column) -> None:
         basis.append((next(j for j, x in enumerate(col) if x), col))
 
 
+# ---------------------------------------------------------------------------
+# whole-table reads: a table is a flat list of values on a box, in
+# lexicographic order, with ``shape`` points per axis
+# ---------------------------------------------------------------------------
+
+def _along(values, shape, i, f) -> list:
+    """The table rebuilt along axis i: f(block, step) maps each block of
+    values that share their coordinates before i (``shape[i]`` slices of
+    ``step`` values, one per coordinate i) to its new block."""
+    step = prod(shape[i + 1:])
+    block = shape[i] * step
+    out = []
+    for k in range(0, len(values), block):
+        out += f(values[k:k + block], step)
+    return out
+
+
 def _differences(values, shape) -> list:
     """g(v) = sum over the subsets I of the branches of (-1)^|I| f(v + 1_I),
-    for a table f given by its ``values`` on a box of ``shape`` points per
-    axis in lexicographic order; g comes back the same way, on the box one
-    point shorter on every axis.  r sweeps, the i-th taking f(v) - f(v + e_i)
-    (v + e_i lies ``step`` places after v)."""
+    for a table f of ``shape``; g comes back on the box one point shorter
+    on every axis.  r sweeps, the i-th taking f(v) - f(v + e_i)."""
     for i, n in enumerate(shape):
-        step = prod(shape[i + 1:])
-        block = n * step
-        values = [x - y for k in range(0, len(values), block)
-                  for x, y in zip(values[k:k + block - step],
-                                  values[k + step:k + block])]
+        values = _along(values, shape, i,
+                        lambda b, s: [x - y for x, y in zip(b, b[s:])])
         shape = shape[:i] + (n - 1,) + shape[i + 1:]
     return values
+
+
+def sub_box(values, top, lo, hi) -> list:
+    """The values on [lo, hi] of a table given on the box [0, top]."""
+    shape = tuple(t + 1 for t in top)
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        values = _along(values, shape, i,
+                        lambda blk, s: blk[a * s:(b + 1) * s])
+        shape = shape[:i] + (b - a + 1,) + shape[i + 1:]
+    return values
+
+
+def _fill(ranks, c, window) -> list:
+    """The table on [0, window] from the one on [0, c] by the conductor
+    rule h(v) = h(min(v, c)) + sum_i max(v_i - c_i, 0): along each axis,
+    the slice at c_i goes up by one per step past it."""
+    shape = [x + 1 for x in c]
+    for i in reversed(range(len(c))):
+        extra = range(1, window[i] - c[i] + 1)
+        ranks = _along(ranks, shape, i, lambda b, s: b + [
+            x + d for d in extra for x in b[-s:]])
+        shape[i] = window[i] + 1
+    return ranks
 
 
 def fiber_eulers(M: JetMatrix) -> dict:
@@ -165,40 +218,72 @@ def fiber_eulers(M: JetMatrix) -> dict:
     of [0, window - 1]: inclusion-exclusion over the 2^r coordinate
     subspaces gives the alternating sum of b(v + 1_I) = dim J(v + 1_I)/J(w)
     over the subsets I of the branches, read by difference sweeps over the
-    rank table (b = window rank - ranks, and the window rank cancels)."""
-    zero = (0,) * M.r
-    ranks = [M.ranks[v] for v in iter_box(zero, M.window)]
-    chi = _differences(ranks, tuple(w + 1 for w in M.window))
+    rank table (b = window rank - ranks, and the window rank cancels).
+    ``M.ranks`` must cover the whole window."""
+    chi = _differences(M.ranks, tuple(w + 1 for w in M.window))
     return {v: -x for v, x in
-            zip(iter_box(zero, tuple(w - 1 for w in M.window)), chi)}
+            zip(iter_box((0,) * M.r, tuple(w - 1 for w in M.window)), chi)}
 
 
 def pprime_coefficients(M: JetMatrix) -> dict:
     """The alternating sum of c(v - 1 + 1_I) over the subsets I of the
     branches at every point v of [0, window - 1], by difference sweeps over
     the table c(u) = ranks[u + 1] - ranks[max(u, 0)] on [-1, window - 1]
-    (c(u) = dim J(u)/J(u + 1), where a condition u_i < 0 is vacuous)."""
-    zero = (0,) * M.r
-    # in lexicographic order of u, u + 1 runs over [0, window] and
-    # max(u, 0) over the product of the clamped axes 0, 0, 1, ..., w - 1
-    c = [M.ranks[up] - M.ranks[lo] for up, lo in
-         zip(iter_box(zero, M.window),
-             product(*([0, *range(w)] for w in M.window)))]
-    coeffs = _differences(c, tuple(w + 1 for w in M.window))
-    return dict(zip(iter_box(zero, tuple(w - 1 for w in M.window)), coeffs))
+    (c(u) = dim J(u)/J(u + 1), where a condition u_i < 0 is vacuous).
+    ``M.ranks`` must cover the whole window."""
+    shape = tuple(w + 1 for w in M.window)
+    # in lexicographic order of u, u + 1 runs over [0, window], and
+    # max(u, 0) over the axes 0, 0, 1, ..., w - 1: each axis repeats its
+    # first slice and drops its last
+    lower = M.ranks
+    for i in range(M.r):
+        lower = _along(lower, shape, i, lambda b, s: b[:s] + b[:-s])
+    coeffs = _differences([x - y for x, y in zip(M.ranks, lower)], shape)
+    return dict(zip(iter_box((0,) * M.r, tuple(w - 1 for w in M.window)),
+                    coeffs))
 
 
 def members(M: JetMatrix) -> set:
-    """The values in [0, window - 1], in one pass over the rank table: some
-    germ takes the exact valuation vector v with every leading coefficient
+    """The values in [0, window - 1], read from the rank table axis by
+    axis: some germ takes the exact valuation vector v with every leading coefficient
     nonzero iff each singleton constraint drops the dimension, that is
     ranks[v + e_i] > ranks[v] for every branch i (over an infinite field a
     space is never a finite union of proper subspaces).  One such rise also
-    makes J(v) nonzero."""
-    ranks, zero = M.ranks, (0,) * M.r
-    return {v for v in iter_box(zero, tuple(w - 1 for w in M.window))
-            if all(ranks[v[:i] + (x + 1,) + v[i + 1:]] > ranks[v]
-                   for i, x in enumerate(v))}
+    makes J(v) nonzero.  ``M.ranks`` must cover the whole window."""
+    shape = tuple(w + 1 for w in M.window)
+    # the rise along each axis, zero on its top face v_i = w_i
+    rises = [_along(M.ranks, shape, i, lambda b, s: [
+        y - x for x, y in zip(b, b[s:])] + [0] * s) for i in range(M.r)]
+    return set(compress(iter_box((0,) * M.r, M.window),
+                        map(all, zip(*rises))))
+
+
+def _certify(M: JetMatrix, c, delta) -> None:
+    """Raise BoundaryNonzeroError unless c is the conductor, read from the
+    table h on [0, c] and the rank of the whole window.  h(v) >= sum(v) -
+    delta, with equality iff t^v O-bar lies in O, i.e. iff v >= the
+    conductor.  So h(c) = sum(c) - delta proves c >= the conductor;
+    h(c - e_i) = h(c) for every i with c_i > 0 proves it minimal; and
+    h(window) = h(c) + sum(window - c) catches a c and a delta that are
+    wrong together."""
+    h, floor = M.ranks[-1], sum(c) - delta
+    if h != floor:
+        raise BoundaryNonzeroError(
+            "h(c) = %d at the conductor c = %r, not sum(c) - delta = %s"
+            % (h, c, floor))
+    # c - e_i lies prod(c[i + 1:] + 1) places before c
+    below = [(i + 1, M.ranks[-1 - prod(x + 1 for x in c[i + 1:])])
+             for i, ci in enumerate(c) if ci]
+    rose = [(i, x) for i, x in below if x != h]
+    if rose:
+        raise BoundaryNonzeroError(
+            "h(c) = %d at the conductor c = %r rises from (i, h(c - e_i)) "
+            "= %r" % (h, c, rose))
+    expected = h + sum(w - x for w, x in zip(M.window, c))
+    if M.rank != expected:
+        raise BoundaryNonzeroError(
+            "the window %r has rank %d, not h(c) + %d = %d at the conductor "
+            "c = %r" % (M.window, M.rank, expected - h, expected, c))
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +293,17 @@ def members(M: JetMatrix) -> set:
 class Analysis:
     """Everything the series pipelines read about one curve, computed once.
 
-    One run of the blow-up engine gives the resolution graph and the
+    One run of the blow-up engine gives the resolution graph, the delta
+    invariant delta = sum_i delta_i + sum_{i<j} (C_i . C_j) and the
     conductor of the semigroup of values by Delgado's formula
     c_i = 2 delta_i + sum_{j != i} (C_i . C_j) (Delgado de la Mata,
     Manuscripta Math. 59, 1987).  One jet matrix, built on first use at the
-    window conductor + 2, covers every point the series evaluate; reads past
-    it go through ``is_member``, which looks up ``members`` of the matrix
-    by the conductor rule.  One-branch series are truncated at ``bound``
-    (default 2c + 2; r > 1 ignores it), which does not size the matrix.
+    window c + 2, is swept only on [0, c]; the conductor is certified from
+    that table (``_certify``) and the table filled on [0, c + 2] by the
+    conductor rule before anything reads it.  Reads past the window go
+    through ``is_member``, at min(v, c).  One-branch series are truncated
+    at ``bound`` (default 2c + 2; r > 1 ignores it), which does not size
+    the matrix.
     """
 
     def __init__(self, curve: Curve, bound: int | None = None,
@@ -225,6 +313,9 @@ class Analysis:
         own, table = _noether_sums(centers, curve.r)
         self.conductor = tuple(o + sum(x for x in row if x)
                                for o, row in zip(own, table))
+        # own holds 2 delta_i; the table is symmetric
+        self.delta = sum(own) // 2 + sum(row[j] for i, row in
+                                         enumerate(table) for j in range(i))
         if curve.r > 1:
             bound = None
         elif bound is None:
@@ -233,63 +324,41 @@ class Analysis:
 
     @cached_property
     def jet(self) -> JetMatrix:
-        return JetMatrix(self.curve, tuple(x + 2 for x in self.conductor))
+        """The jet matrix at the window c + 2, its conductor certified and
+        its table filled on the whole window."""
+        c = self.conductor
+        if min(c) < 0:
+            raise BoundaryNonzeroError(
+                "the conductor c = %r has a negative entry" % (c,))
+        M = JetMatrix(self.curve, tuple(x + 2 for x in c), box=c)
+        _certify(M, c, self.delta)
+        M.ranks = _fill(M.ranks, c, M.window)
+        return M
 
     @cached_property
     def _members(self) -> set:
         return members(self.jet)
 
-    @cached_property
-    def _checked_conductor(self) -> ExpVec:
-        """The conductor c, once the table agrees with the rule that v is a
-        value iff min(v, c) is: c is a value, and so is a point of the shell
-        [0, c + 1] outside [0, c] iff its clamp into [0, c] is."""
-        c, r, values = self.conductor, self.curve.r, self._members
-        top = vec_add(c, (1,) * r)
-        bad = [] if c in values else [c]
-        bad += [v for v in iter_box((0,) * r, top) if not vec_leq(v, c)
-                and (v in values) != (vec_clamp(v, c) in values)]
-        if bad:
-            raise BoundaryNonzeroError(
-                "membership does not follow the conductor %r on the shell "
-                "[0, %r] outside [0, %r]: %r" % (c, top, c, bad))
-        return c
-
     def is_member(self, v) -> bool:
-        """Whether v >= 0 is a value, read at min(v, c); the first call
-        checks the conductor rule on the shell just past the box."""
-        return vec_clamp(v, self._checked_conductor) in self._members
+        """Whether v >= 0 is a value, read at min(v, c)."""
+        return vec_clamp(v, self.conductor) in self._members
 
     @cached_property
     def fiber_series(self) -> MultiPoly:
         """Sum of fiber Euler characteristics: chi of the projectivized
         extended semigroup, graded by valuation.
 
-        For r > 1 this is a polynomial supported in [0, conductor]; the
-        shell just outside that box must vanish (BoundaryNonzeroError
-        otherwise).  For r = 1 it is an honest infinite series, truncated
-        at ``bound``.
+        For r > 1 this is a polynomial supported in [0, conductor]: past c
+        the filled table is linear, so chi vanishes there.  For r = 1 it is
+        an honest infinite series, truncated at ``bound``.
         """
         chi = fiber_eulers(self.jet)
         if self.curve.r == 1:
             # chi(v) = chi(min(v, c)) by the conductor rule
-            c = self._checked_conductor[0]
+            c = self.conductor[0]
             return {(v,): x for v in range(self.bound + 1)
                     if (x := chi[(min(v, c),)])}
-        # chi covers [0, window - 1] = [0, conductor + 1]
-        out, bad = {}, []
-        for v, x in chi.items():
-            if not x:
-                continue
-            if vec_leq(v, self.conductor):
-                out[v] = x
-            else:
-                bad.append(v)
-        if bad:
-            raise BoundaryNonzeroError(
-                "nonzero fiber Euler characteristic outside the conductor "
-                "box [0, %r]: %r" % (self.conductor, bad))
-        return out
+        return {v: x for v, x in chi.items() if x}
 
     @cached_property
     def pprime(self) -> MultiPoly:

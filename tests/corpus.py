@@ -221,14 +221,18 @@ def reference_monomials(M):
                    zip(monomial_order(M.curve, a, b), M.window))]
 
 
-def reference_ranks(M):
-    """The rank of the columns of M below v for every v in the window box,
-    each by Gaussian elimination over the rationals on a fresh submatrix
-    (the oracle for ``M.ranks``)."""
+def reference_rank(M, v) -> int:
+    """The rank of the columns of M below v, by Gaussian elimination over
+    the rationals on a fresh submatrix."""
     offsets = [sum(M.window[:i]) for i in range(M.r)]
-    return {v: _rank([[row[o + k] for o, vi in zip(offsets, v)
-                       for k in range(vi)] for row in M.rows])
-            for v in iter_box((0,) * M.r, M.window)}
+    return _rank([[row[o + k] for o, vi in zip(offsets, v)
+                   for k in range(vi)] for row in M.rows])
+
+
+def reference_ranks(M):
+    """``reference_rank`` at every v of the window box, in lexicographic
+    order (the oracle for ``M.ranks``)."""
+    return [reference_rank(M, v) for v in iter_box((0,) * M.r, M.window)]
 
 
 def _rank(mat) -> int:
@@ -266,12 +270,14 @@ def unit_vec(r, members):
 
 
 def b_dim(M, v) -> int:
-    """dim J(v)/J(w): window rank minus the rank of the columns below v.
+    """dim J(v)/J(w): window rank minus the rank of the columns below v,
+    read from the flat table at index sum_i v_i prod_{j > i} (w_j + 1).
     Components of v are clamped into [0, w_i] (conditions with v_i <= 0 are
     vacuous; nothing exists above the window)."""
-    v = tuple(v)
-    inside = v if v in M.ranks else vec_clamp(v, M.window)
-    return M.ranks[M.window] - M.ranks[inside]
+    index = 0
+    for x, w in zip(vec_clamp(tuple(v), M.window), M.window):
+        index = index * (w + 1) + x
+    return M.rank - M.ranks[index]
 
 
 def c_dim(M, v) -> int:

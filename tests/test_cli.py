@@ -207,10 +207,24 @@ def test_verify_tacnode_all_pass(tmp_path, capsys, calls):
     # one analysis, plus the forced extra blow-ups and the wider window
     assert calls["engine"] <= 2
     assert calls["jet"] == 2
-    # the conductor is (2, 2): the analysis table covers [0, c + 2], the
-    # wider window's only [0, c + 1], the points its check reads
+    # the conductor is (2, 2): the analysis sweeps [0, c] of its window
+    # c + 2, the wider window only [0, c + 1], the points its check reads
     assert calls["windows"] == [(4, 4), (6, 6)]
-    assert calls["sizes"] == [5 * 5, 4 * 4]
+    assert calls["sizes"] == [3 * 3, 4 * 4]
+
+
+def test_verify_five_transverse_lines_all_pass(tmp_path, capsys, calls):
+    lines = {"branches": [{"x": [[1, "1"]], "y": [[1, str(a)]] if a else []}
+                          for a in range(4)] + [{"x": [], "y": [[1, "1"]]}]}
+    path = _write(tmp_path, "five-lines.json", lines)
+    assert cli.main(["verify", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 6
+    assert all(line.startswith("PASS ") for line in out)
+    # the conductor is (4, 4, 4, 4, 4): the analysis sweeps [0, c], the
+    # wider window [0, c + 1]
+    assert calls["windows"] == [(6,) * 5, (8,) * 5]
+    assert calls["sizes"] == [5 ** 5, 6 ** 5]
 
 
 def test_verify_fails_when_the_wider_window_moves_c(tmp_path, capsys,
@@ -218,8 +232,9 @@ def test_verify_fails_when_the_wider_window_moves_c(tmp_path, capsys,
     class Moved(JetMatrix):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            # c(v) = ranks[v + 1] - ranks[v]: this moves c at (2, 2) only
-            self.ranks[(3, 3)] += 1
+            # c(v) = ranks[v + 1] - ranks[v]: this moves c at (2, 2) only,
+            # read at (3, 3) in the table on [0, (3, 3)]
+            self.ranks[3 * 4 + 3] += 1
 
     monkeypatch.setattr(cli, "JetMatrix", Moved)
     path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
@@ -283,9 +298,10 @@ def test_one_branch_command_analyses_once(tmp_path, capsys, calls, argv,
                                           engine, jet):
     path = _write(tmp_path, "cusp.json", CUSP_JSON)
     assert cli.main(argv[:1] + [path] + argv[1:]) == 0
-    # the cusp's conductor is 2: one window of conductor + 2
+    # the cusp's conductor is 2: one window of conductor + 2, swept on
+    # [0, 2]
     assert calls == {"engine": engine, "jet": jet, "windows": [(4,)] * jet,
-                     "sizes": [5] * jet}
+                     "sizes": [3] * jet}
 
 
 def test_bound_truncates_without_sizing_the_window(tmp_path, capsys, calls):

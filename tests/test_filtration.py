@@ -1,7 +1,10 @@
+import copy
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from curvealex import Curve
 from curvealex.exactmath import iter_box, mp_mul, vec_add, vec_leq
 from curvealex.filtration import (
     Analysis,
@@ -28,6 +31,7 @@ from corpus import (
     make_tacnode,
     make_three_lines,
     reference_monomials,
+    reference_rank,
     reference_ranks,
     reference_rows,
     semigroup_closure,
@@ -293,17 +297,36 @@ def test_fiber_euler_vanishes_at_and_past_the_conductor(name):
         assert fiber_euler(M, v) == 0
 
 
+def _lowered_message(a, k):
+    """The certificate's message once a's conductor is k too small in every
+    branch: h(c) exceeds sum(c) - delta, h read by fresh elimination."""
+    c = tuple(x - k for x in a.conductor)
+    if min(c) < 0:
+        return "the conductor c = %r has a negative entry" % (c,)
+    h = reference_rank(JetMatrix(a.curve, vec_add(c, (2,) * a.curve.r)), c)
+    return ("h(c) = %d at the conductor c = %r, not sum(c) - delta = %d"
+            % (h, c, sum(c) - a.delta))
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS_MULTI))
 def test_wrong_conductor_trips_the_boundary_guard(name):
     a = Analysis(CORPUS_MULTI[name]())
-    # Delta has multidegree conductor - 1, so the shell just past the box
-    # sees its top term only once the conductor is two too small
+    message = _lowered_message(a, 2)
     a.conductor = tuple(x - 2 for x in a.conductor)
     with pytest.raises(BoundaryNonzeroError) as info:
         a.fiber_series
-    message = str(info.value)
-    assert repr(a.conductor) in message
-    assert repr(vec_add(a.conductor, (1,) * a.curve.r)) in message
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_MULTI))
+@pytest.mark.parametrize("series", ["fiber_series", "pprime", "poincare"])
+def test_conductor_one_too_small_trips_every_series(name, series):
+    # Delta has multidegree c - 1, so no series read past a conductor one
+    # too small in every branch can see it; the certificate does
+    a = Analysis(CORPUS_MULTI[name]())
+    a.conductor = tuple(x - 1 for x in a.conductor)
+    with pytest.raises(BoundaryNonzeroError):
+        getattr(a, series)
 
 
 def _wide_reference(a):
@@ -326,24 +349,101 @@ def test_conductor_rule_matches_a_wide_window(name):
 @pytest.mark.parametrize("name", sorted(RANK_CURVES))
 def test_conductor_one_too_small_trips_the_rule_guard(name):
     a = Analysis(RANK_CURVES[name]())
+    message = _lowered_message(a, 1)
     a.conductor = tuple(x - 1 for x in a.conductor)
     with pytest.raises(BoundaryNonzeroError) as info:
         a.is_member((0,) * a.curve.r)
-    message = str(info.value)
-    assert repr(a.conductor) in message
-    assert repr(vec_add(a.conductor, (1,) * a.curve.r)) in message
+    assert str(info.value) == message
 
 
-@pytest.mark.parametrize("make,wrong,points", [
-    # node values: (0, 0) and every v >= (1, 1); (1, 0) is no value, and
-    # on the shell (0, 1), (1, 1) and (2, 1) differ from their clamps
-    (make_node, (1, 0), [(1, 0), (0, 1), (1, 1), (2, 1)]),
-    # <4, 6, 13>: 2 and 3 are both gaps, so only the value test at c sees it
-    (make_quartic_branch, (2,), [(2,)]),
-])
-def test_rule_guard_names_every_disagreeing_point(make, wrong, points):
+@pytest.mark.parametrize("make,wrong,delta,message", [
+    # node: delta 1, h(1, 0) = 1 since (1, 0) is no value
+    (make_node, (1, 0), None,
+     "h(c) = 1 at the conductor c = (1, 0), not sum(c) - delta = 0"),
+    # <4, 6, 13>: delta 8, and only 0 lies below 2
+    (make_quartic_branch, (2,), None,
+     "h(c) = 1 at the conductor c = (2,), not sum(c) - delta = -6"),
+    # node: (2, 1) passes the first check, but its first step rises
+    (make_node, (2, 1), None,
+     "h(c) = 2 at the conductor c = (2, 1) rises from (i, h(c - e_i)) = "
+     "[(1, 1)]"),
+    # the tacnode read as a node: only the window's rank tells them apart
+    (make_tacnode, (1, 1), 1,
+     "the window (3, 3) has rank 4, not h(c) + 4 = 5 at the conductor "
+     "c = (1, 1)"),
+], ids=["low-node", "low-quartic", "high-node", "tacnode-as-node"])
+def test_certificate_names_the_numbers_that_decided_it(make, wrong, delta,
+                                                       message):
     a = Analysis(make())
     a.conductor = wrong
+    if delta is not None:
+        a.delta = delta
     with pytest.raises(BoundaryNonzeroError) as info:
         a.is_member(wrong)
-    assert str(info.value).endswith(": %r" % (points,))
+    assert str(info.value) == message
+
+
+BATTERY_CURVES = dict(RANK_CURVES, **{
+    "torus-pair": lambda: Curve([({3: 1}, {5: 1}), ({2: 1}, {3: 1})]),
+    "a6": lambda: Curve([({2: 1}, {7: 1})]),
+    "cusp-pair-contact-7": lambda: Curve([({2: 1}, {3: 1}),
+                                          ({2: 1}, {3: 1, 4: 1})]),
+    "pencil-3-contact-2": lambda: Curve([({1: 1}, {2: a})
+                                         for a in (-1, 2, 3)]),
+})
+
+
+def _shifts(c, ks):
+    """c + k e_i for each branch i, and c + k (1, ..., 1), for each k in ks
+    that leaves every entry nonnegative."""
+    r = len(c)
+    units = [unit_vec(r, [i]) for i in range(1, r + 1)] + [(1,) * r]
+    return [v for k in ks for e in units
+            if min(v := tuple(x + k * y for x, y in zip(c, e))) >= 0]
+
+
+def _certificate_message(a):
+    """The message the certificate must give for a's conductor and delta,
+    read from an honest sweep of the whole window c + 2; None if every
+    check holds."""
+    c, r = a.conductor, a.curve.r
+    M = JetMatrix(a.curve, vec_add(c, (2,) * r))
+
+    def h(v):
+        return M.rank - b_dim(M, v)
+
+    if h(c) != sum(c) - a.delta:
+        return ("h(c) = %d at the conductor c = %r, not sum(c) - delta = %s"
+                % (h(c), c, sum(c) - a.delta))
+    below = [(i, h(tuple(x - y for x, y in zip(c, unit_vec(r, [i])))))
+             for i in range(1, r + 1) if c[i - 1]]
+    rose = [(i, x) for i, x in below if x != h(c)]
+    if rose:
+        return ("h(c) = %d at the conductor c = %r rises from "
+                "(i, h(c - e_i)) = %r" % (h(c), c, rose))
+    if M.rank != h(c) + 2 * r:
+        return ("the window %r has rank %d, not h(c) + %d = %d at the "
+                "conductor c = %r" % (M.window, M.rank, 2 * r, h(c) + 2 * r,
+                                      c))
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY_CURVES))
+def test_certificate_rejects_every_wrong_conductor(name):
+    # wrong conductors keep the true delta; consistent corruptions move
+    # delta with them, to sum(c) / 2, as the true pair satisfies
+    true = Analysis(BATTERY_CURVES[name]())
+    cases = [(c, true.delta) for c in _shifts(true.conductor,
+                                             [-5, -4, -3, -2, -1, 1, 2])]
+    cases += [(c, Fraction(sum(c), 2)) for c in sorted(
+        {(0,) * true.curve.r, *_shifts(true.conductor, [-3, -2, -1, 1, 2, 3])})
+        if c != true.conductor]
+    assert cases
+    for conductor, delta in cases:
+        a = copy.copy(true)
+        a.conductor, a.delta = conductor, delta
+        message = _certificate_message(a)
+        assert message is not None, (conductor, delta)
+        with pytest.raises(BoundaryNonzeroError) as info:
+            a.fiber_series
+        assert str(info.value) == message

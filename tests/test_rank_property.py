@@ -3,8 +3,9 @@ prefix-rank table against per-point elimination, of the difference sweeps
 against the per-point alternating sums, of the membership pass against
 per-point membership, of the conductor rule of one-branch analyses
 against a wide window and their Poincare series against the
-Eisenbud-Neumann product, and of every invariant against a rescaling of
-the coordinates."""
+Eisenbud-Neumann product, of the analysis's rule-filled rank table against
+an honest sweep, and of every invariant against a rescaling of the
+coordinates."""
 
 from fractions import Fraction
 from math import gcd, prod
@@ -88,6 +89,7 @@ def test_jet_rows_match_the_monomial_jets(M):
 @given(jet_matrices())
 def test_rank_table_matches_per_point_elimination(M):
     assert M.ranks == reference_ranks(M)
+    assert M.rank == M.ranks[-1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -126,6 +128,21 @@ def test_conductor_rule_matches_a_wide_window(branch):
     assert en_alexander(a.graph) == a.poincare
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(BRANCHES.filter(_not_an_axis_cover), min_size=1, max_size=3))
+def test_filled_table_matches_the_honest_sweep(branches):
+    c = Curve(branches)
+    try:
+        a = Analysis(c)
+    except BudgetExceededError:
+        # coincident branches, or a map of degree > 1 onto its image
+        assume(False)
+    assume(prod(x + 3 for x in a.conductor) <= 4000)
+    honest = JetMatrix(c, a.jet.window)
+    assert a.jet.ranks == honest.ranks
+    assert a.jet.rank == honest.rank == honest.ranks[-1]
+
+
 SCALES = st.builds(Fraction, st.integers(-5, 5).filter(bool),
                    st.integers(1, 6))
 
@@ -162,8 +179,9 @@ def test_invariants_do_not_see_a_rescaling(branches, lam, mu):
         with pytest.raises(BudgetExceededError):
             _run_blowups(_scaled(c, lam, mu), 64)
         return
-    # the rank table covers [0, conductor + 2]; a few thousand points keep
-    # the property fast
+    # the analysis sweeps its rank table on [0, conductor] and fills it by
+    # the conductor rule to [0, conductor + 2]; a few thousand points there
+    # keep the property fast
     assume(prod(x + 3 for x in conductor) <= 4000)
     _check_scaling(c, lam, mu)
 
