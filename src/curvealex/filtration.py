@@ -2,23 +2,23 @@
 their prefix-rank tables, and the membership, fiber Euler characteristics
 and series read from them.
 
-Everything reduces to exact ranks of one matrix per window: the rows are the
+Everything reduces to exact ranks of one matrix per curve: the rows are the
 jet coordinates of all monomials visible inside the window, each built from
 the previous row by one truncated product per branch, and the columns are
 (branch, order) pairs in branch-major order.  Since the columns "below v"
 form a per-branch prefix, h(v) = dim O/J(v) is the rank below v, and all
 other dimensions are alternating sums of that one prefix-rank table, kept
-as a flat list in lexicographic order.  Every read takes the whole table,
-axis by axis (``_along``): the series by r difference sweeps
-(``_differences``), membership by comparing each point with its r
-successors (``members``).
+as a flat list in lexicographic order.  Every read takes a table on a whole
+window and the window, axis by axis (``_along``): the series by r
+difference sweeps (``_differences``), membership by comparing each point
+with its r successors (``members``).
 
 One window per curve suffices: the conductor c + 2.  The conductor ideal
 t^c * O-bar lies in the local ring, so past c the table is linear,
 h(v) = h(min(v, c)) + sum_i max(v_i - c_i, 0), and v is a value iff
-min(v, c) is.  An ``Analysis`` therefore sweeps only [0, c], certifies c
-from that table and the rank of the whole window, and fills the rest of
-[0, c + 2] by the rule.
+min(v, c) is.  An ``Analysis`` therefore sweeps its matrix only on [0, c],
+certifies c from that table and the rank of the whole window, and fills
+the rest of [0, c + 2] by the rule; an honest check re-sweeps the matrix.
 """
 
 from __future__ import annotations
@@ -59,18 +59,11 @@ class JetMatrix:
     is an int; scaling a row changes the rank of no set of columns.  Each
     row is built from the one before it, times Dy y_i on each branch i
     (times Dx x_i from (a - 1, 0) when b = 0), truncated at w_i.
-
-    ``ranks`` lists, in lexicographic order of v, the rank of the columns
-    below every v in the box [0, box] (the whole window by default): the
-    table every formula shares, built once with the matrix.  ``rank`` is
-    the rank of all columns, h(window).  An ``Analysis`` sweeps the box
-    [0, c] of its window c + 2 and fills the rest of the table itself;
-    verify's window-stability check sweeps [0, c + 1] of a wider window,
-    the points whose c values it compares; ``fibers --window`` sweeps its
-    whole window.
+    ``columns`` are the columns divided by their content, in branch-major
+    order, and ``sweep`` reads every rank from them.
     """
 
-    def __init__(self, curve: Curve, window, box=None):
+    def __init__(self, curve: Curve, window):
         validate_curve(curve)
         window = tuple(int(x) for x in window)
         if len(window) != curve.r or any(w < 1 for w in window):
@@ -97,22 +90,20 @@ class JetMatrix:
                 b += 1
             xa = [up_mul_trunc(p, x, w) for p, x, w in zip(xa, xs, window)]
             a += 1
-        columns = [_primitive(col) for col in zip(*self.rows)]
-        box = window if box is None else box
-        self.ranks, basis = [], []
-        _sweep(self.ranks, basis, columns, window, box)
-        # the basis holds the columns below the box's top corner; the rest
-        # of every branch completes the rank of the whole matrix
+        self.columns = [_primitive(col) for col in zip(*self.rows)]
+
+    def sweep(self, box) -> tuple:
+        """The ranks of the columns below every v of [0, box] inside the
+        window, in lexicographic order of v, and h(window): one pass, the
+        basis left at the box's top corner completed by every branch's rest."""
+        ranks, basis = [], []
+        _sweep(ranks, basis, self.columns, self.window, box)
         start = 0
-        for w, top in zip(window, box):
-            for col in columns[start + top:start + w]:
+        for w, top in zip(self.window, box):
+            for col in self.columns[start + top:start + w]:
                 _add_column(basis, col)
             start += w
-        self.rank = len(basis)
-
-    @property
-    def r(self) -> int:
-        return self.curve.r
+        return ranks, len(basis)
 
 
 def _primitive(vec) -> list:
@@ -190,13 +181,12 @@ def _differences(values, shape) -> list:
     return values
 
 
-def sub_box(values, top, lo, hi) -> list:
-    """The values on [lo, hi] of a table given on the box [0, top]."""
-    shape = tuple(t + 1 for t in top)
-    for i, (a, b) in enumerate(zip(lo, hi)):
-        values = _along(values, shape, i,
-                        lambda blk, s: blk[a * s:(b + 1) * s])
-        shape = shape[:i] + (b - a + 1,) + shape[i + 1:]
+def sub_box(values, window, top) -> list:
+    """The values on [0, top] of a table given on the box [0, window]."""
+    shape = [w + 1 for w in window]
+    for i, t in enumerate(top):
+        values = _along(values, shape, i, lambda b, s: b[:(t + 1) * s])
+        shape[i] = t + 1
     return values
 
 
@@ -213,66 +203,67 @@ def _fill(ranks, c, window) -> list:
     return ranks
 
 
-def fiber_eulers(M: JetMatrix) -> dict:
+def fiber_eulers(ranks, window) -> dict:
     """The Euler characteristic of the projectivized fiber over every point v
-    of [0, window - 1]: inclusion-exclusion over the 2^r coordinate
-    subspaces gives the alternating sum of b(v + 1_I) = dim J(v + 1_I)/J(w)
-    over the subsets I of the branches, read by difference sweeps over the
-    rank table (b = window rank - ranks, and the window rank cancels).
-    ``M.ranks`` must cover the whole window."""
-    chi = _differences(M.ranks, tuple(w + 1 for w in M.window))
-    return {v: -x for v, x in
-            zip(iter_box((0,) * M.r, tuple(w - 1 for w in M.window)), chi)}
+    of [0, window - 1], from the rank table on the whole box [0, window]:
+    inclusion-exclusion over the 2^r coordinate subspaces gives the
+    alternating sum of b(v + 1_I) = dim J(v + 1_I)/J(w) over the subsets I
+    of the branches, read by difference sweeps over the rank table
+    (b = window rank - ranks, and the window rank cancels)."""
+    chi = _differences(ranks, tuple(w + 1 for w in window))
+    box = iter_box((0,) * len(window), tuple(w - 1 for w in window))
+    return {v: -x for v, x in zip(box, chi)}
 
 
-def pprime_coefficients(M: JetMatrix) -> dict:
+def pprime_coefficients(ranks, window) -> dict:
     """The alternating sum of c(v - 1 + 1_I) over the subsets I of the
-    branches at every point v of [0, window - 1], by difference sweeps over
-    the table c(u) = ranks[u + 1] - ranks[max(u, 0)] on [-1, window - 1]
-    (c(u) = dim J(u)/J(u + 1), where a condition u_i < 0 is vacuous).
-    ``M.ranks`` must cover the whole window."""
-    shape = tuple(w + 1 for w in M.window)
+    branches at every point v of [0, window - 1], from the rank table on
+    the whole box [0, window], by difference sweeps over the table
+    c(u) = ranks[u + 1] - ranks[max(u, 0)] on [-1, window - 1]
+    (c(u) = dim J(u)/J(u + 1), where a condition u_i < 0 is vacuous)."""
+    shape = tuple(w + 1 for w in window)
     # in lexicographic order of u, u + 1 runs over [0, window], and
     # max(u, 0) over the axes 0, 0, 1, ..., w - 1: each axis repeats its
     # first slice and drops its last
-    lower = M.ranks
-    for i in range(M.r):
+    lower = ranks
+    for i in range(len(window)):
         lower = _along(lower, shape, i, lambda b, s: b[:s] + b[:-s])
-    coeffs = _differences([x - y for x, y in zip(M.ranks, lower)], shape)
-    return dict(zip(iter_box((0,) * M.r, tuple(w - 1 for w in M.window)),
-                    coeffs))
+    coeffs = _differences([x - y for x, y in zip(ranks, lower)], shape)
+    return dict(zip(iter_box((0,) * len(window),
+                             tuple(w - 1 for w in window)), coeffs))
 
 
-def members(M: JetMatrix) -> set:
-    """The values in [0, window - 1], read from the rank table axis by
-    axis: some germ takes the exact valuation vector v with every leading coefficient
-    nonzero iff each singleton constraint drops the dimension, that is
-    ranks[v + e_i] > ranks[v] for every branch i (over an infinite field a
-    space is never a finite union of proper subspaces).  One such rise also
-    makes J(v) nonzero.  ``M.ranks`` must cover the whole window."""
-    shape = tuple(w + 1 for w in M.window)
+def members(ranks, window) -> set:
+    """The values in [0, window - 1], read axis by axis from the rank table
+    on the whole box [0, window]: some germ takes the exact valuation
+    vector v with every leading coefficient nonzero iff each singleton
+    constraint drops the dimension, that is ranks[v + e_i] > ranks[v] for
+    every branch i (over an infinite field a space is never a finite union
+    of proper subspaces).  One such rise also makes J(v) nonzero."""
+    shape = tuple(w + 1 for w in window)
     # the rise along each axis, zero on its top face v_i = w_i
-    rises = [_along(M.ranks, shape, i, lambda b, s: [
-        y - x for x, y in zip(b, b[s:])] + [0] * s) for i in range(M.r)]
-    return set(compress(iter_box((0,) * M.r, M.window),
+    rises = [_along(ranks, shape, i, lambda b, s: [y - x for x, y in zip(
+        b, b[s:])] + [0] * s) for i in range(len(window))]
+    return set(compress(iter_box((0,) * len(window), window),
                         map(all, zip(*rises))))
 
 
-def _certify(M: JetMatrix, c, delta) -> None:
-    """Raise BoundaryNonzeroError unless c is the conductor, read from the
-    table h on [0, c] and the rank of the whole window.  h(v) >= sum(v) -
-    delta, with equality iff t^v O-bar lies in O, i.e. iff v >= the
-    conductor.  So h(c) = sum(c) - delta proves c >= the conductor;
-    h(c - e_i) = h(c) for every i with c_i > 0 proves it minimal; and
-    h(window) = h(c) + sum(window - c) catches a c and a delta that are
-    wrong together."""
-    h, floor = M.ranks[-1], sum(c) - delta
+def _certified(M: JetMatrix, c, delta) -> list:
+    """The table of M swept on [0, c], once that table and the rank of the
+    whole window prove c the conductor (else BoundaryNonzeroError).
+    h(v) >= sum(v) - delta, with equality iff t^v O-bar lies in O, i.e. iff
+    v >= the conductor.  So h(c) = sum(c) - delta proves c >= the
+    conductor; h(c - e_i) = h(c) for every i with c_i > 0 proves it
+    minimal; and h(window) = h(c) + sum(window - c) catches a c and a delta
+    that are wrong together."""
+    ranks, rank = M.sweep(c)
+    h, floor = ranks[-1], sum(c) - delta
     if h != floor:
         raise BoundaryNonzeroError(
             "h(c) = %d at the conductor c = %r, not sum(c) - delta = %s"
             % (h, c, floor))
     # c - e_i lies prod(c[i + 1:] + 1) places before c
-    below = [(i + 1, M.ranks[-1 - prod(x + 1 for x in c[i + 1:])])
+    below = [(i + 1, ranks[-1 - prod(x + 1 for x in c[i + 1:])])
              for i, ci in enumerate(c) if ci]
     rose = [(i, x) for i, x in below if x != h]
     if rose:
@@ -280,10 +271,11 @@ def _certify(M: JetMatrix, c, delta) -> None:
             "h(c) = %d at the conductor c = %r rises from (i, h(c - e_i)) "
             "= %r" % (h, c, rose))
     expected = h + sum(w - x for w, x in zip(M.window, c))
-    if M.rank != expected:
+    if rank != expected:
         raise BoundaryNonzeroError(
             "the window %r has rank %d, not h(c) + %d = %d at the conductor "
-            "c = %r" % (M.window, M.rank, expected - h, expected, c))
+            "c = %r" % (M.window, rank, expected - h, expected, c))
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +289,13 @@ class Analysis:
     invariant delta = sum_i delta_i + sum_{i<j} (C_i . C_j) and the
     conductor of the semigroup of values by Delgado's formula
     c_i = 2 delta_i + sum_{j != i} (C_i . C_j) (Delgado de la Mata,
-    Manuscripta Math. 59, 1987).  One jet matrix, built on first use at the
-    window c + 2, is swept only on [0, c]; the conductor is certified from
-    that table (``_certify``) and the table filled on [0, c + 2] by the
-    conductor rule before anything reads it.  Reads past the window go
-    through ``is_member``, at min(v, c).  One-branch series are truncated
-    at ``bound`` (default 2c + 2; r > 1 ignores it), which does not size
-    the matrix.
+    Manuscripta Math. 59, 1987).  One jet matrix ``jet``, built on first
+    use at the window c + 2, is swept only on [0, c]; the conductor is
+    certified from that table (``_certified``), and ``ranks``, the table
+    every series reads, is filled on [0, c + 2] by the conductor rule.
+    Reads past the window go through ``is_member``, at min(v, c).  One-branch
+    series are truncated at ``bound`` (default 2c + 2; r > 1 ignores it),
+    which does not size the matrix.
     """
 
     def __init__(self, curve: Curve, bound: int | None = None,
@@ -324,20 +316,22 @@ class Analysis:
 
     @cached_property
     def jet(self) -> JetMatrix:
-        """The jet matrix at the window c + 2, its conductor certified and
-        its table filled on the whole window."""
+        """The jet matrix at the window c + 2."""
         c = self.conductor
         if min(c) < 0:
             raise BoundaryNonzeroError(
                 "the conductor c = %r has a negative entry" % (c,))
-        M = JetMatrix(self.curve, tuple(x + 2 for x in c), box=c)
-        _certify(M, c, self.delta)
-        M.ranks = _fill(M.ranks, c, M.window)
-        return M
+        return JetMatrix(self.curve, tuple(x + 2 for x in c))
+
+    @cached_property
+    def ranks(self) -> list:
+        """The table on [0, c + 2]: swept on [0, c], certified, filled."""
+        c = self.conductor
+        return _fill(_certified(self.jet, c, self.delta), c, self.jet.window)
 
     @cached_property
     def _members(self) -> set:
-        return members(self.jet)
+        return members(self.ranks, self.jet.window)
 
     def is_member(self, v) -> bool:
         """Whether v >= 0 is a value, read at min(v, c)."""
@@ -352,7 +346,7 @@ class Analysis:
         the filled table is linear, so chi vanishes there.  For r = 1 it is
         an honest infinite series, truncated at ``bound``.
         """
-        chi = fiber_eulers(self.jet)
+        chi = fiber_eulers(self.ranks, self.jet.window)
         if self.curve.r == 1:
             # chi(v) = chi(min(v, c)) by the conductor rule
             c = self.conductor[0]
@@ -367,7 +361,8 @@ class Analysis:
         read on [0, conductor + 1] by ``pprime_coefficients``.  It is built
         from c, not from the fiber series, so that verify's fiber-product
         identity compares two computations."""
-        return {v: x for v, x in pprime_coefficients(self.jet).items() if x}
+        return {v: x for v, x in
+                pprime_coefficients(self.ranks, self.jet.window).items() if x}
 
     @cached_property
     def poincare(self) -> MultiPoly:

@@ -11,7 +11,9 @@ distinct tangent cusps y^2 = x^3 and y^2 = -x^3.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from curvealex import Curve
 from curvealex.exactmath import (
@@ -224,15 +226,16 @@ def reference_monomials(M):
 def reference_rank(M, v) -> int:
     """The rank of the columns of M below v, by Gaussian elimination over
     the rationals on a fresh submatrix."""
-    offsets = [sum(M.window[:i]) for i in range(M.r)]
+    offsets = [sum(M.window[:i]) for i in range(len(M.window))]
     return _rank([[row[o + k] for o, vi in zip(offsets, v)
                    for k in range(vi)] for row in M.rows])
 
 
 def reference_ranks(M):
     """``reference_rank`` at every v of the window box, in lexicographic
-    order (the oracle for ``M.ranks``)."""
-    return [reference_rank(M, v) for v in iter_box((0,) * M.r, M.window)]
+    order (the oracle for the tables of ``M.sweep`` and ``Analysis``)."""
+    return [reference_rank(M, v)
+            for v in iter_box((0,) * len(M.window), M.window)]
 
 
 def _rank(mat) -> int:
@@ -269,21 +272,44 @@ def unit_vec(r, members):
     return tuple(1 if i + 1 in chosen else 0 for i in range(r))
 
 
+class Table(NamedTuple):
+    """A prefix-rank table on the whole box [0, window], in lexicographic
+    order, and its window: what ``fiber_eulers(*table)`` and the other
+    whole-table reads take.  The per-point references below read a table,
+    or a jet matrix through ``honest``."""
+
+    ranks: list
+    window: tuple
+
+
+@lru_cache(maxsize=8)
+def honest(M) -> Table:
+    """The table of the jet matrix M, swept on its whole window."""
+    return Table(M.sweep(M.window)[0], M.window)
+
+
+def filled(a) -> Table:
+    """The table of an analysis: swept on [0, c], filled to c + 2."""
+    return Table(a.ranks, a.jet.window)
+
+
 def b_dim(M, v) -> int:
-    """dim J(v)/J(w): window rank minus the rank of the columns below v,
-    read from the flat table at index sum_i v_i prod_{j > i} (w_j + 1).
-    Components of v are clamped into [0, w_i] (conditions with v_i <= 0 are
-    vacuous; nothing exists above the window)."""
+    """dim J(v)/J(w) in a table (or a jet matrix's honest one): the rank at
+    the window minus the rank of the columns below v, read from the flat
+    table at index sum_i v_i prod_{j > i} (w_j + 1).  Components of v are
+    clamped into [0, w_i] (conditions with v_i <= 0 are vacuous; nothing
+    exists above the window)."""
+    T = M if isinstance(M, Table) else honest(M)
     index = 0
-    for x, w in zip(vec_clamp(tuple(v), M.window), M.window):
+    for x, w in zip(vec_clamp(tuple(v), T.window), T.window):
         index = index * (w + 1) + x
-    return M.rank - M.ranks[index]
+    return T.ranks[-1] - T.ranks[index]
 
 
 def c_dim(M, v) -> int:
     """dim J(v)/J(v+1)."""
     v = tuple(v)
-    return b_dim(M, v) - b_dim(M, vec_add(v, (1,) * M.r))
+    return b_dim(M, v) - b_dim(M, vec_add(v, (1,) * len(M.window)))
 
 
 def fiber_euler(M, v) -> int:
@@ -306,8 +332,8 @@ def is_member(M, v) -> bool:
     b0 = b_dim(M, v)
     if b0 == 0:
         return False
-    return all(b_dim(M, vec_add(v, unit_vec(M.r, [i]))) < b0
-               for i in range(1, M.r + 1))
+    return all(b_dim(M, vec_add(v, unit_vec(len(M.window), [i]))) < b0
+               for i in range(1, len(M.window) + 1))
 
 
 @dataclass(frozen=True)
@@ -320,7 +346,7 @@ class SemigroupBox:
 
 def members_box(M, bound) -> SemigroupBox:
     bound = tuple(bound)
-    found = frozenset(v for v in iter_box((0,) * M.r, bound)
+    found = frozenset(v for v in iter_box((0,) * len(M.window), bound)
                       if is_member(M, v))
     return SemigroupBox(bound, found)
 

@@ -26,6 +26,7 @@ from corpus import (
     CORPUS_MULTI,
     c_dim,
     fiber_euler,
+    filled,
     germ_valuation,
     is_member,
     make_cusp,
@@ -72,10 +73,10 @@ def test_criterion_02_fiber_series_equals_alexander(name):
 
 def test_criterion_02_spot_values():
     node = CORPUS_MULTI["node"]()
-    M = Analysis(node).jet
+    M = filled(Analysis(node))
     ok = fiber_euler(M, (1, 1)) == 0
     three = CORPUS_MULTI["three-lines"]()
-    M3 = Analysis(three).jet
+    M3 = filled(Analysis(three))
     ok = ok and fiber_euler(M3, (1, 1, 1)) == -1
     _report("criterion-2 spot-values", "node,three-lines", ok)
 
@@ -168,7 +169,7 @@ def test_criterion_09_semigroup_checks(make, gens):
 @pytest.mark.parametrize("name", MULTI)
 def test_criterion_10_support_containment(name):
     c = CORPUS_MULTI[name]()
-    M = Analysis(c).jet
+    M = filled(Analysis(c))
     poly = en_alexander(resolve(c))
     ok = all(is_member(M, v) for v in poly)
     _report("criterion-10 support-in-semigroup", name, ok)

@@ -22,7 +22,12 @@ from curvealex.exactmath import iter_box
 from curvealex.filtration import Analysis, JetMatrix
 from curvealex.resolution import resolve
 
-from corpus import curve_to_json, make_cusp_tangent_line, make_tacnode
+from corpus import (
+    curve_to_json,
+    make_cusp,
+    make_cusp_tangent_line,
+    make_tacnode,
+)
 
 CUSP_JSON = {"branches": [{"x": [[2, "1"]], "y": [[3, "1"]]}]}
 NODE_JSON = {"branches": [{"x": [[1, "1"]], "y": []},
@@ -43,10 +48,10 @@ def _write(tmp_path, name, data):
 @pytest.fixture
 def calls(monkeypatch):
     """Counts runs of the blow-up engine and jet-matrix builds, and records
-    the window and the prefix-rank table size of each build."""
-    counts = {"engine": 0, "jet": 0, "windows": [], "sizes": []}
+    the window of each build and the box of each sweep."""
+    counts = {"engine": 0, "jet": 0, "windows": [], "boxes": []}
     engine = resolution._run_blowups
-    init = JetMatrix.__init__
+    init, sweep = JetMatrix.__init__, JetMatrix.sweep
 
     def counted_engine(*args, **kwargs):
         counts["engine"] += 1
@@ -56,13 +61,17 @@ def calls(monkeypatch):
         counts["jet"] += 1
         init(self, *args, **kwargs)
         counts["windows"].append(self.window)
-        counts["sizes"].append(len(self.ranks))
+
+    def counted_sweep(self, box):
+        counts["boxes"].append(tuple(box))
+        return sweep(self, box)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("curvealex") and \
                 getattr(mod, "_run_blowups", None) is engine:
             monkeypatch.setattr(mod, "_run_blowups", counted_engine)
     monkeypatch.setattr(JetMatrix, "__init__", counted_init)
+    monkeypatch.setattr(JetMatrix, "sweep", counted_sweep)
     return counts
 
 
@@ -109,6 +118,45 @@ def test_graph_file_roundtrip(tmp_path):
     assert g2.arrows == g.arrows
     assert g2.root == g.root
     assert graph_to_json(g2) == graph_to_json(g)
+
+
+def test_bool_exponent_is_a_parse_error(tmp_path, capsys):
+    data = {"branches": [{"x": [[True, 1]], "y": [[3, 1]]}]}
+    assert cli.main(["semigroup", _write(tmp_path, "bool.json", data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ParseError: bad exponent True\n"
+
+
+# where each integer field of a graph file sits, read from the JSON object
+GRAPH_INT_FIELDS = {
+    "r": lambda g: (g, "r"),
+    "id": lambda g: (g["vertices"][0], "id"),
+    "m": lambda g: (g["vertices"][0]["m"], 0),
+    "edges": lambda g: (g["edges"][0], 0),
+    "arrows-vertex": lambda g: (g["arrows"][0], "vertex"),
+    "arrows-branch": lambda g: (g["arrows"][0], "branch"),
+    "root": lambda g: (g, "root"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(GRAPH_INT_FIELDS))
+@pytest.mark.parametrize("kind", ["float", "string", "bool"])
+def test_graph_integers_must_be_json_integers(tmp_path, capsys, field, kind):
+    # int() would read 3.9 as 3, "3" as 3 and true as 1
+    data = graph_to_json(resolve(make_cusp()))
+    owner, key = GRAPH_INT_FIELDS[field](data)
+    value = owner[key]
+    owner[key] = {"float": value + 0.9, "string": str(value),
+                  "bool": True}[kind]
+    path = _write(tmp_path, "cusp-graph.json", data)
+    assert cli.main(["alexander", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ParseError: malformed graph file: %r is not an " \
+        "integer\n" % (owner[key],)
+    owner[key] = value
+    assert cli.main(["alexander", _write(tmp_path, "ok.json", data)]) == 0
 
 
 def test_curve_file_roundtrip():
@@ -204,13 +252,13 @@ def test_verify_tacnode_all_pass(tmp_path, capsys, calls):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 6
     assert all(line.startswith("PASS ") for line in lines)
-    # one analysis, plus the forced extra blow-ups and the wider window
+    # one analysis, plus the forced extra blow-ups, and one jet matrix
     assert calls["engine"] <= 2
-    assert calls["jet"] == 2
+    assert calls["jet"] == 1
     # the conductor is (2, 2): the analysis sweeps [0, c] of its window
-    # c + 2, the wider window only [0, c + 1], the points its check reads
-    assert calls["windows"] == [(4, 4), (6, 6)]
-    assert calls["sizes"] == [3 * 3, 4 * 4]
+    # c + 2, and window-stability re-sweeps the same columns on [0, c + 1]
+    assert calls["windows"] == [(4, 4)]
+    assert calls["boxes"] == [(2, 2), (3, 3)]
 
 
 def test_verify_five_transverse_lines_all_pass(tmp_path, capsys, calls):
@@ -221,22 +269,25 @@ def test_verify_five_transverse_lines_all_pass(tmp_path, capsys, calls):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 6
     assert all(line.startswith("PASS ") for line in out)
-    # the conductor is (4, 4, 4, 4, 4): the analysis sweeps [0, c], the
-    # wider window [0, c + 1]
-    assert calls["windows"] == [(6,) * 5, (8,) * 5]
-    assert calls["sizes"] == [5 ** 5, 6 ** 5]
+    # the conductor is (4, 4, 4, 4, 4): the analysis sweeps [0, c] and
+    # window-stability [0, c + 1], both on the one window c + 2
+    assert calls["windows"] == [(6,) * 5]
+    assert calls["boxes"] == [(4,) * 5, (5,) * 5]
 
 
 def test_verify_fails_when_the_wider_window_moves_c(tmp_path, capsys,
                                                     monkeypatch):
-    class Moved(JetMatrix):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            # c(v) = ranks[v + 1] - ranks[v]: this moves c at (2, 2) only,
-            # read at (3, 3) in the table on [0, (3, 3)]
-            self.ranks[3 * 4 + 3] += 1
+    sweep = JetMatrix.sweep
 
-    monkeypatch.setattr(cli, "JetMatrix", Moved)
+    def moved(self, box):
+        ranks, rank = sweep(self, box)
+        if box == (3, 3):
+            # verify's re-sweep on [0, c + 1]: c(v) = h(v + 1) - h(v), so
+            # this moves c at (2, 2) only, read at (3, 3)
+            ranks[3 * 4 + 3] += 1
+        return ranks, rank
+
+    monkeypatch.setattr(JetMatrix, "sweep", moved)
     path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
     assert cli.main(["verify", path]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -244,8 +295,8 @@ def test_verify_fails_when_the_wider_window_moves_c(tmp_path, capsys,
         "poincare-equals-alexander", "fiber-euler-equals-alexander",
         "fiber-product-identity", "exact-divisibility",
         "resolution-invariance")]
-    assert lines[5:] == [
-        "FAIL window-stability: c values moved under a wider window"]
+    assert lines[5:] == ["FAIL window-stability: h(3,3) = 5 on the honest "
+                         "re-sweep, 4 by the conductor rule"]
 
 
 @pytest.mark.parametrize("k,bound", [(1, b) for b in range(5)] + [(40, 3)])
@@ -301,7 +352,7 @@ def test_one_branch_command_analyses_once(tmp_path, capsys, calls, argv,
     # the cusp's conductor is 2: one window of conductor + 2, swept on
     # [0, 2]
     assert calls == {"engine": engine, "jet": jet, "windows": [(4,)] * jet,
-                     "sizes": [3] * jet}
+                     "boxes": [(2,)] * jet}
 
 
 def test_bound_truncates_without_sizing_the_window(tmp_path, capsys, calls):

@@ -21,6 +21,8 @@ from corpus import (
     b_dim,
     c_dim,
     fiber_euler,
+    filled,
+    honest,
     is_member,
     make_axes_and_cusp,
     make_cusp,
@@ -75,10 +77,10 @@ def test_jet_rows_are_the_monomial_jets(name):
 @pytest.mark.parametrize("name", sorted(JET_CURVES))
 def test_members_are_the_per_point_members(name):
     c = JET_CURVES[name]()
-    for M in (Analysis(c).jet, JetMatrix(c, (1,) * c.r),
-              JetMatrix(c, (3, 7, 5, 4)[:c.r])):
-        box = iter_box((0,) * c.r, tuple(w - 1 for w in M.window))
-        assert members(M) == {v for v in box if is_member(M, v)}
+    for T in (filled(Analysis(c)), honest(JetMatrix(c, (1,) * c.r)),
+              honest(JetMatrix(c, (3, 7, 5, 4)[:c.r]))):
+        box = iter_box((0,) * c.r, tuple(w - 1 for w in T.window))
+        assert members(*T) == {v for v in box if is_member(T, v)}
 
 
 def test_b_dim_node_full_box():
@@ -116,8 +118,58 @@ RANK_CURVES = dict(CORPUS_ALL, quartic=make_quartic_branch,
 
 @pytest.mark.parametrize("name", sorted(RANK_CURVES))
 def test_rank_table_matches_per_point_elimination(name):
-    M = Analysis(RANK_CURVES[name]()).jet
-    assert M.ranks == reference_ranks(M)
+    a = Analysis(RANK_CURVES[name]())
+    assert a.ranks == reference_ranks(a.jet)
+
+
+# the curves the symmetry and metamorphic oracles run on
+ORACLE_CURVES = dict(RANK_CURVES, **{
+    "axes-and-cusp": make_axes_and_cusp,
+    "five-lines": lambda: Curve([({1: 1}, {1: a}) for a in range(4)]
+                                + [({}, {1: 1})]),
+})
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+def test_gorenstein_symmetry_of_the_honest_table(name):
+    # O_C is Gorenstein: h(v) - h(c - v) = |v| - delta on [0, c], read on
+    # an honest sweep against c and delta from the blow-ups
+    a = Analysis(ORACLE_CURVES[name]())
+    c = a.conductor
+    h = dict(zip(iter_box((0,) * len(c), c), a.jet.sweep(c)[0]))
+    for v, x in h.items():
+        mirror = tuple(ci - vi for ci, vi in zip(c, v))
+        assert x - h[mirror] == sum(v) - a.delta, v
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+def test_alexander_polynomial_is_symmetric(name):
+    a = Analysis(ORACLE_CURVES[name]())
+    c, r = a.conductor, a.curve.r
+    if r == 1:
+        # the semigroup is symmetric: v is a value iff c - 1 - v is not
+        for v in range(c[0]):
+            assert a.is_member((v,)) != a.is_member((c[0] - 1 - v,)), v
+        return
+    # t^(c - 1) Delta(1/t) = (-1)^r Delta(t)
+    delta = en_alexander(a.graph)
+    assert {tuple(x - 1 - y for x, y in zip(c, v)): (-1) ** r * k
+            for v, k in delta.items()} == delta
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+def test_alexander_polynomial_follows_the_branches_and_the_axes(name):
+    curve = ORACLE_CURVES[name]()
+    delta = en_alexander(resolve(curve))
+    r = curve.r
+    # branch k of the permuted curve is branch order[k] of the curve, so
+    # its variable t_k is the curve's t_order[k]
+    for order in (tuple(reversed(range(r))), tuple(range(1, r)) + (0,)):
+        permuted = Curve([curve.branches[i] for i in order])
+        assert en_alexander(resolve(permuted)) == {
+            tuple(v[i] for i in order): k for v, k in delta.items()}
+    swapped = Curve([(b.y, b.x) for b in curve.branches])
+    assert en_alexander(resolve(swapped)) == delta
 
 
 SWEEP_CURVES = dict(CORPUS_ALL, rational=make_rational_three_branches,
@@ -126,15 +178,15 @@ SWEEP_CURVES = dict(CORPUS_ALL, rational=make_rational_three_branches,
 
 @pytest.mark.parametrize("name", sorted(SWEEP_CURVES))
 def test_fiber_euler_sweeps_match_the_per_point_sums(name):
-    M = Analysis(SWEEP_CURVES[name]()).jet
-    box = iter_box((0,) * M.r, tuple(w - 1 for w in M.window))
-    assert fiber_eulers(M) == {v: fiber_euler(M, v) for v in box}
+    T = filled(Analysis(SWEEP_CURVES[name]()))
+    box = iter_box((0,) * len(T.window), tuple(w - 1 for w in T.window))
+    assert fiber_eulers(*T) == {v: fiber_euler(T, v) for v in box}
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_CURVES))
 def test_pprime_sweeps_match_the_per_point_sums(name):
     a = Analysis(SWEEP_CURVES[name]())
-    M, r = a.jet, a.curve.r
+    M, r = filled(a), a.curve.r
     expected = {}
     for v in iter_box((0,) * r, vec_add(a.conductor, (1,) * r)):
         below = tuple(x - 1 for x in v)
@@ -150,8 +202,8 @@ def test_pprime_sweeps_match_the_per_point_sums(name):
 def fiber_dim(M, v, I):
     # dimension of the J(v)-jets, modulo J(v + 1), whose leading
     # coefficients indexed by I (branch ids 1..r) vanish
-    return (b_dim(M, vec_add(v, unit_vec(M.r, I)))
-            - b_dim(M, vec_add(v, (1,) * M.r)))
+    return (b_dim(M, vec_add(v, unit_vec(len(M.window), I)))
+            - b_dim(M, vec_add(v, (1,) * len(M.window))))
 
 
 def test_fiber_dim_empty_subset_is_c_dim():
@@ -170,7 +222,7 @@ def test_fiber_dim_node_singletons_and_pair():
 def test_fiber_euler_is_the_inclusion_exclusion_of_fiber_dims(name):
     # the paper's formula: sum over I of (-1)^|I| times the fiber dimension
     a = Analysis(CORPUS_MULTI[name]())
-    M, r = a.jet, a.curve.r
+    M, r = filled(a), a.curve.r
     for v in iter_box((0,) * r, vec_add(a.conductor, (1,) * r)):
         expected = sum(
             (-1) ** len(I) * fiber_dim(M, v, I)
@@ -241,7 +293,7 @@ def test_poincare_three_lines():
 def test_b_antitone(name):
     c = CORPUS_MULTI[name]()
     a = Analysis(c)
-    M, top = a.jet, tuple(d + 1 for d in a.conductor)
+    M, top = filled(a), tuple(d + 1 for d in a.conductor)
     values = {v: b_dim(M, v) for v in iter_box((0,) * c.r, top)}
     for v, bv in values.items():
         for i in range(c.r):
@@ -408,9 +460,10 @@ def _certificate_message(a):
     check holds."""
     c, r = a.conductor, a.curve.r
     M = JetMatrix(a.curve, vec_add(c, (2,) * r))
+    window_rank = honest(M).ranks[-1]
 
     def h(v):
-        return M.rank - b_dim(M, v)
+        return window_rank - b_dim(M, v)
 
     if h(c) != sum(c) - a.delta:
         return ("h(c) = %d at the conductor c = %r, not sum(c) - delta = %s"
@@ -421,10 +474,10 @@ def _certificate_message(a):
     if rose:
         return ("h(c) = %d at the conductor c = %r rises from "
                 "(i, h(c - e_i)) = %r" % (h(c), c, rose))
-    if M.rank != h(c) + 2 * r:
+    if window_rank != h(c) + 2 * r:
         return ("the window %r has rank %d, not h(c) + %d = %d at the "
-                "conductor c = %r" % (M.window, M.rank, 2 * r, h(c) + 2 * r,
-                                      c))
+                "conductor c = %r" % (M.window, window_rank, 2 * r,
+                                      h(c) + 2 * r, c))
     return None
 
 

@@ -29,6 +29,7 @@ from curvealex.filtration import (  # noqa: E402
     fiber_eulers,
     members,
     pprime_coefficients,
+    sub_box,
 )
 from curvealex.resolution import (  # noqa: E402
     _run_blowups,
@@ -42,6 +43,7 @@ from curvealex.semigroup import (  # noqa: E402
 from corpus import (  # noqa: E402
     c_dim,
     fiber_euler,
+    honest,
     is_member,
     make_rational_three_branches,
     reference_monomials,
@@ -86,28 +88,34 @@ def test_jet_rows_match_the_monomial_jets(M):
 
 
 @settings(max_examples=100, deadline=None)
-@given(jet_matrices())
-def test_rank_table_matches_per_point_elimination(M):
-    assert M.ranks == reference_ranks(M)
-    assert M.rank == M.ranks[-1]
+@given(jet_matrices(), st.data())
+def test_rank_table_matches_per_point_elimination(M, data):
+    reference = reference_ranks(M)
+    ranks, rank = M.sweep(M.window)
+    assert ranks == reference
+    assert rank == ranks[-1]
+    # a smaller box reads the same ranks and completes the same rank
+    box = tuple(data.draw(st.integers(0, w)) for w in M.window)
+    assert M.sweep(box) == (sub_box(reference, M.window, box), rank)
 
 
 @settings(max_examples=100, deadline=None)
 @given(jet_matrices())
 def test_difference_sweeps_match_the_per_point_sums(M):
-    box = list(iter_box((0,) * M.r, tuple(w - 1 for w in M.window)))
-    assert fiber_eulers(M) == {v: fiber_euler(M, v) for v in box}
-    assert pprime_coefficients(M) == {
-        v: sum((-1) ** (sum(u) - sum(v) + M.r) * c_dim(M, u)
-               for u in iter_box(vec_add(v, (-1,) * M.r), v))
+    r = len(M.window)
+    box = list(iter_box((0,) * r, tuple(w - 1 for w in M.window)))
+    assert fiber_eulers(*honest(M)) == {v: fiber_euler(M, v) for v in box}
+    assert pprime_coefficients(*honest(M)) == {
+        v: sum((-1) ** (sum(u) - sum(v) + r) * c_dim(M, u)
+               for u in iter_box(vec_add(v, (-1,) * r), v))
         for v in box}
 
 
 @settings(max_examples=100, deadline=None)
 @given(jet_matrices())
 def test_members_match_the_per_point_membership(M):
-    box = iter_box((0,) * M.r, tuple(w - 1 for w in M.window))
-    assert members(M) == {v for v in box if is_member(M, v)}
+    box = iter_box((0,) * len(M.window), tuple(w - 1 for w in M.window))
+    assert members(*honest(M)) == {v for v in box if is_member(M, v)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -138,9 +146,9 @@ def test_filled_table_matches_the_honest_sweep(branches):
         # coincident branches, or a map of degree > 1 onto its image
         assume(False)
     assume(prod(x + 3 for x in a.conductor) <= 4000)
-    honest = JetMatrix(c, a.jet.window)
-    assert a.jet.ranks == honest.ranks
-    assert a.jet.rank == honest.rank == honest.ranks[-1]
+    ranks, rank = a.jet.sweep(a.jet.window)
+    assert a.ranks == ranks
+    assert a.jet.sweep(a.conductor)[1] == rank == ranks[-1]
 
 
 SCALES = st.builds(Fraction, st.integers(-5, 5).filter(bool),
@@ -156,7 +164,7 @@ def _scaled(c, lam, mu):
 def _invariants(c):
     a = Analysis(c)
     return (en_alexander(a.graph), noether_intersections(c), a.conductor,
-            a.jet.ranks, a.poincare, a.fiber_series)
+            a.ranks, a.poincare, a.fiber_series)
 
 
 def _check_scaling(c, lam, mu):

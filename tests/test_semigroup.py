@@ -14,6 +14,7 @@ from curvealex.semigroup import (
 from corpus import (
     CORPUS_MULTI,
     apery_set,
+    filled,
     germ_valuation,
     is_member,
     make_cusp,
@@ -27,21 +28,21 @@ from corpus import (
 
 
 def test_contains_cusp():
-    M = Analysis(make_cusp()).jet
+    M = filled(Analysis(make_cusp()))
     assert not is_member(M, (1,))
     assert is_member(M, (2,))
 
 
 def test_contains_node_rejects_mixed_vector():
     # v2(g) = 0 forces a unit, contradicting v1 >= 1
-    M = Analysis(make_node()).jet
+    M = filled(Analysis(make_node()))
     assert not is_member(M, (1, 0))
 
 
 def test_contains_zero_always():
     for make in (make_node, make_cusp, make_tacnode):
-        M = Analysis(make()).jet
-        assert is_member(M, (0,) * M.r)
+        M = filled(Analysis(make()))
+        assert is_member(M, (0,) * len(M.window))
 
 
 def test_conductor_cusp():
@@ -125,7 +126,7 @@ def test_minimal_generators_are_the_generators_of_the_graph(curve):
 
 
 def _box_2_3(top=8):
-    M = Analysis(make_cusp()).jet
+    M = filled(Analysis(make_cusp()))
     if M.window[0] < top + 2:
         M = JetMatrix(make_cusp(), (top + 2,))
     return members_box(M, (top,))
@@ -176,7 +177,7 @@ def test_members_closed_under_addition(name):
     c = CORPUS_MULTI[name]()
     a = Analysis(c)
     top = tuple(d + 1 for d in a.conductor)
-    box = members_box(a.jet, top)
+    box = members_box(filled(a), top)
     for u in box.members:
         for v in box.members:
             s = vec_add(u, v)
@@ -191,7 +192,7 @@ def test_alexander_support_lies_in_the_semigroup(name):
     poly = en_alexander(resolve(c))
     for v in poly:
         assert vec_leq(v, vec_add(a.conductor, (1,) * c.r))
-        assert is_member(a.jet, v), v
+        assert is_member(filled(a), v), v
 
 
 def test_largest_gap_is_conductor_minus_one():
