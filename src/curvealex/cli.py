@@ -13,6 +13,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 
 from . import curve as curve_mod
 from . import semigroup
@@ -31,6 +32,7 @@ from .resolution import (
     GraphError,
     ResGraph,
     en_alexander,
+    free_blowups,
     resolve,
 )
 
@@ -247,7 +249,7 @@ def run_verify(c: Curve, bound=None, budget=DEFAULT_BUDGET):
     # divisibility convention does not apply
     results.append(("exact-divisibility", True, ""))
 
-    alex_extra = en_alexander(resolve(c, budget, extra=3), bound=a.bound)
+    alex_extra = en_alexander(free_blowups(a.graph, 3), bound=a.bound)
     ok = alex_extra == alex
     results.append(("resolution-invariance", ok,
                     "" if ok else "extra blow-ups changed the product"))
@@ -256,9 +258,10 @@ def run_verify(c: Curve, bound=None, budget=DEFAULT_BUDGET):
     # columns honestly on [0, c + 1], where every c value c(v) = h(v + 1) -
     # h(v) on [0, c] reads it (the ranks below v do not see the window)
     top = vec_add(a.conductor, (1,) * r)
-    pairs = zip(a.jet.sweep(top)[0], sub_box(a.ranks, a.jet.window, top))
-    moved = next(((",".join(map(str, v)), x, y) for v, (x, y) in
-                  zip(iter_box((0,) * r, top), pairs) if x != y), None)
+    honest, filled = a.jet.sweep(top)[0], sub_box(a.ranks, a.jet.window, top)
+    moved = None if honest == filled else next(
+        (",".join(map(str, v)), x, y) for v, x, y in
+        zip(iter_box((0,) * r, top), honest, filled) if x != y)
     ok = moved is None
     results.append(("window-stability", ok, "" if ok else
                     "h(%s) = %d on the honest re-sweep, %d by the conductor "
@@ -311,14 +314,16 @@ def _checked_window(c: Curve, window) -> tuple:
 def _cmd_fibers(args) -> int:
     c = parse_curve_file(args.input)
     if args.window:
+        # chi on [0, window - 2] reads the ranks on [0, window - 1]
         window = _checked_window(c, args.window)
-        ranks = JetMatrix(c, window).sweep(window)[0]
+        top = tuple(w - 2 for w in window)
+        box = vec_add(top, (1,) * c.r)
+        chi = fiber_eulers(JetMatrix(c, window).sweep(box)[0], box)
     else:
         a = Analysis(c, budget=args.budget)
-        ranks, window = a.ranks, a.jet.window  # the window c + 2
-    chi = fiber_eulers(ranks, window)
-    lines = ["%d\t%s" % (chi[v], ",".join(str(x) for x in v))
-             for v in iter_box((0,) * c.r, tuple(w - 2 for w in window))]
+        top, chi = a.conductor, a.chi
+    lines = ["%d\t%s" % (x, ",".join(str(y) for y in v))
+             for v, x in zip(iter_box((0,) * c.r, top), chi)]
     _emit("\n".join(lines), args.out)
     return 0
 
@@ -337,8 +342,9 @@ def _cmd_semigroup(args) -> int:
     if window:
         # the window only shortens the output: members on [0, window - 2]
         top = tuple(min(t, w - 2) for t, w in zip(top, window))
+    members = compress(iter_box((0,) * c.r, top), a.members_to(top))
     lines.extend("member\t%s" % ",".join(str(x) for x in v)
-                 for v in iter_box((0,) * c.r, top) if a.is_member(v))
+                 for v in members)
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -118,11 +118,6 @@ def vec_leq(u: ExpVec, v: ExpVec) -> bool:
     return all(a <= b for a, b in zip(u, v))
 
 
-def vec_clamp(v: ExpVec, hi: ExpVec) -> ExpVec:
-    """Clamp each component into [0, hi_i]."""
-    return tuple(min(max(a, 0), h) for a, h in zip(v, hi))
-
-
 def iter_box(lo: ExpVec, hi: ExpVec):
     """All lattice points v with lo <= v <= hi, in lexicographic order."""
     return product(*(range(a, b + 1) for a, b in zip(lo, hi)))

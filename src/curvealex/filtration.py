@@ -8,24 +8,32 @@ the previous row by one truncated product per branch, and the columns are
 (branch, order) pairs in branch-major order.  Since the columns "below v"
 form a per-branch prefix, h(v) = dim O/J(v) is the rank below v, and all
 other dimensions are alternating sums of that one prefix-rank table, kept
-as a flat list in lexicographic order.  Every read takes a table on a whole
-window and the window, axis by axis (``_along``): the series by r
-difference sweeps (``_differences``), membership by comparing each point
-with its r successors (``members``).
+as a flat list in lexicographic order.  Every read takes such a table on a
+whole box [0, w] and returns a flat table on [0, w - 1], axis by axis
+(``_along``): the fiber Euler characteristics and the coefficients of P'
+by r difference sweeps (``_differences``), membership as a table of bools
+by comparing each point with its r successors (``members``).  Only the
+nonzero entries of a series become polynomial terms (``_nonzero``).
 
 One window per curve suffices: the conductor c + 2.  The conductor ideal
 t^c * O-bar lies in the local ring, so past c the table is linear,
 h(v) = h(min(v, c)) + sum_i max(v_i - c_i, 0), and v is a value iff
 min(v, c) is.  An ``Analysis`` therefore sweeps its matrix only on [0, c],
 certifies c from that table and the rank of the whole window, and fills
-the rest of [0, c + 2] by the rule; an honest check re-sweeps the matrix.
+the rest of [0, c + 2] by the rule (``_extend``); an honest check
+re-sweeps the matrix.  Its reads are taken on [0, c] from the [0, c + 1]
+sub-box.  Past c the filled table rises by one per step on each axis, so
+the reads there follow from [0, c] by construction: membership and the
+one-branch chi repeat their values at min(v, c), and the reads of two or
+more differences (P', and chi for r > 1) vanish.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, prod
+from operator import sub
 
 from .curve import Curve, validate_curve
 from .exactmath import (
@@ -34,7 +42,6 @@ from .exactmath import (
     mp_exact_div,
     up_integral,
     up_mul_trunc,
-    vec_clamp,
 )
 from .resolution import DEFAULT_BUDGET, _noether_sums, _run_blowups
 
@@ -164,6 +171,8 @@ def _along(values, shape, i, f) -> list:
     ``step`` values, one per coordinate i) to its new block."""
     step = prod(shape[i + 1:])
     block = shape[i] * step
+    if block == len(values):
+        return f(values, step)  # one block: no copies
     out = []
     for k in range(0, len(values), block):
         out += f(values[k:k + block], step)
@@ -176,46 +185,58 @@ def _differences(values, shape) -> list:
     on every axis.  r sweeps, the i-th taking f(v) - f(v + e_i)."""
     for i, n in enumerate(shape):
         values = _along(values, shape, i,
-                        lambda b, s: [x - y for x, y in zip(b, b[s:])])
+                        lambda b, s: list(map(sub, b, islice(b, s, None))))
         shape = shape[:i] + (n - 1,) + shape[i + 1:]
     return values
 
 
 def sub_box(values, window, top) -> list:
-    """The values on [0, top] of a table given on the box [0, window]."""
-    shape = [w + 1 for w in window]
-    for i, t in enumerate(top):
-        values = _along(values, shape, i, lambda b, s: b[:(t + 1) * s])
-        shape[i] = t + 1
+    """The values on [0, top] of a table given on the box [0, window], in
+    one pass: one slice along the last axis per point of the other axes,
+    with no table in between."""
+    stride, starts = prod(w + 1 for w in window), [0]
+    for w, t in zip(window[:-1], top[:-1]):
+        stride //= w + 1
+        starts = [k + x * stride for k in starts for x in range(t + 1)]
+    n, out = top[-1] + 1, []
+    for k in starts:
+        out += values[k:k + n]
+    return out
+
+
+def _extend(values, c, top, rise=0) -> list:
+    """The table f(min(v, c)) + rise * sum_i max(v_i - c_i, 0) on [0, top],
+    from a table f on [0, c]: along each axis, the slices up to
+    min(top_i, c_i) are kept and the slice at c_i repeats past it, rising by
+    ``rise`` per step.  With rise = 1 this is the conductor rule of the rank
+    table; with rise = 0 it reads a table of [0, c] at min(v, c)."""
+    shape = [x + 1 for x in c]
+    for i in reversed(range(len(c))):
+        keep = min(top[i], c[i]) + 1
+        steps = [rise * d for d in range(1, top[i] - c[i] + 1)]
+        values = _along(values, shape, i, lambda b, s: b[:keep * s] + [
+            x + d for d in steps for x in b[-s:]])
+        shape[i] = top[i] + 1
     return values
 
 
-def _fill(ranks, c, window) -> list:
-    """The table on [0, window] from the one on [0, c] by the conductor
-    rule h(v) = h(min(v, c)) + sum_i max(v_i - c_i, 0): along each axis,
-    the slice at c_i goes up by one per step past it."""
-    shape = [x + 1 for x in c]
-    for i in reversed(range(len(c))):
-        extra = range(1, window[i] - c[i] + 1)
-        ranks = _along(ranks, shape, i, lambda b, s: b + [
-            x + d for d in extra for x in b[-s:]])
-        shape[i] = window[i] + 1
-    return ranks
+def _nonzero(values, top) -> MultiPoly:
+    """The nonzero entries of a table on [0, top], keyed by their points."""
+    return dict(zip(compress(iter_box((0,) * len(top), top), values),
+                    filter(None, values)))
 
 
-def fiber_eulers(ranks, window) -> dict:
+def fiber_eulers(ranks, window) -> list:
     """The Euler characteristic of the projectivized fiber over every point v
     of [0, window - 1], from the rank table on the whole box [0, window]:
     inclusion-exclusion over the 2^r coordinate subspaces gives the
     alternating sum of b(v + 1_I) = dim J(v + 1_I)/J(w) over the subsets I
     of the branches, read by difference sweeps over the rank table
     (b = window rank - ranks, and the window rank cancels)."""
-    chi = _differences(ranks, tuple(w + 1 for w in window))
-    box = iter_box((0,) * len(window), tuple(w - 1 for w in window))
-    return {v: -x for v, x in zip(box, chi)}
+    return [-x for x in _differences(ranks, tuple(w + 1 for w in window))]
 
 
-def pprime_coefficients(ranks, window) -> dict:
+def pprime_coefficients(ranks, window) -> list:
     """The alternating sum of c(v - 1 + 1_I) over the subsets I of the
     branches at every point v of [0, window - 1], from the rank table on
     the whole box [0, window], by difference sweeps over the table
@@ -228,24 +249,25 @@ def pprime_coefficients(ranks, window) -> dict:
     lower = ranks
     for i in range(len(window)):
         lower = _along(lower, shape, i, lambda b, s: b[:s] + b[:-s])
-    coeffs = _differences([x - y for x, y in zip(ranks, lower)], shape)
-    return dict(zip(iter_box((0,) * len(window),
-                             tuple(w - 1 for w in window)), coeffs))
+    c = list(map(sub, ranks, lower))
+    del lower  # free it before the sweeps, which hold up to two tables
+    return _differences(c, shape)
 
 
-def members(ranks, window) -> set:
-    """The values in [0, window - 1], read axis by axis from the rank table
-    on the whole box [0, window]: some germ takes the exact valuation
-    vector v with every leading coefficient nonzero iff each singleton
-    constraint drops the dimension, that is ranks[v + e_i] > ranks[v] for
-    every branch i (over an infinite field a space is never a finite union
-    of proper subspaces).  One such rise also makes J(v) nonzero."""
+def members(ranks, window) -> list:
+    """Whether each point of [0, window - 1] is a value, as a table of bools
+    read axis by axis from the rank table on the whole box [0, window]:
+    some germ takes the exact valuation vector v with every leading
+    coefficient nonzero iff each singleton constraint drops the dimension,
+    that is ranks[v + e_i] > ranks[v] for every branch i (over an infinite
+    field a space is never a finite union of proper subspaces).  One such
+    rise also makes J(v) nonzero."""
     shape = tuple(w + 1 for w in window)
     # the rise along each axis, zero on its top face v_i = w_i
-    rises = [_along(ranks, shape, i, lambda b, s: [y - x for x, y in zip(
-        b, b[s:])] + [0] * s) for i in range(len(window))]
-    return set(compress(iter_box((0,) * len(window), window),
-                        map(all, zip(*rises))))
+    rises = [_along(ranks, shape, i, lambda b, s: list(map(
+        sub, islice(b, s, None), b)) + [0] * s) for i in range(len(window))]
+    return sub_box(list(map(all, zip(*rises))), window,
+                   tuple(w - 1 for w in window))
 
 
 def _certified(M: JetMatrix, c, delta) -> list:
@@ -291,11 +313,16 @@ class Analysis:
     c_i = 2 delta_i + sum_{j != i} (C_i . C_j) (Delgado de la Mata,
     Manuscripta Math. 59, 1987).  One jet matrix ``jet``, built on first
     use at the window c + 2, is swept only on [0, c]; the conductor is
-    certified from that table (``_certified``), and ``ranks``, the table
-    every series reads, is filled on [0, c + 2] by the conductor rule.
-    Reads past the window go through ``is_member``, at min(v, c).  One-branch
-    series are truncated at ``bound`` (default 2c + 2; r > 1 ignores it),
-    which does not size the matrix.
+    certified from that table (``_certified``), and ``ranks`` is filled on
+    [0, c + 2] by the conductor rule.  Every read of it is a flat table on
+    [0, c], in lexicographic order, taken from its [0, c + 1] sub-box:
+    ``chi``, ``membership`` and the coefficients of ``pprime``.  Past c the
+    filled table rises by one per step on each axis, so P' and the chi of
+    r > 1 vanish there, while membership and the one-branch chi repeat
+    their values at min(v, c): ``is_member``, ``members_to`` and the
+    one-branch series read the tables there.  One-branch series
+    are truncated at ``bound`` (default 2c + 2; r > 1 ignores it), which
+    does not size the matrix.
     """
 
     def __init__(self, curve: Curve, bound: int | None = None,
@@ -327,15 +354,35 @@ class Analysis:
     def ranks(self) -> list:
         """The table on [0, c + 2]: swept on [0, c], certified, filled."""
         c = self.conductor
-        return _fill(_certified(self.jet, c, self.delta), c, self.jet.window)
+        return _extend(_certified(self.jet, c, self.delta), c,
+                      self.jet.window, rise=1)
+
+    def _read(self, read) -> list:
+        """A whole-table read (``fiber_eulers``, ``pprime_coefficients`` or
+        ``members``) on [0, c], from the [0, c + 1] sub-box of ``ranks``."""
+        top = tuple(x + 1 for x in self.conductor)
+        return read(sub_box(self.ranks, self.jet.window, top), top)
 
     @cached_property
-    def _members(self) -> set:
-        return members(self.ranks, self.jet.window)
+    def chi(self) -> list:
+        """The fiber Euler characteristics on [0, c]."""
+        return self._read(fiber_eulers)
+
+    @cached_property
+    def membership(self) -> list:
+        """Whether each point of [0, c] is a value."""
+        return self._read(members)
+
+    def members_to(self, top) -> list:
+        """Whether each point of [0, top] is a value, read at min(v, c)."""
+        return _extend(self.membership, self.conductor, top)
 
     def is_member(self, v) -> bool:
         """Whether v >= 0 is a value, read at min(v, c)."""
-        return vec_clamp(v, self.conductor) in self._members
+        k = 0
+        for x, ci in zip(v, self.conductor):
+            k = k * (ci + 1) + min(max(x, 0), ci)
+        return self.membership[k]
 
     @cached_property
     def fiber_series(self) -> MultiPoly:
@@ -344,25 +391,20 @@ class Analysis:
 
         For r > 1 this is a polynomial supported in [0, conductor]: past c
         the filled table is linear, so chi vanishes there.  For r = 1 it is
-        an honest infinite series, truncated at ``bound``.
+        an honest infinite series, chi(min(v, c)), truncated at ``bound``.
         """
-        chi = fiber_eulers(self.ranks, self.jet.window)
-        if self.curve.r == 1:
-            # chi(v) = chi(min(v, c)) by the conductor rule
-            c = self.conductor[0]
-            return {(v,): x for v in range(self.bound + 1)
-                    if (x := chi[(min(v, c),)])}
-        return {v: x for v, x in chi.items() if x}
+        c = self.conductor
+        top = (self.bound,) if self.curve.r == 1 else c
+        return _nonzero(_extend(self.chi, c, top), top)
 
     @cached_property
     def pprime(self) -> MultiPoly:
         """The polynomial L_C * prod (t_i - 1): its coefficient at v is the
         alternating sum of c(v - 1 + 1_I) over subsets I of the branches,
-        read on [0, conductor + 1] by ``pprime_coefficients``.  It is built
-        from c, not from the fiber series, so that verify's fiber-product
-        identity compares two computations."""
-        return {v: x for v, x in
-                pprime_coefficients(self.ranks, self.jet.window).items() if x}
+        read on [0, conductor] by ``pprime_coefficients`` (it vanishes past
+        c).  It is built from c, not from the fiber series, so that verify's
+        fiber-product identity compares two computations."""
+        return _nonzero(self._read(pprime_coefficients), self.conductor)
 
     @cached_property
     def poincare(self) -> MultiPoly:
@@ -375,6 +417,7 @@ class Analysis:
         """
         r = self.curve.r
         if r == 1:
-            return {(v,): 1 for v in range(self.bound + 1)
-                    if self.is_member((v,))}
+            top = (self.bound,)
+            return dict.fromkeys(compress(iter_box((0,), top),
+                                          self.members_to(top)), 1)
         return mp_exact_div(self.pprime, {(1,) * r: 1, (0,) * r: -1})

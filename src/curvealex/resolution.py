@@ -248,7 +248,7 @@ def _direction(fx: RatFunc, fy: RatFunc):
     return INF
 
 
-def _run_blowups(c: Curve, budget: int, extra: int = 0):
+def _run_blowups(c: Curve, budget: int):
     """Blow up until every strict transform is settled; returns the dual
     graph together with the per-center multiplicity log (branch id -> local
     multiplicity of its strict transform at that center)."""
@@ -311,18 +311,6 @@ def _run_blowups(c: Curve, budget: int, extra: int = 0):
     if sorted(arrows) != list(range(1, r + 1)):
         raise GraphError("arrow bookkeeping failed: %r" % (arrows,))
 
-    # Optional extra blow-ups at free smooth points of the total transform
-    # (points of one exceptional component only): each adds a dead-end vertex
-    # carrying the multiplicity of its target and must not change the
-    # Eisenbud-Neumann product.
-    targets = sorted(vertices)
-    for k in range(extra):
-        target = targets[k % len(targets)]
-        nid += 1
-        vertices[nid] = vertices[target]
-        edges.add(tuple(sorted((target, nid))))
-        centers.append({})
-
     graph = ResGraph(
         r=r,
         vertices=vertices,
@@ -337,7 +325,24 @@ def _run_blowups(c: Curve, budget: int, extra: int = 0):
 def resolve(c: Curve, budget: int = DEFAULT_BUDGET, extra: int = 0) -> ResGraph:
     """Minimal embedded resolution of the curve; ``extra`` forces additional
     blow-ups at free smooth points after normal crossings are reached."""
-    return _run_blowups(c, budget, extra)[0]
+    return free_blowups(_run_blowups(c, budget)[0], extra)
+
+
+def free_blowups(g: ResGraph, extra: int) -> ResGraph:
+    """A copy of the graph after ``extra`` more blow-ups at free smooth
+    points of the total transform (points of one exceptional component
+    only): each adds a dead-end vertex carrying the multiplicity of its
+    target, the vertices taken in turn by id, and must not change the
+    Eisenbud-Neumann product."""
+    vertices, edges = dict(g.vertices), set(g.edges)
+    targets, nid = sorted(vertices), max(vertices)
+    for k in range(extra):
+        target = targets[k % len(targets)]
+        nid += 1
+        vertices[nid] = vertices[target]
+        edges.add((target, nid))
+    return ResGraph(r=g.r, vertices=vertices, edges=edges,
+                    arrows=list(g.arrows), root=g.root)
 
 
 def _noether_sums(centers, r: int):

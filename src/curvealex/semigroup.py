@@ -4,6 +4,7 @@ and the structural checks on its resolution graph."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .curve import Curve
 from .filtration import Analysis
@@ -16,8 +17,8 @@ def minimal_generators(a: Analysis) -> list:
     is below the conductor plus the multiplicity)."""
     if a.curve.r != 1:
         raise ValueError("minimal generators are defined for one branch")
-    members = [v for v in range(1, 2 * a.conductor[0] + 3)
-               if a.is_member((v,))]
+    top = 2 * a.conductor[0] + 2
+    members = list(compress(range(1, top + 1), a.members_to((top,))[1:]))
     sums = {u + v for u in members for v in members}
     return [v for v in members if v not in sums]
 
@@ -75,13 +76,13 @@ def verify_semigroup_properties(c: Curve) -> SemigroupReport:
 
     delta = a.conductor[0]
     top = a.bound
-    members = {v for v in range(top + 1) if a.is_member((v,))}
+    members = a.members_to((top,))
 
     checks = {}
     checks["conductor-formula"] = (
         delta - 1 == sum(n * g for n, g in zip(ns, gens[1:])) - beta0)
     checks["unique-representation"] = all(
-        _representations(v, gens, ns) == (1 if v in members else 0)
+        _representations(v, gens, ns) == members[v]
         for v in range(top + 1))
     checks["generator-growth"] = all(
         (ns[j] + 1) * gens[j + 1] < gens[j + 2]

@@ -23,7 +23,6 @@ from curvealex.exactmath import (
     ord_lead,
     up_mul,
     vec_add,
-    vec_clamp,
 )
 
 
@@ -291,6 +290,11 @@ def honest(M) -> Table:
 def filled(a) -> Table:
     """The table of an analysis: swept on [0, c], filled to c + 2."""
     return Table(a.ranks, a.jet.window)
+
+
+def vec_clamp(v: ExpVec, hi: ExpVec) -> ExpVec:
+    """Clamp each component into [0, hi_i]."""
+    return tuple(min(max(a, 0), h) for a, h in zip(v, hi))
 
 
 def b_dim(M, v) -> int:

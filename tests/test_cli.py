@@ -252,8 +252,8 @@ def test_verify_tacnode_all_pass(tmp_path, capsys, calls):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 6
     assert all(line.startswith("PASS ") for line in lines)
-    # one analysis, plus the forced extra blow-ups, and one jet matrix
-    assert calls["engine"] <= 2
+    # one analysis, whose graph takes the extra blow-ups, and one jet matrix
+    assert calls["engine"] == 1
     assert calls["jet"] == 1
     # the conductor is (2, 2): the analysis sweeps [0, c] of its window
     # c + 2, and window-stability re-sweeps the same columns on [0, c + 1]

@@ -12,6 +12,8 @@ from curvealex.filtration import (
     JetMatrix,
     fiber_eulers,
     members,
+    pprime_coefficients,
+    sub_box,
 )
 from curvealex.resolution import en_alexander, resolve
 
@@ -38,6 +40,7 @@ from corpus import (
     reference_rows,
     semigroup_closure,
     unit_vec,
+    vec_clamp,
 )
 
 
@@ -79,8 +82,9 @@ def test_members_are_the_per_point_members(name):
     c = JET_CURVES[name]()
     for T in (filled(Analysis(c)), honest(JetMatrix(c, (1,) * c.r)),
               honest(JetMatrix(c, (3, 7, 5, 4)[:c.r]))):
-        box = iter_box((0,) * c.r, tuple(w - 1 for w in T.window))
-        assert members(*T) == {v for v in box if is_member(T, v)}
+        box = list(iter_box((0,) * c.r, tuple(w - 1 for w in T.window)))
+        assert list(zip(box, members(*T), strict=True)) == \
+            [(v, is_member(T, v)) for v in box]
 
 
 def test_b_dim_node_full_box():
@@ -179,8 +183,10 @@ SWEEP_CURVES = dict(CORPUS_ALL, rational=make_rational_three_branches,
 @pytest.mark.parametrize("name", sorted(SWEEP_CURVES))
 def test_fiber_euler_sweeps_match_the_per_point_sums(name):
     T = filled(Analysis(SWEEP_CURVES[name]()))
-    box = iter_box((0,) * len(T.window), tuple(w - 1 for w in T.window))
-    assert fiber_eulers(*T) == {v: fiber_euler(T, v) for v in box}
+    box = list(iter_box((0,) * len(T.window),
+                        tuple(w - 1 for w in T.window)))
+    assert list(zip(box, fiber_eulers(*T), strict=True)) == \
+        [(v, fiber_euler(T, v)) for v in box]
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_CURVES))
@@ -396,6 +402,57 @@ def test_conductor_rule_matches_a_wide_window(name):
     assert a.jet.window == vec_add(a.conductor, (2,) * a.curve.r)
     for v in iter_box((0,) * a.curve.r, top):
         assert a.is_member(v) == is_member(wide, v), v
+
+
+FAR_CURVES = {name: make for name, make in ORACLE_CURVES.items()
+              if make().r in (2, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(FAR_CURVES))
+def test_is_member_far_past_the_window_reads_min_v_c(name):
+    # some coordinates below c_i and others far above it: the analysis
+    # reads its flat table at min(v, c), a per-point read of a wide window
+    a = Analysis(FAR_CURVES[name]())
+    c, r = a.conductor, a.curve.r
+    wide = JetMatrix(a.curve, vec_add(c, (4,) * r))
+    for v in iter_box((0,) * r, vec_add(c, (1,) * r)):
+        for k in range(1, r + 1):
+            for far in combinations(range(r), k):
+                u = tuple(x + 10 ** 6 * (i + 1) if i in far else x
+                          for i, x in enumerate(v))
+                assert a.is_member(u) == is_member(wide, vec_clamp(u, c)), u
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+def test_members_to_reads_every_point_at_min_v_c(name):
+    a = Analysis(ORACLE_CURVES[name]())
+    c, r = a.conductor, a.curve.r
+    for top in (vec_add(c, (2,) * r), tuple(x // 2 for x in c),
+                tuple(x + 3 if i % 2 else x // 2 for i, x in enumerate(c))):
+        box = list(iter_box((0,) * r, top))
+        assert list(zip(box, a.members_to(top), strict=True)) == \
+            [(v, a.is_member(v)) for v in box]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+def test_reads_of_the_sub_box_match_the_whole_window(name):
+    # chi and P' read from the [0, c + 1] sub-box equal the reads of the
+    # whole window c + 2 on [0, c]; on the rest of it P' vanishes, and so
+    # does chi for r > 1, while the one-branch chi is the membership
+    # indicator, 1 past c
+    a = Analysis(ORACLE_CURVES[name]())
+    c, window, r = a.conductor, a.jet.window, a.curve.r
+    inner = vec_add(c, (1,) * r)
+    part = sub_box(a.ranks, window, inner)
+    for read, past in ((fiber_eulers, int(r == 1)), (pprime_coefficients, 0)):
+        whole = list(zip(iter_box((0,) * r, inner), read(a.ranks, window),
+                         strict=True))
+        assert list(zip(iter_box((0,) * r, c), read(part, inner),
+                        strict=True)) == \
+            [(v, x) for v, x in whole if vec_leq(v, c)]
+        assert [x for v, x in whole if not vec_leq(v, c)] == \
+            [past] * (len(whole) - len(a.chi))
+    assert a.chi == fiber_eulers(part, inner)
 
 
 @pytest.mark.parametrize("name", sorted(RANK_CURVES))

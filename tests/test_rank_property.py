@@ -104,18 +104,21 @@ def test_rank_table_matches_per_point_elimination(M, data):
 def test_difference_sweeps_match_the_per_point_sums(M):
     r = len(M.window)
     box = list(iter_box((0,) * r, tuple(w - 1 for w in M.window)))
-    assert fiber_eulers(*honest(M)) == {v: fiber_euler(M, v) for v in box}
-    assert pprime_coefficients(*honest(M)) == {
-        v: sum((-1) ** (sum(u) - sum(v) + r) * c_dim(M, u)
-               for u in iter_box(vec_add(v, (-1,) * r), v))
-        for v in box}
+    assert list(zip(box, fiber_eulers(*honest(M)), strict=True)) == \
+        [(v, fiber_euler(M, v)) for v in box]
+    assert list(zip(box, pprime_coefficients(*honest(M)), strict=True)) == [
+        (v, sum((-1) ** (sum(u) - sum(v) + r) * c_dim(M, u)
+                for u in iter_box(vec_add(v, (-1,) * r), v)))
+        for v in box]
 
 
 @settings(max_examples=100, deadline=None)
 @given(jet_matrices())
 def test_members_match_the_per_point_membership(M):
-    box = iter_box((0,) * len(M.window), tuple(w - 1 for w in M.window))
-    assert members(*honest(M)) == {v for v in box if is_member(M, v)}
+    box = list(iter_box((0,) * len(M.window),
+                        tuple(w - 1 for w in M.window)))
+    assert list(zip(box, members(*honest(M)), strict=True)) == \
+        [(v, is_member(M, v)) for v in box]
 
 
 @settings(max_examples=100, deadline=None)
