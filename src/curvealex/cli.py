@@ -13,12 +13,12 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import compress
+from itertools import accumulate, compress
 
 from . import curve as curve_mod
 from . import semigroup
 from .curve import BranchParam, Curve, validate_curve
-from .exactmath import NotDivisibleError, iter_box, mp_mul, vec_add
+from .exactmath import MultiPoly, NotDivisibleError, iter_box, mp_mul, vec_add
 from .filtration import (
     Analysis,
     BoundaryNonzeroError,
@@ -202,6 +202,18 @@ def format_poly(p: dict) -> str:
     return "\n".join(lines)
 
 
+def printed_series(delta: MultiPoly, bound=None) -> MultiPoly:
+    """What the CLI prints of the Alexander polynomial Delta (constant term
+    1) that every pipeline returns: Delta for r > 1; for r = 1 the monodromy
+    zeta function Delta / (1 - t), the prefix sums of Delta on [0, bound]
+    (default 2 deg Delta + 2, twice the conductor plus two)."""
+    if len(next(iter(delta))) > 1:
+        return delta
+    top = 2 * max(delta)[0] + 2 if bound is None else bound
+    sums = accumulate(delta.get((v,), 0) for v in range(top + 1))
+    return {(v,): x for v, x in enumerate(sums) if x}
+
+
 def _emit(text: str, out_path) -> None:
     """Write text and a final newline; empty text (an empty box) writes
     nothing."""
@@ -217,11 +229,12 @@ def _emit(text: str, out_path) -> None:
 # pipelines
 # ---------------------------------------------------------------------------
 
-def run_verify(c: Curve, bound=None, budget=DEFAULT_BUDGET):
-    """The six cross-pipeline checks; returns [(name, passed, detail)]."""
+def run_verify(c: Curve, budget=DEFAULT_BUDGET):
+    """The six cross-pipeline checks on the exact Alexander polynomials;
+    returns [(name, passed, detail)]."""
     r = c.r
-    a = Analysis(c, bound, budget)
-    alex = en_alexander(a.graph, bound=a.bound)
+    a = Analysis(c, budget)
+    alex = en_alexander(a.graph)
     results = []
 
     ok = a.poincare == alex
@@ -233,14 +246,9 @@ def run_verify(c: Curve, bound=None, budget=DEFAULT_BUDGET):
     results.append(("fiber-euler-equals-alexander", ok,
                     "" if ok else "fiber series != alexander"))
 
-    divisor = {(1,) * r: 1, (0,) * r: -1}
-    product, pprime = mp_mul(fibers, divisor), a.pprime
-    if r == 1:
-        # the fibers stop at the bound, pprime at the conductor + 1
-        top = min(a.bound, a.conductor[0] + 1)
-        product, pprime = ({e: x for e, x in p.items() if e[0] <= top}
-                           for p in (product, pprime))
-    ok = product == pprime
+    # P' = (t_1...t_r - 1) Delta for r > 1, and P' = -Delta for r = 1
+    divisor = {(1,) * r: 1, (0,) * r: -1} if r > 1 else {(0,): -1}
+    ok = mp_mul(fibers, divisor) == a.pprime
     results.append(("fiber-product-identity", ok,
                     "" if ok else "fiber series * (t..-1) != pprime"))
 
@@ -249,7 +257,7 @@ def run_verify(c: Curve, bound=None, budget=DEFAULT_BUDGET):
     # divisibility convention does not apply
     results.append(("exact-divisibility", True, ""))
 
-    alex_extra = en_alexander(free_blowups(a.graph, 3), bound=a.bound)
+    alex_extra = en_alexander(free_blowups(a.graph, 3))
     ok = alex_extra == alex
     results.append(("resolution-invariance", ok,
                     "" if ok else "extra blow-ups changed the product"))
@@ -283,22 +291,19 @@ def _cmd_resolve(args) -> int:
 def _cmd_alexander(args) -> int:
     c, g = _load_input(args.input)
     if args.via == "graph":
-        if g is None:
-            g = resolve(c, args.budget)
-        _emit(format_poly(en_alexander(g, bound=args.bound)), args.out)
-        return 0
-    if c is None:
+        delta = en_alexander(resolve(c, args.budget) if g is None else g)
+    elif c is None:
         raise ParseError("--via %s needs a curve file, not a graph" % args.via)
-    a = Analysis(c, args.bound, args.budget)
-    poly = a.poincare if args.via == "poincare" else a.fiber_series
-    _emit(format_poly(poly), args.out)
+    else:
+        a = Analysis(c, args.budget)
+        delta = a.poincare if args.via == "poincare" else a.fiber_series
+    _emit(format_poly(printed_series(delta, args.bound)), args.out)
     return 0
 
 
 def _cmd_poincare(args) -> int:
-    c = parse_curve_file(args.input)
-    a = Analysis(c, args.bound, args.budget)
-    _emit(format_poly(a.poincare), args.out)
+    a = Analysis(parse_curve_file(args.input), args.budget)
+    _emit(format_poly(printed_series(a.poincare, args.bound)), args.out)
     return 0
 
 
@@ -331,12 +336,13 @@ def _cmd_fibers(args) -> int:
 def _cmd_semigroup(args) -> int:
     c = parse_curve_file(args.input)
     window = _checked_window(c, args.window) if args.window else None
-    a = Analysis(c, args.bound, args.budget)
+    a = Analysis(c, args.budget)
     lines = ["conductor\t%s" % ",".join(str(x) for x in a.conductor)]
     if c.r == 1:
         for g in semigroup.minimal_generators(a):
             lines.append("generator\t%d" % g)
-        top = (a.bound,)
+        # the listing stops where printed_series stops by default
+        top = (2 * a.conductor[0] + 2 if args.bound is None else args.bound,)
     else:
         top = vec_add(a.conductor, (2,) * c.r)
     if window:
@@ -351,7 +357,8 @@ def _cmd_semigroup(args) -> int:
 
 def _cmd_verify(args) -> int:
     c = parse_curve_file(args.input)
-    results = run_verify(c, bound=args.bound, budget=args.budget)
+    # --bound is accepted and range-checked, but every check is exact
+    results = run_verify(c, budget=args.budget)
     all_ok = True
     for name, ok, detail in results:
         line = "%s %s" % ("PASS" if ok else "FAIL", name)

@@ -25,7 +25,9 @@ re-sweeps the matrix.  Its reads are taken on [0, c] from the [0, c + 1]
 sub-box.  Past c the filled table rises by one per step on each axis, so
 the reads there follow from [0, c] by construction: membership and the
 one-branch chi repeat their values at min(v, c), and the reads of two or
-more differences (P', and chi for r > 1) vanish.
+more differences (P', and chi for r > 1) vanish.  So every series is the
+Alexander polynomial Delta on [0, c], for one branch the differences of
+chi or of membership along the axis; the CLI prints Delta / (1 - t).
 """
 
 from __future__ import annotations
@@ -319,14 +321,12 @@ class Analysis:
     ``chi``, ``membership`` and the coefficients of ``pprime``.  Past c the
     filled table rises by one per step on each axis, so P' and the chi of
     r > 1 vanish there, while membership and the one-branch chi repeat
-    their values at min(v, c): ``is_member``, ``members_to`` and the
-    one-branch series read the tables there.  One-branch series
-    are truncated at ``bound`` (default 2c + 2; r > 1 ignores it), which
-    does not size the matrix.
+    their values at min(v, c): ``is_member`` and ``members_to`` read the
+    tables there.  Every series is the Alexander polynomial Delta, for
+    every r.
     """
 
-    def __init__(self, curve: Curve, bound: int | None = None,
-                 budget: int = DEFAULT_BUDGET):
+    def __init__(self, curve: Curve, budget: int = DEFAULT_BUDGET):
         self.curve = curve
         self.graph, centers = _run_blowups(curve, budget)
         own, table = _noether_sums(centers, curve.r)
@@ -335,11 +335,6 @@ class Analysis:
         # own holds 2 delta_i; the table is symmetric
         self.delta = sum(own) // 2 + sum(row[j] for i, row in
                                          enumerate(table) for j in range(i))
-        if curve.r > 1:
-            bound = None
-        elif bound is None:
-            bound = 2 * self.conductor[0] + 2
-        self.bound = bound
 
     @cached_property
     def jet(self) -> JetMatrix:
@@ -384,18 +379,21 @@ class Analysis:
             k = k * (ci + 1) + min(max(x, 0), ci)
         return self.membership[k]
 
+    def _series(self, values) -> MultiPoly:
+        """The nonzero terms of a flat table on [0, c]; for r = 1, of its
+        product with (1 - t): f(v) - f(v - 1), with f(-1) = 0."""
+        if self.curve.r == 1:
+            values = list(map(sub, values, [0] + values[:-1]))
+        return _nonzero(values, self.conductor)
+
     @cached_property
     def fiber_series(self) -> MultiPoly:
         """Sum of fiber Euler characteristics: chi of the projectivized
-        extended semigroup, graded by valuation.
-
-        For r > 1 this is a polynomial supported in [0, conductor]: past c
-        the filled table is linear, so chi vanishes there.  For r = 1 it is
-        an honest infinite series, chi(min(v, c)), truncated at ``bound``.
-        """
-        c = self.conductor
-        top = (self.bound,) if self.curve.r == 1 else c
-        return _nonzero(_extend(self.chi, c, top), top)
+        extended semigroup, graded by valuation, a polynomial on
+        [0, conductor].  For r > 1 chi vanishes past c, where the filled
+        table is linear.  For r = 1 chi repeats chi(c) past c, and the
+        polynomial is its series times (1 - t)."""
+        return self._series(self.chi)
 
     @cached_property
     def pprime(self) -> MultiPoly:
@@ -412,12 +410,10 @@ class Analysis:
 
         For r > 1: the exact quotient of pprime by t_1*...*t_r - 1 (the
         divisibility is a theorem; a remainder means a bug).  For r = 1 the
-        quotient degenerates to the ordinary Poincare series of the
-        filtration, the membership indicator series, truncated at ``bound``.
+        Poincare series of the filtration is the membership indicator
+        series, and the polynomial is its product with (1 - t).
         """
         r = self.curve.r
         if r == 1:
-            top = (self.bound,)
-            return dict.fromkeys(compress(iter_box((0,), top),
-                                          self.members_to(top)), 1)
+            return self._series(self.membership)
         return mp_exact_div(self.pprime, {(1,) * r: 1, (0,) * r: -1})

@@ -372,7 +372,7 @@ def noether_intersections(c: Curve, budget: int = DEFAULT_BUDGET):
 # the Eisenbud-Neumann product
 # ---------------------------------------------------------------------------
 
-def en_alexander(g: ResGraph, bound: int | None = None) -> MultiPoly:
+def en_alexander(g: ResGraph) -> MultiPoly:
     """Alexander polynomial from the resolution graph: the product over
     vertices of (1 - t^m)^(-chi of the smooth part), times (1 - t) for
     r = 1.
@@ -382,10 +382,9 @@ def en_alexander(g: ResGraph, bound: int | None = None) -> MultiPoly:
     off exactly, largest m first (``mp_exact_div`` reads the leading term of
     the whole remainder at every step, and the largest divisor first keeps
     that remainder short).  A graph that is no curve's resolution graph can
-    leave a remainder: NotDivisibleError.  For r > 1 Delta is the result.
-    For r = 1 the result is the monodromy zeta function Delta / (1 - t), an
-    infinite series: the prefix sums of Delta, truncated at ``bound``
-    (default 2 deg Delta + 2, twice the conductor plus two).
+    leave a remainder: NotDivisibleError.  For r = 1 the extra factor
+    (1 - t) makes the product Delta too, of degree the conductor: the
+    monodromy zeta function is Delta / (1 - t).
     """
     num, den = [], []
     for sid in sorted(g.vertices):
@@ -398,13 +397,4 @@ def en_alexander(g: ResGraph, bound: int | None = None) -> MultiPoly:
         poly = mp_mul(poly, mp_one_minus(m))
     for m in sorted(den, reverse=True):
         poly = mp_exact_div(poly, mp_one_minus(m))
-    if g.r > 1:
-        return poly
-    if bound is None:
-        bound = 2 * max(poly)[0] + 2
-    series, total = {}, 0
-    for v in range(bound + 1):
-        total += poly.get((v,), 0)
-        if total:
-            series[(v,)] = total
-    return series
+    return poly

@@ -14,13 +14,18 @@ from .resolution import GraphError, ResGraph, classify_graph
 def minimal_generators(a: Analysis) -> list:
     """Minimal generators of a one-branch analysis: the nonzero members
     below 2c + 3 that are not a sum of two nonzero members (every generator
-    is below the conductor plus the multiplicity)."""
+    is below the conductor plus the multiplicity).  A member v is such a
+    sum iff v - g is a member for some generator g < v, so one ascending
+    walk over the members finds them all."""
     if a.curve.r != 1:
         raise ValueError("minimal generators are defined for one branch")
     top = 2 * a.conductor[0] + 2
-    members = list(compress(range(1, top + 1), a.members_to((top,))[1:]))
-    sums = {u + v for u in members for v in members}
-    return [v for v in members if v not in sums]
+    member = a.members_to((top,))
+    gens = []
+    for v in compress(range(1, top + 1), member[1:]):
+        if not any(member[v - g] for g in gens):
+            gens.append(v)
+    return gens
 
 
 def _closure(gens, bound) -> set:
@@ -75,7 +80,7 @@ def verify_semigroup_properties(c: Curve) -> SemigroupReport:
     ns = [n for _, n in tails]
 
     delta = a.conductor[0]
-    top = a.bound
+    top = 2 * delta + 2
     members = a.members_to((top,))
 
     checks = {}

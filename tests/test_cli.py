@@ -26,6 +26,7 @@ from corpus import (
     curve_to_json,
     make_cusp,
     make_cusp_tangent_line,
+    make_quartic_branch,
     make_tacnode,
 )
 
@@ -307,6 +308,32 @@ def test_verify_one_branch_passes_below_the_conductor(tmp_path, capsys, k,
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 6
     assert all(line.startswith("PASS ") for line in lines)
+
+
+@pytest.mark.parametrize("bound", [[], ["--bound", "0"], ["--bound", "3"]],
+                         ids=["default", "bound-0", "bound-3"])
+def test_verify_compares_the_exact_polynomials_whatever_the_bound(
+        tmp_path, monkeypatch, capsys, bound):
+    # chi corrupted at v = c - 1 = 15 on the quartic: a bound below 15
+    # must not hide it, because verify compares the exact Delta
+    chi = Analysis.chi.func
+
+    def corrupted(a):
+        values = chi(a)
+        values[a.conductor[0] - 1] += 5
+        return values
+
+    monkeypatch.setattr(Analysis, "chi", property(corrupted))
+    path = _write(tmp_path, "quartic.json",
+                  curve_to_json(make_quartic_branch()))
+    assert cli.main(["verify", path] + bound) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS poincare-equals-alexander",
+        "FAIL fiber-euler-equals-alexander: fiber series != alexander",
+        "FAIL fiber-product-identity: fiber series * (t..-1) != pprime",
+        "PASS exact-divisibility",
+        "PASS resolution-invariance",
+        "PASS window-stability"]
 
 
 @pytest.mark.parametrize("argv,message", [

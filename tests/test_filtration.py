@@ -5,7 +5,8 @@ from itertools import combinations
 import pytest
 
 from curvealex import Curve
-from curvealex.exactmath import iter_box, mp_mul, vec_add, vec_leq
+from curvealex.cli import printed_series
+from curvealex.exactmath import iter_box, mp_mul, up_mul, vec_add, vec_leq
 from curvealex.filtration import (
     Analysis,
     BoundaryNonzeroError,
@@ -15,7 +16,7 @@ from curvealex.filtration import (
     pprime_coefficients,
     sub_box,
 )
-from curvealex.resolution import en_alexander, resolve
+from curvealex.resolution import en_alexander, noether_intersections, resolve
 
 from corpus import (
     CORPUS_ALL,
@@ -150,13 +151,15 @@ def test_gorenstein_symmetry_of_the_honest_table(name):
 def test_alexander_polynomial_is_symmetric(name):
     a = Analysis(ORACLE_CURVES[name]())
     c, r = a.conductor, a.curve.r
+    delta = en_alexander(a.graph)
     if r == 1:
         # the semigroup is symmetric: v is a value iff c - 1 - v is not
         for v in range(c[0]):
             assert a.is_member((v,)) != a.is_member((c[0] - 1 - v,)), v
+        # and so t^c Delta(1/t) = Delta(t)
+        assert {(c[0] - v,): k for (v,), k in delta.items()} == delta
         return
     # t^(c - 1) Delta(1/t) = (-1)^r Delta(t)
-    delta = en_alexander(a.graph)
     assert {tuple(x - 1 - y for x, y in zip(c, v)): (-1) ** r * k
             for v, k in delta.items()} == delta
 
@@ -174,6 +177,58 @@ def test_alexander_polynomial_follows_the_branches_and_the_axes(name):
             tuple(v[i] for i in order): k for v, k in delta.items()}
     swapped = Curve([(b.y, b.x) for b in curve.branches])
     assert en_alexander(resolve(swapped)) == delta
+    # the change of coordinates (x, y + x^2) and the reparametrization
+    # t -> t + t^2 of every branch keep the germ, and so every pipeline's
+    # Delta
+    sheared = Curve([(b.x, _add(b.y, up_mul(b.x, b.x)))
+                     for b in curve.branches])
+    shifted = Curve([(_substitute(b.x, {1: 1, 2: 1}),
+                      _substitute(b.y, {1: 1, 2: 1}))
+                     for b in curve.branches])
+    for moved in (sheared, shifted):
+        a = Analysis(moved)
+        assert en_alexander(a.graph) == a.poincare == a.fiber_series == delta
+
+
+def _add(p, q) -> dict:
+    """The sum of two polynomials given as exponent -> coefficient."""
+    out = dict(p)
+    for e, x in q.items():
+        out[e] = out.get(e, 0) + x
+    return {e: x for e, x in out.items() if x}
+
+
+def _substitute(p, s) -> dict:
+    """p(s(t)) for polynomials given as exponent -> coefficient."""
+    out, power = {}, {0: 1}
+    for k in range(max(p, default=0) + 1):
+        out = _add(out, {e: p.get(k, 0) * x for e, x in power.items()})
+        power = up_mul(power, s)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, make in ORACLE_CURVES.items() if make().r > 1))
+def test_torres_formula(name):
+    # Delta_C with t_k = 1 is (1 - prod_i t_i^(C_i . C_k)) Delta of C
+    # without C_k for r >= 3, and (1 + t + ... + t^(l - 1)) Delta_(C_1)(t)
+    # with l = (C_1 . C_2) for r = 2 (Torres); every branch in turn is C_k
+    curve = ORACLE_CURVES[name]()
+    delta, r = en_alexander(resolve(curve)), curve.r
+    table = noether_intersections(curve)
+    for k in range(r):
+        restricted = {}
+        for v, x in delta.items():
+            u = v[:k] + v[k + 1:]
+            restricted[u] = restricted.get(u, 0) + x
+        rest = Curve(curve.branches[:k] + curve.branches[k + 1:])
+        ls = tuple(row[k] for i, row in enumerate(table) if i != k)
+        if r == 2:
+            factor = {(e,): 1 for e in range(ls[0])}
+        else:
+            factor = {(0,) * (r - 1): 1, ls: -1}
+        assert {u: x for u, x in restricted.items() if x} == \
+            mp_mul(factor, en_alexander(resolve(rest))), k
 
 
 SWEEP_CURVES = dict(CORPUS_ALL, rational=make_rational_three_branches,
@@ -257,8 +312,9 @@ def test_fiber_series_tacnode():
 
 def test_fiber_series_cusp_is_truncated_membership_series():
     members = semigroup_closure([2, 3], 12)
-    assert Analysis(make_cusp(), bound=12).fiber_series == \
-        {(v,): 1 for v in members}
+    fibers = Analysis(make_cusp()).fiber_series
+    assert fibers == {(0,): 1, (1,): -1, (2,): 1}
+    assert printed_series(fibers, 12) == {(v,): 1 for v in members}
 
 
 def test_pprime_node():
@@ -322,15 +378,10 @@ def test_window_stability(name):
 def test_fiber_product_identity_on_the_box(name):
     c = CORPUS_ALL[name]()
     r = c.r
-    delta = Analysis(c).conductor
-    bound = 2 * delta[0] + 2 if r == 1 else None
-    fibers = Analysis(c, bound=bound).fiber_series
-    divisor = {(1,) * r: 1, (0,) * r: -1}
-    product = mp_mul(fibers, divisor)
-    box_top = tuple(d + 1 for d in delta)
-    if r == 1:
-        product = {e: v for e, v in product.items() if vec_leq(e, box_top)}
-    assert product == Analysis(c).pprime
+    a = Analysis(c)
+    # P' = (t_1...t_r - 1) Delta, and P' = -Delta for one branch
+    divisor = {(1,) * r: 1, (0,) * r: -1} if r > 1 else {(0,): -1}
+    assert mp_mul(a.fiber_series, divisor) == a.pprime
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_MULTI))
