@@ -20,20 +20,23 @@ t^c * O-bar lies in the local ring, so past c the table is linear,
 h(v) = h(min(v, c)) + sum_i max(v_i - c_i, 0), and v is a value iff
 min(v, c) is.  An ``Analysis`` therefore sweeps its matrix only on [0, c],
 certifies c from that table and the rank of the whole window, and fills
-the rest of [0, c + 2] by the rule (``_extend``); an honest check
-re-sweeps the matrix.  Its reads are taken on [0, c] from the [0, c + 1]
-sub-box.  Past c the filled table rises by one per step on each axis, so
-the reads there follow from [0, c] by construction: membership and the
-one-branch chi repeat their values at min(v, c), and the reads of two or
-more differences (P', and chi for r > 1) vanish.  So every series is the
-Alexander polynomial Delta on [0, c], for one branch the differences of
-chi or of membership along the axis; the CLI prints Delta / (1 - t).
+the rest of [0, c + 2] by the rule (``_extend``).  On [0, c] the table is
+that honest sweep itself, so an honest check re-sweeps the matrix only on
+the shell of [0, c + 1] outside [0, c], face by face (``shell_face``); a
+table swept on less than [0, c] would need a wider re-sweep.  Its reads
+are taken on [0, c] from the [0, c + 1] sub-box.  Past c the filled table
+rises by one per step on each axis, so the reads there follow from [0, c]
+by construction: membership and the one-branch chi repeat their values at
+min(v, c), and the reads of two or more differences (P', and chi for
+r > 1) vanish.  So every series is the Alexander polynomial Delta on
+[0, c], for one branch the differences of chi or of membership along the
+axis; the CLI prints Delta / (1 - t).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress, islice
+from itertools import accumulate, compress, islice
 from math import gcd, prod
 from operator import sub
 
@@ -84,6 +87,9 @@ class JetMatrix:
         # integral and scales row x^a y^b by Dx^a Dy^b, which changes no rank
         xs = up_integral([br.x for br in curve.branches])[1]
         ys = up_integral([br.y for br in curve.branches])[1]
+        # each jet's terms lie below its window, so a row is a zero row with
+        # them written at their branch's offset (the last offset is its length)
+        starts = list(accumulate(window, initial=0))
         # x^a y^b is visible iff its jet is nonzero on some branch (leading
         # coefficients never cancel); the visible b form a prefix for each
         # a, and so do the visible a
@@ -92,8 +98,11 @@ class JetMatrix:
             jet, b = xa, 0
             while any(jet):
                 self.monomials.append((a, b))
-                self.rows.append([p.get(k, 0) for p, w in zip(jet, window)
-                                  for k in range(w)])
+                row = [0] * starts[-1]
+                for p, start in zip(jet, starts):
+                    for k, x in p.items():
+                        row[start + k] = x
+                self.rows.append(row)
                 jet = [up_mul_trunc(p, y, w) for p, y, w
                        in zip(jet, ys, window)]
                 b += 1
@@ -113,6 +122,35 @@ class JetMatrix:
                 _add_column(basis, col)
             start += w
         return ranks, len(basis)
+
+    def face(self, c, i) -> list:
+        """The ranks on face i of the shell of [0, c + 1] outside [0, c]
+        (``shell_face``; c + 1 inside the window), in lexicographic order:
+        branch i's first c_i + 1 columns are added once, then the other
+        branches are swept in branch-major order.  (Swept with branch i in
+        its own place, a last face would rebuild that prefix on every row.)"""
+        start = sum(self.window[:i])
+        basis = []
+        for col in self.columns[start:start + c[i] + 1]:
+            _add_column(basis, col)
+        window = self.window[:i] + self.window[i + 1:]
+        if not window:
+            return [len(basis)]
+        top = shell_face(c, i)[1]
+        ranks = []
+        _sweep(ranks, basis, self.columns[:start] +
+               self.columns[start + self.window[i]:], window,
+               top[:i] + top[i + 1:])
+        return ranks
+
+
+def shell_face(c, i) -> tuple:
+    """The corners (low, top) of face i of the shell of [0, c + 1] outside
+    [0, c]: v_i = c_i + 1, v_j <= c_j for j < i and v_j <= c_j + 1 for
+    j > i.  The r faces are disjoint and cover the shell; a shell point lies
+    on the face of its first coordinate past c."""
+    low = (0,) * i + (c[i] + 1,) + (0,) * (len(c) - i - 1)
+    return low, tuple(c[:i]) + tuple(x + 1 for x in c[i:])
 
 
 def _primitive(vec) -> list:
@@ -192,17 +230,18 @@ def _differences(values, shape) -> list:
     return values
 
 
-def sub_box(values, window, top) -> list:
-    """The values on [0, top] of a table given on the box [0, window], in
-    one pass: one slice along the last axis per point of the other axes,
-    with no table in between."""
+def sub_box(values, window, top, low=None) -> list:
+    """The values on [low, top] (low = 0 by default) of a table given on the
+    box [0, window], in one pass: one slice along the last axis per point of
+    the other axes, with no table in between."""
+    low = low or (0,) * len(top)
     stride, starts = prod(w + 1 for w in window), [0]
-    for w, t in zip(window[:-1], top[:-1]):
+    for w, lo, t in zip(window[:-1], low, top[:-1]):
         stride //= w + 1
-        starts = [k + x * stride for k in starts for x in range(t + 1)]
-    n, out = top[-1] + 1, []
+        starts = [k + x * stride for k in starts for x in range(lo, t + 1)]
+    a, b, out = low[-1], top[-1] + 1, []
     for k in starts:
-        out += values[k:k + n]
+        out += values[k + a:k + b]
     return out
 
 

@@ -19,7 +19,7 @@ from curvealex.cli import (
     parse_graph_file,
 )
 from curvealex.exactmath import iter_box
-from curvealex.filtration import Analysis, JetMatrix
+from curvealex.filtration import Analysis, JetMatrix, shell_face
 from curvealex.resolution import resolve
 
 from corpus import (
@@ -28,6 +28,7 @@ from corpus import (
     make_cusp_tangent_line,
     make_quartic_branch,
     make_tacnode,
+    make_three_lines,
 )
 
 CUSP_JSON = {"branches": [{"x": [[2, "1"]], "y": [[3, "1"]]}]}
@@ -49,10 +50,11 @@ def _write(tmp_path, name, data):
 @pytest.fixture
 def calls(monkeypatch):
     """Counts runs of the blow-up engine and jet-matrix builds, and records
-    the window of each build and the box of each sweep."""
-    counts = {"engine": 0, "jet": 0, "windows": [], "boxes": []}
+    the window of each build, the box of each sweep and the index of each
+    face swept on the shell of [0, c + 1]."""
+    counts = {"engine": 0, "jet": 0, "windows": [], "boxes": [], "faces": []}
     engine = resolution._run_blowups
-    init, sweep = JetMatrix.__init__, JetMatrix.sweep
+    init, sweep, face = JetMatrix.__init__, JetMatrix.sweep, JetMatrix.face
 
     def counted_engine(*args, **kwargs):
         counts["engine"] += 1
@@ -67,12 +69,17 @@ def calls(monkeypatch):
         counts["boxes"].append(tuple(box))
         return sweep(self, box)
 
+    def counted_face(self, c, i):
+        counts["faces"].append(i)
+        return face(self, c, i)
+
     for name, mod in list(sys.modules.items()):
         if name.startswith("curvealex") and \
                 getattr(mod, "_run_blowups", None) is engine:
             monkeypatch.setattr(mod, "_run_blowups", counted_engine)
     monkeypatch.setattr(JetMatrix, "__init__", counted_init)
     monkeypatch.setattr(JetMatrix, "sweep", counted_sweep)
+    monkeypatch.setattr(JetMatrix, "face", counted_face)
     return counts
 
 
@@ -257,9 +264,11 @@ def test_verify_tacnode_all_pass(tmp_path, capsys, calls):
     assert calls["engine"] == 1
     assert calls["jet"] == 1
     # the conductor is (2, 2): the analysis sweeps [0, c] of its window
-    # c + 2, and window-stability re-sweeps the same columns on [0, c + 1]
+    # c + 2, and window-stability re-sweeps the same columns only on the
+    # two faces of the shell of [0, c + 1] outside [0, c]
     assert calls["windows"] == [(4, 4)]
-    assert calls["boxes"] == [(2, 2), (3, 3)]
+    assert calls["boxes"] == [(2, 2)]
+    assert calls["faces"] == [0, 1]
 
 
 def test_verify_five_transverse_lines_all_pass(tmp_path, capsys, calls):
@@ -271,24 +280,18 @@ def test_verify_five_transverse_lines_all_pass(tmp_path, capsys, calls):
     assert len(out) == 6
     assert all(line.startswith("PASS ") for line in out)
     # the conductor is (4, 4, 4, 4, 4): the analysis sweeps [0, c] and
-    # window-stability [0, c + 1], both on the one window c + 2
+    # window-stability the five faces of the shell of [0, c + 1], both on
+    # the one window c + 2
     assert calls["windows"] == [(6,) * 5]
-    assert calls["boxes"] == [(4,) * 5, (5,) * 5]
+    assert calls["boxes"] == [(4,) * 5]
+    assert calls["faces"] == [0, 1, 2, 3, 4]
 
 
 def test_verify_fails_when_the_wider_window_moves_c(tmp_path, capsys,
                                                     monkeypatch):
-    sweep = JetMatrix.sweep
-
-    def moved(self, box):
-        ranks, rank = sweep(self, box)
-        if box == (3, 3):
-            # verify's re-sweep on [0, c + 1]: c(v) = h(v + 1) - h(v), so
-            # this moves c at (2, 2) only, read at (3, 3)
-            ranks[3 * 4 + 3] += 1
-        return ranks, rank
-
-    monkeypatch.setattr(JetMatrix, "sweep", moved)
+    # (3, 3) lies on face 0 of the tacnode's shell, v = (3, 0..3): c(v) =
+    # h(v + 1) - h(v), so this moves c at (2, 2) only, read at (3, 3)
+    _corrupted_faces(monkeypatch, {(3, 3)})
     path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
     assert cli.main(["verify", path]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -298,6 +301,57 @@ def test_verify_fails_when_the_wider_window_moves_c(tmp_path, capsys,
         "resolution-invariance")]
     assert lines[5:] == ["FAIL window-stability: h(3,3) = 5 on the honest "
                          "re-sweep, 4 by the conductor rule"]
+
+
+def _corrupted_faces(monkeypatch, points):
+    """Make the honest face sweeps read one more at each of the points."""
+    face = JetMatrix.face
+
+    def moved(self, c, i):
+        ranks = face(self, c, i)
+        for k, v in enumerate(iter_box(*shell_face(c, i))):
+            ranks[k] += v in points
+        return ranks
+
+    monkeypatch.setattr(JetMatrix, "face", moved)
+
+
+def _window_stability_line(curve, v):
+    """The FAIL line for v when the honest sweep reads one more there."""
+    a = Analysis(curve)
+    h = dict(zip(iter_box((0,) * curve.r, a.jet.window), a.ranks))[v]
+    return ("FAIL window-stability: h(%s) = %d on the honest re-sweep, %d "
+            "by the conductor rule" % (",".join(map(str, v)), h + 1, h))
+
+
+@pytest.mark.parametrize("make,i", [
+    (make_cusp, 0), (make_tacnode, 0), (make_tacnode, 1),
+    (make_three_lines, 0), (make_three_lines, 1), (make_three_lines, 2)],
+    ids=["r1-face0", "r2-face0", "r2-face1", "r3-face0", "r3-face1",
+         "r3-face2"])
+def test_verify_names_the_corrupted_point_of_each_face(tmp_path, capsys,
+                                                       monkeypatch, make, i):
+    curve = make()
+    points = list(iter_box(*shell_face(Analysis(curve).conductor, i)))
+    v = points[len(points) // 2]
+    line = _window_stability_line(curve, v)
+    _corrupted_faces(monkeypatch, {v})
+    path = _write(tmp_path, "curve.json", curve_to_json(curve))
+    assert cli.main(["verify", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert all(x.startswith("PASS ") for x in lines[:5])
+    assert lines[5:] == [line]
+
+
+def test_verify_names_the_lexicographically_first_corrupted_point(
+        tmp_path, capsys, monkeypatch):
+    # the tacnode's conductor is (2, 2): (3, 0) lies on face 0, which is
+    # swept first, and (2, 3) on face 1, but (2, 3) comes first in the box
+    _corrupted_faces(monkeypatch, {(3, 0), (2, 3)})
+    path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
+    assert cli.main(["verify", path]) == 1
+    assert capsys.readouterr().out.splitlines()[5:] == [
+        _window_stability_line(make_tacnode(), (2, 3))]
 
 
 @pytest.mark.parametrize("k,bound", [(1, b) for b in range(5)] + [(40, 3)])
@@ -351,6 +405,19 @@ def test_out_of_range_flag_is_a_parse_error(tmp_path, capsys, argv, message):
     assert captured.err == "ParseError: %s\n" % message
 
 
+@pytest.mark.parametrize("cmd,text", [
+    (cmd, "series truncation degree for one-branch curves (default: twice "
+          "the conductor plus two)")
+    for cmd in ("alexander", "poincare", "semigroup")] + [
+    ("verify", "accepted and range-checked, but narrows no check: every "
+               "check compares exact polynomials")],
+    ids=["alexander", "poincare", "semigroup", "verify"])
+def test_bound_help_says_what_the_flag_does(cmd, text):
+    bound, = [action for action in cli._build_parser(cmd)._actions
+              if action.dest == "bound"]
+    assert bound.help == text
+
+
 @pytest.mark.parametrize("argv", [["resolve", "--bound", "3"],
                                   ["fibers", "--bound", "3"],
                                   ["verify", "--out", "unused.txt"]],
@@ -379,7 +446,7 @@ def test_one_branch_command_analyses_once(tmp_path, capsys, calls, argv,
     # the cusp's conductor is 2: one window of conductor + 2, swept on
     # [0, 2]
     assert calls == {"engine": engine, "jet": jet, "windows": [(4,)] * jet,
-                     "boxes": [(2,)] * jet}
+                     "boxes": [(2,)] * jet, "faces": []}
 
 
 def test_bound_truncates_without_sizing_the_window(tmp_path, capsys, calls):

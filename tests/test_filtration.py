@@ -1,6 +1,7 @@
 import copy
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -14,6 +15,7 @@ from curvealex.filtration import (
     fiber_eulers,
     members,
     pprime_coefficients,
+    shell_face,
     sub_box,
 )
 from curvealex.resolution import en_alexander, noether_intersections, resolve
@@ -504,6 +506,27 @@ def test_reads_of_the_sub_box_match_the_whole_window(name):
         assert [x for v, x in whole if not vec_leq(v, c)] == \
             [past] * (len(whole) - len(a.chi))
     assert a.chi == fiber_eulers(part, inner)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+def test_shell_faces_match_the_full_re_sweep(name):
+    # the r faces are disjoint and cover [0, c + 1] outside [0, c]; their
+    # ranks, each face swept with its own branch's prefix added first,
+    # equal an honest sweep of the whole box [0, c + 1] at those points,
+    # and so do the values sub_box reads between the face's corners
+    a = Analysis(ORACLE_CURVES[name]())
+    c, r = a.conductor, a.curve.r
+    top = vec_add(c, (1,) * r)
+    full = a.jet.sweep(top)[0]
+    h = dict(zip(iter_box((0,) * r, top), full, strict=True))
+    faces = [shell_face(c, i) for i in range(r)]
+    points = [v for low, high in faces for v in iter_box(low, high)]
+    assert len(points) == prod(x + 2 for x in c) - prod(x + 1 for x in c)
+    assert set(points) == {v for v in h if not vec_leq(v, c)}
+    for i, (low, high) in enumerate(faces):
+        ranks = a.jet.face(c, i)
+        assert ranks == [h[v] for v in iter_box(low, high)]
+        assert sub_box(full, top, high, low) == ranks
 
 
 @pytest.mark.parametrize("name", sorted(RANK_CURVES))
