@@ -11,7 +11,6 @@ together with a verification harness checking that they coincide exactly.
 from .curve import BranchParam, Curve, validate_curve
 from .exactmath import (
     NotDivisibleError,
-    mp_exact_div,
     mp_mul,
     ord_lead,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "chi_open",
     "classify_graph",
     "en_alexander",
-    "mp_exact_div",
     "mp_mul",
     "noether_intersections",
     "ord_lead",

@@ -151,7 +151,7 @@ def graph_from_json(data) -> ResGraph:
     stack = [root]
     while stack:
         v = stack.pop()
-        for u in graph.neighbors(v):
+        for u in graph.adjacency[v]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
@@ -175,6 +175,29 @@ def graph_to_json(g: ResGraph) -> dict:
         "arrows": [{"vertex": v, "branch": b} for v, b in g.arrows],
         "root": g.root,
     }
+
+
+def json_text(x, indent="") -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)`` for ints, lists and
+    str-keyed dicts, byte for byte.  The encoder behind ``indent`` is pure
+    Python and leaves reference cycles for the cyclic collector; this
+    leaves none."""
+    if type(x) is int:
+        return repr(x)
+    inner = indent + "  "
+    if isinstance(x, dict):
+        items = [json.dumps(k) + ": " + json_text(x[k], inner)
+                 for k in sorted(x)]
+        brackets = "{}"
+    elif isinstance(x, list):
+        items = [json_text(y, inner) for y in x]
+        brackets = "[]"
+    else:
+        raise TypeError("%r is not an int, a list or a dict" % (x,))
+    if not items:
+        return brackets
+    body = (",\n" + inner).join(items)
+    return "%s\n%s%s\n%s%s" % (brackets[0], inner, body, indent, brackets[1])
 
 
 def parse_graph_file(path) -> ResGraph:
@@ -291,7 +314,7 @@ def run_verify(c: Curve, budget=DEFAULT_BUDGET):
 def _cmd_resolve(args) -> int:
     c = parse_curve_file(args.input)
     g = resolve(c, args.budget)
-    _emit(json.dumps(graph_to_json(g), indent=2, sort_keys=True), args.out)
+    _emit(json_text(graph_to_json(g)), args.out)
     return 0
 
 

@@ -8,7 +8,10 @@ Representations
   the blow-up engine and the jet rows run on the integer multiples that
   ``up_integral`` clears them to.
 * ``ExpVec`` is a tuple of ints, one entry per curve branch.
-* ``MultiPoly`` maps ExpVec to a nonzero int; ``{}`` is zero.
+* ``MultiPoly`` maps ExpVec to a nonzero int; ``{}`` is zero.  The one
+  division the package needs is by a binomial 1 - t^m (the Eisenbud-Neumann
+  product, and P' by t_1*...*t_r - 1): ``mp_div_one_minus`` takes it in one
+  pass, as a running sum along the lines of direction m.
 
 Zero coefficients are never stored, so dict equality is polynomial equality.
 Orders of vanishing use ``math.inf`` for identically-zero series.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 INF = math.inf
 
@@ -163,34 +167,36 @@ def mp_one_minus(m: ExpVec) -> MultiPoly:
     return {(0,) * len(m): 1, tuple(m): -1}
 
 
-def mp_exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
-    """Exact quotient num / den, dividing leading terms in lexicographic
-    order.  Raises NotDivisibleError as soon as the division cannot continue
-    (non-dominated leading exponent, fractional coefficient, or a leftover
-    remainder would arise).
-    """
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    _check_rank(num, den)
-    lead_e = max(den)
-    lead_c = den[lead_e]
-    rem = dict(num)
-    quo = {}
-    while rem:
-        e = max(rem)
-        c = rem[e]
-        diff = tuple(x - y for x, y in zip(e, lead_e))
-        if any(d < 0 for d in diff) or c % lead_c:
-            raise NotDivisibleError(
-                "remainder with leading term %r while dividing" % (e,))
-        k = c // lead_c
-        quo[diff] = k
-        for de, dc in den.items():
-            key = tuple(x + y for x, y in zip(diff, de))
-            s = rem.get(key, 0) - k * dc
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return quo
+def mp_div_one_minus(p: MultiPoly, m: ExpVec) -> MultiPoly:
+    """Exact quotient p / (1 - t^m) for an exponent m >= 0, m != 0, in one
+    pass over p.
 
+    The quotient q satisfies q(v) - q(v - m) = p(v), so it splits along the
+    lines b + N*m, each with its base point b, the one point of the line not
+    dominated by m: on each line q is the running sum of p from b.  q is a
+    polynomial iff p sums to 0 along every line.  If not, NotDivisibleError
+    names the lexicographically largest base point with a nonzero line sum,
+    the term where long division by the leading term t^m stops.
+    """
+    steps = [i for i, x in enumerate(m) if x]
+    if not steps:
+        raise ZeroDivisionError("division by the zero polynomial")
+    _check_rank(p, {m: 1})
+    lines = {}  # base point -> {position k on the line: coefficient}
+    for e, c in p.items():
+        k = min(e[i] // m[i] for i in steps)
+        base = tuple(x - k * y for x, y in zip(e, m)) if k else e
+        lines.setdefault(base, {})[k] = c
+    rest = [b for b, line in lines.items() if sum(line.values())]
+    if rest:
+        raise NotDivisibleError(
+            "remainder with leading term %r while dividing" % (max(rest),))
+    q = {}
+    for v, line in lines.items():
+        s = 0
+        for k in range(max(line)):
+            s += line.get(k, 0)
+            if s:
+                q[v] = s
+            v = tuple(map(add, v, m))
+    return q

@@ -44,7 +44,7 @@ from .curve import Curve, validate_curve
 from .exactmath import (
     MultiPoly,
     iter_box,
-    mp_exact_div,
+    mp_div_one_minus,
     up_integral,
     up_mul_trunc,
 )
@@ -447,12 +447,15 @@ class Analysis:
     def poincare(self) -> MultiPoly:
         """The Poincare polynomial of the multi-index filtration.
 
-        For r > 1: the exact quotient of pprime by t_1*...*t_r - 1 (the
-        divisibility is a theorem; a remainder means a bug).  For r = 1 the
-        Poincare series of the filtration is the membership indicator
-        series, and the polynomial is its product with (1 - t).
+        For r > 1: the exact quotient of pprime by t_1*...*t_r - 1, taken
+        as -pprime / (1 - t^(1,...,1)) in one pass along the diagonal lines
+        (the divisibility is a theorem; a remainder means a bug and raises
+        NotDivisibleError).  For r = 1 the Poincare series of the
+        filtration is the membership indicator series, and the polynomial
+        is its product with (1 - t).
         """
         r = self.curve.r
         if r == 1:
             return self._series(self.membership)
-        return mp_exact_div(self.pprime, {(1,) * r: 1, (0,) * r: -1})
+        return mp_div_one_minus({e: -x for e, x in self.pprime.items()},
+                                (1,) * r)

@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .curve import Curve, validate_curve
@@ -37,7 +38,7 @@ from .exactmath import (
     MultiPoly,
     UniPoly,
     mp_const,
-    mp_exact_div,
+    mp_div_one_minus,
     mp_mul,
     mp_one_minus,
     up_integral,
@@ -123,21 +124,28 @@ class ResGraph:
     arrows: list  # of (vertex id, branch id 1..r)
     root: int
 
+    @cached_property
+    def adjacency(self) -> dict:
+        """Vertex id -> the list of its neighbours, from one pass over the
+        edges."""
+        adj = {v: [] for v in self.vertices}
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        return adj
+
+    @cached_property
+    def degrees(self) -> dict:
+        """Vertex id -> the number of edges and arrows at it."""
+        deg = {v: len(n) for v, n in self.adjacency.items()}
+        for v, _ in self.arrows:
+            deg[v] += 1
+        return deg
+
     def degree(self, sid: int) -> int:
         if sid not in self.vertices:
             raise GraphError("unknown vertex id %r" % (sid,))
-        d = sum(1 for e in self.edges if sid in e)
-        d += sum(1 for v, _ in self.arrows if v == sid)
-        return d
-
-    def neighbors(self, sid: int):
-        out = []
-        for a, b in self.edges:
-            if a == sid:
-                out.append(b)
-            elif b == sid:
-                out.append(a)
-        return sorted(out)
+        return self.degrees[sid]
 
 
 def chi_open(g: ResGraph, sid: int) -> int:
@@ -174,7 +182,7 @@ def classify_graph(g: ResGraph) -> VertexClass:
     queue = deque([g.root])
     while queue:
         v = queue.popleft()
-        for u in g.neighbors(v):
+        for u in g.adjacency[v]:
             if u not in parent:
                 parent[u] = v
                 depth[u] = depth[v] + 1
@@ -182,8 +190,8 @@ def classify_graph(g: ResGraph) -> VertexClass:
     if len(parent) != len(g.vertices):
         raise GraphError("graph is not connected")
 
-    dead = frozenset(v for v in g.vertices if g.degree(v) == 1)
-    stars = {v for v in g.vertices if g.degree(v) >= 3}
+    dead = frozenset(v for v, d in g.degrees.items() if d == 1)
+    stars = {v for v, d in g.degrees.items() if d >= 3}
 
     carrier = {branch: vid for vid, branch in g.arrows}
     seps = {}
@@ -379,15 +387,16 @@ def en_alexander(g: ResGraph) -> MultiPoly:
 
     The product is Delta, a polynomial with constant term 1: the numerator
     binomials are multiplied out, then the denominator binomials divided
-    off exactly, largest m first (``mp_exact_div`` reads the leading term of
-    the whole remainder at every step, and the largest divisor first keeps
-    that remainder short).  A graph that is no curve's resolution graph can
-    leave a remainder: NotDivisibleError.  For r = 1 the extra factor
-    (1 - t) makes the product Delta too, of degree the conductor: the
-    monodromy zeta function is Delta / (1 - t).
+    off exactly, each in one pass along the lines of direction m
+    (``mp_div_one_minus``).  A graph that is no curve's resolution graph
+    can leave a remainder: NotDivisibleError names the lexicographically
+    largest base point of a line whose sum is nonzero, in the first
+    division that fails, dividing largest m first.
+    For r = 1 the extra factor (1 - t) makes the product Delta too, of
+    degree the conductor: the monodromy zeta function is Delta / (1 - t).
     """
     num, den = [], []
-    for sid in sorted(g.vertices):
+    for sid in g.vertices:
         chi = chi_open(g, sid)
         (num if chi < 0 else den).extend([g.vertices[sid]] * abs(chi))
     if g.r == 1:
@@ -396,5 +405,5 @@ def en_alexander(g: ResGraph) -> MultiPoly:
     for m in num:
         poly = mp_mul(poly, mp_one_minus(m))
     for m in sorted(den, reverse=True):
-        poly = mp_exact_div(poly, mp_one_minus(m))
+        poly = mp_div_one_minus(poly, m)
     return poly

@@ -19,6 +19,8 @@ from curvealex import Curve
 from curvealex.exactmath import (
     INF,
     ExpVec,
+    NotDivisibleError,
+    _check_rank,
     iter_box,
     ord_lead,
     up_mul,
@@ -363,3 +365,36 @@ def apery_set(box: SemigroupBox, m: int) -> set:
     if m not in members:
         raise ValueError("%d is not a member" % m)
     return {s for s in members if s - m not in members}
+
+
+def mp_exact_div(num, den):
+    """Exact quotient num / den, dividing leading terms in lexicographic
+    order (the long-division reference for ``mp_div_one_minus``).  Raises
+    NotDivisibleError as soon as the division cannot continue
+    (non-dominated leading exponent, fractional coefficient, or a leftover
+    remainder would arise).
+    """
+    if not den:
+        raise ZeroDivisionError("division by the zero polynomial")
+    _check_rank(num, den)
+    lead_e = max(den)
+    lead_c = den[lead_e]
+    rem = dict(num)
+    quo = {}
+    while rem:
+        e = max(rem)
+        c = rem[e]
+        diff = tuple(x - y for x, y in zip(e, lead_e))
+        if any(d < 0 for d in diff) or c % lead_c:
+            raise NotDivisibleError(
+                "remainder with leading term %r while dividing" % (e,))
+        k = c // lead_c
+        quo[diff] = k
+        for de, dc in den.items():
+            key = tuple(x + y for x, y in zip(diff, de))
+            s = rem.get(key, 0) - k * dc
+            if s:
+                rem[key] = s
+            else:
+                rem.pop(key, None)
+    return quo

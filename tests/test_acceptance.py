@@ -32,6 +32,7 @@ from corpus import (
     make_cusp,
     make_quartic_branch,
     make_tangent_cusps_duplicate,
+    mp_exact_div,
     semigroup_closure,
 )
 
@@ -94,7 +95,7 @@ def test_criterion_03_fiber_product_identity(name):
 
 @pytest.mark.parametrize("name", MULTI)
 def test_criterion_04_exact_divisibility(name):
-    from curvealex.exactmath import NotDivisibleError, mp_exact_div
+    from curvealex.exactmath import NotDivisibleError
 
     c = CORPUS_MULTI[name]()
     try:

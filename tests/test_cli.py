@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from curvealex import cli, resolution
+from curvealex import Curve, cli, resolution
 from curvealex.cli import (
     ArrowCountMismatchError,
     NotATreeError,
@@ -15,6 +15,7 @@ from curvealex.cli import (
     format_poly,
     graph_from_json,
     graph_to_json,
+    json_text,
     parse_curve_file,
     parse_graph_file,
 )
@@ -23,6 +24,7 @@ from curvealex.filtration import Analysis, JetMatrix, shell_face
 from curvealex.resolution import resolve
 
 from corpus import (
+    CORPUS_ALL,
     curve_to_json,
     make_cusp,
     make_cusp_tangent_line,
@@ -245,6 +247,25 @@ def test_one_branch_graph_that_resolves_no_curve_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("NotDivisible: ")
+
+
+def test_two_branch_graph_that_resolves_no_curve_exits_1(tmp_path, capsys):
+    # (1 - t^(5,2))^2 / ((1 - t^(5,4)) (1 - t^(2,4))), dividing by the
+    # larger binomial first: along direction (5, 4) the lines through
+    # (0, 0), (5, 2) and (10, 4) have the base points (0, 0), (5, 2) and
+    # (5, 0) and sum to 1, -2 and 1, so the division stops at (5, 2)
+    data = {"r": 2, "vertices": [{"id": 1, "m": [2, 4]},
+                                 {"id": 2, "m": [5, 2]},
+                                 {"id": 3, "m": [5, 4]}],
+            "edges": [[1, 2], [2, 3]],
+            "arrows": [{"vertex": 2, "branch": 1}, {"vertex": 2, "branch": 2}],
+            "root": 1}
+    path = _write(tmp_path, "fabricated-graph.json", data)
+    assert cli.main(["alexander", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("NotDivisible: remainder with leading term "
+                            "(5, 2) while dividing\n")
 
 
 def test_via_poincare_rejects_graph_input(tmp_path, capsys):
@@ -555,6 +576,14 @@ def test_fibers_window_of_ones_prints_nothing(tmp_path, capsys, name,
     assert out.read_text() == ""
 
 
+@pytest.mark.parametrize("make", [*CORPUS_ALL.values(),
+                                  lambda: Curve([({2: 1}, {125: 1})])],
+                         ids=[*CORPUS_ALL, "A62"])
+def test_json_text_is_the_indented_json_encoding(make):
+    data = graph_to_json(resolve(make()))
+    assert json_text(data) == json.dumps(data, indent=2, sort_keys=True)
+
+
 def test_resolve_emits_parseable_graph(tmp_path, capsys):
     path = _write(tmp_path, "cusp.json", CUSP_JSON)
     out = tmp_path / "cusp-graph.json"
@@ -607,10 +636,11 @@ def test_module_entry_point_verifies_a_cusp(tmp_path):
     assert all(line.startswith("PASS ") for line in lines)
 
 
-# resolve is left out: the json encoder's indented output leaves cycles
 @pytest.mark.parametrize("argv", [["verify"], ["semigroup"], ["poincare"],
                                   ["fibers"], ["alexander"],
-                                  ["alexander", "--via", "fibers"]],
+                                  ["alexander", "--via", "fibers"],
+                                  ["resolve"],
+                                  ["resolve", "--out", os.devnull]],
                          ids=" ".join)
 def test_a_repeated_command_leaves_no_cyclic_garbage(tmp_path, capsys,
                                                       argv):

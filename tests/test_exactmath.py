@@ -7,12 +7,15 @@ from curvealex.exactmath import (
     INF,
     DimensionError,
     NotDivisibleError,
-    mp_exact_div,
+    mp_div_one_minus,
     mp_mul,
+    mp_one_minus,
     ord_lead,
     up_mul,
     up_normal,
 )
+
+from corpus import mp_exact_div
 
 
 def test_ord_lead_reads_smallest_exponent():
@@ -109,3 +112,45 @@ def test_exact_division_round_trip_on_random_polynomials():
         a = _random_multipoly(rng, r)
         b = _random_multipoly(rng, r, nonzero=True)
         assert mp_exact_div(mp_mul(a, b), b) == a
+
+
+def _quotient_or_message(divide, *args):
+    try:
+        return divide(*args)
+    except NotDivisibleError as exc:
+        return str(exc)
+
+
+def test_division_by_one_minus_matches_long_division():
+    # random multiples of 1 - t^m, and the same plus one more term, which
+    # breaks the divisibility of the line through that term
+    rng = random.Random(17)
+    for _ in range(400):
+        r = rng.choice([1, 2, 3])
+        m = tuple(rng.randint(1, 3) for _ in range(r))
+        q = _random_multipoly(rng, r)
+        p = mp_mul(q, mp_one_minus(m))
+        spoiled = rng.random() < 0.5
+        if spoiled:
+            e = tuple(rng.randint(0, 6) for _ in range(r))
+            p[e] = p.get(e, 0) + rng.choice([-2, -1, 1, 2])
+            p = {e: c for e, c in p.items() if c}
+        got = _quotient_or_message(mp_div_one_minus, p, m)
+        assert got == _quotient_or_message(mp_exact_div, p, mp_one_minus(m))
+        assert isinstance(got, str) if spoiled else got == q
+
+
+def test_division_by_one_minus_along_an_axis():
+    # m = (0, 1): the lines are the columns {a} x N, with base points (a, 0)
+    p = {(0, 0): 1, (1, 0): 1}
+    for divide, den in ((mp_div_one_minus, (0, 1)),
+                        (mp_exact_div, mp_one_minus((0, 1)))):
+        with pytest.raises(NotDivisibleError, match=r"term \(1, 0\) while"):
+            divide(p, den)
+    assert mp_div_one_minus({(2, 0): 3, (2, 2): -3}, (0, 1)) == {
+        (2, 0): 3, (2, 1): 3}
+
+
+def test_division_by_one_minus_rejects_the_zero_exponent():
+    with pytest.raises(ZeroDivisionError):
+        mp_div_one_minus({(0, 0): 1}, (0, 0))
