@@ -24,8 +24,7 @@ from .filtration import (
     BoundaryNonzeroError,
     JetMatrix,
     fiber_eulers,
-    shell_face,
-    sub_box,
+    shell_break,
 )
 from .resolution import (
     BudgetExceededError,
@@ -286,20 +285,11 @@ def run_verify(c: Curve, budget=DEFAULT_BUDGET):
     results.append(("resolution-invariance", ok,
                     "" if ok else "extra blow-ups changed the product"))
 
-    # the table past c is filled by the conductor rule, and on [0, c] it is
-    # the analysis's own honest sweep: re-sweep the same columns honestly on
-    # the rest of [0, c + 1], where every c value c(v) = h(v + 1) - h(v) on
-    # [0, c] reads it (the ranks below v do not see the window), face by
-    # face; a mismatch names the lexicographically first point of the shell
-    moved = []
-    for i in range(r):
-        low, top = shell_face(a.conductor, i)
-        honest = a.jet.face(a.conductor, i)
-        filled = sub_box(a.ranks, a.jet.window, top, low)
-        if honest != filled:
-            moved.append(next((v, x, y) for v, x, y in zip(
-                iter_box(low, top), honest, filled) if x != y))
-    first = min(moved, default=None)
+    # the certificate puts every honest rank on the conductor rule: one more
+    # honest rank, h(c + 1), and the filled shell of [0, c + 1], which every
+    # c(v) = h(v + 1) - h(v) on [0, c] reads, are checked against it
+    first = shell_break(a.ranks, a.jet.window, a.conductor,
+                        a.jet.rank_below(vec_add(a.conductor, (1,) * r)))
     ok = first is None
     results.append(("window-stability", ok, "" if ok else
                     "h(%s) = %d on the honest re-sweep, %d by the conductor "

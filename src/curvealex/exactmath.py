@@ -162,11 +162,6 @@ def mp_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return out
 
 
-def mp_one_minus(m: ExpVec) -> MultiPoly:
-    """The binomial 1 - t^m."""
-    return {(0,) * len(m): 1, tuple(m): -1}
-
-
 def mp_div_one_minus(p: MultiPoly, m: ExpVec) -> MultiPoly:
     """Exact quotient p / (1 - t^m) for an exponent m >= 0, m != 0, in one
     pass over p.

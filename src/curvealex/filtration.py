@@ -20,13 +20,16 @@ t^c * O-bar lies in the local ring, so past c the table is linear,
 h(v) = h(min(v, c)) + sum_i max(v_i - c_i, 0), and v is a value iff
 min(v, c) is.  An ``Analysis`` therefore sweeps its matrix only on [0, c],
 certifies c from that table and the rank of the whole window, and fills
-the rest of [0, c + 2] by the rule (``_extend``).  On [0, c] the table is
-that honest sweep itself, so an honest check re-sweeps the matrix only on
-the shell of [0, c + 1] outside [0, c], face by face (``shell_face``); a
-table swept on less than [0, c] would need a wider re-sweep.  Its reads
-are taken on [0, c] from the [0, c + 1] sub-box.  Past c the filled table
-rises by one per step on each axis, so the reads there follow from [0, c]
-by construction: membership and the one-branch chi repeat their values at
+the rest of [0, c + 2] by the rule (``_extend``).  The certificate's rank
+h(c + 2) = h(c) + 2r makes the 2r columns (i, c_i), (i, c_i + 1)
+independent modulo the span below c, so below any u <= c: every honest
+rank on [0, c + 2] keeps the rule.  An honest check therefore takes one
+more rank, h(c + 1) = h(c) + r, and reads the filled shell of [0, c + 1]
+against the honest [0, c] (``shell_break``); a table swept on less than
+[0, c] would need honest ranks on the shell again.  Its reads are taken
+on [0, c] from the [0, c + 1] sub-box.  Past c the filled table rises by
+one per step on each axis, so the reads there follow from [0, c] by
+construction: membership and the one-branch chi repeat their values at
 min(v, c), and the reads of two or more differences (P', and chi for
 r > 1) vanish.  So every series is the Alexander polynomial Delta on
 [0, c], for one branch the differences of chi or of membership along the
@@ -36,9 +39,9 @@ axis; the CLI prints Delta / (1 - t).
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress, count, islice
 from math import gcd, prod
-from operator import sub
+from operator import ne, sub
 
 from .curve import Curve, validate_curve
 from .exactmath import (
@@ -116,41 +119,12 @@ class JetMatrix:
         basis left at the box's top corner completed by every branch's rest."""
         ranks, basis = [], []
         _sweep(ranks, basis, self.columns, self.window, box)
-        start = 0
-        for w, top in zip(self.window, box):
-            for col in self.columns[start + top:start + w]:
-                _add_column(basis, col)
-            start += w
-        return ranks, len(basis)
+        return ranks, _add_columns(basis, self.columns, self.window, box,
+                                   self.window)
 
-    def face(self, c, i) -> list:
-        """The ranks on face i of the shell of [0, c + 1] outside [0, c]
-        (``shell_face``; c + 1 inside the window), in lexicographic order:
-        branch i's first c_i + 1 columns are added once, then the other
-        branches are swept in branch-major order.  (Swept with branch i in
-        its own place, a last face would rebuild that prefix on every row.)"""
-        start = sum(self.window[:i])
-        basis = []
-        for col in self.columns[start:start + c[i] + 1]:
-            _add_column(basis, col)
-        window = self.window[:i] + self.window[i + 1:]
-        if not window:
-            return [len(basis)]
-        top = shell_face(c, i)[1]
-        ranks = []
-        _sweep(ranks, basis, self.columns[:start] +
-               self.columns[start + self.window[i]:], window,
-               top[:i] + top[i + 1:])
-        return ranks
-
-
-def shell_face(c, i) -> tuple:
-    """The corners (low, top) of face i of the shell of [0, c + 1] outside
-    [0, c]: v_i = c_i + 1, v_j <= c_j for j < i and v_j <= c_j + 1 for
-    j > i.  The r faces are disjoint and cover the shell; a shell point lies
-    on the face of its first coordinate past c."""
-    low = (0,) * i + (c[i] + 1,) + (0,) * (len(c) - i - 1)
-    return low, tuple(c[:i]) + tuple(x + 1 for x in c[i:])
+    def rank_below(self, v) -> int:
+        """The rank of the columns below v, from an empty basis."""
+        return _add_columns([], self.columns, self.window, (0,) * len(v), v)
 
 
 def _primitive(vec) -> list:
@@ -178,6 +152,15 @@ def _sweep(ranks, basis, columns, window, box, i=0) -> None:
             _add_column(basis, columns[k - 1])
         depth = len(basis)
         _sweep(ranks, basis, rest, window, box, i + 1)
+
+
+def _add_columns(basis, columns, window, low, top) -> int:
+    """Add every branch i's columns of orders low_i to top_i - 1 to the
+    basis (``window`` columns per branch); its rank."""
+    for start, lo, hi in zip(accumulate(window, initial=0), low, top):
+        for col in columns[start + lo:start + hi]:
+            _add_column(basis, col)
+    return len(basis)
 
 
 def _add_column(basis, column) -> None:
@@ -230,18 +213,17 @@ def _differences(values, shape) -> list:
     return values
 
 
-def sub_box(values, window, top, low=None) -> list:
-    """The values on [low, top] (low = 0 by default) of a table given on the
-    box [0, window], in one pass: one slice along the last axis per point of
-    the other axes, with no table in between."""
-    low = low or (0,) * len(top)
+def sub_box(values, window, top) -> list:
+    """The values on [0, top] of a table given on the box [0, window], in
+    one pass: one slice along the last axis per point of the other axes,
+    with no table in between."""
     stride, starts = prod(w + 1 for w in window), [0]
-    for w, lo, t in zip(window[:-1], low, top[:-1]):
+    for w, t in zip(window[:-1], top[:-1]):
         stride //= w + 1
-        starts = [k + x * stride for k in starts for x in range(lo, t + 1)]
-    a, b, out = low[-1], top[-1] + 1, []
+        starts = [k + x * stride for k in starts for x in range(t + 1)]
+    n, out = top[-1] + 1, []
     for k in starts:
-        out += values[k + a:k + b]
+        out += values[k:k + n]
     return out
 
 
@@ -311,6 +293,27 @@ def members(ranks, window) -> list:
                    tuple(w - 1 for w in window))
 
 
+def shell_break(ranks, window, c, h) -> tuple | None:
+    """The lexicographically first point v of the shell of [0, c + 1]
+    outside [0, c] where a rank table on [0, window], the honest sweep on
+    [0, c], breaks the conductor rule, as (v, the honest rank, the filled
+    value), or None.  The certificate keeps every honest rank on the rule,
+    and h, the honest h(c + 1), must be h(c) + r.  No elimination: the rule
+    on [0, c + 1] is the table with every step into the shell, from
+    v_i = c_i to c_i + 1, made to rise by exactly one."""
+    r, top = len(c), tuple(x + 1 for x in c)
+    shape = tuple(x + 1 for x in top)
+    table = rule = sub_box(ranks, window, top)
+    for i in range(r):
+        rule = _along(rule, shape, i, lambda b, s: b[:-s] + [
+            x + 1 for x in b[-2 * s:-s]])
+    k = next(compress(count(), map(ne, rule, table)), None)
+    if k is not None:  # a misfilled point comes no later than c + 1
+        v = next(islice(iter_box((0,) * r, top), k, None))
+        return v, rule[k], table[k]
+    return None if h == rule[-1] else (top, h, rule[-1])
+
+
 def _certified(M: JetMatrix, c, delta) -> list:
     """The table of M swept on [0, c], once that table and the rank of the
     whole window prove c the conductor (else BoundaryNonzeroError).
@@ -318,7 +321,9 @@ def _certified(M: JetMatrix, c, delta) -> list:
     v >= the conductor.  So h(c) = sum(c) - delta proves c >= the
     conductor; h(c - e_i) = h(c) for every i with c_i > 0 proves it
     minimal; and h(window) = h(c) + sum(window - c) catches a c and a delta
-    that are wrong together."""
+    that are wrong together.  At the window c + 2 that rank makes the 2r
+    columns (i, c_i), (i, c_i + 1) independent modulo the span below any
+    u <= c: every honest rank there keeps the rule the table is filled by."""
     ranks, rank = M.sweep(c)
     h, floor = ranks[-1], sum(c) - delta
     if h != floor:
@@ -354,8 +359,9 @@ class Analysis:
     c_i = 2 delta_i + sum_{j != i} (C_i . C_j) (Delgado de la Mata,
     Manuscripta Math. 59, 1987).  One jet matrix ``jet``, built on first
     use at the window c + 2, is swept only on [0, c]; the conductor is
-    certified from that table (``_certified``), and ``ranks`` is filled on
-    [0, c + 2] by the conductor rule.  Every read of it is a flat table on
+    certified from that table and the window's rank (``_certified``), which
+    keeps every honest rank of [0, c + 2] on the conductor rule, and
+    ``ranks`` is filled by that rule.  Every read of it is a flat table on
     [0, c], in lexicographic order, taken from its [0, c + 1] sub-box:
     ``chi``, ``membership`` and the coefficients of ``pprime``.  Past c the
     filled table rises by one per step on each axis, so P' and the chi of

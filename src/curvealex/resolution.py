@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import add
 
 from .curve import Curve, validate_curve
 from .exactmath import (
@@ -39,8 +40,6 @@ from .exactmath import (
     UniPoly,
     mp_const,
     mp_div_one_minus,
-    mp_mul,
-    mp_one_minus,
     up_integral,
     up_mul,
 )
@@ -386,12 +385,12 @@ def en_alexander(g: ResGraph) -> MultiPoly:
     r = 1.
 
     The product is Delta, a polynomial with constant term 1: the numerator
-    binomials are multiplied out, then the denominator binomials divided
-    off exactly, each in one pass along the lines of direction m
-    (``mp_div_one_minus``).  A graph that is no curve's resolution graph
-    can leave a remainder: NotDivisibleError names the lexicographically
-    largest base point of a line whose sum is nonzero, in the first
-    division that fails, dividing largest m first.
+    binomials are multiplied in, each in one pass as p - t^m p, then the
+    denominator binomials divided off exactly, each in one pass along the
+    lines of direction m (``mp_div_one_minus``).  A graph that is no
+    curve's resolution graph can leave a remainder: NotDivisibleError names
+    the lexicographically largest base point of a line whose sum is
+    nonzero, in the first division that fails, dividing largest m first.
     For r = 1 the extra factor (1 - t) makes the product Delta too, of
     degree the conductor: the monodromy zeta function is Delta / (1 - t).
     """
@@ -403,7 +402,12 @@ def en_alexander(g: ResGraph) -> MultiPoly:
         num.append((1,))
     poly = mp_const(g.r, 1)
     for m in num:
-        poly = mp_mul(poly, mp_one_minus(m))
+        # p - t^m p: one shifted term per term of p
+        out = dict(poly)
+        for e, x in poly.items():
+            e = tuple(map(add, e, m))
+            out[e] = out.get(e, 0) - x
+        poly = {e: x for e, x in out.items() if x}
     for m in sorted(den, reverse=True):
         poly = mp_div_one_minus(poly, m)
     return poly

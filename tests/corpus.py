@@ -19,6 +19,7 @@ from curvealex import Curve
 from curvealex.exactmath import (
     INF,
     ExpVec,
+    MultiPoly,
     NotDivisibleError,
     _check_rank,
     iter_box,
@@ -26,6 +27,7 @@ from curvealex.exactmath import (
     up_mul,
     vec_add,
 )
+from curvealex.filtration import _add_column, _sweep
 
 
 def make_node():
@@ -367,6 +369,11 @@ def apery_set(box: SemigroupBox, m: int) -> set:
     return {s for s in members if s - m not in members}
 
 
+def mp_one_minus(m: ExpVec) -> MultiPoly:
+    """The binomial 1 - t^m."""
+    return {(0,) * len(m): 1, tuple(m): -1}
+
+
 def mp_exact_div(num, den):
     """Exact quotient num / den, dividing leading terms in lexicographic
     order (the long-division reference for ``mp_div_one_minus``).  Raises
@@ -398,3 +405,34 @@ def mp_exact_div(num, den):
             else:
                 rem.pop(key, None)
     return quo
+
+
+def face(M, c, i) -> list:
+    """The honest re-sweep reference of window-stability: the ranks of the
+    jet matrix M on face i of the shell of [0, c + 1] outside [0, c]
+    (``shell_face``; c + 1 inside the window), in lexicographic order:
+    branch i's first c_i + 1 columns are added once, then the other
+    branches are swept in branch-major order.  (Swept with branch i in
+    its own place, a last face would rebuild that prefix on every row.)"""
+    start = sum(M.window[:i])
+    basis = []
+    for col in M.columns[start:start + c[i] + 1]:
+        _add_column(basis, col)
+    window = M.window[:i] + M.window[i + 1:]
+    if not window:
+        return [len(basis)]
+    top = shell_face(c, i)[1]
+    ranks = []
+    _sweep(ranks, basis, M.columns[:start] +
+           M.columns[start + M.window[i]:], window,
+           top[:i] + top[i + 1:])
+    return ranks
+
+
+def shell_face(c, i) -> tuple:
+    """The corners (low, top) of face i of the shell of [0, c + 1] outside
+    [0, c]: v_i = c_i + 1, v_j <= c_j for j < i and v_j <= c_j + 1 for
+    j > i.  The r faces are disjoint and cover the shell; a shell point lies
+    on the face of its first coordinate past c."""
+    low = (0,) * i + (c[i] + 1,) + (0,) * (len(c) - i - 1)
+    return low, tuple(c[:i]) + tuple(x + 1 for x in c[i:])

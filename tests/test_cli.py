@@ -20,7 +20,7 @@ from curvealex.cli import (
     parse_graph_file,
 )
 from curvealex.exactmath import iter_box
-from curvealex.filtration import Analysis, JetMatrix, shell_face
+from curvealex.filtration import Analysis, JetMatrix
 from curvealex.resolution import resolve
 
 from corpus import (
@@ -31,6 +31,7 @@ from corpus import (
     make_quartic_branch,
     make_tacnode,
     make_three_lines,
+    shell_face,
 )
 
 CUSP_JSON = {"branches": [{"x": [[2, "1"]], "y": [[3, "1"]]}]}
@@ -51,12 +52,13 @@ def _write(tmp_path, name, data):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts runs of the blow-up engine and jet-matrix builds, and records
-    the window of each build, the box of each sweep and the index of each
-    face swept on the shell of [0, c + 1]."""
-    counts = {"engine": 0, "jet": 0, "windows": [], "boxes": [], "faces": []}
+    """Counts runs of the blow-up engine, jet-matrix builds and honest ranks
+    taken from an empty basis, and records the window of each build and the
+    box of each sweep."""
+    counts = {"engine": 0, "jet": 0, "windows": [], "boxes": [], "honest": 0}
     engine = resolution._run_blowups
-    init, sweep, face = JetMatrix.__init__, JetMatrix.sweep, JetMatrix.face
+    init, sweep = JetMatrix.__init__, JetMatrix.sweep
+    rank_below = JetMatrix.rank_below
 
     def counted_engine(*args, **kwargs):
         counts["engine"] += 1
@@ -71,9 +73,9 @@ def calls(monkeypatch):
         counts["boxes"].append(tuple(box))
         return sweep(self, box)
 
-    def counted_face(self, c, i):
-        counts["faces"].append(i)
-        return face(self, c, i)
+    def counted_rank_below(self, v):
+        counts["honest"] += 1
+        return rank_below(self, v)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("curvealex") and \
@@ -81,7 +83,7 @@ def calls(monkeypatch):
             monkeypatch.setattr(mod, "_run_blowups", counted_engine)
     monkeypatch.setattr(JetMatrix, "__init__", counted_init)
     monkeypatch.setattr(JetMatrix, "sweep", counted_sweep)
-    monkeypatch.setattr(JetMatrix, "face", counted_face)
+    monkeypatch.setattr(JetMatrix, "rank_below", counted_rank_below)
     return counts
 
 
@@ -285,11 +287,10 @@ def test_verify_tacnode_all_pass(tmp_path, capsys, calls):
     assert calls["engine"] == 1
     assert calls["jet"] == 1
     # the conductor is (2, 2): the analysis sweeps [0, c] of its window
-    # c + 2, and window-stability re-sweeps the same columns only on the
-    # two faces of the shell of [0, c + 1] outside [0, c]
+    # c + 2, and window-stability takes one honest rank, h(c + 1)
     assert calls["windows"] == [(4, 4)]
     assert calls["boxes"] == [(2, 2)]
-    assert calls["faces"] == [0, 1]
+    assert calls["honest"] == 1
 
 
 def test_verify_five_transverse_lines_all_pass(tmp_path, capsys, calls):
@@ -301,18 +302,20 @@ def test_verify_five_transverse_lines_all_pass(tmp_path, capsys, calls):
     assert len(out) == 6
     assert all(line.startswith("PASS ") for line in out)
     # the conductor is (4, 4, 4, 4, 4): the analysis sweeps [0, c] and
-    # window-stability the five faces of the shell of [0, c + 1], both on
-    # the one window c + 2
+    # window-stability takes the one honest rank h(c + 1), both on the one
+    # window c + 2
     assert calls["windows"] == [(6,) * 5]
     assert calls["boxes"] == [(4,) * 5]
-    assert calls["faces"] == [0, 1, 2, 3, 4]
+    assert calls["honest"] == 1
 
 
 def test_verify_fails_when_the_wider_window_moves_c(tmp_path, capsys,
                                                     monkeypatch):
-    # (3, 3) lies on face 0 of the tacnode's shell, v = (3, 0..3): c(v) =
-    # h(v + 1) - h(v), so this moves c at (2, 2) only, read at (3, 3)
-    _corrupted_faces(monkeypatch, {(3, 3)})
+    # (3, 3) is the tacnode's c + 1, where the one honest rank is taken:
+    # c(v) = h(v + 1) - h(v), so this moves c at (2, 2) only, read at (3, 3)
+    rank_below = JetMatrix.rank_below
+    monkeypatch.setattr(JetMatrix, "rank_below",
+                        lambda self, v: rank_below(self, v) + 1)
     path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
     assert cli.main(["verify", path]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -324,25 +327,25 @@ def test_verify_fails_when_the_wider_window_moves_c(tmp_path, capsys,
                          "re-sweep, 4 by the conductor rule"]
 
 
-def _corrupted_faces(monkeypatch, points):
-    """Make the honest face sweeps read one more at each of the points."""
-    face = JetMatrix.face
+def _corrupted_fill(monkeypatch, points):
+    """Make the filled table that window-stability reads one more at each
+    of the points; the five checks before it read the table unchanged."""
+    shell_break = cli.shell_break
 
-    def moved(self, c, i):
-        ranks = face(self, c, i)
-        for k, v in enumerate(iter_box(*shell_face(c, i))):
-            ranks[k] += v in points
-        return ranks
+    def moved(ranks, window, c, h):
+        ranks = [x + (v in points) for v, x in zip(
+            iter_box((0,) * len(c), window), ranks, strict=True)]
+        return shell_break(ranks, window, c, h)
 
-    monkeypatch.setattr(JetMatrix, "face", moved)
+    monkeypatch.setattr(cli, "shell_break", moved)
 
 
 def _window_stability_line(curve, v):
-    """The FAIL line for v when the honest sweep reads one more there."""
+    """The FAIL line for v when the filled table reads one more there."""
     a = Analysis(curve)
     h = dict(zip(iter_box((0,) * curve.r, a.jet.window), a.ranks))[v]
     return ("FAIL window-stability: h(%s) = %d on the honest re-sweep, %d "
-            "by the conductor rule" % (",".join(map(str, v)), h + 1, h))
+            "by the conductor rule" % (",".join(map(str, v)), h, h + 1))
 
 
 @pytest.mark.parametrize("make,i", [
@@ -356,7 +359,7 @@ def test_verify_names_the_corrupted_point_of_each_face(tmp_path, capsys,
     points = list(iter_box(*shell_face(Analysis(curve).conductor, i)))
     v = points[len(points) // 2]
     line = _window_stability_line(curve, v)
-    _corrupted_faces(monkeypatch, {v})
+    _corrupted_fill(monkeypatch, {v})
     path = _write(tmp_path, "curve.json", curve_to_json(curve))
     assert cli.main(["verify", path]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -366,9 +369,9 @@ def test_verify_names_the_corrupted_point_of_each_face(tmp_path, capsys,
 
 def test_verify_names_the_lexicographically_first_corrupted_point(
         tmp_path, capsys, monkeypatch):
-    # the tacnode's conductor is (2, 2): (3, 0) lies on face 0, which is
-    # swept first, and (2, 3) on face 1, but (2, 3) comes first in the box
-    _corrupted_faces(monkeypatch, {(3, 0), (2, 3)})
+    # the tacnode's conductor is (2, 2): (3, 0) lies on face 0 and (2, 3)
+    # on face 1, but (2, 3) comes first in the box
+    _corrupted_fill(monkeypatch, {(3, 0), (2, 3)})
     path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
     assert cli.main(["verify", path]) == 1
     assert capsys.readouterr().out.splitlines()[5:] == [
@@ -467,7 +470,7 @@ def test_one_branch_command_analyses_once(tmp_path, capsys, calls, argv,
     # the cusp's conductor is 2: one window of conductor + 2, swept on
     # [0, 2]
     assert calls == {"engine": engine, "jet": jet, "windows": [(4,)] * jet,
-                     "boxes": [(2,)] * jet, "faces": []}
+                     "boxes": [(2,)] * jet, "honest": 0}
 
 
 def test_bound_truncates_without_sizing_the_window(tmp_path, capsys, calls):

@@ -9,13 +9,12 @@ from curvealex.exactmath import (
     NotDivisibleError,
     mp_div_one_minus,
     mp_mul,
-    mp_one_minus,
     ord_lead,
     up_mul,
     up_normal,
 )
 
-from corpus import mp_exact_div
+from corpus import mp_exact_div, mp_one_minus
 
 
 def test_ord_lead_reads_smallest_exponent():

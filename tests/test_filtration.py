@@ -15,7 +15,6 @@ from curvealex.filtration import (
     fiber_eulers,
     members,
     pprime_coefficients,
-    shell_face,
     sub_box,
 )
 from curvealex.resolution import en_alexander, noether_intersections, resolve
@@ -25,6 +24,7 @@ from corpus import (
     CORPUS_MULTI,
     b_dim,
     c_dim,
+    face,
     fiber_euler,
     filled,
     honest,
@@ -42,6 +42,7 @@ from corpus import (
     reference_ranks,
     reference_rows,
     semigroup_closure,
+    shell_face,
     unit_vec,
     vec_clamp,
 )
@@ -513,20 +514,21 @@ def test_shell_faces_match_the_full_re_sweep(name):
     # the r faces are disjoint and cover [0, c + 1] outside [0, c]; their
     # ranks, each face swept with its own branch's prefix added first,
     # equal an honest sweep of the whole box [0, c + 1] at those points,
-    # and so do the values sub_box reads between the face's corners
+    # and so does the analysis's table, filled there by the conductor rule
     a = Analysis(ORACLE_CURVES[name]())
     c, r = a.conductor, a.curve.r
     top = vec_add(c, (1,) * r)
     full = a.jet.sweep(top)[0]
     h = dict(zip(iter_box((0,) * r, top), full, strict=True))
+    fill = dict(zip(iter_box((0,) * r, a.jet.window), a.ranks, strict=True))
     faces = [shell_face(c, i) for i in range(r)]
     points = [v for low, high in faces for v in iter_box(low, high)]
     assert len(points) == prod(x + 2 for x in c) - prod(x + 1 for x in c)
     assert set(points) == {v for v in h if not vec_leq(v, c)}
     for i, (low, high) in enumerate(faces):
-        ranks = a.jet.face(c, i)
+        ranks = face(a.jet, c, i)
         assert ranks == [h[v] for v in iter_box(low, high)]
-        assert sub_box(full, top, high, low) == ranks
+        assert ranks == [fill[v] for v in iter_box(low, high)]
 
 
 @pytest.mark.parametrize("name", sorted(RANK_CURVES))

@@ -4,8 +4,8 @@ against the per-point alternating sums, of the membership pass against
 per-point membership, of the conductor rule of one-branch analyses
 against a wide window and their Poincare series against the
 Eisenbud-Neumann product, of the analysis's rule-filled rank table against
-an honest sweep, and of every invariant against a rescaling of the
-coordinates."""
+an honest sweep, of every verify check on random curves, and of every
+invariant against a rescaling of the coordinates."""
 
 from fractions import Fraction
 from math import gcd, prod
@@ -24,6 +24,7 @@ from curvealex import (  # noqa: E402
     JetMatrix,
     en_alexander,
 )
+from curvealex.cli import run_verify  # noqa: E402
 from curvealex.exactmath import iter_box, vec_add  # noqa: E402
 from curvealex.filtration import (  # noqa: E402
     fiber_eulers,
@@ -62,6 +63,9 @@ def _primitive_support(branch):
 
 
 BRANCHES = st.tuples(POLYS, POLYS).filter(_primitive_support)
+VERIFY_CHECKS = ("poincare-equals-alexander", "fiber-euler-equals-alexander",
+                 "fiber-product-identity", "exact-divisibility",
+                 "resolution-invariance", "window-stability")
 
 
 def _not_an_axis_cover(branch):
@@ -152,6 +156,22 @@ def test_filled_table_matches_the_honest_sweep(branches):
     ranks, rank = a.jet.sweep(a.jet.window)
     assert a.ranks == ranks
     assert a.jet.sweep(a.conductor)[1] == rank == ranks[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(BRANCHES.filter(_not_an_axis_cover), min_size=1, max_size=3))
+def test_random_curves_pass_every_verify_check(branches):
+    # the three pipelines agree, and the filled shell of [0, c + 1] and the
+    # one honest rank h(c + 1) keep the conductor rule
+    c = Curve(branches)
+    try:
+        conductor = Analysis(c).conductor
+    except BudgetExceededError:
+        # coincident branches, or a map of degree > 1 onto its image
+        assume(False)
+    assume(prod(x + 3 for x in conductor) <= 4000)
+    assert [(name, ok) for name, ok, _ in run_verify(c)] == [
+        (name, True) for name in VERIFY_CHECKS]
 
 
 SCALES = st.builds(Fraction, st.integers(-5, 5).filter(bool),
