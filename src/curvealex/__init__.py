@@ -9,22 +9,15 @@ together with a verification harness checking that they coincide exactly.
 """
 
 from .curve import BranchParam, Curve, validate_curve
-from .exactmath import (
-    NotDivisibleError,
-    mp_mul,
-    ord_lead,
-)
+from .exactmath import NotDivisibleError, ord_lead
 from .filtration import Analysis, BoundaryNonzeroError, JetMatrix
 from .resolution import (
     BudgetExceededError,
     ResGraph,
     chi_open,
-    classify_graph,
     en_alexander,
-    noether_intersections,
     resolve,
 )
-from .semigroup import SemigroupReport, verify_semigroup_properties
 
 __all__ = [
     "Analysis",
@@ -35,16 +28,11 @@ __all__ = [
     "JetMatrix",
     "NotDivisibleError",
     "ResGraph",
-    "SemigroupReport",
     "chi_open",
-    "classify_graph",
     "en_alexander",
-    "mp_mul",
-    "noether_intersections",
     "ord_lead",
     "resolve",
     "validate_curve",
-    "verify_semigroup_properties",
 ]
 
 __version__ = "0.1.0"

@@ -4,9 +4,9 @@ parameter, exponent vectors, and sparse multivariate polynomials over ZZ.
 Representations
 ---------------
 * ``UniPoly`` maps exponent (int >= 0) to a nonzero Fraction or int; ``{}``
-  is the zero polynomial.  Curves are parsed into Fraction coefficients;
-  the blow-up engine and the jet rows run on the integer multiples that
-  ``up_integral`` clears them to.
+  is the zero polynomial.  Curves keep int coefficients as ints and parse
+  any other into a Fraction; the blow-up engine and the jet rows run on
+  the integer multiples that ``up_integral`` clears them to.
 * ``ExpVec`` is a tuple of ints, one entry per curve branch.
 * ``MultiPoly`` maps ExpVec to a nonzero int; ``{}`` is zero.  The one
   division the package needs is by a binomial 1 - t^m (the Eisenbud-Neumann
@@ -48,10 +48,12 @@ class DimensionError(ValueError):
 # ---------------------------------------------------------------------------
 
 def up_normal(terms) -> UniPoly:
-    """Canonical UniPoly from any {exponent: coefficient} mapping."""
+    """Canonical UniPoly from any {exponent: coefficient} mapping; int and
+    Fraction coefficients are kept, any other becomes a Fraction."""
     out = {}
     for e, c in terms.items():
-        c = Fraction(c)
+        if type(c) is not int and type(c) is not Fraction:
+            c = Fraction(c)
         if c:
             if e < 0:
                 raise ValueError("negative exponent in polynomial: %r" % (e,))
@@ -117,11 +119,6 @@ def vec_add(u: ExpVec, v: ExpVec) -> ExpVec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_leq(u: ExpVec, v: ExpVec) -> bool:
-    """Componentwise partial order: u <= v iff u_i <= v_i for all i."""
-    return all(a <= b for a, b in zip(u, v))
-
-
 def iter_box(lo: ExpVec, hi: ExpVec):
     """All lattice points v with lo <= v <= hi, in lexicographic order."""
     return product(*(range(a, b + 1) for a, b in zip(lo, hi)))
@@ -148,18 +145,14 @@ def _check_rank(a: MultiPoly, b: MultiPoly) -> None:
         raise DimensionError("mixed %d- and %d-variable polynomials" % (ra, rb))
 
 
-def mp_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    _check_rank(a, b)
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
+def mp_mul_one_minus(p: MultiPoly, m: ExpVec) -> MultiPoly:
+    """The product p * (1 - t^m) in one pass, as p - t^m p: one shifted
+    term per term of p."""
+    out = dict(p)
+    for e, x in p.items():
+        e = tuple(map(add, e, m))
+        out[e] = out.get(e, 0) - x
+    return {e: x for e, x in out.items() if x}
 
 
 def mp_div_one_minus(p: MultiPoly, m: ExpVec) -> MultiPoly:

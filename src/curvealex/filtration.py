@@ -1,6 +1,7 @@
 """The multi-index filtration on functions of the curve: jet matrices,
 their prefix-rank tables, and the membership, fiber Euler characteristics
-and series read from them.
+and series read from them, and the minimal generators of a branch's
+semigroup of values.
 
 Everything reduces to exact ranks of one matrix per curve: the rows are the
 jet coordinates of all monomials visible inside the window, each built from
@@ -12,8 +13,10 @@ as a flat list in lexicographic order.  Every read takes such a table on a
 whole box [0, w] and returns a flat table on [0, w - 1], axis by axis
 (``_along``): the fiber Euler characteristics and the coefficients of P'
 by r difference sweeps (``_differences``), membership as a table of bools
-by comparing each point with its r successors (``members``).  Only the
-nonzero entries of a series become polynomial terms (``_nonzero``).
+by comparing each point with its r successors (``members``), and a
+branch's minimal generators by one walk over that table
+(``minimal_generators``).  Only the nonzero entries of a series become
+polynomial terms (``_nonzero``).
 
 One window per curve suffices: the conductor c + 2.  The conductor ideal
 t^c * O-bar lies in the local ring, so past c the table is linear,
@@ -291,6 +294,23 @@ def members(ranks, window) -> list:
         sub, islice(b, s, None), b)) + [0] * s) for i in range(len(window))]
     return sub_box(list(map(all, zip(*rises))), window,
                    tuple(w - 1 for w in window))
+
+
+def minimal_generators(a: Analysis) -> list:
+    """Minimal generators of a one-branch analysis: the nonzero members
+    below 2c + 3 that are not a sum of two nonzero members (every generator
+    is below the conductor plus the multiplicity).  A member v is such a
+    sum iff v - g is a member for some generator g < v, so one ascending
+    walk over the members finds them all."""
+    if a.curve.r != 1:
+        raise ValueError("minimal generators are defined for one branch")
+    top = 2 * a.conductor[0] + 2
+    member = a.members_to((top,))
+    gens = []
+    for v in compress(range(1, top + 1), member[1:]):
+        if not any(member[v - g] for g in gens):
+            gens.append(v)
+    return gens
 
 
 def shell_break(ranks, window, c, h) -> tuple | None:

@@ -1,5 +1,5 @@
 """Minimal embedded resolution of a parametrized plane curve germ by
-iterated blow-ups, plus the dual-graph queries built on it.
+iterated blow-ups, and the Eisenbud-Neumann product over its dual graph.
 
 Local model
 -----------
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import add
 
 from .curve import Curve, validate_curve
 from .exactmath import (
@@ -40,6 +39,7 @@ from .exactmath import (
     UniPoly,
     mp_const,
     mp_div_one_minus,
+    mp_mul_one_minus,
     up_integral,
     up_mul,
 )
@@ -152,66 +152,6 @@ def chi_open(g: ResGraph, sid: int) -> int:
     a projective line minus its intersection points with the rest of the
     total transform."""
     return 2 - g.degree(sid)
-
-
-@dataclass
-class VertexClass:
-    """Dead ends, star points and separation points of a dual graph, plus
-    the BFS tree from the root."""
-
-    dead_ends: frozenset
-    star_points: frozenset
-    separation_points: dict  # (i, j) with i < j -> vertex id
-    parent: dict  # id -> id or None (BFS tree from the root)
-    depth: dict  # id -> distance from root
-
-    def nearest_star_below(self, sid: int):
-        """The nearest strictly smaller star point, or None (root tails)."""
-        cur = self.parent[sid]
-        while cur is not None:
-            if cur in self.star_points:
-                return cur
-            cur = self.parent[cur]
-        return None
-
-
-def classify_graph(g: ResGraph) -> VertexClass:
-    parent = {g.root: None}
-    depth = {g.root: 0}
-    queue = deque([g.root])
-    while queue:
-        v = queue.popleft()
-        for u in g.adjacency[v]:
-            if u not in parent:
-                parent[u] = v
-                depth[u] = depth[v] + 1
-                queue.append(u)
-    if len(parent) != len(g.vertices):
-        raise GraphError("graph is not connected")
-
-    dead = frozenset(v for v, d in g.degrees.items() if d == 1)
-    stars = {v for v, d in g.degrees.items() if d >= 3}
-
-    carrier = {branch: vid for vid, branch in g.arrows}
-    seps = {}
-    for i in sorted(carrier):
-        for j in sorted(carrier):
-            if i < j:
-                seps[(i, j)] = _lca(parent, depth, carrier[i], carrier[j])
-    if seps:
-        first = min(seps.values(), key=lambda v: depth[v])
-        stars.add(first)  # st_1 counts as a star point even when of low degree
-    return VertexClass(dead, frozenset(stars), seps, parent, depth)
-
-
-def _lca(parent, depth, a, b):
-    while depth[a] > depth[b]:
-        a = parent[a]
-    while depth[b] > depth[a]:
-        b = parent[b]
-    while a != b:
-        a, b = parent[a], parent[b]
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +269,9 @@ def _run_blowups(c: Curve, budget: int):
     return graph, centers
 
 
-def resolve(c: Curve, budget: int = DEFAULT_BUDGET, extra: int = 0) -> ResGraph:
-    """Minimal embedded resolution of the curve; ``extra`` forces additional
-    blow-ups at free smooth points after normal crossings are reached."""
-    return free_blowups(_run_blowups(c, budget)[0], extra)
+def resolve(c: Curve, budget: int = DEFAULT_BUDGET) -> ResGraph:
+    """Minimal embedded resolution of the curve."""
+    return _run_blowups(c, budget)[0]
 
 
 def free_blowups(g: ResGraph, extra: int) -> ResGraph:
@@ -368,13 +307,6 @@ def _noether_sums(centers, r: int):
     return own, table
 
 
-def noether_intersections(c: Curve, budget: int = DEFAULT_BUDGET):
-    """Pairwise intersection numbers (C_i . C_j): the Noether sum of
-    products of local multiplicities over the common infinitely near
-    points.  Diagonal entries are None."""
-    return _noether_sums(_run_blowups(c, budget)[1], c.r)[1]
-
-
 # ---------------------------------------------------------------------------
 # the Eisenbud-Neumann product
 # ---------------------------------------------------------------------------
@@ -385,9 +317,10 @@ def en_alexander(g: ResGraph) -> MultiPoly:
     r = 1.
 
     The product is Delta, a polynomial with constant term 1: the numerator
-    binomials are multiplied in, each in one pass as p - t^m p, then the
-    denominator binomials divided off exactly, each in one pass along the
-    lines of direction m (``mp_div_one_minus``).  A graph that is no
+    binomials are multiplied in, each in one pass as p - t^m p
+    (``mp_mul_one_minus``), then the denominator binomials divided off
+    exactly, each in one pass along the lines of direction m
+    (``mp_div_one_minus``).  A graph that is no
     curve's resolution graph can leave a remainder: NotDivisibleError names
     the lexicographically largest base point of a line whose sum is
     nonzero, in the first division that fails, dividing largest m first.
@@ -402,12 +335,7 @@ def en_alexander(g: ResGraph) -> MultiPoly:
         num.append((1,))
     poly = mp_const(g.r, 1)
     for m in num:
-        # p - t^m p: one shifted term per term of p
-        out = dict(poly)
-        for e, x in poly.items():
-            e = tuple(map(add, e, m))
-            out[e] = out.get(e, 0) - x
-        poly = {e: x for e, x in out.items() if x}
+        poly = mp_mul_one_minus(poly, m)
     for m in sorted(den, reverse=True):
         poly = mp_div_one_minus(poly, m)
     return poly

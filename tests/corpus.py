@@ -1,5 +1,8 @@
-"""Shared test curves, and the per-point references the tests check the
-library's whole-table reads against.
+"""Shared test curves, the per-point references the tests check the
+library's whole-table reads against, the generic polynomial product and
+long division behind its one-pass binomial ones, the structure checks of
+the resolution graph and of a branch's semigroup, and the Torres and
+symmetry oracles on Delta.
 
 Every curve with r > 1 used by the identity checks, plus the one-branch
 curves used by the semigroup checks.  ``TANGENT_CUSPS_DUPLICATE`` is kept
@@ -9,13 +12,15 @@ which the resolver must reject.  ``TANGENT_CUSPS`` is the honest pair of
 distinct tangent cusps y^2 = x^3 and y^2 = -x^3.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from curvealex import Curve
+from curvealex import Curve, ResGraph
+from curvealex.cli import _read_json, graph_from_json
 from curvealex.exactmath import (
     INF,
     ExpVec,
@@ -27,7 +32,15 @@ from curvealex.exactmath import (
     up_mul,
     vec_add,
 )
-from curvealex.filtration import _add_column, _sweep
+from curvealex.filtration import Analysis, _add_column, _sweep
+from curvealex.resolution import (
+    DEFAULT_BUDGET,
+    GraphError,
+    _noether_sums,
+    _run_blowups,
+    en_alexander,
+    resolve,
+)
 
 
 def make_node():
@@ -114,6 +127,10 @@ def semigroup_closure(gens, bound):
                 reached.add(u)
                 frontier.append(u)
     return reached
+
+
+def parse_graph_file(path) -> ResGraph:
+    return graph_from_json(_read_json(path))
 
 
 def curve_to_json(c, name=None) -> dict:
@@ -296,6 +313,11 @@ def filled(a) -> Table:
     return Table(a.ranks, a.jet.window)
 
 
+def vec_leq(u: ExpVec, v: ExpVec) -> bool:
+    """Componentwise partial order: u <= v iff u_i <= v_i for all i."""
+    return all(a <= b for a, b in zip(u, v))
+
+
 def vec_clamp(v: ExpVec, hi: ExpVec) -> ExpVec:
     """Clamp each component into [0, hi_i]."""
     return tuple(min(max(a, 0), h) for a, h in zip(v, hi))
@@ -369,6 +391,22 @@ def apery_set(box: SemigroupBox, m: int) -> set:
     return {s for s in members if s - m not in members}
 
 
+def mp_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The product of two polynomials, term by term (the reference for
+    ``mp_mul_one_minus``)."""
+    _check_rank(a, b)
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
 def mp_one_minus(m: ExpVec) -> MultiPoly:
     """The binomial 1 - t^m."""
     return {(0,) * len(m): 1, tuple(m): -1}
@@ -436,3 +474,207 @@ def shell_face(c, i) -> tuple:
     on the face of its first coordinate past c."""
     low = (0,) * i + (c[i] + 1,) + (0,) * (len(c) - i - 1)
     return low, tuple(c[:i]) + tuple(x + 1 for x in c[i:])
+
+
+# ---------------------------------------------------------------------------
+# the structure of the resolution graph and of a branch's semigroup
+# ---------------------------------------------------------------------------
+
+@dataclass
+class VertexClass:
+    """Dead ends, star points and separation points of a dual graph, plus
+    the BFS tree from the root."""
+
+    dead_ends: frozenset
+    star_points: frozenset
+    separation_points: dict  # (i, j) with i < j -> vertex id
+    parent: dict  # id -> id or None (BFS tree from the root)
+    depth: dict  # id -> distance from root
+
+    def nearest_star_below(self, sid: int):
+        """The nearest strictly smaller star point, or None (root tails)."""
+        cur = self.parent[sid]
+        while cur is not None:
+            if cur in self.star_points:
+                return cur
+            cur = self.parent[cur]
+        return None
+
+
+def classify_graph(g: ResGraph) -> VertexClass:
+    parent = {g.root: None}
+    depth = {g.root: 0}
+    queue = deque([g.root])
+    while queue:
+        v = queue.popleft()
+        for u in g.adjacency[v]:
+            if u not in parent:
+                parent[u] = v
+                depth[u] = depth[v] + 1
+                queue.append(u)
+    if len(parent) != len(g.vertices):
+        raise GraphError("graph is not connected")
+
+    dead = frozenset(v for v, d in g.degrees.items() if d == 1)
+    stars = {v for v, d in g.degrees.items() if d >= 3}
+
+    carrier = {branch: vid for vid, branch in g.arrows}
+    seps = {}
+    for i in sorted(carrier):
+        for j in sorted(carrier):
+            if i < j:
+                seps[(i, j)] = _lca(parent, depth, carrier[i], carrier[j])
+    if seps:
+        first = min(seps.values(), key=lambda v: depth[v])
+        stars.add(first)  # st_1 counts as a star point even when of low degree
+    return VertexClass(dead, frozenset(stars), seps, parent, depth)
+
+
+def _lca(parent, depth, a, b):
+    while depth[a] > depth[b]:
+        a = parent[a]
+    while depth[b] > depth[a]:
+        b = parent[b]
+    while a != b:
+        a, b = parent[a], parent[b]
+    return a
+
+
+def noether_intersections(c: Curve, budget: int = DEFAULT_BUDGET):
+    """Pairwise intersection numbers (C_i . C_j): the Noether sum of
+    products of local multiplicities over the common infinitely near
+    points.  Diagonal entries are None."""
+    return _noether_sums(_run_blowups(c, budget)[1], c.r)[1]
+
+
+@dataclass
+class SemigroupReport:
+    """Outcome of the structural checks on an irreducible branch."""
+
+    generators: list
+    tail_quotients: list  # n_j for the non-root dead ends, ascending
+    conductor: int
+    checks: dict  # name -> bool
+
+    def all_passed(self) -> bool:
+        return all(self.checks.values())
+
+
+def verify_semigroup_properties(c: Curve) -> SemigroupReport:
+    """Run the four structural checks of an irreducible branch semigroup:
+
+    1. conductor - 1 == sum of n_j * generator_j minus the multiplicity;
+    2. every member up to twice the conductor plus two has a unique
+       representation k_0 g_0 + sum k_j g_j with 0 <= k_j <= n_j for j >= 1;
+    3. (n_j + 1) g_j < g_(j+1);
+    4. (n_j + 1) g_j lies in the semigroup generated by g_0 .. g_(j-1).
+
+    The n_j are read from the resolution graph through the divisibility of
+    the star-point multiplicity by its dead end, not re-derived from the
+    parametrization.
+    """
+    if c.r != 1:
+        raise ValueError("structural checks are defined for one branch")
+    a = Analysis(c)
+    graph = a.graph
+    root_like, tails = _dead_end_tails(graph)
+    if len(root_like) != 1:
+        raise AssertionError("expected exactly one tail-free dead end, got %r"
+                             % (root_like,))
+    beta0 = graph.vertices[root_like[0]][0]
+    gens = [beta0] + [m for m, _ in tails]
+    ns = [n for _, n in tails]
+
+    delta = a.conductor[0]
+    top = 2 * delta + 2
+    members = a.members_to((top,))
+
+    checks = {}
+    checks["conductor-formula"] = (
+        delta - 1 == sum(n * g for n, g in zip(ns, gens[1:])) - beta0)
+    checks["unique-representation"] = all(
+        _representations(v, gens, ns) == members[v]
+        for v in range(top + 1))
+    checks["generator-growth"] = all(
+        (ns[j] + 1) * gens[j + 1] < gens[j + 2]
+        for j in range(len(ns) - 1))
+    checks["multiple-in-previous"] = all(
+        (ns[j] + 1) * gens[j + 1] in semigroup_closure(
+            gens[:j + 1], (ns[j] + 1) * gens[j + 1])
+        for j in range(len(ns)))
+    return SemigroupReport(gens, ns, delta, checks)
+
+
+def _dead_end_tails(g: ResGraph):
+    """The dead ends of a one-branch graph with no star point below them,
+    and (m, n) for each other dead end, ascending: its multiplicity and
+    n = m(star)/m - 1 for the nearest star point below it."""
+    vc = classify_graph(g)
+    roots, tails = [], []
+    for d in sorted(vc.dead_ends):
+        st = vc.nearest_star_below(d)
+        if st is None:
+            roots.append(d)
+            continue
+        (m_star,), (m,) = g.vertices[st], g.vertices[d]
+        if m_star % m:
+            raise GraphError(
+                "star multiplicity %r is not a multiple of dead end %r"
+                % (g.vertices[st], g.vertices[d]))
+        tails.append((m, m_star // m - 1))
+    return roots, sorted(tails)
+
+
+def _representations(v: int, gens, ns) -> int:
+    # count k_0 g_0 + sum k_j g_j == v with 0 <= k_j <= n_j for j >= 1
+    partial = [0]
+    for g, n in zip(gens[1:], ns):
+        partial = [p + k * g for p in partial for k in range(n + 1)]
+    beta0 = gens[0]
+    return sum(1 for p in partial
+               if p <= v and (v - p) % beta0 == 0)
+
+
+# ---------------------------------------------------------------------------
+# oracles on Delta that share no code with the three pipelines
+# ---------------------------------------------------------------------------
+
+def check_torres_formula(curve) -> None:
+    """Delta_C with t_k = 1 is (1 - prod_i t_i^(C_i . C_k)) Delta of C
+    without C_k for r >= 3, and (1 + t + ... + t^(l - 1)) Delta_(C_1)(t)
+    with l = (C_1 . C_2) for r = 2 (Torres); every branch in turn is C_k.
+    Needs r >= 2."""
+    delta, r = en_alexander(resolve(curve)), curve.r
+    table = noether_intersections(curve)
+    for k in range(r):
+        restricted = {}
+        for v, x in delta.items():
+            u = v[:k] + v[k + 1:]
+            restricted[u] = restricted.get(u, 0) + x
+        rest = Curve(curve.branches[:k] + curve.branches[k + 1:])
+        ls = tuple(row[k] for i, row in enumerate(table) if i != k)
+        if r == 2:
+            factor = {(e,): 1 for e in range(ls[0])}
+        else:
+            factor = {(0,) * (r - 1): 1, ls: -1}
+        assert {u: x for u, x in restricted.items() if x} == \
+            mp_mul(factor, en_alexander(resolve(rest))), k
+
+
+def check_alexander_symmetry(curve) -> None:
+    """Delta is symmetric about the conductor: t^c Delta(1/t) = Delta(t)
+    for one branch, whose semigroup is symmetric, and t^(c - 1) Delta(1/t)
+    = (-1)^r Delta(t) for r > 1."""
+    a = Analysis(curve)
+    c, r = a.conductor, a.curve.r
+    delta = en_alexander(a.graph)
+    if r == 1:
+        # the semigroup is symmetric: v is a value iff c - 1 - v is not
+        for v in range(c[0]):
+            assert a.is_member((v,)) != a.is_member((c[0] - 1 - v,)), v
+        # and so t^c Delta(1/t) = Delta(t)
+        assert {(c[0] - v,): k for (v,), k in delta.items()} == delta
+        return
+    # t^(c - 1) Delta(1/t) = (-1)^r Delta(t)
+    assert {tuple(x - 1 - y for x, y in zip(c, v)): (-1) ** r * k
+            for v, k in delta.items()} == delta

@@ -17,10 +17,14 @@ import time
 import pytest
 
 from curvealex.cli import format_poly, printed_series
-from curvealex.exactmath import iter_box, mp_mul
+from curvealex.exactmath import iter_box
 from curvealex.filtration import Analysis, JetMatrix
-from curvealex.resolution import BudgetExceededError, en_alexander, resolve
-from curvealex.semigroup import verify_semigroup_properties
+from curvealex.resolution import (
+    BudgetExceededError,
+    en_alexander,
+    free_blowups,
+    resolve,
+)
 
 from corpus import (
     CORPUS_MULTI,
@@ -33,7 +37,9 @@ from corpus import (
     make_quartic_branch,
     make_tangent_cusps_duplicate,
     mp_exact_div,
+    mp_mul,
     semigroup_closure,
+    verify_semigroup_properties,
 )
 
 MULTI = sorted(CORPUS_MULTI)
@@ -122,7 +128,7 @@ def test_criterion_05_r1_convention_through_degree_20():
 def test_criterion_06_resolution_invariance(name):
     c = make_cusp() if name == "cusp" else CORPUS_MULTI[name]()
     base = en_alexander(resolve(c))
-    forced = en_alexander(resolve(c, extra=3))
+    forced = en_alexander(free_blowups(resolve(c), 3))
     _report("criterion-6 resolution-invariance", name, base == forced)
 
 

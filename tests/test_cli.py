@@ -17,7 +17,6 @@ from curvealex.cli import (
     graph_to_json,
     json_text,
     parse_curve_file,
-    parse_graph_file,
 )
 from curvealex.exactmath import iter_box
 from curvealex.filtration import Analysis, JetMatrix
@@ -31,6 +30,7 @@ from corpus import (
     make_quartic_branch,
     make_tacnode,
     make_three_lines,
+    parse_graph_file,
     shell_face,
 )
 
@@ -693,16 +693,49 @@ def test_duplicate_branch_curve_exits_1(tmp_path, capsys):
 
 def test_verify_exits_1_when_pprime_leaves_a_remainder(tmp_path, capsys,
                                                        monkeypatch):
-    # check 1 divides pprime by t_1 t_2 - 1 and raises before any line is
-    # printed, so the exact-divisibility check itself never sees a remainder
+    # check 1 divides pprime by t_1 t_2 - 1; the remainder fails it and
+    # the exact-divisibility check, and every check still prints its line
     monkeypatch.setattr(Analysis, "pprime",
                         property(lambda self: {(1, 0): 1, (0, 0): -1}))
     path = _write(tmp_path, "node.json", NODE_JSON)
     assert cli.main(["verify", path]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("NotDivisible: remainder with leading term "
-                            "(1, 0) while dividing\n")
+    assert captured.out.splitlines() == [
+        "FAIL poincare-equals-alexander: poincare != alexander",
+        "PASS fiber-euler-equals-alexander",
+        "FAIL fiber-product-identity: fiber series * (t..-1) != pprime",
+        "FAIL exact-divisibility: remainder with leading term (1, 0) while "
+        "dividing",
+        "PASS resolution-invariance",
+        "PASS window-stability"]
+    assert captured.err == ""
+
+
+def test_verify_names_a_misfilled_shell_point_that_spoils_the_division(
+        tmp_path, capsys, monkeypatch):
+    # (3, 0) is the tacnode's (c_0 + 1, 0): chi and P' read it, so P' no
+    # longer divides, and window-stability names the point
+    v = (3, 0)
+    line = _window_stability_line(make_tacnode(), v)
+    ranks = Analysis.ranks.func
+
+    def misfilled(a):
+        return [x + (u == v) for u, x in zip(
+            iter_box((0, 0), a.jet.window), ranks(a), strict=True)]
+
+    monkeypatch.setattr(Analysis, "ranks", property(misfilled))
+    path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
+    assert cli.main(["verify", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "FAIL poincare-equals-alexander: poincare != alexander",
+        "FAIL fiber-euler-equals-alexander: fiber series != alexander",
+        "FAIL fiber-product-identity: fiber series * (t..-1) != pprime",
+        "FAIL exact-divisibility: remainder with leading term (2, 0) while "
+        "dividing",
+        "PASS resolution-invariance",
+        line]
+    assert captured.err == ""
 
 
 def test_format_poly_is_sorted_and_tab_separated():

@@ -8,13 +8,13 @@ from curvealex.exactmath import (
     DimensionError,
     NotDivisibleError,
     mp_div_one_minus,
-    mp_mul,
+    mp_mul_one_minus,
     ord_lead,
     up_mul,
     up_normal,
 )
 
-from corpus import mp_exact_div, mp_one_minus
+from corpus import mp_exact_div, mp_mul, mp_one_minus
 
 
 def test_ord_lead_reads_smallest_exponent():
@@ -111,6 +111,18 @@ def test_exact_division_round_trip_on_random_polynomials():
         a = _random_multipoly(rng, r)
         b = _random_multipoly(rng, r, nonzero=True)
         assert mp_exact_div(mp_mul(a, b), b) == a
+
+
+def test_product_by_one_minus_matches_the_generic_product():
+    # m may have zero entries, and p - t^m p may cancel terms of p
+    rng = random.Random(23)
+    for _ in range(400):
+        r = rng.choice([1, 2, 3])
+        m = tuple(rng.randint(0, 2) for _ in range(r))
+        if not any(m):
+            m = (1,) + m[1:]
+        p = _random_multipoly(rng, r)
+        assert mp_mul_one_minus(p, m) == mp_mul(p, mp_one_minus(m))
 
 
 def _quotient_or_message(divide, *args):

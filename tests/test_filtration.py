@@ -7,7 +7,7 @@ import pytest
 
 from curvealex import Curve
 from curvealex.cli import printed_series
-from curvealex.exactmath import iter_box, mp_mul, up_mul, vec_add, vec_leq
+from curvealex.exactmath import iter_box, up_mul, vec_add
 from curvealex.filtration import (
     Analysis,
     BoundaryNonzeroError,
@@ -17,13 +17,15 @@ from curvealex.filtration import (
     pprime_coefficients,
     sub_box,
 )
-from curvealex.resolution import en_alexander, noether_intersections, resolve
+from curvealex.resolution import en_alexander, resolve
 
 from corpus import (
     CORPUS_ALL,
     CORPUS_MULTI,
     b_dim,
     c_dim,
+    check_alexander_symmetry,
+    check_torres_formula,
     face,
     fiber_euler,
     filled,
@@ -37,6 +39,7 @@ from corpus import (
     make_rational_three_branches,
     make_tacnode,
     make_three_lines,
+    mp_mul,
     reference_monomials,
     reference_rank,
     reference_ranks,
@@ -45,6 +48,7 @@ from corpus import (
     shell_face,
     unit_vec,
     vec_clamp,
+    vec_leq,
 )
 
 
@@ -152,19 +156,7 @@ def test_gorenstein_symmetry_of_the_honest_table(name):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
 def test_alexander_polynomial_is_symmetric(name):
-    a = Analysis(ORACLE_CURVES[name]())
-    c, r = a.conductor, a.curve.r
-    delta = en_alexander(a.graph)
-    if r == 1:
-        # the semigroup is symmetric: v is a value iff c - 1 - v is not
-        for v in range(c[0]):
-            assert a.is_member((v,)) != a.is_member((c[0] - 1 - v,)), v
-        # and so t^c Delta(1/t) = Delta(t)
-        assert {(c[0] - v,): k for (v,), k in delta.items()} == delta
-        return
-    # t^(c - 1) Delta(1/t) = (-1)^r Delta(t)
-    assert {tuple(x - 1 - y for x, y in zip(c, v)): (-1) ** r * k
-            for v, k in delta.items()} == delta
+    check_alexander_symmetry(ORACLE_CURVES[name]())
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
@@ -213,25 +205,7 @@ def _substitute(p, s) -> dict:
 @pytest.mark.parametrize("name", sorted(
     name for name, make in ORACLE_CURVES.items() if make().r > 1))
 def test_torres_formula(name):
-    # Delta_C with t_k = 1 is (1 - prod_i t_i^(C_i . C_k)) Delta of C
-    # without C_k for r >= 3, and (1 + t + ... + t^(l - 1)) Delta_(C_1)(t)
-    # with l = (C_1 . C_2) for r = 2 (Torres); every branch in turn is C_k
-    curve = ORACLE_CURVES[name]()
-    delta, r = en_alexander(resolve(curve)), curve.r
-    table = noether_intersections(curve)
-    for k in range(r):
-        restricted = {}
-        for v, x in delta.items():
-            u = v[:k] + v[k + 1:]
-            restricted[u] = restricted.get(u, 0) + x
-        rest = Curve(curve.branches[:k] + curve.branches[k + 1:])
-        ls = tuple(row[k] for i, row in enumerate(table) if i != k)
-        if r == 2:
-            factor = {(e,): 1 for e in range(ls[0])}
-        else:
-            factor = {(0,) * (r - 1): 1, ls: -1}
-        assert {u: x for u, x in restricted.items() if x} == \
-            mp_mul(factor, en_alexander(resolve(rest))), k
+    check_torres_formula(ORACLE_CURVES[name]())
 
 
 SWEEP_CURVES = dict(CORPUS_ALL, rational=make_rational_three_branches,

@@ -4,8 +4,9 @@ against the per-point alternating sums, of the membership pass against
 per-point membership, of the conductor rule of one-branch analyses
 against a wide window and their Poincare series against the
 Eisenbud-Neumann product, of the analysis's rule-filled rank table against
-an honest sweep, of every verify check on random curves, and of every
-invariant against a rescaling of the coordinates."""
+an honest sweep, of every verify check, the symmetry of Delta and the
+Torres formula on random curves, and of every invariant against a
+rescaling of the coordinates."""
 
 from fractions import Fraction
 from math import gcd, prod
@@ -29,27 +30,25 @@ from curvealex.exactmath import iter_box, vec_add  # noqa: E402
 from curvealex.filtration import (  # noqa: E402
     fiber_eulers,
     members,
+    minimal_generators,
     pprime_coefficients,
     sub_box,
 )
-from curvealex.resolution import (  # noqa: E402
-    _run_blowups,
-    noether_intersections,
-)
-from curvealex.semigroup import (  # noqa: E402
-    minimal_generators,
-    verify_semigroup_properties,
-)
+from curvealex.resolution import _run_blowups  # noqa: E402
 
 from corpus import (  # noqa: E402
     c_dim,
+    check_alexander_symmetry,
+    check_torres_formula,
     fiber_euler,
     honest,
     is_member,
     make_rational_three_branches,
+    noether_intersections,
     reference_monomials,
     reference_ranks,
     reference_rows,
+    verify_semigroup_properties,
 )
 
 COEFFS = st.builds(Fraction, st.integers(-3, 3).filter(bool),
@@ -172,6 +171,23 @@ def test_random_curves_pass_every_verify_check(branches):
     assume(prod(x + 3 for x in conductor) <= 4000)
     assert [(name, ok) for name, ok, _ in run_verify(c)] == [
         (name, True) for name in VERIFY_CHECKS]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(BRANCHES.filter(_not_an_axis_cover), min_size=1, max_size=3))
+def test_random_curves_keep_the_symmetry_and_torres(branches):
+    # Delta is symmetric about the conductor, and for r >= 2 setting one
+    # variable to 1 gives the Torres factor times Delta of the other branches
+    c = Curve(branches)
+    try:
+        conductor = Analysis(c).conductor
+    except BudgetExceededError:
+        # coincident branches, or a map of degree > 1 onto its image
+        assume(False)
+    assume(prod(x + 3 for x in conductor) <= 4000)
+    check_alexander_symmetry(c)
+    if c.r >= 2:
+        check_torres_formula(c)
 
 
 SCALES = st.builds(Fraction, st.integers(-5, 5).filter(bool),

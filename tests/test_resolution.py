@@ -7,17 +7,16 @@ from curvealex.resolution import (
     GraphError,
     ResGraph,
     chi_open,
-    classify_graph,
     en_alexander,
-    noether_intersections,
+    free_blowups,
     resolve,
 )
-from curvealex.filtration import Analysis
-from curvealex.semigroup import minimal_generators
+from curvealex.filtration import Analysis, minimal_generators
 
 from corpus import (
     CORPUS_ALL,
     CORPUS_MULTI,
+    classify_graph,
     germ_valuation,
     make_cusp,
     make_cusp_tangent_line,
@@ -26,6 +25,7 @@ from corpus import (
     make_smooth_branch,
     make_tacnode,
     make_tangent_cusps_duplicate,
+    noether_intersections,
 )
 
 
@@ -155,7 +155,7 @@ def test_resolution_invariance_under_extra_blowups(name):
     c = CORPUS_ALL[name]()
     base = en_alexander(resolve(c))
     for extra in (1, 2, 3):
-        g = resolve(c, extra=extra)
+        g = free_blowups(resolve(c), extra)
         assert len(g.vertices) == len(resolve(c).vertices) + extra
         assert en_alexander(g) == base
 

@@ -3,13 +3,9 @@ from fractions import Fraction
 import pytest
 
 from curvealex import Curve
-from curvealex.exactmath import vec_add, vec_leq
-from curvealex.filtration import Analysis, JetMatrix
+from curvealex.exactmath import vec_add
+from curvealex.filtration import Analysis, JetMatrix, minimal_generators
 from curvealex.resolution import en_alexander, resolve
-from curvealex.semigroup import (
-    minimal_generators,
-    verify_semigroup_properties,
-)
 
 from corpus import (
     CORPUS_MULTI,
@@ -24,6 +20,8 @@ from corpus import (
     make_tacnode,
     members_box,
     semigroup_closure,
+    vec_leq,
+    verify_semigroup_properties,
 )
 
 
