@@ -110,7 +110,7 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError("malformed JSON in %s: %s" % (path, exc)) from exc
 
 
@@ -247,8 +247,11 @@ def _emit(text: str, out_path) -> None:
     nothing."""
     text = text + "\n" if text else ""
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError("cannot write %s: %s" % (out_path, exc)) from exc
     else:
         sys.stdout.write(text)
 
@@ -296,7 +299,7 @@ def run_verify(c: Curve, budget=DEFAULT_BUDGET):
     # the certificate puts every honest rank on the conductor rule: one more
     # honest rank, h(c + 1), and the filled shell of [0, c + 1], which every
     # c(v) = h(v + 1) - h(v) on [0, c] reads, are checked against it
-    first = shell_break(a.ranks, a.jet.window, a.conductor,
+    first = shell_break(a.ranks, a.conductor,
                         a.jet.rank_below(vec_add(a.conductor, (1,) * r)))
     ok = first is None
     results.append(("window-stability", ok, "" if ok else

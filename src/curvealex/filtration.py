@@ -23,20 +23,20 @@ t^c * O-bar lies in the local ring, so past c the table is linear,
 h(v) = h(min(v, c)) + sum_i max(v_i - c_i, 0), and v is a value iff
 min(v, c) is.  An ``Analysis`` therefore sweeps its matrix only on [0, c],
 certifies c from that table and the rank of the whole window, and fills
-the rest of [0, c + 2] by the rule (``_extend``).  The certificate's rank
-h(c + 2) = h(c) + 2r makes the 2r columns (i, c_i), (i, c_i + 1)
-independent modulo the span below c, so below any u <= c: every honest
-rank on [0, c + 2] keeps the rule.  An honest check therefore takes one
-more rank, h(c + 1) = h(c) + r, and reads the filled shell of [0, c + 1]
-against the honest [0, c] (``shell_break``); a table swept on less than
-[0, c] would need honest ranks on the shell again.  Its reads are taken
-on [0, c] from the [0, c + 1] sub-box.  Past c the filled table rises by
-one per step on each axis, so the reads there follow from [0, c] by
-construction: membership and the one-branch chi repeat their values at
-min(v, c), and the reads of two or more differences (P', and chi for
-r > 1) vanish.  So every series is the Alexander polynomial Delta on
-[0, c], for one branch the differences of chi or of membership along the
-axis; the CLI prints Delta / (1 - t).
+the table by the rule (``_extend``) to [0, c + 1], as far as its reads go:
+every read on [0, c] takes the table on [0, c + 1] whole.  The
+certificate's rank h(c + 2) = h(c) + 2r makes the 2r columns (i, c_i),
+(i, c_i + 1) independent modulo the span below c, so below any u <= c:
+every honest rank on [0, c + 2] keeps the rule.  An honest check
+therefore takes one more rank, h(c + 1) = h(c) + r, and reads the filled
+shell of [0, c + 1] against the honest [0, c] (``shell_break``); a table
+swept on less than [0, c] would need honest ranks on the shell again.
+Past c the rule rises by one per step on each axis, so the reads there
+follow from [0, c] by construction: membership and the one-branch chi
+repeat their values at min(v, c), and the reads of two or more
+differences (P', and chi for r > 1) vanish.  So every series is the
+Alexander polynomial Delta on [0, c], for one branch the differences of
+chi or of membership along the axis; the CLI prints Delta / (1 - t).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .exactmath import (
     up_integral,
     up_mul_trunc,
 )
-from .resolution import DEFAULT_BUDGET, _noether_sums, _run_blowups
+from .resolution import DEFAULT_BUDGET, _run_blowups
 
 
 class BoundaryNonzeroError(RuntimeError):
@@ -313,9 +313,9 @@ def minimal_generators(a: Analysis) -> list:
     return gens
 
 
-def shell_break(ranks, window, c, h) -> tuple | None:
+def shell_break(ranks, c, h) -> tuple | None:
     """The lexicographically first point v of the shell of [0, c + 1]
-    outside [0, c] where a rank table on [0, window], the honest sweep on
+    outside [0, c] where a rank table on [0, c + 1], the honest sweep on
     [0, c], breaks the conductor rule, as (v, the honest rank, the filled
     value), or None.  The certificate keeps every honest rank on the rule,
     and h, the honest h(c + 1), must be h(c) + r.  No elimination: the rule
@@ -323,14 +323,14 @@ def shell_break(ranks, window, c, h) -> tuple | None:
     v_i = c_i to c_i + 1, made to rise by exactly one."""
     r, top = len(c), tuple(x + 1 for x in c)
     shape = tuple(x + 1 for x in top)
-    table = rule = sub_box(ranks, window, top)
+    rule = ranks
     for i in range(r):
         rule = _along(rule, shape, i, lambda b, s: b[:-s] + [
             x + 1 for x in b[-2 * s:-s]])
-    k = next(compress(count(), map(ne, rule, table)), None)
+    k = next(compress(count(), map(ne, rule, ranks)), None)
     if k is not None:  # a misfilled point comes no later than c + 1
         v = next(islice(iter_box((0,) * r, top), k, None))
-        return v, rule[k], table[k]
+        return v, rule[k], ranks[k]
     return None if h == rule[-1] else (top, h, rule[-1])
 
 
@@ -373,33 +373,36 @@ def _certified(M: JetMatrix, c, delta) -> list:
 class Analysis:
     """Everything the series pipelines read about one curve, computed once.
 
-    One run of the blow-up engine gives the resolution graph, the delta
-    invariant delta = sum_i delta_i + sum_{i<j} (C_i . C_j) and the
-    conductor of the semigroup of values by Delgado's formula
-    c_i = 2 delta_i + sum_{j != i} (C_i . C_j) (Delgado de la Mata,
-    Manuscripta Math. 59, 1987).  One jet matrix ``jet``, built on first
-    use at the window c + 2, is swept only on [0, c]; the conductor is
-    certified from that table and the window's rank (``_certified``), which
-    keeps every honest rank of [0, c + 2] on the conductor rule, and
-    ``ranks`` is filled by that rule.  Every read of it is a flat table on
-    [0, c], in lexicographic order, taken from its [0, c + 1] sub-box:
-    ``chi``, ``membership`` and the coefficients of ``pprime``.  Past c the
-    filled table rises by one per step on each axis, so P' and the chi of
-    r > 1 vanish there, while membership and the one-branch chi repeat
-    their values at min(v, c): ``is_member`` and ``members_to`` read the
-    tables there.  Every series is the Alexander polynomial Delta, for
-    every r.
+    One run of the blow-up engine gives the resolution graph, and one pass
+    over its centers, the infinitely near points p of multiplicities m_i(p)
+    and m(p) = sum_i m_i(p), gives the conductor of the semigroup of values
+    c_i = sum_p m_i(p) (m(p) - 1) and delta = sum_p m(p) (m(p) - 1) / 2:
+    Delgado's c_i = 2 delta_i + sum_{j != i} (C_i . C_j) and delta =
+    sum_i delta_i + sum_{i<j} (C_i . C_j) (Delgado de la Mata, Manuscripta
+    Math. 59, 1987), summed point by point.  One jet matrix ``jet``, built
+    on first use at the window c + 2, is swept only on [0, c]; the
+    conductor is certified from that table and the window's rank
+    (``_certified``), which keeps every honest rank of [0, c + 2] on the
+    conductor rule, and ``ranks`` is filled by that rule to [0, c + 1].
+    Every read takes it whole and is a flat table on [0, c], in
+    lexicographic order: ``chi``, ``membership`` and the coefficients of
+    ``pprime``.  Past c the rule rises by one per step on each axis, so P'
+    and the chi of r > 1 vanish there, while membership and the one-branch
+    chi repeat their values at min(v, c): ``is_member`` and ``members_to``
+    read the tables there.  Every series is the Alexander polynomial
+    Delta, for every r.
     """
 
     def __init__(self, curve: Curve, budget: int = DEFAULT_BUDGET):
         self.curve = curve
         self.graph, centers = _run_blowups(curve, budget)
-        own, table = _noether_sums(centers, curve.r)
-        self.conductor = tuple(o + sum(x for x in row if x)
-                               for o, row in zip(own, table))
-        # own holds 2 delta_i; the table is symmetric
-        self.delta = sum(own) // 2 + sum(row[j] for i, row in
-                                         enumerate(table) for j in range(i))
+        c, self.delta = [0] * curve.r, 0
+        for mult in centers:
+            m = sum(mult.values())
+            self.delta += m * (m - 1) // 2
+            for i, mi in mult.items():
+                c[i - 1] += mi * (m - 1)
+        self.conductor = tuple(c)
 
     @cached_property
     def jet(self) -> JetMatrix:
@@ -412,16 +415,15 @@ class Analysis:
 
     @cached_property
     def ranks(self) -> list:
-        """The table on [0, c + 2]: swept on [0, c], certified, filled."""
+        """The table on [0, c + 1]: swept on [0, c], certified, filled."""
         c = self.conductor
         return _extend(_certified(self.jet, c, self.delta), c,
-                      self.jet.window, rise=1)
+                       tuple(x + 1 for x in c), rise=1)
 
     def _read(self, read) -> list:
         """A whole-table read (``fiber_eulers``, ``pprime_coefficients`` or
-        ``members``) on [0, c], from the [0, c + 1] sub-box of ``ranks``."""
-        top = tuple(x + 1 for x in self.conductor)
-        return read(sub_box(self.ranks, self.jet.window, top), top)
+        ``members``) of ``ranks``, on [0, c]."""
+        return read(self.ranks, tuple(x + 1 for x in self.conductor))
 
     @cached_property
     def chi(self) -> list:

@@ -291,22 +291,6 @@ def free_blowups(g: ResGraph, extra: int) -> ResGraph:
                     arrows=list(g.arrows), root=g.root)
 
 
-def _noether_sums(centers, r: int):
-    """Noether sums over a blow-up center log: per branch the sum of
-    m(m-1) over its infinitely near points (twice its delta invariant), and
-    per pair of branches the sum of products of local multiplicities over
-    their common points (the intersection number; None on the diagonal)."""
-    own = [0] * r
-    table = [[None if i == j else 0 for j in range(r)] for i in range(r)]
-    for mult in centers:
-        for i in mult:
-            own[i - 1] += mult[i] * (mult[i] - 1)
-            for j in mult:
-                if i != j:
-                    table[i - 1][j - 1] += mult[i] * mult[j]
-    return own, table
-
-
 # ---------------------------------------------------------------------------
 # the Eisenbud-Neumann product
 # ---------------------------------------------------------------------------

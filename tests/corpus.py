@@ -32,11 +32,10 @@ from curvealex.exactmath import (
     up_mul,
     vec_add,
 )
-from curvealex.filtration import Analysis, _add_column, _sweep
+from curvealex.filtration import Analysis, _add_column, _extend, _sweep
 from curvealex.resolution import (
     DEFAULT_BUDGET,
     GraphError,
-    _noether_sums,
     _run_blowups,
     en_alexander,
     resolve,
@@ -309,8 +308,10 @@ def honest(M) -> Table:
 
 
 def filled(a) -> Table:
-    """The table of an analysis: swept on [0, c], filled to c + 2."""
-    return Table(a.ranks, a.jet.window)
+    """The table of an analysis on its whole window c + 2: ``a.ranks``,
+    swept on [0, c] and filled to c + 1, extended by the conductor rule."""
+    top = tuple(x + 1 for x in a.conductor)
+    return Table(_extend(a.ranks, top, a.jet.window, rise=1), a.jet.window)
 
 
 def vec_leq(u: ExpVec, v: ExpVec) -> bool:
@@ -540,11 +541,40 @@ def _lca(parent, depth, a, b):
     return a
 
 
+def noether_sums(centers, r: int):
+    """Noether sums over a blow-up center log: per branch the sum of
+    m(m-1) over its infinitely near points (twice its delta invariant), and
+    per pair of branches the sum of products of local multiplicities over
+    their common points (the intersection number; None on the diagonal)."""
+    own = [0] * r
+    table = [[None if i == j else 0 for j in range(r)] for i in range(r)]
+    for mult in centers:
+        for i in mult:
+            own[i - 1] += mult[i] * (mult[i] - 1)
+            for j in mult:
+                if i != j:
+                    table[i - 1][j - 1] += mult[i] * mult[j]
+    return own, table
+
+
 def noether_intersections(c: Curve, budget: int = DEFAULT_BUDGET):
     """Pairwise intersection numbers (C_i . C_j): the Noether sum of
     products of local multiplicities over the common infinitely near
     points.  Diagonal entries are None."""
-    return _noether_sums(_run_blowups(c, budget)[1], c.r)[1]
+    return noether_sums(_run_blowups(c, budget)[1], c.r)[1]
+
+
+def delgado_invariants(c: Curve, budget: int = DEFAULT_BUDGET):
+    """The conductor and delta from the Noether table, the reference for
+    the one pass of ``Analysis``: c_i = 2 delta_i + sum_{j != i}
+    (C_i . C_j) and delta = sum_i delta_i + sum_{i<j} (C_i . C_j)
+    (Delgado de la Mata, Manuscripta Math. 59, 1987)."""
+    own, table = noether_sums(_run_blowups(c, budget)[1], c.r)
+    conductor = tuple(o + sum(x for j, x in enumerate(row) if j != i)
+                      for i, (o, row) in enumerate(zip(own, table)))
+    delta = sum(own) // 2 + sum(row[j] for i, row in enumerate(table)
+                                for j in range(i))
+    return conductor, delta
 
 
 @dataclass

@@ -18,7 +18,7 @@ from curvealex.cli import (
     json_text,
     parse_curve_file,
 )
-from curvealex.exactmath import iter_box
+from curvealex.exactmath import iter_box, vec_add
 from curvealex.filtration import Analysis, JetMatrix
 from curvealex.resolution import resolve
 
@@ -111,6 +111,24 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     assert cli.main(["resolve", str(path)]) == 2
     assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 200000],
+                         ids=["not-utf-8", "nested-200000-deep"])
+def test_unreadable_json_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert cli.main(["resolve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "ParseError: malformed JSON in %s: " % path)
+
+
+def test_unwritable_out_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert cli.main(["resolve", _write(tmp_path, "cusp.json", CUSP_JSON),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "ParseError: cannot write %s: " % out)
 
 
 def test_rational_string_coefficients(tmp_path):
@@ -332,10 +350,11 @@ def _corrupted_fill(monkeypatch, points):
     of the points; the five checks before it read the table unchanged."""
     shell_break = cli.shell_break
 
-    def moved(ranks, window, c, h):
+    def moved(ranks, c, h):
         ranks = [x + (v in points) for v, x in zip(
-            iter_box((0,) * len(c), window), ranks, strict=True)]
-        return shell_break(ranks, window, c, h)
+            iter_box((0,) * len(c), vec_add(c, (1,) * len(c))), ranks,
+            strict=True)]
+        return shell_break(ranks, c, h)
 
     monkeypatch.setattr(cli, "shell_break", moved)
 
@@ -343,7 +362,8 @@ def _corrupted_fill(monkeypatch, points):
 def _window_stability_line(curve, v):
     """The FAIL line for v when the filled table reads one more there."""
     a = Analysis(curve)
-    h = dict(zip(iter_box((0,) * curve.r, a.jet.window), a.ranks))[v]
+    top = vec_add(a.conductor, (1,) * curve.r)
+    h = dict(zip(iter_box((0,) * curve.r, top), a.ranks, strict=True))[v]
     return ("FAIL window-stability: h(%s) = %d on the honest re-sweep, %d "
             "by the conductor rule" % (",".join(map(str, v)), h, h + 1))
 
@@ -721,7 +741,8 @@ def test_verify_names_a_misfilled_shell_point_that_spoils_the_division(
 
     def misfilled(a):
         return [x + (u == v) for u, x in zip(
-            iter_box((0, 0), a.jet.window), ranks(a), strict=True)]
+            iter_box((0, 0), vec_add(a.conductor, (1, 1))), ranks(a),
+            strict=True)]
 
     monkeypatch.setattr(Analysis, "ranks", property(misfilled))
     path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))

@@ -131,7 +131,7 @@ RANK_CURVES = dict(CORPUS_ALL, quartic=make_quartic_branch,
 @pytest.mark.parametrize("name", sorted(RANK_CURVES))
 def test_rank_table_matches_per_point_elimination(name):
     a = Analysis(RANK_CURVES[name]())
-    assert a.ranks == reference_ranks(a.jet)
+    assert filled(a).ranks == reference_ranks(a.jet)
 
 
 # the curves the symmetry and metamorphic oracles run on
@@ -464,23 +464,23 @@ def test_members_to_reads_every_point_at_min_v_c(name):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
 def test_reads_of_the_sub_box_match_the_whole_window(name):
-    # chi and P' read from the [0, c + 1] sub-box equal the reads of the
-    # whole window c + 2 on [0, c]; on the rest of it P' vanishes, and so
-    # does chi for r > 1, while the one-branch chi is the membership
-    # indicator, 1 past c
+    # the analysis's table is the [0, c + 1] sub-box of the whole window
+    # c + 2; chi and P' read from it equal the reads of the whole window on
+    # [0, c]; on the rest of it P' vanishes, and so does chi for r > 1,
+    # while the one-branch chi is the membership indicator, 1 past c
     a = Analysis(ORACLE_CURVES[name]())
-    c, window, r = a.conductor, a.jet.window, a.curve.r
-    inner = vec_add(c, (1,) * r)
-    part = sub_box(a.ranks, window, inner)
+    (ranks, window), r = filled(a), a.curve.r
+    c, inner = a.conductor, vec_add(a.conductor, (1,) * r)
+    assert a.ranks == sub_box(ranks, window, inner)
     for read, past in ((fiber_eulers, int(r == 1)), (pprime_coefficients, 0)):
-        whole = list(zip(iter_box((0,) * r, inner), read(a.ranks, window),
+        whole = list(zip(iter_box((0,) * r, inner), read(ranks, window),
                          strict=True))
-        assert list(zip(iter_box((0,) * r, c), read(part, inner),
+        assert list(zip(iter_box((0,) * r, c), read(a.ranks, inner),
                         strict=True)) == \
             [(v, x) for v, x in whole if vec_leq(v, c)]
         assert [x for v, x in whole if not vec_leq(v, c)] == \
             [past] * (len(whole) - len(a.chi))
-    assert a.chi == fiber_eulers(part, inner)
+    assert a.chi == fiber_eulers(a.ranks, inner)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
@@ -494,7 +494,7 @@ def test_shell_faces_match_the_full_re_sweep(name):
     top = vec_add(c, (1,) * r)
     full = a.jet.sweep(top)[0]
     h = dict(zip(iter_box((0,) * r, top), full, strict=True))
-    fill = dict(zip(iter_box((0,) * r, a.jet.window), a.ranks, strict=True))
+    fill = dict(zip(iter_box((0,) * r, top), a.ranks, strict=True))
     faces = [shell_face(c, i) for i in range(r)]
     points = [v for low, high in faces for v in iter_box(low, high)]
     assert len(points) == prod(x + 2 for x in c) - prod(x + 1 for x in c)
@@ -503,6 +503,44 @@ def test_shell_faces_match_the_full_re_sweep(name):
         ranks = face(a.jet, c, i)
         assert ranks == [h[v] for v in iter_box(low, high)]
         assert ranks == [fill[v] for v in iter_box(low, high)]
+
+
+STEP_CURVES = dict(ORACLE_CURVES, **{"four-lines": make_four_lines})
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CURVES))
+def test_every_step_rises_iff_a_member_above_keeps_its_coordinate(name):
+    # h(v + e_i) - h(v) = 1 iff some value s >= v has s_i = v_i, membership
+    # read at min(s, c): so s_j runs over [v_j, max(v_j, c_j)], and the
+    # test is whether some value u of [0, c] with u >= min(v, c) has
+    # u_i = v_i; read on the honest sweep of the whole window, per point
+    a = Analysis(STEP_CURVES[name]())
+    T, c, r = honest(a.jet), a.conductor, a.curve.r
+    h = dict(zip(iter_box((0,) * r, T.window), T.ranks, strict=True))
+    box = list(iter_box((0,) * r, c))
+    member = {u: is_member(T, u) for u in box}
+    units = [unit_vec(r, [i + 1]) for i in range(r)]
+    # above[i][u]: some value u' >= u of [0, c] has u'_i = u_i; every
+    # u + e_j comes later in lexicographic order, so one backward pass
+    above = []
+    for i in range(r):
+        seen = {}
+        for u in reversed(box):
+            seen[u] = member[u] or any(
+                seen[vec_add(u, e)] for j, e in enumerate(units)
+                if j != i and u[j] < c[j])
+        above.append(seen)
+    steps, broken = 0, []
+    for v in iter_box((0,) * r, vec_add(c, (1,) * r)):
+        low = vec_clamp(v, c)
+        for i, e in enumerate(units):
+            if v[i] <= c[i]:
+                steps += 1
+                if h[vec_add(v, e)] - h[v] != above[i][low]:
+                    broken.append((v, i))
+    assert steps == sum(prod(x + 2 for x in c) // (x + 2) * (x + 1)
+                        for x in c)
+    assert broken == []
 
 
 @pytest.mark.parametrize("name", sorted(RANK_CURVES))

@@ -3,8 +3,9 @@ prefix-rank table against per-point elimination, of the difference sweeps
 against the per-point alternating sums, of the membership pass against
 per-point membership, of the conductor rule of one-branch analyses
 against a wide window and their Poincare series against the
-Eisenbud-Neumann product, of the analysis's rule-filled rank table against
-an honest sweep, of every verify check, the symmetry of Delta and the
+Eisenbud-Neumann product, of the one-pass conductor and delta against the
+Noether table, of the analysis's rule-filled rank table against an honest
+sweep, of every verify check, the symmetry of Delta and the
 Torres formula on random curves, and of every invariant against a
 rescaling of the coordinates."""
 
@@ -40,7 +41,9 @@ from corpus import (  # noqa: E402
     c_dim,
     check_alexander_symmetry,
     check_torres_formula,
+    delgado_invariants,
     fiber_euler,
+    filled,
     honest,
     is_member,
     make_rational_three_branches,
@@ -142,6 +145,18 @@ def test_conductor_rule_matches_a_wide_window(branch):
     assert en_alexander(a.graph) == a.poincare
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(BRANCHES.filter(_not_an_axis_cover), min_size=1, max_size=3))
+def test_conductor_and_delta_match_the_noether_table(branches):
+    c = Curve(branches)
+    try:
+        a = Analysis(c)
+    except BudgetExceededError:
+        # coincident branches, or a map of degree > 1 onto its image
+        assume(False)
+    assert (a.conductor, a.delta) == delgado_invariants(c)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(BRANCHES.filter(_not_an_axis_cover), min_size=1, max_size=3))
 def test_filled_table_matches_the_honest_sweep(branches):
@@ -153,7 +168,7 @@ def test_filled_table_matches_the_honest_sweep(branches):
         assume(False)
     assume(prod(x + 3 for x in a.conductor) <= 4000)
     ranks, rank = a.jet.sweep(a.jet.window)
-    assert a.ranks == ranks
+    assert filled(a).ranks == ranks
     assert a.jet.sweep(a.conductor)[1] == rank == ranks[-1]
 
 

@@ -17,11 +17,15 @@ from corpus import (
     CORPUS_ALL,
     CORPUS_MULTI,
     classify_graph,
+    delgado_invariants,
     germ_valuation,
+    make_axes_and_cusp,
     make_cusp,
     make_cusp_tangent_line,
+    make_four_lines,
     make_node,
     make_quartic_branch,
+    make_rational_three_branches,
     make_smooth_branch,
     make_tacnode,
     make_tangent_cusps_duplicate,
@@ -121,6 +125,24 @@ def test_noether_cusp_with_tangent_line_matches_valuation():
     v, _ = germ_valuation({(0, 1): 1}, c.branches[0])
     table = noether_intersections(c)
     assert table[0][1] == table[1][0] == v == 3
+
+
+NOETHER_CURVES = dict(CORPUS_ALL, **{
+    "four-lines": make_four_lines,
+    "quartic": make_quartic_branch,
+    "smooth": make_smooth_branch,
+    "axes-and-cusp": make_axes_and_cusp,
+    "rational": make_rational_three_branches,
+})
+
+
+@pytest.mark.parametrize("name", sorted(NOETHER_CURVES))
+def test_conductor_and_delta_match_the_noether_table(name):
+    # the one pass over the infinitely near points, c_i = sum m_i (m - 1)
+    # and delta = sum m (m - 1) / 2, against the Noether table
+    c = NOETHER_CURVES[name]()
+    a = Analysis(c)
+    assert (a.conductor, a.delta) == delgado_invariants(c)
 
 
 def test_duplicate_branches_exceed_budget():
