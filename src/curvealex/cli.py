@@ -62,11 +62,20 @@ class ArrowCountMismatchError(ParseError):
 # ---------------------------------------------------------------------------
 
 def _coeff_from_json(c):
-    """A JSON integer as an int, a 'p/q' string as a Fraction."""
+    """A JSON integer or an integer string as an int, a 'p/q' string as a
+    Fraction."""
     if isinstance(c, bool) or isinstance(c, float):
         raise ParseError("coefficients must be integers or 'p/q' strings: %r" % (c,))
     if type(c) is int:
         return c
+    # int() reads the integer strings Fraction() reads, to the same value,
+    # and rejects the others, except '1_0', which Fraction() rejects before
+    # Python 3.11
+    if type(c) is str and "_" not in c:
+        try:
+            return int(c)
+        except ValueError:
+            pass
     try:
         return Fraction(c)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -110,7 +119,9 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, a UnicodeDecodeError, or a plain ValueError
+        # for an integer longer than the interpreter's int digit limit
         raise ParseError("malformed JSON in %s: %s" % (path, exc)) from exc
 
 

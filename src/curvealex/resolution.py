@@ -22,6 +22,18 @@ every blow-up:
 A resident lands on the new divisor at direction y/x evaluated at tau = 0
 (INF when x vanishes to higher order); residents regroup by that exact
 rational value, the only Fraction the engine makes.
+
+Euclid chains
+-------------
+When every resident leaves a point by the same chart (all ord x < ord y,
+or all ord x > ord y), the next blow-ups are steps of Euclid's algorithm on
+the two orders: their multiplicities and edges are fixed before any
+coefficient is read (Zariski's multiplicity sequence, Enriques' proximity
+relations).  The engine takes such a run of s blow-ups in one step, one
+division by the axis coordinate to the power s, and records its s centers
+as s single blow-ups would.  It does so only at a point that is the only
+one pending: vertex ids are handed out breadth-first, and the graph files
+``resolve --out`` writes name vertices by id.
 """
 
 from __future__ import annotations
@@ -84,18 +96,21 @@ class RatFunc:
         d, (num,) = up_integral([p])
         return cls(num, {0: d})
 
-    def div(self, other: "RatFunc") -> "RatFunc":
-        """Quotient self/other; requires ord(self) >= ord(other)."""
+    def div(self, other: "RatFunc", s: int = 1) -> "RatFunc":
+        """Quotient self/other^s, with one content normalisation; requires
+        ord(self) >= s ord(other)."""
         k = other.ord
         if k == INF:
             raise ZeroDivisionError("division by an identically zero coordinate")
-        if self.ord < k:
+        if self.ord < s * k:
             raise ValueError("quotient would have a pole at tau = 0")
-        num, onum = self.num, other.num
+        num, den, onum = self.num, self.den, other.num
         if k:
-            num = {e - k: c for e, c in num.items()}
+            num = {e - s * k: c for e, c in num.items()}
             onum = {e - k: c for e, c in onum.items()}
-        return RatFunc(up_mul(num, other.den), up_mul(self.den, onum))
+        for _ in range(s):
+            num, den = up_mul(num, other.den), up_mul(den, onum)
+        return RatFunc(num, den)
 
     def sub_const(self, c) -> "RatFunc":
         """self - c for a rational c = p/q: (q num - p den) / (q den)."""
@@ -195,10 +210,65 @@ def _direction(fx: RatFunc, fy: RatFunc):
     return INF
 
 
+def _chain(pt: _Point):
+    """The number s of blow-ups in a row, from pt on, at which every
+    resident leaves by one chart, and that chart's direction: 0 when every
+    ord x < ord y, INF when every ord x > ord y; (1, None) when the
+    residents split.
+
+    With oa < ob a resident's two orders and ob = q oa + rho, each blow-up
+    divides the other coordinate by the axis one and keeps oa, so the
+    resident stays on the chart for q blow-ups if rho > 0, q - 1 if not
+    (an identically zero coordinate never leaves it).  Centers after the
+    first are unsettled, unless a lone resident has oa = 1 and no divisor
+    on the axis the chart keeps: it settles after one blow-up."""
+    ords = [(fx.ord, fy.ord) for _, fx, fy in pt.residents]
+    if all(a < b for a, b in ords):
+        chart, kept = 0, "y"
+    elif all(a > b for a, b in ords):
+        chart, kept = INF, "x"
+        ords = [(b, a) for a, b in ords]
+    else:
+        return 1, None
+    if len(ords) == 1 and ords[0][0] == 1 and all(
+            ax != kept for _, ax in pt.divisors):
+        return 1, chart
+    s = INF
+    for a, b in ords:
+        if b != INF:
+            q, rho = divmod(b, a)
+            s = min(s, q if rho else q - 1)
+    return s, chart
+
+
+def _divisors_after(nid: int, d, old_axis: dict) -> list:
+    """The divisors through the point at direction d on the new divisor
+    nid, given the center's divisors by axis."""
+    if d == INF:
+        divs = [(nid, "y")]
+        if "x" in old_axis:
+            divs.append((old_axis["x"], "x"))
+    else:
+        divs = [(nid, "x")]
+        if d == 0 and "y" in old_axis:
+            divs.append((old_axis["y"], "y"))
+    return divs
+
+
 def _run_blowups(c: Curve, budget: int):
     """Blow up until every strict transform is settled; returns the dual
     graph together with the per-center multiplicity log (branch id -> local
-    multiplicity of its strict transform at that center)."""
+    multiplicity of its strict transform at that center).
+
+    A point that is the only one pending takes its whole Euclid chain
+    (``_chain``) in one step: the s centers are recorded one by one, with
+    the same ids, edges and multiplicities as s single blow-ups, and each
+    resident's other coordinate is divided once by its axis coordinate to
+    the power s.  The step loop would check the budget at the depths
+    depth, ..., depth + s - 1, so the chain raises iff depth + s > budget.
+    Ids are handed out breadth-first, so a chain beside a waiting point
+    would take ids that belong to that point's blow-up; with r = 1, and at
+    the root, the popped point is always the only one."""
     validate_curve(c)
     r = c.r
     vertices = {}
@@ -217,43 +287,41 @@ def _run_blowups(c: Curve, budget: int):
                 raise GraphError("branch %d settled twice" % bid)
             arrows[bid] = pt.divisors[0][0]
             continue
-        if pt.depth >= budget:
+        s, chart = (1, None) if pending else _chain(pt)
+        if pt.depth + s > budget:
             raise BudgetExceededError(
                 "no separation after %d blow-ups; branches %r look coincident"
                 % (budget, sorted(b for b, _, _ in pt.residents)))
-        nid += 1
         mult = {bid: min(fx.ord, fy.ord)
                 for bid, fx, fy in pt.residents}
-        m_new = tuple(
-            mult.get(i, 0) + sum(vertices[vid][i - 1] for vid, _ in pt.divisors)
-            for i in range(1, r + 1))
-        vertices[nid] = m_new
-        centers.append(mult)
-        if len(pt.divisors) == 2:
-            # the two divisors met at this center and are now separated
-            pair = tuple(sorted(v for v, _ in pt.divisors))
-            edges.discard(pair)
-        for vid, _ in pt.divisors:
-            edges.add(tuple(sorted((vid, nid))))
-
         old_axis = {ax: vid for vid, ax in pt.divisors}
+        divisors = pt.divisors
+        for k in range(s):
+            nid += 1
+            vertices[nid] = tuple(
+                mult.get(i, 0) + sum(vertices[vid][i - 1] for vid, _ in divisors)
+                for i in range(1, r + 1))
+            centers.append(mult)
+            if len(divisors) == 2:
+                # the two divisors met at this center and are now separated
+                edges.discard(tuple(sorted(v for v, _ in divisors)))
+            for vid, _ in divisors:
+                edges.add(tuple(sorted((vid, nid))))
+            if k + 1 < s:
+                divisors = _divisors_after(nid, chart, old_axis)
+
         groups = {}
         for bid, fx, fy in pt.residents:
             groups.setdefault(_direction(fx, fy), []).append((bid, fx, fy))
         for d in sorted(groups):
             members = groups[d]
             if d == INF:
-                res = [(bid, fx.div(fy), fy) for bid, fx, fy in members]
-                divs = [(nid, "y")]
-                if "x" in old_axis:
-                    divs.append((old_axis["x"], "x"))
+                res = [(bid, fx.div(fy, s), fy) for bid, fx, fy in members]
             else:
-                res = [(bid, fx, fy.div(fx).sub_const(d))
+                res = [(bid, fx, fy.div(fx, s).sub_const(d))
                        for bid, fx, fy in members]
-                divs = [(nid, "x")]
-                if d == 0 and "y" in old_axis:
-                    divs.append((old_axis["y"], "y"))
-            pending.append(_Point(res, divs, pt.depth + 1))
+            pending.append(
+                _Point(res, _divisors_after(nid, d, old_axis), pt.depth + s))
 
     if sorted(arrows) != list(range(1, r + 1)):
         raise GraphError("arrow bookkeeping failed: %r" % (arrows,))

@@ -1,7 +1,8 @@
 """Shared test curves, the per-point references the tests check the
 library's whole-table reads against, the generic polynomial product and
-long division behind its one-pass binomial ones, the structure checks of
-the resolution graph and of a branch's semigroup, and the Torres and
+long division behind its one-pass binomial ones, the step-by-step
+blow-up engine behind its chained one, the structure checks of the
+resolution graph and of a branch's semigroup, and the Torres and
 symmetry oracles on Delta.
 
 Every curve with r > 1 used by the identity checks, plus the one-branch
@@ -21,6 +22,7 @@ from typing import NamedTuple
 
 from curvealex import Curve, ResGraph
 from curvealex.cli import _read_json, graph_from_json
+from curvealex.curve import validate_curve
 from curvealex.exactmath import (
     INF,
     ExpVec,
@@ -35,8 +37,13 @@ from curvealex.exactmath import (
 from curvealex.filtration import Analysis, _add_column, _extend, _sweep
 from curvealex.resolution import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
     GraphError,
+    RatFunc,
+    _direction,
+    _Point,
     _run_blowups,
+    _settled,
     en_alexander,
     resolve,
 )
@@ -575,6 +582,92 @@ def delgado_invariants(c: Curve, budget: int = DEFAULT_BUDGET):
     delta = sum(own) // 2 + sum(row[j] for i, row in enumerate(table)
                                 for j in range(i))
     return conductor, delta
+
+
+def reference_blowups(c: Curve, budget: int = DEFAULT_BUDGET):
+    """The step-by-step blow-up engine, one center per iteration: the
+    reference ``_run_blowups``, which takes each Euclid chain in one step,
+    must match whole, exceptions included."""
+    validate_curve(c)
+    r = c.r
+    vertices = {}
+    edges = set()
+    arrows = {}
+    centers = []
+    start = [(i, RatFunc.of(b.x), RatFunc.of(b.y))
+             for i, b in enumerate(c.branches, start=1)]
+    pending = deque([_Point(start, [], 0)])
+    nid = 0
+    while pending:
+        pt = pending.popleft()
+        if _settled(pt):
+            bid = pt.residents[0][0]
+            if bid in arrows:
+                raise GraphError("branch %d settled twice" % bid)
+            arrows[bid] = pt.divisors[0][0]
+            continue
+        if pt.depth >= budget:
+            raise BudgetExceededError(
+                "no separation after %d blow-ups; branches %r look coincident"
+                % (budget, sorted(b for b, _, _ in pt.residents)))
+        nid += 1
+        mult = {bid: min(fx.ord, fy.ord)
+                for bid, fx, fy in pt.residents}
+        m_new = tuple(
+            mult.get(i, 0) + sum(vertices[vid][i - 1] for vid, _ in pt.divisors)
+            for i in range(1, r + 1))
+        vertices[nid] = m_new
+        centers.append(mult)
+        if len(pt.divisors) == 2:
+            # the two divisors met at this center and are now separated
+            pair = tuple(sorted(v for v, _ in pt.divisors))
+            edges.discard(pair)
+        for vid, _ in pt.divisors:
+            edges.add(tuple(sorted((vid, nid))))
+
+        old_axis = {ax: vid for vid, ax in pt.divisors}
+        groups = {}
+        for bid, fx, fy in pt.residents:
+            groups.setdefault(_direction(fx, fy), []).append((bid, fx, fy))
+        for d in sorted(groups):
+            members = groups[d]
+            if d == INF:
+                res = [(bid, fx.div(fy), fy) for bid, fx, fy in members]
+                divs = [(nid, "y")]
+                if "x" in old_axis:
+                    divs.append((old_axis["x"], "x"))
+            else:
+                res = [(bid, fx, fy.div(fx).sub_const(d))
+                       for bid, fx, fy in members]
+                divs = [(nid, "x")]
+                if d == 0 and "y" in old_axis:
+                    divs.append((old_axis["y"], "y"))
+            pending.append(_Point(res, divs, pt.depth + 1))
+
+    if sorted(arrows) != list(range(1, r + 1)):
+        raise GraphError("arrow bookkeeping failed: %r" % (arrows,))
+
+    graph = ResGraph(
+        r=r,
+        vertices=vertices,
+        edges=edges,
+        arrows=sorted(((v, b) for b, v in arrows.items()),
+                      key=lambda t: (t[1], t[0])),
+        root=1,
+    )
+    return graph, centers
+
+
+def engine_outcome(run, c: Curve, budget: int = DEFAULT_BUDGET):
+    """A whole blow-up engine result (``run`` is ``_run_blowups`` or
+    ``reference_blowups``): the vertices in insertion order, the edges,
+    arrows and root and the center log, or the class and message of what
+    it raised."""
+    try:
+        g, centers = run(c, budget)
+    except Exception as exc:  # any failure must be the reference's too
+        return type(exc), str(exc)
+    return list(g.vertices.items()), g.edges, g.arrows, g.root, centers
 
 
 @dataclass

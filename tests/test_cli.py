@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ from curvealex import Curve, cli, resolution
 from curvealex.cli import (
     ArrowCountMismatchError,
     NotATreeError,
+    ParseError,
+    _coeff_from_json,
     curve_from_json,
     format_poly,
     graph_from_json,
@@ -113,8 +116,10 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 200000],
-                         ids=["not-utf-8", "nested-200000-deep"])
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{", b"[" * 200000,
+    b'{"branches": [{"x": [[1, ' + b"1" * 5000 + b']], "y": []}]}',
+], ids=["not-utf-8", "nested-200000-deep", "integer-of-5000-digits"])
 def test_unreadable_json_exits_2(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
@@ -134,9 +139,32 @@ def test_unwritable_out_file_exits_2(tmp_path, capsys):
 def test_rational_string_coefficients(tmp_path):
     data = {"branches": [{"x": [[2, "1/2"]], "y": [[3, 2]]}]}
     c = parse_curve_file(_write(tmp_path, "half.json", data))
-    from fractions import Fraction
-
     assert c.branches[0].x == {2: Fraction(1, 2)}
+
+
+COEFF_STRINGS = [
+    "1", "-3", " +7\n", "-0", "\u0663", "\uff11\uff12", "1_0", "1/2",
+    " 6/4 ", "1.5", "2e3", "", " ", "+", "1__0", "_1", "1_", "1 0",
+    "\u00b2", "\u22121", "0x10", "1/0", "1" * 5000]
+
+
+@pytest.mark.parametrize("text", COEFF_STRINGS, ids=lambda t: repr(t)[:12])
+def test_coefficient_strings_read_as_fraction_reads_them(text):
+    # the value Fraction(text) has, or its error in the ParseError
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(ParseError) as info:
+            _coeff_from_json(text)
+        assert str(info.value) == "bad coefficient %r: %s" % (text, exc)
+    else:
+        assert _coeff_from_json(text) == want
+
+
+def test_integer_coefficient_strings_are_ints():
+    assert [_coeff_from_json(t) for t in ("1", "-3", " +7\n", "\u0663")] \
+        == [1, -3, 7, 3]
+    assert all(type(_coeff_from_json(t)) is int for t in ("1", "-3"))
 
 
 def test_graph_file_roundtrip(tmp_path):
@@ -510,19 +538,45 @@ def test_multi_branch_semigroup_builds_one_window(tmp_path, capsys, calls):
     assert calls["windows"] == [(3, 3)]
 
 
-def test_budget_reaches_the_series_commands(tmp_path, capsys):
-    path = _write(tmp_path, "a63.json", _a_k(63))
-    argv = ["poincare", path, "--budget", "200", "--bound", "10"]
+# A_k = (t^2, t^(2k+1)) resolves in k + 2 blow-ups, the first k of them
+# one Euclid chain from the root: a budget below k ends inside the chain
+BUDGET_REACHES = [("poincare", 63, 200), ("poincare", 63, 65),
+                  ("poincare", 62, 64), ("resolve", 62, 64),
+                  ("resolve", 63, 65)]
+BUDGET_FAILS = [("poincare", 40, 10), ("resolve", 62, 63),
+                ("resolve", 62, 61), ("alexander", 62, 30),
+                ("resolve", 63, 64), ("semigroup", 63, 63)]
+
+
+def _budget_id(case):
+    return "%s-A%d-%d" % case
+
+
+@pytest.mark.parametrize("cmd,k,budget", BUDGET_REACHES,
+                         ids=map(_budget_id, BUDGET_REACHES))
+def test_budget_reaches_the_series_commands(tmp_path, capsys, cmd, k, budget):
+    path = _write(tmp_path, "a%d.json" % k, _a_k(k))
+    argv = [cmd, path, "--budget", str(budget)]
+    if cmd == "poincare":
+        argv += ["--bound", "10"]
     assert cli.main(argv) == 0
-    assert capsys.readouterr().out == "".join(
-        "1\t%d\n" % v for v in range(0, 11, 2))
+    out = capsys.readouterr().out
+    if cmd == "poincare":
+        assert out == "".join("1\t%d\n" % v for v in range(0, 11, 2))
+    else:
+        assert len(json.loads(out)["vertices"]) == k + 2
 
 
-def test_small_budget_fails_the_series_commands(tmp_path, capsys):
-    path = _write(tmp_path, "a40.json", _a_k(40))
-    assert cli.main(["poincare", path, "--budget", "10"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("BudgetExceeded: ") and " 10 " in err
+@pytest.mark.parametrize("cmd,k,budget", BUDGET_FAILS,
+                         ids=map(_budget_id, BUDGET_FAILS))
+def test_small_budget_fails_the_series_commands(tmp_path, capsys, cmd, k,
+                                                budget):
+    path = _write(tmp_path, "a%d.json" % k, _a_k(k))
+    assert cli.main([cmd, path, "--budget", str(budget)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "BudgetExceeded: no separation after %d " \
+        "blow-ups; branches [1] look coincident\n" % budget
 
 
 @pytest.mark.parametrize("cmd,window", [("fibers", "3"),

@@ -6,8 +6,9 @@ against a wide window and their Poincare series against the
 Eisenbud-Neumann product, of the one-pass conductor and delta against the
 Noether table, of the analysis's rule-filled rank table against an honest
 sweep, of every verify check, the symmetry of Delta and the
-Torres formula on random curves, and of every invariant against a
-rescaling of the coordinates."""
+Torres formula on random curves, of the chained blow-up engine against
+the step-by-step one, and of every invariant against a rescaling of the
+coordinates."""
 
 from fractions import Fraction
 from math import gcd, prod
@@ -42,12 +43,14 @@ from corpus import (  # noqa: E402
     check_alexander_symmetry,
     check_torres_formula,
     delgado_invariants,
+    engine_outcome,
     fiber_euler,
     filled,
     honest,
     is_member,
     make_rational_three_branches,
     noether_intersections,
+    reference_blowups,
     reference_monomials,
     reference_ranks,
     reference_rows,
@@ -203,6 +206,15 @@ def test_random_curves_keep_the_symmetry_and_torres(branches):
     check_alexander_symmetry(c)
     if c.r >= 2:
         check_torres_formula(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(BRANCHES, min_size=1, max_size=3), st.integers(1, 66))
+def test_chained_engine_matches_the_step_loop_on_random_curves(branches,
+                                                               budget):
+    c = Curve(branches)
+    assert (engine_outcome(_run_blowups, c, budget)
+            == engine_outcome(reference_blowups, c, budget))
 
 
 SCALES = st.builds(Fraction, st.integers(-5, 5).filter(bool),

@@ -3,9 +3,11 @@ import pytest
 from curvealex import Curve
 from curvealex.cli import printed_series
 from curvealex.resolution import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     GraphError,
     ResGraph,
+    _run_blowups,
     chi_open,
     en_alexander,
     free_blowups,
@@ -18,6 +20,7 @@ from corpus import (
     CORPUS_MULTI,
     classify_graph,
     delgado_invariants,
+    engine_outcome,
     germ_valuation,
     make_axes_and_cusp,
     make_cusp,
@@ -30,6 +33,7 @@ from corpus import (
     make_tacnode,
     make_tangent_cusps_duplicate,
     noether_intersections,
+    reference_blowups,
 )
 
 
@@ -143,6 +147,58 @@ def test_conductor_and_delta_match_the_noether_table(name):
     c = NOETHER_CURVES[name]()
     a = Analysis(c)
     assert (a.conductor, a.delta) == delgado_invariants(c)
+
+
+def _a_k(k):
+    return Curve([({2: 1}, {2 * k + 1: 1})])
+
+
+def _pencil(n, k):
+    # the n curves y = a x^k, a = 0..n-1: y = 0 and n - 1 more with
+    # contact k with it and each other
+    return Curve([({1: 1}, {k: a}) for a in range(n)])
+
+
+ENGINE_FAMILIES = {
+    "A_k": {"A%d" % k: _a_k(k) for k in range(1, 64)},
+    "pencils": {"pencil-%d-contact-%d" % (n, k): _pencil(n, k)
+                for n in range(2, 9) for k in range(1, 9)},
+    "corpus": {name: make() for name, make in NOETHER_CURVES.items()},
+    # the root splits, and a chain starts while a point that needs a
+    # blow-up waits: ids stay breadth-first only if that chain is taken
+    # step by step
+    "splits": {**{"A%d-and-mirror" % k: Curve([({2: 1}, {2 * k + 1: 1}),
+                                               ({2 * k + 1: 1}, {2: 1})])
+                  for k in range(1, 9)},
+               **{"pencil-3-contact-%d-and-cusp" % k: Curve(
+                   _pencil(3, k).branches + [({3: 1}, {2: 1})])
+                  for k in range(1, 9)}},
+    "faults": {"fault-A63": _a_k(63),
+               "fault-contact-70": Curve([({1: 1}, {}), ({1: 1}, {70: 1})]),
+               "tangent-cusps-duplicate": make_tangent_cusps_duplicate(),
+               "equal-branches": Curve([({1: 1}, {2: 1}),
+                                        ({1: 1}, {2: 1})])},
+}
+
+
+def _engine_budgets(c):
+    # every budget from 1 to one past the number of vertices the step loop
+    # makes without a budget (to the default for coincident branches), so
+    # budgets just below, at and above the end of every chain
+    try:
+        n = len(reference_blowups(c, 200)[0].vertices)
+    except BudgetExceededError:
+        n = DEFAULT_BUDGET
+    return [*range(1, n + 2), DEFAULT_BUDGET]
+
+
+@pytest.mark.parametrize("family", sorted(ENGINE_FAMILIES))
+def test_chained_engine_matches_the_step_loop(family):
+    for name, c in ENGINE_FAMILIES[family].items():
+        for budget in _engine_budgets(c):
+            assert (engine_outcome(_run_blowups, c, budget)
+                    == engine_outcome(reference_blowups, c, budget)), (
+                        name, budget)
 
 
 def test_duplicate_branches_exceed_budget():
