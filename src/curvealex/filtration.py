@@ -9,14 +9,20 @@ the previous row by one truncated product per branch, and the columns are
 (branch, order) pairs in branch-major order.  Since the columns "below v"
 form a per-branch prefix, h(v) = dim O/J(v) is the rank below v, and all
 other dimensions are alternating sums of that one prefix-rank table, kept
-as a flat list in lexicographic order.  Every read takes such a table on a
-whole box [0, w] and returns a flat table on [0, w - 1], axis by axis
-(``_along``): the fiber Euler characteristics and the coefficients of P'
-by r difference sweeps (``_differences``), membership as a table of bools
-by comparing each point with its r successors (``members``), and a
-branch's minimal generators by one walk over that table
-(``minimal_generators``).  Only the nonzero entries of a series become
-polynomial terms (``_nonzero``).
+as a flat list in lexicographic order.  The sweep adds one branch's columns
+at a time, down to the last two axes: there the (J + 1) x (K + 1) ranks
+over each basis B are fixed by the relative position of two flags, the
+prefixes F_j and G_k of the last two branches.  One reduction per column of
+F and of G finds, for each g_l, the least j with g_l in B + F_j + G_(l-1),
+and each rank of that slab counts them (``_slab``), so every entry stays an
+exact rank, neither filled by a rule nor taken modulo a prime.  Every read
+takes such a table on a whole box [0, w] and returns a flat table on
+[0, w - 1], axis by axis (``_along``): the fiber Euler characteristics and
+the coefficients of P' by r difference sweeps (``_differences``),
+membership as a table of bools by comparing each point with its r
+successors (``members``), and a branch's minimal generators by one walk
+over that table (``minimal_generators``).  Only the nonzero entries of a
+series become polynomial terms (``_nonzero``).
 
 One window per curve suffices: the conductor c + 2.  The conductor ideal
 t^c * O-bar lies in the local ring, so past c the table is linear,
@@ -118,8 +124,10 @@ class JetMatrix:
 
     def sweep(self, box) -> tuple:
         """The ranks of the columns below every v of [0, box] inside the
-        window, in lexicographic order of v, and h(window): one pass, the
-        basis left at the box's top corner completed by every branch's rest."""
+        window, in lexicographic order of v, and h(window): one pass, every
+        entry an exact rank (the last two axes from J + K eliminations per
+        point of the others, ``_slab``), the basis left at the box's top
+        corner completed by every branch's rest."""
         ranks, basis = [], []
         _sweep(ranks, basis, self.columns, self.window, box)
         return ranks, _add_columns(basis, self.columns, self.window, box,
@@ -140,8 +148,9 @@ def _sweep(ranks, basis, columns, window, box, i=0) -> None:
     """Append the rank below every point of the box [0, box] whose first i
     coordinates the basis already holds, in lexicographic order: add the
     next branch's columns (branch-major, first in ``columns``, each branch
-    ``window`` long) to the echelon basis one at a time, and recurse.  The
-    basis is left at the box's top corner."""
+    ``window`` long) to the echelon basis one at a time and recurse, down
+    to the last two axes, which ``_slab`` reads whole (for one branch, one
+    column at a time).  The basis is left at the box's top corner."""
     if i == len(window) - 1:
         ranks.append(len(basis))
         for col in columns[:box[i]]:
@@ -149,12 +158,57 @@ def _sweep(ranks, basis, columns, window, box, i=0) -> None:
             ranks.append(len(basis))
         return
     rest = columns[window[i]:]
+    if i == len(window) - 2:
+        _slab(ranks, basis, columns[:box[i]], rest[:box[i + 1]])
+        return
     for k in range(box[i] + 1):
         if k:
             del basis[depth:]
             _add_column(basis, columns[k - 1])
         depth = len(basis)
         _sweep(ranks, basis, rest, window, box, i + 1)
+
+
+def _slab(ranks, basis, f, g) -> None:
+    """Append rank(B + F_j + G_k) for j <= J = len(f) and k <= K = len(g),
+    in lexicographic order, where B is the basis and F_j, G_k span the
+    first j columns of f and the first k of g, from J + K eliminations;
+    the basis is left holding B + F_J + G_K.
+
+    Every entry is an honest rank: rank(B + F_j + G_k) - rank(B + F_j)
+    counts the l <= k with g_l outside B + F_j + G_(l-1), and as these
+    spans grow with j, that holds iff j < lambda_l, the least j with g_l
+    inside (J + 1 if none).  Each g_l is reduced once against B and F's
+    echelon vectors, each carrying a unit coordinate in the slot J - j of
+    the j at which it entered.  The residual and those coordinates form one
+    vector, linear in g_l, whose first nonzero entry is its level: J + 1 in
+    the residual, j in slot J - j.  Reduced in turn against the vectors
+    kept from g_1 ... g_(l-1), so that it leads at none of their leads, it
+    leads at the least level that g_l plus any of their combinations
+    reaches: lambda_l, or 0 if it vanishes.  (This is the persistence
+    pairing of the two flags F_j and G_k over B.)"""
+    depth, J = len(basis), len(f)
+    starts = [depth]  # rank(B + F_j), where row j of the slab starts
+    for col in f:
+        _add_column(basis, col)
+        starts.append(len(basis))
+    below = basis[:depth]
+    lifted = [(p, vec + [0] * (J - j) + [1] + [0] * (j - 1)) for j, (p, vec)
+              in zip(compress(count(1), map(ne, starts, starts[1:])),
+                     basis[depth:])]
+    n, kept, levels = len(g[0]) if g else 0, [], []
+    for col in g:
+        col = _reduced(_reduced(list(col), below) + [0] * J, lifted)
+        had = len(kept)
+        _add_column(kept, col)
+        # the lead of what is kept: in the residual, in slot J - j, or past
+        # the last slot (level 0) when nothing is
+        p = kept[-1][0] if len(kept) > had else n + J
+        levels.append(J + 1 if p < n else J + n - p)
+    for j, h in enumerate(starts):
+        ranks += accumulate((x > j for x in levels), initial=h)
+    # the kept residuals extend the echelon basis of B + F_J to B + F_J + G_K
+    basis += [(p, vec[:n]) for p, vec in kept if p < n]
 
 
 def _add_columns(basis, columns, window, low, top) -> int:
@@ -167,10 +221,17 @@ def _add_columns(basis, columns, window, low, top) -> int:
 
 
 def _add_column(basis, column) -> None:
-    """Reduce a copy of an integer column against the basis, dividing out the
-    content after each step, and keep a nonzero remainder.  Each basis vector
-    vanishes at the pivots before it, so one pass clears every pivot."""
-    col = list(column)
+    """Reduce a copy of an integer column against the basis (``_reduced``),
+    and keep a nonzero remainder."""
+    col = _reduced(list(column), basis)
+    if any(col):
+        basis.append((next(j for j, x in enumerate(col) if x), col))
+
+
+def _reduced(col, basis) -> list:
+    """An integer column reduced in place against the basis, dividing out
+    the content after each step.  Each basis vector vanishes at the pivots
+    before it, so one pass clears every pivot."""
     for p, vec in basis:
         if not col[p]:
             continue
@@ -182,8 +243,7 @@ def _add_column(basis, column) -> None:
         if g > 1:
             for j, x in enumerate(col):
                 col[j] = x // g
-    if any(col):
-        basis.append((next(j for j, x in enumerate(col) if x), col))
+    return col
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Shared test curves, the per-point references the tests check the
 library's whole-table reads against, the generic polynomial product and
-long division behind its one-pass binomial ones, the step-by-step
-blow-up engine behind its chained one, the structure checks of the
-resolution graph and of a branch's semigroup, and the Torres and
-symmetry oracles on Delta.
+long division behind its one-pass binomial ones, the step-by-step blow-up
+engine behind its chained one, the one-column-per-point rank sweep behind
+its slab one, the structure checks of the resolution graph and of a
+branch's semigroup, and the Torres and symmetry oracles on Delta.
 
 Every curve with r > 1 used by the identity checks, plus the one-branch
 curves used by the semigroup checks.  ``TANGENT_CUSPS_DUPLICATE`` is kept
@@ -34,7 +34,7 @@ from curvealex.exactmath import (
     up_mul,
     vec_add,
 )
-from curvealex.filtration import Analysis, _add_column, _extend, _sweep
+from curvealex.filtration import Analysis, _add_column, _add_columns, _extend
 from curvealex.resolution import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -106,6 +106,23 @@ def make_rational_three_branches():
     return Curve([({2: q(3, 4)}, {2: q(1, 2), 3: q(1, 5)}),
                   ({1: q(1, 2)}, {1: q(1, 3)}),
                   ({1: q(1, 3)}, {1: q(-2, 5)})])
+
+
+def make_transverse_lines(k):
+    """k >= 2 pairwise transverse lines: y = a x for a = 0 ... k - 2, and
+    x = 0."""
+    return Curve([({1: 1}, {1: a} if a else {}) for a in range(k - 1)]
+                 + [({}, {1: 1})])
+
+
+def make_wide_three_branches():
+    """Three branches of degree <= 6 with conductor (50, 20, 40): 66 jet
+    rows, but 43,911 points in the analysis's table on [0, c]."""
+    q = Fraction
+    return Curve([({5: 1}, {5: -1, 6: q(-3, 4)}),
+                  ({2: q(2, 3), 4: 1, 5: -1}, {3: q(2, 3), 4: 1, 6: q(-2, 3)}),
+                  ({4: q(-3, 4), 5: q(-3, 2), 6: q(-1, 3)},
+                   {4: 1, 5: 1, 6: 1})])
 
 
 # name -> factory, every multi-branch curve the exact identities run on
@@ -453,6 +470,37 @@ def mp_exact_div(num, den):
     return quo
 
 
+def reference_sweep(ranks, basis, columns, window, box, i=0) -> None:
+    """The one-column-per-point sweep that ``filtration._sweep``'s slab
+    replaces on the last two axes: append the rank below every point of the
+    box [0, box] whose first i coordinates the basis already holds, in
+    lexicographic order: add the next branch's columns (branch-major, first
+    in ``columns``, each branch ``window`` long) to the echelon basis one at
+    a time, and recurse.  The basis is left at the box's top corner."""
+    if i == len(window) - 1:
+        ranks.append(len(basis))
+        for col in columns[:box[i]]:
+            _add_column(basis, col)
+            ranks.append(len(basis))
+        return
+    rest = columns[window[i]:]
+    for k in range(box[i] + 1):
+        if k:
+            del basis[depth:]
+            _add_column(basis, columns[k - 1])
+        depth = len(basis)
+        reference_sweep(ranks, basis, rest, window, box, i + 1)
+
+
+def reference_table(M, box) -> tuple:
+    """What ``M.sweep(box)`` returns, by ``reference_sweep``: the table on
+    [0, box] and the rank of the whole window, the basis left at the box's
+    top corner completed by every branch's rest."""
+    ranks, basis = [], []
+    reference_sweep(ranks, basis, M.columns, M.window, box)
+    return ranks, _add_columns(basis, M.columns, M.window, box, M.window)
+
+
 def face(M, c, i) -> list:
     """The honest re-sweep reference of window-stability: the ranks of the
     jet matrix M on face i of the shell of [0, c + 1] outside [0, c]
@@ -469,9 +517,9 @@ def face(M, c, i) -> list:
         return [len(basis)]
     top = shell_face(c, i)[1]
     ranks = []
-    _sweep(ranks, basis, M.columns[:start] +
-           M.columns[start + M.window[i]:], window,
-           top[:i] + top[i + 1:])
+    reference_sweep(ranks, basis, M.columns[:start] +
+                    M.columns[start + M.window[i]:], window,
+                    top[:i] + top[i + 1:])
     return ranks
 
 

@@ -33,6 +33,7 @@ from corpus import (
     make_quartic_branch,
     make_tacnode,
     make_three_lines,
+    make_wide_three_branches,
     parse_graph_file,
     shell_face,
 )
@@ -353,6 +354,24 @@ def test_verify_five_transverse_lines_all_pass(tmp_path, capsys, calls):
     assert calls["windows"] == [(6,) * 5]
     assert calls["boxes"] == [(4,) * 5]
     assert calls["honest"] == 1
+
+
+def test_verify_and_every_pipeline_on_the_wide_three_branches(tmp_path,
+                                                             capsys, calls):
+    # conductor (50, 20, 40): 66 jet rows and 43,911 points on [0, c],
+    # whose last two axes the sweep reads slab by slab
+    path = _write(tmp_path, "wide.json",
+                  curve_to_json(make_wide_three_branches()))
+    assert cli.main(["verify", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 6
+    assert all(line.startswith("PASS ") for line in out)
+    assert calls["boxes"] == [(50, 20, 40)]
+    outputs = []
+    for via in ("graph", "poincare", "fibers"):
+        assert cli.main(["alexander", "--via", via, path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
 
 
 def test_verify_fails_when_the_wider_window_moves_c(tmp_path, capsys,

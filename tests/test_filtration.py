@@ -39,11 +39,14 @@ from corpus import (
     make_rational_three_branches,
     make_tacnode,
     make_three_lines,
+    make_transverse_lines,
+    make_wide_three_branches,
     mp_mul,
     reference_monomials,
     reference_rank,
     reference_ranks,
     reference_rows,
+    reference_table,
     semigroup_closure,
     shell_face,
     unit_vec,
@@ -132,6 +135,32 @@ RANK_CURVES = dict(CORPUS_ALL, quartic=make_quartic_branch,
 def test_rank_table_matches_per_point_elimination(name):
     a = Analysis(RANK_CURVES[name]())
     assert filled(a).ranks == reference_ranks(a.jet)
+
+
+SLAB_CURVES = dict(CORPUS_ALL, **{
+    "quartic": make_quartic_branch,
+    "4-lines": lambda: make_transverse_lines(4),
+    "5-lines": lambda: make_transverse_lines(5),
+    "6-lines": lambda: make_transverse_lines(6),
+    "wide-three-branches": make_wide_three_branches,
+})
+
+
+@pytest.mark.parametrize("name", sorted(SLAB_CURVES))
+def test_sweep_matches_the_one_column_per_point_reference(name):
+    # the slab reads the last two axes from J + K eliminations per node; the
+    # reference adds one column per point.  Every box's table is the
+    # reference's on the whole window cut to the box, and every box
+    # completes the window's rank: [0, c], [0, c + 1], the window, and c
+    # with 0 on the last axis (K = 0), on the one before it (J = 0) or both
+    a = Analysis(SLAB_CURVES[name]())
+    M, c, r = a.jet, a.conductor, a.curve.r
+    ranks, rank = reference_table(M, M.window)
+    boxes = {c, vec_add(c, (1,) * r), M.window, c[:-1] + (0,)}
+    if r > 1:
+        boxes |= {c[:-2] + (0, c[-1]), c[:-2] + (0, 0)}
+    for box in sorted(boxes):
+        assert M.sweep(box) == (sub_box(ranks, M.window, box), rank), box
 
 
 # the curves the symmetry and metamorphic oracles run on

@@ -1,14 +1,14 @@
 """Property tests of the jet rows against the per-monomial jets, of the
-prefix-rank table against per-point elimination, of the difference sweeps
-against the per-point alternating sums, of the membership pass against
-per-point membership, of the conductor rule of one-branch analyses
+prefix-rank table against per-point elimination and of its slab of the
+last two axes against elimination on planted blocks, of the difference
+sweeps against the per-point alternating sums, of the membership pass
+against per-point membership, of the conductor rule of one-branch analyses
 against a wide window and their Poincare series against the
 Eisenbud-Neumann product, of the one-pass conductor and delta against the
 Noether table, of the analysis's rule-filled rank table against an honest
-sweep, of every verify check, the symmetry of Delta and the
-Torres formula on random curves, of the chained blow-up engine against
-the step-by-step one, and of every invariant against a rescaling of the
-coordinates."""
+sweep, of every verify check, the symmetry of Delta and the Torres formula
+on random curves, of the chained blow-up engine against the step-by-step
+one, and of every invariant against a rescaling of the coordinates."""
 
 from fractions import Fraction
 from math import gcd, prod
@@ -17,7 +17,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from curvealex import (  # noqa: E402
@@ -30,6 +30,8 @@ from curvealex import (  # noqa: E402
 from curvealex.cli import run_verify  # noqa: E402
 from curvealex.exactmath import iter_box, vec_add  # noqa: E402
 from curvealex.filtration import (  # noqa: E402
+    _add_column,
+    _slab,
     fiber_eulers,
     members,
     minimal_generators,
@@ -39,6 +41,7 @@ from curvealex.filtration import (  # noqa: E402
 from curvealex.resolution import _run_blowups  # noqa: E402
 
 from corpus import (  # noqa: E402
+    _rank,
     c_dim,
     check_alexander_symmetry,
     check_torres_formula,
@@ -83,8 +86,11 @@ def _not_an_axis_cover(branch):
 @st.composite
 def jet_matrices(draw):
     branches = draw(st.lists(BRANCHES.filter(_not_an_axis_cover),
-                             min_size=1, max_size=3))
-    window = draw(st.tuples(*(st.integers(1, 5) for _ in branches)))
+                             min_size=1, max_size=4))
+    # four branches put two levels of the sweep above its slab of the last
+    # two axes, on small windows
+    top = 3 if len(branches) == 4 else 5
+    window = draw(st.tuples(*(st.integers(1, top) for _ in branches)))
     return JetMatrix(Curve(branches), window)
 
 
@@ -106,6 +112,71 @@ def test_rank_table_matches_per_point_elimination(M, data):
     # a smaller box reads the same ranks and completes the same rank
     box = tuple(data.draw(st.integers(0, w)) for w in M.window)
     assert M.sweep(box) == (sub_box(reference, M.window, box), rank)
+
+
+SMALL = st.integers(-2, 2)
+
+
+@st.composite
+def slab_blocks(draw):
+    """Integer columns B, F, G and H of one length n.  Each column of F and
+    G is drawn fresh, zero, a repeat of an earlier one or planted in the
+    span before it: a column of F in B + F_(j-1), a column g_l of G in
+    B + F_j + G_(l-1) for a random prefix F_j, with a nonzero coefficient on
+    f_j; H is what is added to the basis the slab leaves."""
+    n = draw(st.integers(1, 6))
+    vec = st.lists(SMALL, min_size=n, max_size=n)
+    B = draw(st.lists(vec, max_size=3))
+
+    def column(parts, last):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "planted"]))
+        if kind == "fresh":
+            return draw(vec)
+        if kind == "repeat" and parts[len(B):]:
+            return list(draw(st.sampled_from(parts[len(B):])))
+        coeffs = draw(st.lists(SMALL, min_size=len(parts),
+                               max_size=len(parts)))
+        if last is not None:
+            coeffs[last] = draw(SMALL.filter(bool))
+        if kind == "zero" or not parts:
+            return [0] * n
+        return [sum(a * x for a, x in zip(coeffs, row))
+                for row in zip(*parts)]
+
+    F = []
+    for _ in range(draw(st.integers(0, 4))):
+        F.append(column(B + F, None))
+    G = []
+    for _ in range(draw(st.integers(0, 4))):
+        j = draw(st.integers(0, len(F)))
+        G.append(column(B + F[:j] + G, len(B) + j - 1 if j else None))
+    return B, F, G, draw(st.lists(vec, max_size=2))
+
+
+# lambda = 0 (a zero column and a repeat), lambda = j (g = 2 f_1 and
+# f_2 + f_3) and lambda = J + 1 (a column outside B + F)
+@example(([[1, 0, 0, 0]],
+          [[0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+          [[0, 0, 0, 0], [1, 0, 0, 0], [0, 2, 0, 0], [0, 1, 1, 0],
+           [0, 0, 0, 1], [0, 0, 0, 2]],
+          [[1, 1, 1, 1]]))
+@settings(max_examples=300, deadline=None)
+@given(slab_blocks())
+def test_slab_ranks_match_elimination_on_planted_blocks(blocks):
+    # every (j, k) entry of the slab is rank(B + F_j + G_k), and the basis
+    # it leaves is an echelon basis of B + F_J + G_K
+    B, F, G, H = blocks
+    basis = []
+    for col in B:
+        _add_column(basis, col)
+    ranks = []
+    _slab(ranks, basis, F, G)
+    assert ranks == [_rank(B + F[:j] + G[:k])
+                     for j in range(len(F) + 1) for k in range(len(G) + 1)]
+    assert len(basis) == _rank(B + F + G)
+    for col in H:
+        _add_column(basis, col)
+    assert len(basis) == _rank(B + F + G + H)
 
 
 @settings(max_examples=100, deadline=None)
