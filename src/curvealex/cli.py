@@ -30,7 +30,6 @@ from .filtration import (
     JetMatrix,
     fiber_eulers,
     minimal_generators,
-    shell_break,
 )
 from .resolution import (
     BudgetExceededError,
@@ -307,15 +306,15 @@ def run_verify(c: Curve, budget=DEFAULT_BUDGET):
     results.append(("resolution-invariance", ok,
                     "" if ok else "extra blow-ups changed the product"))
 
-    # the certificate puts every honest rank on the conductor rule: one more
-    # honest rank, h(c + 1), and the filled shell of [0, c + 1], which every
-    # c(v) = h(v + 1) - h(v) on [0, c] reads, are checked against it
-    first = shell_break(a.ranks, a.conductor,
-                        a.jet.rank_below(vec_add(a.conductor, (1,) * r)))
-    ok = first is None
+    # the certificate puts every honest rank of [0, c + 2] on the conductor
+    # rule, which the reads take past c: one more honest rank, h(c + 1), is
+    # checked against it
+    top = vec_add(a.conductor, (1,) * r)
+    h, rule = a.jet.rank_below(top), a.ranks[-1] + r
+    ok = h == rule
     results.append(("window-stability", ok, "" if ok else
                     "h(%s) = %d on the honest re-sweep, %d by the conductor "
-                    "rule" % (",".join(map(str, first[0])), *first[1:])))
+                    "rule" % (",".join(map(str, top)), h, rule)))
     return results
 
 

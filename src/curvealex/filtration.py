@@ -10,39 +10,43 @@ the previous row by one truncated product per branch, and the columns are
 form a per-branch prefix, h(v) = dim O/J(v) is the rank below v, and all
 other dimensions are alternating sums of that one prefix-rank table, kept
 as a flat list in lexicographic order.  The sweep adds one branch's columns
-at a time, down to the last two axes: there the (J + 1) x (K + 1) ranks
-over each basis B are fixed by the relative position of two flags, the
-prefixes F_j and G_k of the last two branches.  One reduction per column of
-F and of G finds, for each g_l, the least j with g_l in B + F_j + G_(l-1),
-and each rank of that slab counts them (``_slab``), so every entry stays an
-exact rank, neither filled by a rule nor taken modulo a prime.  Every read
-takes such a table on a whole box [0, w] and returns a flat table on
-[0, w - 1], axis by axis (``_along``): the fiber Euler characteristics and
-the coefficients of P' by r difference sweeps (``_differences``),
-membership as a table of bools by comparing each point with its r
-successors (``members``), and a branch's minimal generators by one walk
-over that table (``minimal_generators``).  Only the nonzero entries of a
-series become polynomial terms (``_nonzero``).
+at a time, down to the last two axes, and carries the columns still to come
+down the walk already reduced against its basis, so each basis vector it
+adds costs one step per carried column that is nonzero at its pivot.  On
+the last two axes the (J + 1) x (K + 1) ranks over each basis B are fixed
+by the relative position of two flags, the prefixes F_j and G_k of the last
+two branches.  One reduction per column of F and of G finds, for each g_l,
+the least j with g_l in B + F_j + G_(l-1), and each rank of that slab
+counts them (``_slab``), so every entry stays an exact rank, neither filled
+by a rule nor taken modulo a prime.  The reads take such a table on a whole
+box [0, w] axis by axis (``_along``): the fiber Euler characteristics and
+the coefficients of P' on [0, w - 1] by r difference sweeps
+(``_differences``), membership on [0, w] as a table of bools by comparing
+each point with its r successors (``members``), and a branch's minimal
+generators by one walk over that table (``minimal_generators``).  Only the
+nonzero entries of a series become polynomial terms (``_nonzero``).
 
 One window per curve suffices: the conductor c + 2.  The conductor ideal
 t^c * O-bar lies in the local ring, so past c the table is linear,
 h(v) = h(min(v, c)) + sum_i max(v_i - c_i, 0), and v is a value iff
-min(v, c) is.  An ``Analysis`` therefore sweeps its matrix only on [0, c],
-certifies c from that table and the rank of the whole window, and fills
-the table by the rule (``_extend``) to [0, c + 1], as far as its reads go:
-every read on [0, c] takes the table on [0, c + 1] whole.  The
+min(v, c) is.  An ``Analysis`` therefore sweeps its matrix only on [0, c]
+and certifies c from that table and the rank of the whole window; that
+honest table is ``ranks``, and nothing fills it past c.  The
 certificate's rank h(c + 2) = h(c) + 2r makes the 2r columns (i, c_i),
 (i, c_i + 1) independent modulo the span below c, so below any u <= c:
 every honest rank on [0, c + 2] keeps the rule.  An honest check
-therefore takes one more rank, h(c + 1) = h(c) + r, and reads the filled
-shell of [0, c + 1] against the honest [0, c] (``shell_break``); a table
-swept on less than [0, c] would need honest ranks on the shell again.
-Past c the rule rises by one per step on each axis, so the reads there
-follow from [0, c] by construction: membership and the one-branch chi
-repeat their values at min(v, c), and the reads of two or more
-differences (P', and chi for r > 1) vanish.  So every series is the
-Alexander polynomial Delta on [0, c], for one branch the differences of
-chi or of membership along the axis; the CLI prints Delta / (1 - t).
+therefore takes one more rank, h(c + 1) = h(c) + r.  Each read takes what
+it needs past c from the rule inside the read: membership counts every
+step off the top face as rising, P' takes its one-step shell of
+[0, c + 1] by the rule (``_extend``) and drops it with the read, and chi
+is the difference sweep of [0, c] padded with zeros on the faces
+v_i = c_i (Delta has multidegree c - 1), for one branch the sweep of
+[0, c] and the one shell point h(c) + 1.  Past c the rule rises by one
+per step on each axis, so membership and the one-branch chi repeat their
+values at min(v, c), and the reads of two or more differences (P', and
+chi for r > 1) vanish.  So every series is the Alexander polynomial
+Delta on [0, c], for one branch the differences of chi or of membership
+along the axis; the CLI prints Delta / (1 - t).
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import accumulate, compress, count, islice
 from math import gcd, prod
-from operator import ne, sub
+from operator import and_, lt, ne, sub
 
 from .curve import Curve, validate_curve
 from .exactmath import (
@@ -129,7 +133,9 @@ class JetMatrix:
         point of the others, ``_slab``), the basis left at the box's top
         corner completed by every branch's rest."""
         ranks, basis = [], []
-        _sweep(ranks, basis, self.columns, self.window, box)
+        starts = accumulate(self.window, initial=0)
+        _sweep(ranks, basis, [col for start, n in zip(starts, box)
+                              for col in self.columns[start:start + n]], box)
         return ranks, _add_columns(basis, self.columns, self.window, box,
                                    self.window)
 
@@ -144,29 +150,39 @@ def _primitive(vec) -> list:
     return [x // g for x in vec] if g > 1 else list(vec)
 
 
-def _sweep(ranks, basis, columns, window, box, i=0) -> None:
+def _sweep(ranks, basis, carried, box, i=0) -> None:
     """Append the rank below every point of the box [0, box] whose first i
-    coordinates the basis already holds, in lexicographic order: add the
-    next branch's columns (branch-major, first in ``columns``, each branch
-    ``window`` long) to the echelon basis one at a time and recurse, down
-    to the last two axes, which ``_slab`` reads whole (for one branch, one
-    column at a time).  The basis is left at the box's top corner."""
-    if i == len(window) - 1:
+    coordinates the basis already holds, in lexicographic order.
+    ``carried`` holds the first box_j columns of each branch j >= i, in
+    branch-major order, each reduced against the basis: add branch i's to
+    the basis one at a time, reduce the rest against each vector added, and
+    recurse, down to the last two axes, which ``_slab`` reads whole (for one
+    branch, one column at a time).  Each frame rebinds its own list and
+    copies only the columns a reduction changes, so cutting the basis back
+    leaves the list of every frame reduced against the basis it holds.
+    The basis is left at the box's top corner."""
+    n = box[i]
+    if i == len(box) - 1:
         ranks.append(len(basis))
-        for col in columns[:box[i]]:
+        for col in carried:
             _add_column(basis, col)
             ranks.append(len(basis))
         return
-    rest = columns[window[i]:]
-    if i == len(window) - 2:
-        _slab(ranks, basis, columns[:box[i]], rest[:box[i + 1]])
+    if i == len(box) - 2:
+        _slab(ranks, basis, carried[:n], carried[n:])
         return
-    for k in range(box[i] + 1):
+    for k in range(n + 1):
         if k:
             del basis[depth:]
-            _add_column(basis, columns[k - 1])
+            col, carried = carried[0], carried[1:]
+            if any(col):
+                p = next(j for j, x in enumerate(col) if x)
+                basis.append((p, col))
+                added = basis[-1:]
+                carried = [_reduced(list(x), added) if x[p] else x
+                           for x in carried]
         depth = len(basis)
-        _sweep(ranks, basis, rest, window, box, i + 1)
+        _sweep(ranks, basis, carried[n - k:], box, i + 1)
 
 
 def _slab(ranks, basis, f, g) -> None:
@@ -276,20 +292,6 @@ def _differences(values, shape) -> list:
     return values
 
 
-def sub_box(values, window, top) -> list:
-    """The values on [0, top] of a table given on the box [0, window], in
-    one pass: one slice along the last axis per point of the other axes,
-    with no table in between."""
-    stride, starts = prod(w + 1 for w in window), [0]
-    for w, t in zip(window[:-1], top[:-1]):
-        stride //= w + 1
-        starts = [k + x * stride for k in starts for x in range(t + 1)]
-    n, out = top[-1] + 1, []
-    for k in starts:
-        out += values[k:k + n]
-    return out
-
-
 def _extend(values, c, top, rise=0) -> list:
     """The table f(min(v, c)) + rise * sum_i max(v_i - c_i, 0) on [0, top],
     from a table f on [0, c]: along each axis, the slices up to
@@ -303,6 +305,16 @@ def _extend(values, c, top, rise=0) -> list:
         values = _along(values, shape, i, lambda b, s: b[:keep * s] + [
             x + d for d in steps for x in b[-s:]])
         shape[i] = top[i] + 1
+    return values
+
+
+def _padded(values, shape) -> list:
+    """A table of ``shape`` with a slice of zeros appended along every axis:
+    on the box one point longer on every axis, zero on each top face."""
+    shape = list(shape)
+    for i in range(len(shape)):
+        values = _along(values, shape, i, lambda b, s: b + [0] * s)
+        shape[i] += 1
     return values
 
 
@@ -340,20 +352,22 @@ def pprime_coefficients(ranks, window) -> list:
     return _differences(c, shape)
 
 
-def members(ranks, window) -> list:
-    """Whether each point of [0, window - 1] is a value, as a table of bools
-    read axis by axis from the rank table on the whole box [0, window]:
-    some germ takes the exact valuation vector v with every leading
-    coefficient nonzero iff each singleton constraint drops the dimension,
-    that is ranks[v + e_i] > ranks[v] for every branch i (over an infinite
-    field a space is never a finite union of proper subspaces).  One such
-    rise also makes J(v) nonzero."""
-    shape = tuple(w + 1 for w in window)
-    # the rise along each axis, zero on its top face v_i = w_i
-    rises = [_along(ranks, shape, i, lambda b, s: list(map(
-        sub, islice(b, s, None), b)) + [0] * s) for i in range(len(window))]
-    return sub_box(list(map(all, zip(*rises))), window,
-                   tuple(w - 1 for w in window))
+def members(ranks, top) -> list:
+    """Whether each point of [0, top] is a value, as a table of bools read
+    axis by axis from the rank table on the same box, where top is at least
+    the conductor: some germ takes the exact valuation vector v with every
+    leading coefficient nonzero iff each singleton constraint drops the
+    dimension, that is ranks[v + e_i] > ranks[v] for every branch i (over an
+    infinite field a space is never a finite union of proper subspaces).
+    One such rise also makes J(v) nonzero.  A step off the top face
+    v_i = top_i rises by the conductor rule, so it counts as rising."""
+    shape = tuple(w + 1 for w in top)
+    member = [True] * len(ranks)
+    for i in range(len(top)):
+        rises = _along(ranks, shape, i, lambda b, s: list(map(
+            lt, b, islice(b, s, None))) + [True] * s)
+        member = list(map(and_, member, rises))
+    return member
 
 
 def minimal_generators(a: Analysis) -> list:
@@ -373,27 +387,6 @@ def minimal_generators(a: Analysis) -> list:
     return gens
 
 
-def shell_break(ranks, c, h) -> tuple | None:
-    """The lexicographically first point v of the shell of [0, c + 1]
-    outside [0, c] where a rank table on [0, c + 1], the honest sweep on
-    [0, c], breaks the conductor rule, as (v, the honest rank, the filled
-    value), or None.  The certificate keeps every honest rank on the rule,
-    and h, the honest h(c + 1), must be h(c) + r.  No elimination: the rule
-    on [0, c + 1] is the table with every step into the shell, from
-    v_i = c_i to c_i + 1, made to rise by exactly one."""
-    r, top = len(c), tuple(x + 1 for x in c)
-    shape = tuple(x + 1 for x in top)
-    rule = ranks
-    for i in range(r):
-        rule = _along(rule, shape, i, lambda b, s: b[:-s] + [
-            x + 1 for x in b[-2 * s:-s]])
-    k = next(compress(count(), map(ne, rule, ranks)), None)
-    if k is not None:  # a misfilled point comes no later than c + 1
-        v = next(islice(iter_box((0,) * r, top), k, None))
-        return v, rule[k], ranks[k]
-    return None if h == rule[-1] else (top, h, rule[-1])
-
-
 def _certified(M: JetMatrix, c, delta) -> list:
     """The table of M swept on [0, c], once that table and the rank of the
     whole window prove c the conductor (else BoundaryNonzeroError).
@@ -403,7 +396,7 @@ def _certified(M: JetMatrix, c, delta) -> list:
     minimal; and h(window) = h(c) + sum(window - c) catches a c and a delta
     that are wrong together.  At the window c + 2 that rank makes the 2r
     columns (i, c_i), (i, c_i + 1) independent modulo the span below any
-    u <= c: every honest rank there keeps the rule the table is filled by."""
+    u <= c: every honest rank there keeps the conductor rule."""
     ranks, rank = M.sweep(c)
     h, floor = ranks[-1], sum(c) - delta
     if h != floor:
@@ -443,14 +436,14 @@ class Analysis:
     on first use at the window c + 2, is swept only on [0, c]; the
     conductor is certified from that table and the window's rank
     (``_certified``), which keeps every honest rank of [0, c + 2] on the
-    conductor rule, and ``ranks`` is filled by that rule to [0, c + 1].
-    Every read takes it whole and is a flat table on [0, c], in
-    lexicographic order: ``chi``, ``membership`` and the coefficients of
-    ``pprime``.  Past c the rule rises by one per step on each axis, so P'
-    and the chi of r > 1 vanish there, while membership and the one-branch
-    chi repeat their values at min(v, c): ``is_member`` and ``members_to``
-    read the tables there.  Every series is the Alexander polynomial
-    Delta, for every r.
+    conductor rule, and ``ranks`` is that honest table on [0, c].  Every
+    read is a flat table on [0, c], in lexicographic order, and takes what
+    it needs past c from the rule inside the read: ``chi``, ``membership``
+    and the coefficients of ``pprime``.  Past c the rule rises by one per
+    step on each axis, so P' and the chi of r > 1 vanish there, while
+    membership and the one-branch chi repeat their values at min(v, c):
+    ``is_member`` and ``members_to`` read the tables there.  Every series
+    is the Alexander polynomial Delta, for every r.
     """
 
     def __init__(self, curve: Curve, budget: int = DEFAULT_BUDGET):
@@ -475,25 +468,24 @@ class Analysis:
 
     @cached_property
     def ranks(self) -> list:
-        """The table on [0, c + 1]: swept on [0, c], certified, filled."""
-        c = self.conductor
-        return _extend(_certified(self.jet, c, self.delta), c,
-                       tuple(x + 1 for x in c), rise=1)
-
-    def _read(self, read) -> list:
-        """A whole-table read (``fiber_eulers``, ``pprime_coefficients`` or
-        ``members``) of ``ranks``, on [0, c]."""
-        return read(self.ranks, tuple(x + 1 for x in self.conductor))
+        """The honest table on [0, c], swept and certified."""
+        return _certified(self.jet, self.conductor, self.delta)
 
     @cached_property
     def chi(self) -> list:
-        """The fiber Euler characteristics on [0, c]."""
-        return self._read(fiber_eulers)
+        """The fiber Euler characteristics on [0, c].  For r > 1 they vanish
+        on every face v_i = c_i (Delta has multidegree c - 1), and the
+        sweep of [0, c] gives the rest; one branch reads the one shell
+        point, h(c + 1) = h(c) + 1."""
+        ranks, c = self.ranks, self.conductor
+        if self.curve.r == 1:
+            return fiber_eulers(ranks + [ranks[-1] + 1], (c[0] + 1,))
+        return _padded(fiber_eulers(ranks, c), c)
 
     @cached_property
     def membership(self) -> list:
         """Whether each point of [0, c] is a value."""
-        return self._read(members)
+        return members(self.ranks, self.conductor)
 
     def members_to(self, top) -> list:
         """Whether each point of [0, top] is a value, read at min(v, c)."""
@@ -517,7 +509,7 @@ class Analysis:
     def fiber_series(self) -> MultiPoly:
         """Sum of fiber Euler characteristics: chi of the projectivized
         extended semigroup, graded by valuation, a polynomial on
-        [0, conductor].  For r > 1 chi vanishes past c, where the filled
+        [0, conductor].  For r > 1 chi vanishes past c, where the rank
         table is linear.  For r = 1 chi repeats chi(c) past c, and the
         polynomial is its series times (1 - t)."""
         return self._series(self.chi)
@@ -526,10 +518,15 @@ class Analysis:
     def pprime(self) -> MultiPoly:
         """The polynomial L_C * prod (t_i - 1): its coefficient at v is the
         alternating sum of c(v - 1 + 1_I) over subsets I of the branches,
-        read on [0, conductor] by ``pprime_coefficients`` (it vanishes past
-        c).  It is built from c, not from the fiber series, so that verify's
+        read on [0, conductor] by ``pprime_coefficients`` from the table
+        with its one-step shell of [0, c + 1] taken by the conductor rule,
+        which lives only as long as the read (P' vanishes past c).  It is
+        built from c, not from the fiber series, so that verify's
         fiber-product identity compares two computations."""
-        return _nonzero(self._read(pprime_coefficients), self.conductor)
+        c = self.conductor
+        top = tuple(x + 1 for x in c)
+        return _nonzero(pprime_coefficients(
+            _extend(self.ranks, c, top, rise=1), top), c)
 
     @cached_property
     def poincare(self) -> MultiPoly:

@@ -3,7 +3,8 @@ library's whole-table reads against, the generic polynomial product and
 long division behind its one-pass binomial ones, the step-by-step blow-up
 engine behind its chained one, the one-column-per-point rank sweep behind
 its slab one, the structure checks of the resolution graph and of a
-branch's semigroup, and the Torres and symmetry oracles on Delta.
+branch's semigroup, the value-semigroup properties that membership must
+keep for r >= 2, and the Torres and symmetry oracles on Delta.
 
 Every curve with r > 1 used by the identity checks, plus the one-branch
 curves used by the semigroup checks.  ``TANGENT_CUSPS_DUPLICATE`` is kept
@@ -17,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from typing import NamedTuple
 
 from curvealex import Curve, ResGraph
@@ -333,9 +334,23 @@ def honest(M) -> Table:
 
 def filled(a) -> Table:
     """The table of an analysis on its whole window c + 2: ``a.ranks``,
-    swept on [0, c] and filled to c + 1, extended by the conductor rule."""
-    top = tuple(x + 1 for x in a.conductor)
-    return Table(_extend(a.ranks, top, a.jet.window, rise=1), a.jet.window)
+    the honest sweep on [0, c], extended by the conductor rule."""
+    return Table(_extend(a.ranks, a.conductor, a.jet.window, rise=1),
+                 a.jet.window)
+
+
+def sub_box(values, window, top) -> list:
+    """The values on [0, top] of a table given on the box [0, window], in
+    one pass: one slice along the last axis per point of the other axes,
+    with no table in between."""
+    stride, starts = prod(w + 1 for w in window), [0]
+    for w, t in zip(window[:-1], top[:-1]):
+        stride //= w + 1
+        starts = [k + x * stride for k in starts for x in range(t + 1)]
+    n, out = top[-1] + 1, []
+    for k in starts:
+        out += values[k:k + n]
+    return out
 
 
 def vec_leq(u: ExpVec, v: ExpVec) -> bool:
@@ -804,6 +819,63 @@ def _representations(v: int, gens, ns) -> int:
     beta0 = gens[0]
     return sum(1 for p in partial
                if p <= v and (v - p) % beta0 == 0)
+
+
+def value_semigroup_breaks(a) -> list:
+    """The properties of the value semigroup S of a curve with r >= 2 that
+    its analysis's membership breaks (none: []), each read from resolution
+    graphs alone (A. Garcia, J. reine angew. Math. 336, 1982; Delgado de la
+    Mata, Manuscripta Math. 59, 1987), with S read at min(v, c):
+
+    * "curvettes": every vertex's multiplicity vector, the values of a
+      curvette of its divisor, is in S;
+    * "min-closed": S is closed under componentwise min (checked on
+      [0, c], which holds the min of any two of its points);
+    * "projection i": the projection of S onto axis i is branch i's own
+      semigroup, generated by the multiplicities of the dead ends of that
+      branch's graph; on [0, c_i] it is the i-th coordinates of S on
+      [0, c], and past c_i both hold every value (the branch's conductor is
+      at most c_i)."""
+    c, r = a.conductor, a.curve.r
+    values = [v for v, m in zip(iter_box((0,) * r, c), a.membership) if m]
+    member = set(values)
+    broken = []
+    if not all(vec_clamp(mult, c) in member
+               for mult in a.graph.vertices.values()):
+        broken.append("curvettes")
+    if not all(tuple(map(min, u, v)) in member
+               for k, u in enumerate(values) for v in values[k + 1:]):
+        broken.append("min-closed")
+    for i, branch in enumerate(a.curve.branches):
+        g = resolve(Curve([(branch.x, branch.y)]))
+        gens = [g.vertices[d][0] for d in classify_graph(g).dead_ends]
+        if {v[i] for v in values} != semigroup_closure(gens, c[i]):
+            broken.append("projection %d" % (i + 1))
+    return broken
+
+
+def escape_breaks(a) -> list:
+    """The pairs u, v of S on [0, c] with u_i = v_i and u != v for which no
+    w in S has w_i > u_i and w_j >= min(u_j, v_j), with equality where
+    u_j != v_j (the third property of Garcia and Delgado), as (i, u, v).
+    w is read at min(w, c): where u_j != v_j, min(u_j, v_j) < c_j, and for
+    u_i = c_i any w of [0, c] with w_i = c_i stands for the value that is
+    c_i + 1 there, so the search runs on [0, c] with w_i >= min(u_i + 1,
+    c_i).  Cubic in the values on [0, c]: for small tables only."""
+    c, r = a.conductor, a.curve.r
+    values = [v for v, m in zip(iter_box((0,) * r, c), a.membership) if m]
+    broken = []
+    for k, u in enumerate(values):
+        for v in values[k + 1:]:
+            low = tuple(map(min, u, v))
+            for i in range(r):
+                if u[i] == v[i] and not any(
+                        w[i] >= min(u[i] + 1, c[i]) and all(
+                            w[j] == low[j] if u[j] != v[j] else
+                            w[j] >= low[j] for j in range(r) if j != i)
+                        for w in values):
+                    broken.append((i, u, v))
+    return broken
 
 
 # ---------------------------------------------------------------------------

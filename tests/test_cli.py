@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from curvealex import Curve, cli, resolution
+from curvealex import Curve, cli, filtration, resolution
 from curvealex.cli import (
     ArrowCountMismatchError,
     NotATreeError,
@@ -392,57 +392,93 @@ def test_verify_fails_when_the_wider_window_moves_c(tmp_path, capsys,
                          "re-sweep, 4 by the conductor rule"]
 
 
-def _corrupted_fill(monkeypatch, points):
-    """Make the filled table that window-stability reads one more at each
-    of the points; the five checks before it read the table unchanged."""
-    shell_break = cli.shell_break
-
-    def moved(ranks, c, h):
-        ranks = [x + (v in points) for v, x in zip(
-            iter_box((0,) * len(c), vec_add(c, (1,) * len(c))), ranks,
-            strict=True)]
-        return shell_break(ranks, c, h)
-
-    monkeypatch.setattr(cli, "shell_break", moved)
+VERIFY_PASSED = ["PASS " + name for name in (
+    "poincare-equals-alexander", "fiber-euler-equals-alexander",
+    "fiber-product-identity", "exact-divisibility", "resolution-invariance",
+    "window-stability")]
 
 
-def _window_stability_line(curve, v):
-    """The FAIL line for v when the filled table reads one more there."""
-    a = Analysis(curve)
-    top = vec_add(a.conductor, (1,) * curve.r)
-    h = dict(zip(iter_box((0,) * curve.r, top), a.ranks, strict=True))[v]
-    return ("FAIL window-stability: h(%s) = %d on the honest re-sweep, %d "
-            "by the conductor rule" % (",".join(map(str, v)), h, h + 1))
+@pytest.mark.parametrize("make,line", [
+    (make_cusp, "h(3) = 3 on the honest re-sweep, 2 by the conductor rule"),
+    (make_three_lines,
+     "h(3,3,3) = 7 on the honest re-sweep, 6 by the conductor rule")],
+    ids=["r1", "r3"])
+def test_verify_reads_the_honest_rank_at_c_plus_one(tmp_path, capsys,
+                                                    monkeypatch, make, line):
+    # an honest rank one too high at c + 1 alone, where no read looks: only
+    # window-stability sees it, and it names c + 1
+    rank_below = JetMatrix.rank_below
+    curve = make()
+    top = tuple(x + 1 for x in Analysis(curve).conductor)
+    monkeypatch.setattr(JetMatrix, "rank_below", lambda self, v:
+                        rank_below(self, v) + (tuple(v) == top))
+    path = _write(tmp_path, "curve.json", curve_to_json(curve))
+    assert cli.main(["verify", path]) == 1
+    assert capsys.readouterr().out.splitlines() == \
+        VERIFY_PASSED[:5] + ["FAIL window-stability: " + line]
 
 
-@pytest.mark.parametrize("make,i", [
-    (make_cusp, 0), (make_tacnode, 0), (make_tacnode, 1),
-    (make_three_lines, 0), (make_three_lines, 1), (make_three_lines, 2)],
+def _bumped(values, top, points):
+    """A table on [0, top], one more at each of the points."""
+    return [x + (v in points) for v, x in zip(
+        iter_box((0,) * len(top), tuple(top)), values, strict=True)]
+
+
+def _corrupted_shell(monkeypatch, points):
+    """Make the table that P' reads one more at each of the points, on the
+    shell of [0, c + 1] outside [0, c] that P' takes by the conductor rule
+    inside its read; no other read takes that shell."""
+    read = filtration.pprime_coefficients
+    monkeypatch.setattr(filtration, "pprime_coefficients", lambda ranks, top:
+                        read(_bumped(ranks, top, points), top))
+
+
+@pytest.mark.parametrize("make,i,lead", [
+    (make_cusp, 0, None), (make_tacnode, 0, "(1, 0)"),
+    (make_tacnode, 1, "(0, 2)"), (make_three_lines, 0, "(2, 2, 0)"),
+    (make_three_lines, 1, "(0, 2, 2)"), (make_three_lines, 2, "(1, 0, 2)")],
     ids=["r1-face0", "r2-face0", "r2-face1", "r3-face0", "r3-face1",
          "r3-face2"])
 def test_verify_names_the_corrupted_point_of_each_face(tmp_path, capsys,
-                                                       monkeypatch, make, i):
+                                                       monkeypatch, make, i,
+                                                       lead):
+    # one more at the middle point of face i of P''s shell: P' moves, so
+    # the fiber-product identity fails, and for r > 1 the division by
+    # t_1...t_r - 1 leaves a remainder, which the FAIL lines name; chi,
+    # membership and window-stability read no shell and pass
     curve = make()
     points = list(iter_box(*shell_face(Analysis(curve).conductor, i)))
-    v = points[len(points) // 2]
-    line = _window_stability_line(curve, v)
-    _corrupted_fill(monkeypatch, {v})
+    _corrupted_shell(monkeypatch, {points[len(points) // 2]})
     path = _write(tmp_path, "curve.json", curve_to_json(curve))
     assert cli.main(["verify", path]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert all(x.startswith("PASS ") for x in lines[:5])
-    assert lines[5:] == [line]
+    expected = list(VERIFY_PASSED)
+    expected[2] = ("FAIL fiber-product-identity: fiber series * (t..-1) != "
+                   "pprime")
+    if lead is not None:
+        expected[0] = "FAIL poincare-equals-alexander: poincare != alexander"
+        expected[3] = ("FAIL exact-divisibility: remainder with leading term "
+                       "%s while dividing" % lead)
+    assert capsys.readouterr().out.splitlines() == expected
 
 
-def test_verify_names_the_lexicographically_first_corrupted_point(
-        tmp_path, capsys, monkeypatch):
-    # the tacnode's conductor is (2, 2): (3, 0) lies on face 0 and (2, 3)
-    # on face 1, but (2, 3) comes first in the box
-    _corrupted_fill(monkeypatch, {(3, 0), (2, 3)})
-    path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
-    assert cli.main(["verify", path]) == 1
-    assert capsys.readouterr().out.splitlines()[5:] == [
-        _window_stability_line(make_tacnode(), (2, 3))]
+def test_verify_fails_when_chi_leaves_a_zero_face(tmp_path, capsys,
+                                                  monkeypatch):
+    # for r > 1 chi is read on [0, c - 1] and padded with zeros on the faces
+    # v_i = c_i, where Delta has no term; one more at (c_0, 1, 0, ...) adds a
+    # term to the fiber series, so checks 2 and 3 fail and the four that read
+    # no chi pass
+    padded = filtration._padded
+    expected = list(VERIFY_PASSED)
+    expected[1] = "FAIL fiber-euler-equals-alexander: fiber series != alexander"
+    expected[2] = ("FAIL fiber-product-identity: fiber series * (t..-1) != "
+                   "pprime")
+    for curve in (make_tacnode(), make_three_lines()):
+        v = (Analysis(curve).conductor[0], 1) + (0,) * (curve.r - 2)
+        monkeypatch.setattr(filtration, "_padded", lambda values, shape, v=v:
+                            _bumped(padded(values, shape), shape, {v}))
+        path = _write(tmp_path, "curve.json", curve_to_json(curve))
+        assert cli.main(["verify", path]) == 1
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 @pytest.mark.parametrize("k,bound", [(1, b) for b in range(5)] + [(40, 3)])
@@ -806,29 +842,21 @@ def test_verify_exits_1_when_pprime_leaves_a_remainder(tmp_path, capsys,
 
 def test_verify_names_a_misfilled_shell_point_that_spoils_the_division(
         tmp_path, capsys, monkeypatch):
-    # (3, 0) is the tacnode's (c_0 + 1, 0): chi and P' read it, so P' no
-    # longer divides, and window-stability names the point
-    v = (3, 0)
-    line = _window_stability_line(make_tacnode(), v)
-    ranks = Analysis.ranks.func
-
-    def misfilled(a):
-        return [x + (u == v) for u, x in zip(
-            iter_box((0, 0), vec_add(a.conductor, (1, 1))), ranks(a),
-            strict=True)]
-
-    monkeypatch.setattr(Analysis, "ranks", property(misfilled))
+    # (3, 0) is the tacnode's (c_0 + 1, 0), on the shell P' takes by the
+    # conductor rule inside its read: P' no longer divides, and the
+    # remainder is named; chi reads no shell, so the fiber series passes
+    _corrupted_shell(monkeypatch, {(3, 0)})
     path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
     assert cli.main(["verify", path]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
         "FAIL poincare-equals-alexander: poincare != alexander",
-        "FAIL fiber-euler-equals-alexander: fiber series != alexander",
+        "PASS fiber-euler-equals-alexander",
         "FAIL fiber-product-identity: fiber series * (t..-1) != pprime",
         "FAIL exact-divisibility: remainder with leading term (2, 0) while "
         "dividing",
         "PASS resolution-invariance",
-        line]
+        "PASS window-stability"]
     assert captured.err == ""
 
 

@@ -12,10 +12,10 @@ from curvealex.filtration import (
     Analysis,
     BoundaryNonzeroError,
     JetMatrix,
+    _extend,
     fiber_eulers,
     members,
     pprime_coefficients,
-    sub_box,
 )
 from curvealex.resolution import en_alexander, resolve
 
@@ -49,6 +49,7 @@ from corpus import (
     reference_table,
     semigroup_closure,
     shell_face,
+    sub_box,
     unit_vec,
     vec_clamp,
     vec_leq,
@@ -90,12 +91,20 @@ def test_jet_rows_are_the_monomial_jets(name):
 
 @pytest.mark.parametrize("name", sorted(JET_CURVES))
 def test_members_are_the_per_point_members(name):
+    # members reads the rises on a whole box [0, w] and counts each step off
+    # its top face as rising, so below that face every point reads its own
+    # rises; the analysis's table on [0, c] rises there by the rule
     c = JET_CURVES[name]()
-    for T in (filled(Analysis(c)), honest(JetMatrix(c, (1,) * c.r)),
+    a = Analysis(c)
+    for T in (filled(a), honest(JetMatrix(c, (1,) * c.r)),
               honest(JetMatrix(c, (3, 7, 5, 4)[:c.r]))):
-        box = list(iter_box((0,) * c.r, tuple(w - 1 for w in T.window)))
-        assert list(zip(box, members(*T), strict=True)) == \
-            [(v, is_member(T, v)) for v in box]
+        top = tuple(w - 1 for w in T.window)
+        box = list(iter_box((0,) * c.r, top))
+        assert list(zip(box, sub_box(members(*T), T.window, top),
+                        strict=True)) == [(v, is_member(T, v)) for v in box]
+    box = list(iter_box((0,) * c.r, a.conductor))
+    assert list(zip(box, a.membership, strict=True)) == \
+        [(v, is_member(filled(a), v)) for v in box]
 
 
 def test_b_dim_node_full_box():
@@ -493,23 +502,25 @@ def test_members_to_reads_every_point_at_min_v_c(name):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
 def test_reads_of_the_sub_box_match_the_whole_window(name):
-    # the analysis's table is the [0, c + 1] sub-box of the whole window
-    # c + 2; chi and P' read from it equal the reads of the whole window on
-    # [0, c]; on the rest of it P' vanishes, and so does chi for r > 1,
-    # while the one-branch chi is the membership indicator, 1 past c
+    # the analysis's table is the [0, c] sub-box of the whole window c + 2;
+    # chi, P' and membership read from it equal the reads of the whole
+    # window on [0, c]; on the rest of [0, c + 1] P' vanishes, and so does
+    # chi for r > 1, while the one-branch chi is the membership indicator,
+    # 1 past c
     a = Analysis(ORACLE_CURVES[name]())
     (ranks, window), r = filled(a), a.curve.r
     c, inner = a.conductor, vec_add(a.conductor, (1,) * r)
-    assert a.ranks == sub_box(ranks, window, inner)
-    for read, past in ((fiber_eulers, int(r == 1)), (pprime_coefficients, 0)):
-        whole = list(zip(iter_box((0,) * r, inner), read(ranks, window),
-                         strict=True))
-        assert list(zip(iter_box((0,) * r, c), read(a.ranks, inner),
-                        strict=True)) == \
-            [(v, x) for v, x in whole if vec_leq(v, c)]
-        assert [x for v, x in whole if not vec_leq(v, c)] == \
-            [past] * (len(whole) - len(a.chi))
-    assert a.chi == fiber_eulers(a.ranks, inner)
+    assert a.ranks == sub_box(ranks, window, c)
+    assert a.membership == sub_box(members(ranks, window), window, c)
+    chi, pprime = fiber_eulers(ranks, window), pprime_coefficients(ranks,
+                                                                   window)
+    assert a.chi == sub_box(chi, inner, c)
+    assert a.pprime == {v: x for v, x in zip(
+        iter_box((0,) * r, c), sub_box(pprime, inner, c)) if x}
+    for whole, past in ((chi, int(r == 1)), (pprime, 0)):
+        assert [x for v, x in zip(iter_box((0,) * r, inner), whole,
+                                  strict=True) if not vec_leq(v, c)] == \
+            [past] * (len(whole) - len(a.ranks))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
@@ -517,13 +528,14 @@ def test_shell_faces_match_the_full_re_sweep(name):
     # the r faces are disjoint and cover [0, c + 1] outside [0, c]; their
     # ranks, each face swept with its own branch's prefix added first,
     # equal an honest sweep of the whole box [0, c + 1] at those points,
-    # and so does the analysis's table, filled there by the conductor rule
+    # and so does the shell P' takes by the conductor rule inside its read
     a = Analysis(ORACLE_CURVES[name]())
     c, r = a.conductor, a.curve.r
     top = vec_add(c, (1,) * r)
     full = a.jet.sweep(top)[0]
     h = dict(zip(iter_box((0,) * r, top), full, strict=True))
-    fill = dict(zip(iter_box((0,) * r, top), a.ranks, strict=True))
+    fill = dict(zip(iter_box((0,) * r, top),
+                    _extend(a.ranks, c, top, rise=1), strict=True))
     faces = [shell_face(c, i) for i in range(r)]
     points = [v for low, high in faces for v in iter_box(low, high)]
     assert len(points) == prod(x + 2 for x in c) - prod(x + 1 for x in c)

@@ -1,14 +1,17 @@
 """Property tests of the jet rows against the per-monomial jets, of the
-prefix-rank table against per-point elimination and of its slab of the
-last two axes against elimination on planted blocks, of the difference
-sweeps against the per-point alternating sums, of the membership pass
-against per-point membership, of the conductor rule of one-branch analyses
+prefix-rank table against per-point elimination (with up to three levels
+of the sweep above its slab) and of its slab of the last two axes against
+elimination on planted blocks, of the difference sweeps against the
+per-point alternating sums, of the membership pass against per-point
+membership and, for r >= 2, against the value-semigroup properties read
+from resolution graphs, of the conductor rule of one-branch analyses
 against a wide window and their Poincare series against the
 Eisenbud-Neumann product, of the one-pass conductor and delta against the
-Noether table, of the analysis's rule-filled rank table against an honest
-sweep, of every verify check, the symmetry of Delta and the Torres formula
-on random curves, of the chained blow-up engine against the step-by-step
-one, and of every invariant against a rescaling of the coordinates."""
+Noether table, of the analysis's honest table, extended by the rule,
+against an honest sweep, of every verify check, the symmetry of Delta and
+the Torres formula on random curves, of the chained blow-up engine against
+the step-by-step one, and of every invariant against a rescaling of the
+coordinates."""
 
 from fractions import Fraction
 from math import gcd, prod
@@ -36,7 +39,6 @@ from curvealex.filtration import (  # noqa: E402
     members,
     minimal_generators,
     pprime_coefficients,
-    sub_box,
 )
 from curvealex.resolution import _run_blowups  # noqa: E402
 
@@ -47,6 +49,7 @@ from corpus import (  # noqa: E402
     check_torres_formula,
     delgado_invariants,
     engine_outcome,
+    escape_breaks,
     fiber_euler,
     filled,
     honest,
@@ -57,6 +60,8 @@ from corpus import (  # noqa: E402
     reference_monomials,
     reference_ranks,
     reference_rows,
+    sub_box,
+    value_semigroup_breaks,
     verify_semigroup_properties,
 )
 
@@ -86,10 +91,11 @@ def _not_an_axis_cover(branch):
 @st.composite
 def jet_matrices(draw):
     branches = draw(st.lists(BRANCHES.filter(_not_an_axis_cover),
-                             min_size=1, max_size=4))
-    # four branches put two levels of the sweep above its slab of the last
-    # two axes, on small windows
-    top = 3 if len(branches) == 4 else 5
+                             min_size=1, max_size=5))
+    # four and five branches put two and three levels of the sweep above its
+    # slab of the last two axes, which the slab's columns are carried down
+    # reduced, on small windows
+    top = {4: 3, 5: 2}.get(len(branches), 5)
     window = draw(st.tuples(*(st.integers(1, top) for _ in branches)))
     return JetMatrix(Curve(branches), window)
 
@@ -195,10 +201,12 @@ def test_difference_sweeps_match_the_per_point_sums(M):
 @settings(max_examples=100, deadline=None)
 @given(jet_matrices())
 def test_members_match_the_per_point_membership(M):
-    box = list(iter_box((0,) * len(M.window),
-                        tuple(w - 1 for w in M.window)))
-    assert list(zip(box, members(*honest(M)), strict=True)) == \
-        [(v, is_member(M, v)) for v in box]
+    # below the top face, whose steps members counts as rising, every point
+    # reads its own rises
+    top = tuple(w - 1 for w in M.window)
+    box = list(iter_box((0,) * len(M.window), top))
+    assert list(zip(box, sub_box(members(*honest(M)), M.window, top),
+                    strict=True)) == [(v, is_member(M, v)) for v in box]
 
 
 @settings(max_examples=100, deadline=None)
@@ -249,8 +257,8 @@ def test_filled_table_matches_the_honest_sweep(branches):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(BRANCHES.filter(_not_an_axis_cover), min_size=1, max_size=3))
 def test_random_curves_pass_every_verify_check(branches):
-    # the three pipelines agree, and the filled shell of [0, c + 1] and the
-    # one honest rank h(c + 1) keep the conductor rule
+    # the three pipelines agree, and the one honest rank h(c + 1) keeps the
+    # conductor rule
     c = Curve(branches)
     try:
         conductor = Analysis(c).conductor
@@ -260,6 +268,21 @@ def test_random_curves_pass_every_verify_check(branches):
     assume(prod(x + 3 for x in conductor) <= 4000)
     assert [(name, ok) for name, ok, _ in run_verify(c)] == [
         (name, True) for name in VERIFY_CHECKS]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(BRANCHES.filter(_not_an_axis_cover), min_size=2, max_size=3))
+def test_random_membership_has_the_value_semigroup_properties(branches):
+    # an oracle for r >= 2 that reads resolution graphs, not the jet matrix
+    c = Curve(branches)
+    try:
+        a = Analysis(c)
+    except BudgetExceededError:
+        # coincident branches, or a map of degree > 1 onto its image
+        assume(False)
+    assume(prod(x + 3 for x in a.conductor) <= 4000)
+    assert value_semigroup_breaks(a) == []
+    assert escape_breaks(a) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -324,9 +347,9 @@ def test_invariants_do_not_see_a_rescaling(branches, lam, mu):
         with pytest.raises(BudgetExceededError):
             _run_blowups(_scaled(c, lam, mu), 64)
         return
-    # the analysis sweeps its rank table on [0, conductor] and fills it by
-    # the conductor rule to [0, conductor + 2]; a few thousand points there
-    # keep the property fast
+    # the analysis sweeps its rank table on [0, conductor], and the whole
+    # window reaches conductor + 2; a few thousand points there keep the
+    # property fast
     assume(prod(x + 3 for x in conductor) <= 4000)
     _check_scaling(c, lam, mu)
 

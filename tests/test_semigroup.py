@@ -10,16 +10,20 @@ from curvealex.resolution import en_alexander, resolve
 from corpus import (
     CORPUS_MULTI,
     apery_set,
+    escape_breaks,
     filled,
     germ_valuation,
     is_member,
     make_cusp,
+    make_four_lines,
     make_node,
     make_quartic_branch,
     make_smooth_branch,
     make_tacnode,
+    make_wide_three_branches,
     members_box,
     semigroup_closure,
+    value_semigroup_breaks,
     vec_leq,
     verify_semigroup_properties,
 )
@@ -203,3 +207,22 @@ def test_largest_gap_is_conductor_minus_one():
             assert max(gaps) == delta - 1
         else:
             assert not gaps
+
+
+VALUE_CURVES = dict(CORPUS_MULTI, **{
+    "four-lines": make_four_lines,
+    "wide-three-branches": make_wide_three_branches,
+})
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CURVES))
+def test_membership_has_the_value_semigroup_properties(name):
+    # for r >= 2 these read resolution graphs, not the jet matrix: the
+    # curvettes of every divisor, closure under min, and each projection
+    # against its branch's own graph
+    assert value_semigroup_breaks(Analysis(VALUE_CURVES[name]())) == []
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_MULTI) + ["four-lines"])
+def test_two_values_with_one_common_coordinate_escape_above_it(name):
+    assert escape_breaks(Analysis(VALUE_CURVES[name]())) == []
