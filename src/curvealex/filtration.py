@@ -19,12 +19,14 @@ two branches.  One reduction per column of F and of G finds, for each g_l,
 the least j with g_l in B + F_j + G_(l-1), and each rank of that slab
 counts them (``_slab``), so every entry stays an exact rank, neither filled
 by a rule nor taken modulo a prime.  The reads take such a table on a whole
-box [0, w] axis by axis (``_along``): the fiber Euler characteristics and
-the coefficients of P' on [0, w - 1] by r difference sweeps
-(``_differences``), membership on [0, w] as a table of bools by comparing
-each point with its r successors (``members``), and a branch's minimal
-generators by one walk over that table (``minimal_generators``).  Only the
-nonzero entries of a series become polynomial terms (``_nonzero``).
+box [0, w] axis by axis (``_along``): the fiber Euler characteristics on
+[0, w - 1] by r difference sweeps (``_differences``), the coefficients of
+P' on [0, c] by two chains of r sweeps of the table on [0, c]
+(``pprime_coefficients``), membership on [0, w] as a table of bools by
+comparing each point with its r successors (``members``), and a branch's
+minimal generators by one walk over that table (``minimal_generators``).
+Only the nonzero entries of a series become polynomial terms
+(``_nonzero``).
 
 One window per curve suffices: the conductor c + 2.  The conductor ideal
 t^c * O-bar lies in the local ring, so past c the table is linear,
@@ -37,16 +39,15 @@ certificate's rank h(c + 2) = h(c) + 2r makes the 2r columns (i, c_i),
 every honest rank on [0, c + 2] keeps the rule.  An honest check
 therefore takes one more rank, h(c + 1) = h(c) + r.  Each read takes what
 it needs past c from the rule inside the read: membership counts every
-step off the top face as rising, P' takes its one-step shell of
-[0, c + 1] by the rule (``_extend``) and drops it with the read, and chi
-is the difference sweep of [0, c] padded with zeros on the faces
-v_i = c_i (Delta has multidegree c - 1), for one branch the sweep of
-[0, c] and the one shell point h(c) + 1.  Past c the rule rises by one
-per step on each axis, so membership and the one-branch chi repeat their
-values at min(v, c), and the reads of two or more differences (P', and
-chi for r > 1) vanish.  So every series is the Alexander polynomial
-Delta on [0, c], for one branch the differences of chi or of membership
-along the axis; the CLI prints Delta / (1 - t).
+step off the top face as rising, P' fills the last slice of each of its
+sweeps by the rule, and chi is the difference sweep of [0, c] padded with
+zeros on the faces v_i = c_i (Delta has multidegree c - 1), for one
+branch the sweep of [0, c] and the one shell point h(c) + 1.  Past c the
+rule rises by one per step on each axis, so membership and the one-branch
+chi repeat their values at min(v, c), and the reads of two or more
+differences (P', and chi for r > 1) vanish.  So every series is the
+Alexander polynomial Delta on [0, c], for one branch the differences of
+chi or of membership along the axis; the CLI prints Delta / (1 - t).
 """
 
 from __future__ import annotations
@@ -189,32 +190,32 @@ def _slab(ranks, basis, f, g) -> None:
     """Append rank(B + F_j + G_k) for j <= J = len(f) and k <= K = len(g),
     in lexicographic order, where B is the basis and F_j, G_k span the
     first j columns of f and the first k of g, from J + K eliminations;
-    the basis is left holding B + F_J + G_K.
+    the basis is left holding B + F_J + G_K.  Every f and g arrives reduced
+    against B, so the slab reduces them only against the vectors it adds.
 
     Every entry is an honest rank: rank(B + F_j + G_k) - rank(B + F_j)
     counts the l <= k with g_l outside B + F_j + G_(l-1), and as these
     spans grow with j, that holds iff j < lambda_l, the least j with g_l
-    inside (J + 1 if none).  Each g_l is reduced once against B and F's
-    echelon vectors, each carrying a unit coordinate in the slot J - j of
-    the j at which it entered.  The residual and those coordinates form one
-    vector, linear in g_l, whose first nonzero entry is its level: J + 1 in
-    the residual, j in slot J - j.  Reduced in turn against the vectors
-    kept from g_1 ... g_(l-1), so that it leads at none of their leads, it
+    inside (J + 1 if none).  Each g_l is reduced once against F's echelon
+    vectors, each carrying a unit coordinate in the slot J - j of the j at
+    which it entered.  The residual and those coordinates form one vector,
+    linear in g_l, whose first nonzero entry is its level: J + 1 in the
+    residual, j in slot J - j.  Reduced in turn against the vectors kept
+    from g_1 ... g_(l-1), so that it leads at none of their leads, it
     leads at the least level that g_l plus any of their combinations
     reaches: lambda_l, or 0 if it vanishes.  (This is the persistence
     pairing of the two flags F_j and G_k over B.)"""
-    depth, J = len(basis), len(f)
-    starts = [depth]  # rank(B + F_j), where row j of the slab starts
+    echelon, J = [], len(f)
+    starts = [len(basis)]  # rank(B + F_j), where row j of the slab starts
     for col in f:
-        _add_column(basis, col)
-        starts.append(len(basis))
-    below = basis[:depth]
+        _add_column(echelon, col)
+        starts.append(starts[0] + len(echelon))
     lifted = [(p, vec + [0] * (J - j) + [1] + [0] * (j - 1)) for j, (p, vec)
               in zip(compress(count(1), map(ne, starts, starts[1:])),
-                     basis[depth:])]
+                     echelon)]
     n, kept, levels = len(g[0]) if g else 0, [], []
     for col in g:
-        col = _reduced(_reduced(list(col), below) + [0] * J, lifted)
+        col = _reduced(list(col) + [0] * J, lifted)
         had = len(kept)
         _add_column(kept, col)
         # the lead of what is kept: in the residual, in slot J - j, or past
@@ -223,8 +224,9 @@ def _slab(ranks, basis, f, g) -> None:
         levels.append(J + 1 if p < n else J + n - p)
     for j, h in enumerate(starts):
         ranks += accumulate((x > j for x in levels), initial=h)
-    # the kept residuals extend the echelon basis of B + F_J to B + F_J + G_K
-    basis += [(p, vec[:n]) for p, vec in kept if p < n]
+    # F's echelon vectors and the kept residuals vanish at B's pivots, so
+    # they extend its echelon basis to B + F_J + G_K
+    basis += echelon + [(p, vec[:n]) for p, vec in kept if p < n]
 
 
 def _add_columns(basis, columns, window, low, top) -> int:
@@ -292,18 +294,15 @@ def _differences(values, shape) -> list:
     return values
 
 
-def _extend(values, c, top, rise=0) -> list:
-    """The table f(min(v, c)) + rise * sum_i max(v_i - c_i, 0) on [0, top],
-    from a table f on [0, c]: along each axis, the slices up to
-    min(top_i, c_i) are kept and the slice at c_i repeats past it, rising by
-    ``rise`` per step.  With rise = 1 this is the conductor rule of the rank
-    table; with rise = 0 it reads a table of [0, c] at min(v, c)."""
+def _extend(values, c, top) -> list:
+    """The table f(min(v, c)) on [0, top], from a table f on [0, c]: along
+    each axis, the slices up to min(top_i, c_i) are kept and the slice at
+    c_i repeats past it."""
     shape = [x + 1 for x in c]
     for i in reversed(range(len(c))):
-        keep = min(top[i], c[i]) + 1
-        steps = [rise * d for d in range(1, top[i] - c[i] + 1)]
-        values = _along(values, shape, i, lambda b, s: b[:keep * s] + [
-            x + d for d in steps for x in b[-s:]])
+        keep, past = min(top[i], c[i]) + 1, max(top[i] - c[i], 0)
+        values = _along(values, shape, i,
+                        lambda b, s: b[:keep * s] + b[-s:] * past)
         shape[i] = top[i] + 1
     return values
 
@@ -334,22 +333,25 @@ def fiber_eulers(ranks, window) -> list:
     return [-x for x in _differences(ranks, tuple(w + 1 for w in window))]
 
 
-def pprime_coefficients(ranks, window) -> list:
-    """The alternating sum of c(v - 1 + 1_I) over the subsets I of the
-    branches at every point v of [0, window - 1], from the rank table on
-    the whole box [0, window], by difference sweeps over the table
-    c(u) = ranks[u + 1] - ranks[max(u, 0)] on [-1, window - 1]
-    (c(u) = dim J(u)/J(u + 1), where a condition u_i < 0 is vacuous)."""
-    shape = tuple(w + 1 for w in window)
-    # in lexicographic order of u, u + 1 runs over [0, window], and
-    # max(u, 0) over the axes 0, 0, 1, ..., w - 1: each axis repeats its
-    # first slice and drops its last
-    lower = ranks
-    for i in range(len(window)):
-        lower = _along(lower, shape, i, lambda b, s: b[:s] + b[:-s])
-    c = list(map(sub, ranks, lower))
-    del lower  # free it before the sweeps, which hold up to two tables
-    return _differences(c, shape)
+def pprime_coefficients(ranks, c) -> list:
+    """The alternating sum of d(v - 1 + 1_I) over the subsets I of the
+    branches at every point v of [0, c], from the honest rank table h on
+    [0, c], c the conductor.  As d(u) = dim J(u)/J(u + 1) is
+    h(u + 1) - h(max(u, 0)) (a condition u_i < 0 is vacuous), that is the
+    sum of h(v + 1_I) less that of h(max(v - 1 + 1_I, 0)), each by r
+    sweeps on [0, c].  The upper chain takes h(v) - h(v + e_i), on the
+    face v_i = c_i by the conductor rule: -1 on the first axis swept, 0 on
+    every later one, where that rise has cancelled.  The lower chain takes
+    h(max(v - 1, 0)) - h(v), a zero slice at v_i = 0."""
+    shape = tuple(x + 1 for x in c)
+    upper = lower = ranks
+    for i in range(len(c)):
+        fill = [-1 if i == 0 else 0]
+        upper = _along(upper, shape, i, lambda b, s: list(
+            map(sub, b, islice(b, s, None))) + fill * s)
+        lower = _along(lower, shape, i, lambda b, s: [0] * s + list(
+            map(sub, b, islice(b, s, None))))
+    return list(map(sub, upper, lower))
 
 
 def members(ranks, top) -> list:
@@ -437,13 +439,13 @@ class Analysis:
     conductor is certified from that table and the window's rank
     (``_certified``), which keeps every honest rank of [0, c + 2] on the
     conductor rule, and ``ranks`` is that honest table on [0, c].  Every
-    read is a flat table on [0, c], in lexicographic order, and takes what
-    it needs past c from the rule inside the read: ``chi``, ``membership``
-    and the coefficients of ``pprime``.  Past c the rule rises by one per
-    step on each axis, so P' and the chi of r > 1 vanish there, while
-    membership and the one-branch chi repeat their values at min(v, c):
-    ``is_member`` and ``members_to`` read the tables there.  Every series
-    is the Alexander polynomial Delta, for every r.
+    read is a flat table on [0, c], in lexicographic order, swept on
+    [0, c] itself, and takes what it needs past c from the rule inside its
+    sweeps: ``chi``, ``membership`` and the coefficients of ``pprime``.
+    Past c the rule rises by one per step on each axis, so P' and the chi
+    of r > 1 vanish there, while membership and the one-branch chi repeat
+    their values at min(v, c): ``is_member`` and ``members_to`` read the
+    tables there.  Every series is the Alexander polynomial Delta.
     """
 
     def __init__(self, curve: Curve, budget: int = DEFAULT_BUDGET):
@@ -518,15 +520,13 @@ class Analysis:
     def pprime(self) -> MultiPoly:
         """The polynomial L_C * prod (t_i - 1): its coefficient at v is the
         alternating sum of c(v - 1 + 1_I) over subsets I of the branches,
-        read on [0, conductor] by ``pprime_coefficients`` from the table
-        with its one-step shell of [0, c + 1] taken by the conductor rule,
-        which lives only as long as the read (P' vanishes past c).  It is
-        built from c, not from the fiber series, so that verify's
+        read on [0, conductor] by ``pprime_coefficients`` from the honest
+        table, the last slice of each sweep filled by the conductor rule
+        (P' vanishes past c).  It reads ``ranks``, not chi, and takes its
+        faces v_i = c_i by the rule where chi pads zeros, so that verify's
         fiber-product identity compares two computations."""
         c = self.conductor
-        top = tuple(x + 1 for x in c)
-        return _nonzero(pprime_coefficients(
-            _extend(self.ranks, c, top, rise=1), top), c)
+        return _nonzero(pprime_coefficients(self.ranks, c), c)
 
     @cached_property
     def poincare(self) -> MultiPoly:

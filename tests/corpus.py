@@ -35,7 +35,13 @@ from curvealex.exactmath import (
     up_mul,
     vec_add,
 )
-from curvealex.filtration import Analysis, _add_column, _add_columns, _extend
+from curvealex.filtration import (
+    Analysis,
+    _add_column,
+    _add_columns,
+    _along,
+    _differences,
+)
 from curvealex.resolution import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -332,11 +338,43 @@ def honest(M) -> Table:
     return Table(M.sweep(M.window)[0], M.window)
 
 
+def rule_extended(ranks, c, top) -> list:
+    """The rank table h(min(v, c)) + sum_i max(v_i - c_i, 0) on [0, top],
+    from a table h on [0, c]: the conductor rule, which every honest rank
+    of a certified analysis keeps up to its window c + 2.  Along each axis
+    the slices up to min(top_i, c_i) are kept and the slice at c_i repeats
+    past it, rising by one per step."""
+    shape = [x + 1 for x in c]
+    for i in reversed(range(len(c))):
+        keep = min(top[i], c[i]) + 1
+        steps = range(1, top[i] - c[i] + 1)
+        ranks = _along(ranks, shape, i, lambda b, s: b[:keep * s] + [
+            x + d for d in steps for x in b[-s:]])
+        shape[i] = top[i] + 1
+    return ranks
+
+
 def filled(a) -> Table:
     """The table of an analysis on its whole window c + 2: ``a.ranks``,
     the honest sweep on [0, c], extended by the conductor rule."""
-    return Table(_extend(a.ranks, a.conductor, a.jet.window, rise=1),
+    return Table(rule_extended(a.ranks, a.conductor, a.jet.window),
                  a.jet.window)
+
+
+def reference_pprime(ranks, window) -> list:
+    """The alternating sum of c(v - 1 + 1_I) over the subsets I of the
+    branches at every point v of [0, window - 1], from a rank table on the
+    whole box [0, window], whatever its window: difference sweeps over the
+    table c(u) = ranks[u + 1] - ranks[max(u, 0)] on [-1, window - 1]
+    (c(u) = dim J(u)/J(u + 1), where a condition u_i < 0 is vacuous)."""
+    shape = tuple(w + 1 for w in window)
+    # in lexicographic order of u, u + 1 runs over [0, window], and
+    # max(u, 0) over the axes 0, 0, 1, ..., w - 1: each axis repeats its
+    # first slice and drops its last
+    lower = ranks
+    for i in range(len(window)):
+        lower = _along(lower, shape, i, lambda b, s: b[:s] + b[:-s])
+    return _differences([x - y for x, y in zip(ranks, lower)], shape)
 
 
 def sub_box(values, window, top) -> list:

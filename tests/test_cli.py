@@ -35,7 +35,6 @@ from corpus import (
     make_three_lines,
     make_wide_three_branches,
     parse_graph_file,
-    shell_face,
 )
 
 CUSP_JSON = {"branches": [{"x": [[2, "1"]], "y": [[3, "1"]]}]}
@@ -425,29 +424,31 @@ def _bumped(values, top, points):
 
 
 def _corrupted_shell(monkeypatch, points):
-    """Make the table that P' reads one more at each of the points, on the
-    shell of [0, c + 1] outside [0, c] that P' takes by the conductor rule
-    inside its read; no other read takes that shell."""
+    """Make P''s coefficient one more at each of the points, on the faces
+    v_i = c_i of [0, c] where its read fills the sweeps' last slices by the
+    conductor rule; no other read takes that rule from P''s read."""
     read = filtration.pprime_coefficients
-    monkeypatch.setattr(filtration, "pprime_coefficients", lambda ranks, top:
-                        read(_bumped(ranks, top, points), top))
+    monkeypatch.setattr(filtration, "pprime_coefficients", lambda ranks, c:
+                        _bumped(read(ranks, c), c, points))
 
 
 @pytest.mark.parametrize("make,i,lead", [
     (make_cusp, 0, None), (make_tacnode, 0, "(1, 0)"),
-    (make_tacnode, 1, "(0, 2)"), (make_three_lines, 0, "(2, 2, 0)"),
-    (make_three_lines, 1, "(0, 2, 2)"), (make_three_lines, 2, "(1, 0, 2)")],
+    (make_tacnode, 1, "(0, 1)"), (make_three_lines, 0, "(1, 0, 0)"),
+    (make_three_lines, 1, "(0, 1, 0)"), (make_three_lines, 2, "(0, 0, 1)")],
     ids=["r1-face0", "r2-face0", "r2-face1", "r3-face0", "r3-face1",
          "r3-face2"])
 def test_verify_names_the_corrupted_point_of_each_face(tmp_path, capsys,
                                                        monkeypatch, make, i,
                                                        lead):
-    # one more at the middle point of face i of P''s shell: P' moves, so
+    # one more at the middle point of P''s face v_i = c_i: P' moves, so
     # the fiber-product identity fails, and for r > 1 the division by
     # t_1...t_r - 1 leaves a remainder, which the FAIL lines name; chi,
-    # membership and window-stability read no shell and pass
+    # membership and window-stability do not read P' and pass
     curve = make()
-    points = list(iter_box(*shell_face(Analysis(curve).conductor, i)))
+    c = Analysis(curve).conductor
+    low = tuple(x if j == i else 0 for j, x in enumerate(c))
+    points = list(iter_box(low, c))
     _corrupted_shell(monkeypatch, {points[len(points) // 2]})
     path = _write(tmp_path, "curve.json", curve_to_json(curve))
     assert cli.main(["verify", path]) == 1
@@ -842,10 +843,10 @@ def test_verify_exits_1_when_pprime_leaves_a_remainder(tmp_path, capsys,
 
 def test_verify_names_a_misfilled_shell_point_that_spoils_the_division(
         tmp_path, capsys, monkeypatch):
-    # (3, 0) is the tacnode's (c_0 + 1, 0), on the shell P' takes by the
-    # conductor rule inside its read: P' no longer divides, and the
-    # remainder is named; chi reads no shell, so the fiber series passes
-    _corrupted_shell(monkeypatch, {(3, 0)})
+    # (2, 0) is the tacnode's (c_0, 0), on the face where P''s read fills
+    # its first sweep by the conductor rule: P' no longer divides, and the
+    # remainder is named; chi does not read P', so the fiber series passes
+    _corrupted_shell(monkeypatch, {(2, 0)})
     path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
     assert cli.main(["verify", path]) == 1
     captured = capsys.readouterr()

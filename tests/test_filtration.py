@@ -5,14 +5,13 @@ from math import prod
 
 import pytest
 
-from curvealex import Curve
+from curvealex import Curve, filtration
 from curvealex.cli import printed_series
 from curvealex.exactmath import iter_box, up_mul, vec_add
 from curvealex.filtration import (
     Analysis,
     BoundaryNonzeroError,
     JetMatrix,
-    _extend,
     fiber_eulers,
     members,
     pprime_coefficients,
@@ -43,10 +42,12 @@ from corpus import (
     make_wide_three_branches,
     mp_mul,
     reference_monomials,
+    reference_pprime,
     reference_rank,
     reference_ranks,
     reference_rows,
     reference_table,
+    rule_extended,
     semigroup_closure,
     shell_face,
     sub_box,
@@ -512,8 +513,7 @@ def test_reads_of_the_sub_box_match_the_whole_window(name):
     c, inner = a.conductor, vec_add(a.conductor, (1,) * r)
     assert a.ranks == sub_box(ranks, window, c)
     assert a.membership == sub_box(members(ranks, window), window, c)
-    chi, pprime = fiber_eulers(ranks, window), pprime_coefficients(ranks,
-                                                                   window)
+    chi, pprime = fiber_eulers(ranks, window), reference_pprime(ranks, window)
     assert a.chi == sub_box(chi, inner, c)
     assert a.pprime == {v: x for v, x in zip(
         iter_box((0,) * r, c), sub_box(pprime, inner, c)) if x}
@@ -523,19 +523,55 @@ def test_reads_of_the_sub_box_match_the_whole_window(name):
             [past] * (len(whole) - len(a.ranks))
 
 
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_pprime_read_matches_the_rule_extended_reference(k):
+    # P' reads the honest table on [0, c] and fills the last slice of each
+    # sweep by the conductor rule; the reference sweeps the table the rule
+    # extends to [0, c + 1]
+    a = Analysis(make_transverse_lines(k))
+    c = a.conductor
+    top = vec_add(c, (1,) * k)
+    assert pprime_coefficients(a.ranks, c) == reference_pprime(
+        rule_extended(a.ranks, c, top), top)
+
+
+SPY_CURVES = dict(CORPUS_MULTI, **{"four-lines": make_four_lines,
+                                   "axes-and-cusp": make_axes_and_cusp})
+
+
+@pytest.mark.parametrize("name", sorted(SPY_CURVES))
+def test_reads_take_no_table_past_the_conductor(name, monkeypatch):
+    # for r > 1 chi, P' and membership read the honest table on [0, c] and
+    # take what they need past c from the conductor rule inside their
+    # sweeps: no table they rebuild along an axis is longer than [0, c]
+    a = Analysis(SPY_CURVES[name]())
+    size, lengths = prod(x + 1 for x in a.conductor), []
+    along = filtration._along
+
+    def spy(values, shape, i, f):
+        out = along(values, shape, i, f)
+        lengths.extend((len(values), len(out)))
+        return out
+
+    a.ranks
+    monkeypatch.setattr(filtration, "_along", spy)
+    a.chi, a.pprime, a.membership
+    assert max(lengths) == size
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
 def test_shell_faces_match_the_full_re_sweep(name):
     # the r faces are disjoint and cover [0, c + 1] outside [0, c]; their
     # ranks, each face swept with its own branch's prefix added first,
     # equal an honest sweep of the whole box [0, c + 1] at those points,
-    # and so does the shell P' takes by the conductor rule inside its read
+    # and so does the analysis's table extended by the conductor rule
     a = Analysis(ORACLE_CURVES[name]())
     c, r = a.conductor, a.curve.r
     top = vec_add(c, (1,) * r)
     full = a.jet.sweep(top)[0]
     h = dict(zip(iter_box((0,) * r, top), full, strict=True))
     fill = dict(zip(iter_box((0,) * r, top),
-                    _extend(a.ranks, c, top, rise=1), strict=True))
+                    rule_extended(a.ranks, c, top), strict=True))
     faces = [shell_face(c, i) for i in range(r)]
     points = [v for low, high in faces for v in iter_box(low, high)]
     assert len(points) == prod(x + 2 for x in c) - prod(x + 1 for x in c)

@@ -8,7 +8,8 @@ from resolution graphs, of the conductor rule of one-branch analyses
 against a wide window and their Poincare series against the
 Eisenbud-Neumann product, of the one-pass conductor and delta against the
 Noether table, of the analysis's honest table, extended by the rule,
-against an honest sweep, of every verify check, the symmetry of Delta and
+against an honest sweep and its read of P' against the reference read of
+that extension, of every verify check, the symmetry of Delta and
 the Torres formula on random curves, of the chained blow-up engine against
 the step-by-step one, and of every invariant against a rescaling of the
 coordinates."""
@@ -34,6 +35,7 @@ from curvealex.cli import run_verify  # noqa: E402
 from curvealex.exactmath import iter_box, vec_add  # noqa: E402
 from curvealex.filtration import (  # noqa: E402
     _add_column,
+    _reduced,
     _slab,
     fiber_eulers,
     members,
@@ -58,8 +60,10 @@ from corpus import (  # noqa: E402
     noether_intersections,
     reference_blowups,
     reference_monomials,
+    reference_pprime,
     reference_ranks,
     reference_rows,
+    rule_extended,
     sub_box,
     value_semigroup_breaks,
     verify_semigroup_properties,
@@ -175,8 +179,10 @@ def test_slab_ranks_match_elimination_on_planted_blocks(blocks):
     basis = []
     for col in B:
         _add_column(basis, col)
+    # the sweep hands the slab its columns reduced against the basis
+    reduced = [[_reduced(list(col), basis) for col in x] for x in (F, G)]
     ranks = []
-    _slab(ranks, basis, F, G)
+    _slab(ranks, basis, *reduced)
     assert ranks == [_rank(B + F[:j] + G[:k])
                      for j in range(len(F) + 1) for k in range(len(G) + 1)]
     assert len(basis) == _rank(B + F + G)
@@ -192,7 +198,7 @@ def test_difference_sweeps_match_the_per_point_sums(M):
     box = list(iter_box((0,) * r, tuple(w - 1 for w in M.window)))
     assert list(zip(box, fiber_eulers(*honest(M)), strict=True)) == \
         [(v, fiber_euler(M, v)) for v in box]
-    assert list(zip(box, pprime_coefficients(*honest(M)), strict=True)) == [
+    assert list(zip(box, reference_pprime(*honest(M)), strict=True)) == [
         (v, sum((-1) ** (sum(u) - sum(v) + r) * c_dim(M, u)
                 for u in iter_box(vec_add(v, (-1,) * r), v)))
         for v in box]
@@ -252,6 +258,24 @@ def test_filled_table_matches_the_honest_sweep(branches):
     ranks, rank = a.jet.sweep(a.jet.window)
     assert filled(a).ranks == ranks
     assert a.jet.sweep(a.conductor)[1] == rank == ranks[-1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(BRANCHES.filter(_not_an_axis_cover), min_size=1, max_size=3))
+def test_pprime_read_matches_the_rule_extended_reference(branches):
+    # P' on the honest table of [0, c], each sweep's last slice filled by
+    # the conductor rule, equals the reference read of the table the rule
+    # extends to [0, c + 1]
+    c = Curve(branches)
+    try:
+        a = Analysis(c)
+    except BudgetExceededError:
+        # coincident branches, or a map of degree > 1 onto its image
+        assume(False)
+    assume(prod(x + 3 for x in a.conductor) <= 4000)
+    top = vec_add(a.conductor, (1,) * c.r)
+    assert pprime_coefficients(a.ranks, a.conductor) == reference_pprime(
+        rule_extended(a.ranks, a.conductor, top), top)
 
 
 @settings(max_examples=100, deadline=None)
