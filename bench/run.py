@@ -7,12 +7,13 @@ For each curve (k transverse lines, k = 2..7, and a three-branch curve of
 conductor (50, 20, 40)) it starts one fresh process per command:
 
 * ``verify``: ``python -m curvealex.cli verify FILE``; the wall seconds,
-  the child's maximum RSS (``os.wait4``), the number of ``PASS`` lines and
-  the sha256 of its stdout;
+  the child's maximum RSS (``os.wait4``) and the number of ``PASS`` lines;
 * ``stages``: one ``Analysis`` of the curve, timed in the child: the
   blow-up constructor, ``a.jet`` (the jet matrix), ``a.ranks`` (the sweep
-  and certificate), then ``a.chi``, ``a.pprime`` and ``a.membership``,
-  and the child's maximum RSS.
+  and certificate), then ``a.chi``, ``a.pprime`` and ``a.membership``;
+  the sha256 of each of these three reads (P' as its sorted terms), so
+  two trees can be shown to read the same series; and the child's
+  maximum RSS.
 
 Each command runs three times; the file keeps every run and the median of
 each number.  It writes ``BENCH_<LABEL>.json`` in the current directory.
@@ -24,7 +25,6 @@ one machine.  Standard library only; it is not part of the test suite.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -40,7 +40,7 @@ REPEATS = 3
 
 # the child of the ``stages`` command: argv[1] is the curve file
 STAGES = """
-import json, sys, time
+import hashlib, json, sys, time
 from curvealex.cli import parse_curve_file
 from curvealex.filtration import Analysis
 curve = parse_curve_file(sys.argv[1])
@@ -51,6 +51,10 @@ for name in ("jet", "ranks", "chi", "pprime", "membership"):
     getattr(a, name)
     out[name + "_s"], t = time.perf_counter() - t, time.perf_counter()
 out["conductor"] = list(a.conductor)
+for name, value in (("chi", a.chi), ("pprime", sorted(a.pprime.items())),
+                    ("membership", a.membership)):
+    out[name + "_sha256"] = hashlib.sha256(
+        json.dumps(value).encode()).hexdigest()
 print(json.dumps(out))
 """
 
@@ -96,8 +100,7 @@ def measure(path, src) -> dict:
             [sys.executable, "-m", "curvealex.cli", "verify", str(path)], src)
         verify["runs"].append({
             "seconds": seconds, "max_rss_mb": rss,
-            "passed": out.decode().count("PASS "),
-            "sha256": hashlib.sha256(out).hexdigest()})
+            "passed": out.decode().count("PASS ")})
         out, seconds, rss = run_child(
             [sys.executable, "-c", STAGES, str(path)], src)
         stages["runs"].append(dict(json.loads(out), wall_s=seconds,

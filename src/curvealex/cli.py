@@ -28,8 +28,9 @@ from .filtration import (
     Analysis,
     BoundaryNonzeroError,
     JetMatrix,
-    fiber_eulers,
+    _extend,
     minimal_generators,
+    upper_chain,
 )
 from .resolution import (
     BudgetExceededError,
@@ -360,11 +361,13 @@ def _checked_window(c: Curve, window) -> tuple:
 def _cmd_fibers(args) -> int:
     c = parse_curve_file(args.input)
     if args.window:
-        # chi on [0, window - 2] reads the ranks on [0, window - 1]
+        # chi on [0, window - 2] reads the honest ranks on [0, window - 1];
+        # the cut drops the faces the upper chain fills by the rule
         window = _checked_window(c, args.window)
+        box = tuple(w - 1 for w in window)
         top = tuple(w - 2 for w in window)
-        box = vec_add(top, (1,) * c.r)
-        chi = fiber_eulers(JetMatrix(c, window).sweep(box)[0], box)
+        upper = upper_chain(JetMatrix(c, window).sweep(box)[0], box)
+        chi = _extend([-x for x in upper], box, top)
     else:
         a = Analysis(c, budget=args.budget)
         top, chi = a.conductor, a.chi

@@ -19,14 +19,15 @@ two branches.  One reduction per column of F and of G finds, for each g_l,
 the least j with g_l in B + F_j + G_(l-1), and each rank of that slab
 counts them (``_slab``), so every entry stays an exact rank, neither filled
 by a rule nor taken modulo a prime.  The reads take such a table on a whole
-box [0, w] axis by axis (``_along``): the fiber Euler characteristics on
-[0, w - 1] by r difference sweeps (``_differences``), the coefficients of
-P' on [0, c] by two chains of r sweeps of the table on [0, c]
-(``pprime_coefficients``), membership on [0, w] as a table of bools by
-comparing each point with its r successors (``members``), and a branch's
-minimal generators by one walk over that table (``minimal_generators``).
-Only the nonzero entries of a series become polynomial terms
-(``_nonzero``).
+box [0, w] axis by axis (``_along``): the upper chain, the alternating
+sum of h(v + 1_I) over the subsets I of the branches, on [0, w] by r
+difference sweeps (``upper_chain``), which is minus the fiber Euler
+characteristics; the coefficients of P' on [0, c] as that chain less the
+lower chain, r more sweeps of the table (``pprime_coefficients``);
+membership on [0, w] as a table of bools by comparing each point with its
+r successors (``members``); and a branch's minimal generators by one walk
+over that table (``minimal_generators``).  Only the nonzero entries of a
+series become polynomial terms (``_nonzero``).
 
 One window per curve suffices: the conductor c + 2.  The conductor ideal
 t^c * O-bar lies in the local ring, so past c the table is linear,
@@ -39,13 +40,13 @@ certificate's rank h(c + 2) = h(c) + 2r makes the 2r columns (i, c_i),
 every honest rank on [0, c + 2] keeps the rule.  An honest check
 therefore takes one more rank, h(c + 1) = h(c) + r.  Each read takes what
 it needs past c from the rule inside the read: membership counts every
-step off the top face as rising, P' fills the last slice of each of its
-sweeps by the rule, and chi is the difference sweep of [0, c] padded with
-zeros on the faces v_i = c_i (Delta has multidegree c - 1), for one
-branch the sweep of [0, c] and the one shell point h(c) + 1.  Past c the
-rule rises by one per step on each axis, so membership and the one-branch
-chi repeat their values at min(v, c), and the reads of two or more
-differences (P', and chi for r > 1) vanish.  So every series is the
+step off the top face as rising, and the upper chain, which chi negates
+and P' reads, fills the last slice of each of its sweeps by the rule, so
+chi vanishes on the faces v_i = c_i for r > 1 (Delta has multidegree
+c - 1) and is 1 at c for one branch.  Past c the rule rises by one per
+step on each axis, so membership and the one-branch chi repeat their
+values at min(v, c), and the reads of two or more differences (P', and
+chi for r > 1) vanish.  So every series is the
 Alexander polynomial Delta on [0, c], for one branch the differences of
 chi or of membership along the axis; the CLI prints Delta / (1 - t).
 """
@@ -55,7 +56,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import accumulate, compress, count, islice
 from math import gcd, prod
-from operator import and_, lt, ne, sub
+from operator import and_, lt, ne, neg, sub
 
 from .curve import Curve, validate_curve
 from .exactmath import (
@@ -283,17 +284,6 @@ def _along(values, shape, i, f) -> list:
     return out
 
 
-def _differences(values, shape) -> list:
-    """g(v) = sum over the subsets I of the branches of (-1)^|I| f(v + 1_I),
-    for a table f of ``shape``; g comes back on the box one point shorter
-    on every axis.  r sweeps, the i-th taking f(v) - f(v + e_i)."""
-    for i, n in enumerate(shape):
-        values = _along(values, shape, i,
-                        lambda b, s: list(map(sub, b, islice(b, s, None))))
-        shape = shape[:i] + (n - 1,) + shape[i + 1:]
-    return values
-
-
 def _extend(values, c, top) -> list:
     """The table f(min(v, c)) on [0, top], from a table f on [0, c]: along
     each axis, the slices up to min(top_i, c_i) are kept and the slice at
@@ -307,48 +297,40 @@ def _extend(values, c, top) -> list:
     return values
 
 
-def _padded(values, shape) -> list:
-    """A table of ``shape`` with a slice of zeros appended along every axis:
-    on the box one point longer on every axis, zero on each top face."""
-    shape = list(shape)
-    for i in range(len(shape)):
-        values = _along(values, shape, i, lambda b, s: b + [0] * s)
-        shape[i] += 1
-    return values
-
-
 def _nonzero(values, top) -> MultiPoly:
     """The nonzero entries of a table on [0, top], keyed by their points."""
     return dict(zip(compress(iter_box((0,) * len(top), top), values),
                     filter(None, values)))
 
 
-def fiber_eulers(ranks, window) -> list:
-    """The Euler characteristic of the projectivized fiber over every point v
-    of [0, window - 1], from the rank table on the whole box [0, window]:
-    inclusion-exclusion over the 2^r coordinate subspaces gives the
-    alternating sum of b(v + 1_I) = dim J(v + 1_I)/J(w) over the subsets I
-    of the branches, read by difference sweeps over the rank table
-    (b = window rank - ranks, and the window rank cancels)."""
-    return [-x for x in _differences(ranks, tuple(w + 1 for w in window))]
-
-
-def pprime_coefficients(ranks, c) -> list:
-    """The alternating sum of d(v - 1 + 1_I) over the subsets I of the
-    branches at every point v of [0, c], from the honest rank table h on
-    [0, c], c the conductor.  As d(u) = dim J(u)/J(u + 1) is
-    h(u + 1) - h(max(u, 0)) (a condition u_i < 0 is vacuous), that is the
-    sum of h(v + 1_I) less that of h(max(v - 1 + 1_I, 0)), each by r
-    sweeps on [0, c].  The upper chain takes h(v) - h(v + e_i), on the
-    face v_i = c_i by the conductor rule: -1 on the first axis swept, 0 on
-    every later one, where that rise has cancelled.  The lower chain takes
-    h(max(v - 1, 0)) - h(v), a zero slice at v_i = 0."""
-    shape = tuple(x + 1 for x in c)
-    upper = lower = ranks
-    for i in range(len(c)):
+def upper_chain(ranks, top) -> list:
+    """The alternating sum of h(v + 1_I) over the subsets I of the branches
+    at every point v of [0, top], from a rank table h on [0, top]: r
+    sweeps, the i-th taking f(v) - f(v + e_i) and filling its last slice,
+    the face v_i = top_i, by the conductor rule: -1 on the first axis
+    swept, 0 on every later one, where that rise has cancelled.  On the
+    conductor's box it is minus chi on the whole of [0, c]; on any box,
+    the points below every top face read the table alone."""
+    shape = tuple(x + 1 for x in top)
+    for i in range(len(top)):
         fill = [-1 if i == 0 else 0]
-        upper = _along(upper, shape, i, lambda b, s: list(
+        ranks = _along(ranks, shape, i, lambda b, s: list(
             map(sub, b, islice(b, s, None))) + fill * s)
+    return ranks
+
+
+def pprime_coefficients(upper, ranks, c) -> list:
+    """The alternating sum of d(v - 1 + 1_I) over the subsets I of the
+    branches at every point v of [0, c], c the conductor, from the upper
+    chain and the honest rank table h on [0, c].  As d(u) = dim
+    J(u)/J(u + 1) is h(u + 1) - h(max(u, 0)) (a condition u_i < 0 is
+    vacuous), that is the upper chain, the sum of h(v + 1_I), less the
+    lower chain, the sum of h(max(v - 1 + 1_I, 0)): r sweeps of the
+    table, each taking h(max(v - e_i, 0)) - h(v), a zero slice at
+    v_i = 0."""
+    shape = tuple(x + 1 for x in c)
+    lower = ranks
+    for i in range(len(c)):
         lower = _along(lower, shape, i, lambda b, s: [0] * s + list(
             map(sub, b, islice(b, s, None))))
     return list(map(sub, upper, lower))
@@ -441,11 +423,12 @@ class Analysis:
     conductor rule, and ``ranks`` is that honest table on [0, c].  Every
     read is a flat table on [0, c], in lexicographic order, swept on
     [0, c] itself, and takes what it needs past c from the rule inside its
-    sweeps: ``chi``, ``membership`` and the coefficients of ``pprime``.
-    Past c the rule rises by one per step on each axis, so P' and the chi
-    of r > 1 vanish there, while membership and the one-branch chi repeat
-    their values at min(v, c): ``is_member`` and ``members_to`` read the
-    tables there.  Every series is the Alexander polynomial Delta.
+    sweeps: ``upper``, once per curve, which ``chi`` negates and
+    ``pprime`` reads less its lower chain, and ``membership``.  Past c the
+    rule rises by one per step on each axis, so P' and the chi of r > 1
+    vanish there, while membership and the one-branch chi repeat their
+    values at min(v, c): ``members_to`` reads membership there.  Every
+    series is the Alexander polynomial Delta.
     """
 
     def __init__(self, curve: Curve, budget: int = DEFAULT_BUDGET):
@@ -474,15 +457,18 @@ class Analysis:
         return _certified(self.jet, self.conductor, self.delta)
 
     @cached_property
+    def upper(self) -> list:
+        """The upper chain on [0, c], its faces v_i = c_i filled by the
+        conductor rule (``upper_chain``)."""
+        return upper_chain(self.ranks, self.conductor)
+
+    @cached_property
     def chi(self) -> list:
-        """The fiber Euler characteristics on [0, c].  For r > 1 they vanish
-        on every face v_i = c_i (Delta has multidegree c - 1), and the
-        sweep of [0, c] gives the rest; one branch reads the one shell
-        point, h(c + 1) = h(c) + 1."""
-        ranks, c = self.ranks, self.conductor
-        if self.curve.r == 1:
-            return fiber_eulers(ranks + [ranks[-1] + 1], (c[0] + 1,))
-        return _padded(fiber_eulers(ranks, c), c)
+        """The fiber Euler characteristics on [0, c], minus the upper chain
+        for every r: by the rule they vanish on every face v_i = c_i for
+        r > 1 (Delta has multidegree c - 1), and chi(c) = 1 for one
+        branch, where h(c + 1) = h(c) + 1."""
+        return list(map(neg, self.upper))
 
     @cached_property
     def membership(self) -> list:
@@ -492,13 +478,6 @@ class Analysis:
     def members_to(self, top) -> list:
         """Whether each point of [0, top] is a value, read at min(v, c)."""
         return _extend(self.membership, self.conductor, top)
-
-    def is_member(self, v) -> bool:
-        """Whether v >= 0 is a value, read at min(v, c)."""
-        k = 0
-        for x, ci in zip(v, self.conductor):
-            k = k * (ci + 1) + min(max(x, 0), ci)
-        return self.membership[k]
 
     def _series(self, values) -> MultiPoly:
         """The nonzero terms of a flat table on [0, c]; for r = 1, of its
@@ -520,13 +499,13 @@ class Analysis:
     def pprime(self) -> MultiPoly:
         """The polynomial L_C * prod (t_i - 1): its coefficient at v is the
         alternating sum of c(v - 1 + 1_I) over subsets I of the branches,
-        read on [0, conductor] by ``pprime_coefficients`` from the honest
-        table, the last slice of each sweep filled by the conductor rule
-        (P' vanishes past c).  It reads ``ranks``, not chi, and takes its
-        faces v_i = c_i by the rule where chi pads zeros, so that verify's
-        fiber-product identity compares two computations."""
+        read on [0, conductor] by ``pprime_coefficients``: the upper chain
+        less the lower chain, swept from ``ranks`` (P' vanishes past c).
+        The lower chain is the one term that chi does not share, minus chi
+        shifted by (1, ..., 1), so verify's fiber-product identity checks
+        it against chi; P' reads ``upper``, not chi."""
         c = self.conductor
-        return _nonzero(pprime_coefficients(self.ranks, c), c)
+        return _nonzero(pprime_coefficients(self.upper, self.ranks, c), c)
 
     @cached_property
     def poincare(self) -> MultiPoly:

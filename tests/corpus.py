@@ -18,7 +18,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import lcm, prod
+from operator import sub
 from typing import NamedTuple
 
 from curvealex import Curve, ResGraph
@@ -40,7 +42,6 @@ from curvealex.filtration import (
     _add_column,
     _add_columns,
     _along,
-    _differences,
 )
 from curvealex.resolution import (
     DEFAULT_BUDGET,
@@ -361,6 +362,25 @@ def filled(a) -> Table:
                  a.jet.window)
 
 
+def _differences(values, shape) -> list:
+    """g(v) = sum over the subsets I of the branches of (-1)^|I| f(v + 1_I),
+    for a table f of ``shape``; g comes back on the box one point shorter
+    on every axis.  r sweeps, the i-th taking f(v) - f(v + e_i)."""
+    for i, n in enumerate(shape):
+        values = _along(values, shape, i,
+                        lambda b, s: list(map(sub, b, islice(b, s, None))))
+        shape = shape[:i] + (n - 1,) + shape[i + 1:]
+    return values
+
+
+def fiber_eulers(ranks, window) -> list:
+    """The Euler characteristic of the projectivized fiber over every point
+    v of [0, window - 1], from a rank table on the whole box [0, window],
+    whatever its window and with no rule: minus the difference sweeps of
+    the table (b = window rank - ranks, and the window rank cancels)."""
+    return [-x for x in _differences(ranks, tuple(w + 1 for w in window))]
+
+
 def reference_pprime(ranks, window) -> list:
     """The alternating sum of c(v - 1 + 1_I) over the subsets I of the
     branches at every point v of [0, window - 1], from a rank table on the
@@ -435,7 +455,13 @@ def is_member(M, v) -> bool:
     leading coefficient nonzero, point by point (the oracle for
     ``members``): each singleton constraint must drop the dimension (over
     an infinite field a space is never a finite union of proper
-    subspaces)."""
+    subspaces).  Given an ``Analysis``, its membership table read at
+    min(v, c), for any v >= 0."""
+    if isinstance(M, Analysis):
+        k = 0
+        for x, ci in zip(v, M.conductor):
+            k = k * (ci + 1) + min(max(x, 0), ci)
+        return M.membership[k]
     v = tuple(v)
     b0 = b_dim(M, v)
     if b0 == 0:
@@ -952,7 +978,7 @@ def check_alexander_symmetry(curve) -> None:
     if r == 1:
         # the semigroup is symmetric: v is a value iff c - 1 - v is not
         for v in range(c[0]):
-            assert a.is_member((v,)) != a.is_member((c[0] - 1 - v,)), v
+            assert is_member(a, (v,)) != is_member(a, (c[0] - 1 - v,)), v
         # and so t^c Delta(1/t) = Delta(t)
         assert {(c[0] - v,): k for (v,), k in delta.items()} == delta
         return

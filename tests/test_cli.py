@@ -425,11 +425,13 @@ def _bumped(values, top, points):
 
 def _corrupted_shell(monkeypatch, points):
     """Make P''s coefficient one more at each of the points, on the faces
-    v_i = c_i of [0, c] where its read fills the sweeps' last slices by the
-    conductor rule; no other read takes that rule from P''s read."""
+    v_i = c_i of [0, c] where its upper chain fills the sweeps' last slices
+    by the conductor rule; chi reads that chain, not P''s read, so P'
+    alone moves."""
     read = filtration.pprime_coefficients
-    monkeypatch.setattr(filtration, "pprime_coefficients", lambda ranks, c:
-                        _bumped(read(ranks, c), c, points))
+    monkeypatch.setattr(filtration, "pprime_coefficients",
+                        lambda upper, ranks, c:
+                        _bumped(read(upper, ranks, c), c, points))
 
 
 @pytest.mark.parametrize("make,i,lead", [
@@ -464,19 +466,19 @@ def test_verify_names_the_corrupted_point_of_each_face(tmp_path, capsys,
 
 def test_verify_fails_when_chi_leaves_a_zero_face(tmp_path, capsys,
                                                   monkeypatch):
-    # for r > 1 chi is read on [0, c - 1] and padded with zeros on the faces
-    # v_i = c_i, where Delta has no term; one more at (c_0, 1, 0, ...) adds a
-    # term to the fiber series, so checks 2 and 3 fail and the four that read
-    # no chi pass
-    padded = filtration._padded
+    # for r > 1 the conductor rule makes chi zero on the faces v_i = c_i,
+    # where Delta has no term; one more at (c_0, 1, 0, ...) adds a term to
+    # the fiber series, so checks 2 and 3 fail and the four that read no chi
+    # pass: P' reads the upper chain, not chi
+    chi = Analysis.chi.func
     expected = list(VERIFY_PASSED)
     expected[1] = "FAIL fiber-euler-equals-alexander: fiber series != alexander"
     expected[2] = ("FAIL fiber-product-identity: fiber series * (t..-1) != "
                    "pprime")
     for curve in (make_tacnode(), make_three_lines()):
         v = (Analysis(curve).conductor[0], 1) + (0,) * (curve.r - 2)
-        monkeypatch.setattr(filtration, "_padded", lambda values, shape, v=v:
-                            _bumped(padded(values, shape), shape, {v}))
+        monkeypatch.setattr(Analysis, "chi", property(
+            lambda self, v=v: _bumped(chi(self), self.conductor, {v})))
         path = _write(tmp_path, "curve.json", curve_to_json(curve))
         assert cli.main(["verify", path]) == 1
         assert capsys.readouterr().out.splitlines() == expected
@@ -651,11 +653,13 @@ WINDOW_CURVES = {"cusp": CUSP_JSON, "node": NODE_JSON,
 
 
 def _windows(conductor):
-    """Ones, c + 2, c + 5 and a staggered window c_i + 1 + 2i."""
+    """Ones, c + 2, c + 5, a staggered window c_i + 1 + 2i and one that
+    cuts inside [0, c] on every axis, ceil(c_i / 2) + 1."""
     return [tuple(1 for _ in conductor),
             tuple(x + 2 for x in conductor),
             tuple(x + 5 for x in conductor),
-            tuple(x + 1 + 2 * i for i, x in enumerate(conductor))]
+            tuple(x + 1 + 2 * i for i, x in enumerate(conductor)),
+            tuple((x + 1) // 2 + 1 for x in conductor)]
 
 
 def _run(argv, capsys):
@@ -707,6 +711,21 @@ def test_fibers_window_of_ones_prints_nothing(tmp_path, capsys, name,
     assert cli.main(["fibers", path, "--window", window,
                      "--out", str(out)]) == 0
     assert out.read_text() == ""
+
+
+def test_fibers_window_sweeps_its_own_table_without_blow_ups(tmp_path,
+                                                            capsys):
+    # A_63 = (t^2, t^127) needs more blow-ups than the default budget, so
+    # plain fibers fails; the window reads its own honest table and needs
+    # none: chi is the membership indicator of <2, 127> on [0, 8]
+    path = _write(tmp_path, "a63.json", _a_k(63))
+    assert cli.main(["fibers", path, "--window", "10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["%d\t%d" % (1 - v % 2, v)
+                                         for v in range(9)]
+    assert captured.err == ""
+    assert cli.main(["fibers", path]) == 1
+    assert capsys.readouterr().err.startswith("BudgetExceeded: ")
 
 
 @pytest.mark.parametrize("make", [*CORPUS_ALL.values(),
@@ -843,9 +862,10 @@ def test_verify_exits_1_when_pprime_leaves_a_remainder(tmp_path, capsys,
 
 def test_verify_names_a_misfilled_shell_point_that_spoils_the_division(
         tmp_path, capsys, monkeypatch):
-    # (2, 0) is the tacnode's (c_0, 0), on the face where P''s read fills
-    # its first sweep by the conductor rule: P' no longer divides, and the
-    # remainder is named; chi does not read P', so the fiber series passes
+    # (2, 0) is the tacnode's (c_0, 0), on the face where P''s upper chain
+    # fills its first sweep by the conductor rule: P' no longer divides, and
+    # the remainder is named; chi does not read P', so the fiber series
+    # passes
     _corrupted_shell(monkeypatch, {(2, 0)})
     path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
     assert cli.main(["verify", path]) == 1

@@ -12,7 +12,6 @@ from curvealex.filtration import (
     Analysis,
     BoundaryNonzeroError,
     JetMatrix,
-    fiber_eulers,
     members,
     pprime_coefficients,
 )
@@ -27,6 +26,7 @@ from corpus import (
     check_torres_formula,
     face,
     fiber_euler,
+    fiber_eulers,
     filled,
     honest,
     is_member,
@@ -468,7 +468,7 @@ def test_conductor_rule_matches_a_wide_window(name):
     wide, top = _wide_reference(a)
     assert a.jet.window == vec_add(a.conductor, (2,) * a.curve.r)
     for v in iter_box((0,) * a.curve.r, top):
-        assert a.is_member(v) == is_member(wide, v), v
+        assert is_member(a, v) == is_member(wide, v), v
 
 
 FAR_CURVES = {name: make for name, make in ORACLE_CURVES.items()
@@ -487,7 +487,7 @@ def test_is_member_far_past_the_window_reads_min_v_c(name):
             for far in combinations(range(r), k):
                 u = tuple(x + 10 ** 6 * (i + 1) if i in far else x
                           for i, x in enumerate(v))
-                assert a.is_member(u) == is_member(wide, vec_clamp(u, c)), u
+                assert is_member(a, u) == is_member(wide, vec_clamp(u, c)), u
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
@@ -498,7 +498,7 @@ def test_members_to_reads_every_point_at_min_v_c(name):
                 tuple(x + 3 if i % 2 else x // 2 for i, x in enumerate(c))):
         box = list(iter_box((0,) * r, top))
         assert list(zip(box, a.members_to(top), strict=True)) == \
-            [(v, a.is_member(v)) for v in box]
+            [(v, is_member(a, v)) for v in box]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
@@ -525,13 +525,13 @@ def test_reads_of_the_sub_box_match_the_whole_window(name):
 
 @pytest.mark.parametrize("k", [4, 5, 6])
 def test_pprime_read_matches_the_rule_extended_reference(k):
-    # P' reads the honest table on [0, c] and fills the last slice of each
-    # sweep by the conductor rule; the reference sweeps the table the rule
-    # extends to [0, c + 1]
+    # P' reads the upper chain, whose sweeps fill their last slices by the
+    # conductor rule, less the lower chain of the honest table on [0, c];
+    # the reference sweeps the table the rule extends to [0, c + 1]
     a = Analysis(make_transverse_lines(k))
     c = a.conductor
     top = vec_add(c, (1,) * k)
-    assert pprime_coefficients(a.ranks, c) == reference_pprime(
+    assert pprime_coefficients(a.upper, a.ranks, c) == reference_pprime(
         rule_extended(a.ranks, c, top), top)
 
 
@@ -626,7 +626,7 @@ def test_conductor_one_too_small_trips_the_rule_guard(name):
     message = _lowered_message(a, 1)
     a.conductor = tuple(x - 1 for x in a.conductor)
     with pytest.raises(BoundaryNonzeroError) as info:
-        a.is_member((0,) * a.curve.r)
+        is_member(a, (0,) * a.curve.r)
     assert str(info.value) == message
 
 
@@ -653,7 +653,7 @@ def test_certificate_names_the_numbers_that_decided_it(make, wrong, delta,
     if delta is not None:
         a.delta = delta
     with pytest.raises(BoundaryNonzeroError) as info:
-        a.is_member(wrong)
+        is_member(a, wrong)
     assert str(info.value) == message
 
 

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module or
 re-exported through its ``__all__``, and every function and class a module
-defines is used by the package."""
+defines, and every method and property of its classes, is used by the
+package."""
 
 import ast
 from pathlib import Path
@@ -47,19 +48,36 @@ def _read(node):
             yield sub.attr
 
 
+def _definitions(body):
+    """Every top-level def and class, and every non-dunder method and
+    property of each class, with the nodes whose reads count as uses: all
+    but its own definition."""
+    for node in body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        rest = [other for other in body if other is not node]
+        yield node.name, rest
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not (
+                        member.name.startswith("__")
+                        and member.name.endswith("__")):
+                    yield "%s.%s" % (node.name, member.name), rest + [
+                        other for other in node.body if other is not member]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_every_definition_is_used(path):
-    # a top-level def or class must be read by package code outside its own
-    # body; an import, such as __init__'s, and a string in __all__ are no
-    # reads
+    # a top-level def or class, or a method or property of a class, must be
+    # read by package code outside its own body; an import, such as
+    # __init__'s, and a string in __all__ are no reads
     elsewhere = set()
     for other in PACKAGE.glob("*.py"):
         if other != path:
             elsewhere.update(_read(ast.parse(other.read_text())))
     body = ast.parse(path.read_text(), filename=str(path)).body
-    unused = [node.name for node in body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and node.name not in elsewhere.union(
-                  *(_read(other) for other in body if other is not node))]
+    unused = [name for name, rest in _definitions(body)
+              if name.rpartition(".")[2] not in elsewhere.union(
+                  *(_read(other) for other in rest))]
     assert not unused, "%s defines %s unused" % (path.name, unused)

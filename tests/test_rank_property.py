@@ -37,7 +37,6 @@ from curvealex.filtration import (  # noqa: E402
     _add_column,
     _reduced,
     _slab,
-    fiber_eulers,
     members,
     minimal_generators,
     pprime_coefficients,
@@ -53,6 +52,7 @@ from corpus import (  # noqa: E402
     engine_outcome,
     escape_breaks,
     fiber_euler,
+    fiber_eulers,
     filled,
     honest,
     is_member,
@@ -227,7 +227,7 @@ def test_conductor_rule_matches_a_wide_window(branch):
         assume(False)
     top = 2 * a.conductor[0] + 2
     wide = JetMatrix(c, (top + 2,))
-    assert [a.is_member((v,)) for v in range(top + 1)] == \
+    assert [is_member(a, (v,)) for v in range(top + 1)] == \
         [is_member(wide, (v,)) for v in range(top + 1)]
     assert minimal_generators(a) == verify_semigroup_properties(c).generators
     assert en_alexander(a.graph) == a.poincare
@@ -263,9 +263,9 @@ def test_filled_table_matches_the_honest_sweep(branches):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(BRANCHES.filter(_not_an_axis_cover), min_size=1, max_size=3))
 def test_pprime_read_matches_the_rule_extended_reference(branches):
-    # P' on the honest table of [0, c], each sweep's last slice filled by
-    # the conductor rule, equals the reference read of the table the rule
-    # extends to [0, c + 1]
+    # P', the upper chain (each sweep's last slice filled by the conductor
+    # rule) less the lower chain of the honest table on [0, c], equals the
+    # reference read of the table the rule extends to [0, c + 1]
     c = Curve(branches)
     try:
         a = Analysis(c)
@@ -274,7 +274,8 @@ def test_pprime_read_matches_the_rule_extended_reference(branches):
         assume(False)
     assume(prod(x + 3 for x in a.conductor) <= 4000)
     top = vec_add(a.conductor, (1,) * c.r)
-    assert pprime_coefficients(a.ranks, a.conductor) == reference_pprime(
+    assert pprime_coefficients(a.upper, a.ranks,
+                               a.conductor) == reference_pprime(
         rule_extended(a.ranks, a.conductor, top), top)
 
 
