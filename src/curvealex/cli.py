@@ -42,9 +42,6 @@ from .resolution import (
     resolve,
 )
 
-COMMANDS = ("resolve", "alexander", "poincare", "fibers", "semigroup", "verify")
-
-
 class ParseError(ValueError):
     code = "ParseError"
 
@@ -233,11 +230,15 @@ def _load_input(path):
 # output formatting
 # ---------------------------------------------------------------------------
 
+def _point(v) -> str:
+    """A lattice point as the CLI prints it: comma-joined coordinates."""
+    return ",".join(map(str, v))
+
+
 def format_poly(p: dict) -> str:
     """One term per line: coefficient, tab, comma-joined exponents, sorted
     lexicographically; byte-for-byte deterministic."""
-    lines = ["%d\t%s" % (p[e], ",".join(str(x) for x in e))
-             for e in sorted(p)]
+    lines = ["%d\t%s" % (p[e], _point(e)) for e in sorted(p)]
     return "\n".join(lines)
 
 
@@ -272,51 +273,43 @@ def _emit(text: str, out_path) -> None:
 # ---------------------------------------------------------------------------
 
 def run_verify(c: Curve, budget=DEFAULT_BUDGET):
-    """The six cross-pipeline checks on the exact Alexander polynomials;
-    returns [(name, passed, detail)]."""
+    """The six cross-pipeline checks on the exact Alexander polynomials, as
+    six rows (name, passed, reason) in a fixed order.  The reason is what
+    ``verify`` prints after the name of a failing row, and is nonempty
+    whenever the row fails."""
     r = c.r
     a = Analysis(c, budget)
     alex = en_alexander(a.graph)
-    results = []
-
     # for r > 1, a.poincare divides pprime by t_1...t_r - 1: a remainder
-    # fails check 1 here and check 4 below; for r = 1 nothing is divided
+    # fails check 1 and check 4; for r = 1 nothing is divided
     try:
         poincare, remainder = a.poincare, ""
     except NotDivisibleError as exc:
         poincare, remainder = None, str(exc)
-    ok = poincare == alex
-    results.append(("poincare-equals-alexander", ok,
-                    "" if ok else "poincare != alexander"))
-
     fibers = a.fiber_series
-    ok = fibers == alex
-    results.append(("fiber-euler-equals-alexander", ok,
-                    "" if ok else "fiber series != alexander"))
-
     # P' = -(1 - t_1...t_r) Delta for r > 1, and P' = -Delta for r = 1
     product = mp_mul_one_minus(fibers, (1,) * r) if r > 1 else fibers
-    ok = {e: -x for e, x in product.items()} == a.pprime
-    results.append(("fiber-product-identity", ok,
-                    "" if ok else "fiber series * (t..-1) != pprime"))
-
-    results.append(("exact-divisibility", not remainder, remainder))
-
-    alex_extra = en_alexander(free_blowups(a.graph, 3))
-    ok = alex_extra == alex
-    results.append(("resolution-invariance", ok,
-                    "" if ok else "extra blow-ups changed the product"))
-
     # the certificate puts every honest rank of [0, c + 2] on the conductor
     # rule, which the reads take past c: one more honest rank, h(c + 1), is
     # checked against it
     top = vec_add(a.conductor, (1,) * r)
     h, rule = a.jet.rank_below(top), a.ranks[-1] + r
-    ok = h == rule
-    results.append(("window-stability", ok, "" if ok else
-                    "h(%s) = %d on the honest re-sweep, %d by the conductor "
-                    "rule" % (",".join(map(str, top)), h, rule)))
-    return results
+    return [
+        ("poincare-equals-alexander", poincare == alex,
+         "poincare != alexander"),
+        ("fiber-euler-equals-alexander", fibers == alex,
+         "fiber series != alexander"),
+        ("fiber-product-identity",
+         {e: -x for e, x in product.items()} == a.pprime,
+         "fiber series * (t..-1) != pprime"),
+        ("exact-divisibility", not remainder, remainder),
+        ("resolution-invariance",
+         en_alexander(free_blowups(a.graph, 3)) == alex,
+         "extra blow-ups changed the product"),
+        ("window-stability", h == rule,
+         "h(%s) = %d on the honest re-sweep, %d by the conductor rule"
+         % (_point(top), h, rule)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +347,7 @@ def _checked_window(c: Curve, window) -> tuple:
     if len(window) != c.r or min(window) < 1:
         raise ParseError("--window %s needs %d positive entries, one per "
                          "branch of this r = %d curve"
-                         % (",".join(str(w) for w in window), c.r, c.r))
+                         % (_point(window), c.r, c.r))
     return window
 
 
@@ -371,7 +364,7 @@ def _cmd_fibers(args) -> int:
     else:
         a = Analysis(c, budget=args.budget)
         top, chi = a.conductor, a.chi
-    lines = ["%d\t%s" % (x, ",".join(str(y) for y in v))
+    lines = ["%d\t%s" % (x, _point(v))
              for v, x in zip(iter_box((0,) * c.r, top), chi)]
     _emit("\n".join(lines), args.out)
     return 0
@@ -381,7 +374,7 @@ def _cmd_semigroup(args) -> int:
     c = parse_curve_file(args.input)
     window = _checked_window(c, args.window) if args.window else None
     a = Analysis(c, args.budget)
-    lines = ["conductor\t%s" % ",".join(str(x) for x in a.conductor)]
+    lines = ["conductor\t%s" % _point(a.conductor)]
     if c.r == 1:
         for g in minimal_generators(a):
             lines.append("generator\t%d" % g)
@@ -393,8 +386,7 @@ def _cmd_semigroup(args) -> int:
         # the window only shortens the output: members on [0, window - 2]
         top = tuple(min(t, w - 2) for t, w in zip(top, window))
     members = compress(iter_box((0,) * c.r, top), a.members_to(top))
-    lines.extend("member\t%s" % ",".join(str(x) for x in v)
-                 for v in members)
+    lines.extend("member\t%s" % _point(v) for v in members)
     _emit("\n".join(lines), args.out)
     return 0
 
@@ -403,14 +395,9 @@ def _cmd_verify(args) -> int:
     c = parse_curve_file(args.input)
     # --bound is accepted and range-checked, but every check is exact
     results = run_verify(c, budget=args.budget)
-    all_ok = True
-    for name, ok, detail in results:
-        line = "%s %s" % ("PASS" if ok else "FAIL", name)
-        if detail and not ok:
-            line += ": " + detail
-        print(line)
-        all_ok = all_ok and ok
-    return 0 if all_ok else 1
+    _emit("\n".join("PASS " + name if ok else "FAIL %s: %s" % (name, reason)
+                     for name, ok, reason in results), None)
+    return 0 if all(ok for _, ok, _ in results) else 1
 
 
 def _parse_window(text):
@@ -454,6 +441,7 @@ _HANDLERS = {
     "semigroup": _cmd_semigroup,
     "verify": _cmd_verify,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def main(argv=None) -> int:

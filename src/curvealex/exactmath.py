@@ -128,10 +128,6 @@ def iter_box(lo: ExpVec, hi: ExpVec):
 # sparse multivariate polynomials over the integers
 # ---------------------------------------------------------------------------
 
-def mp_const(r: int, c: int) -> MultiPoly:
-    return {(0,) * r: c} if c else {}
-
-
 def mp_rank(p: MultiPoly):
     """Number of variables of a polynomial, or None for the zero polynomial."""
     for e in p:

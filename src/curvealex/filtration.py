@@ -314,8 +314,8 @@ def upper_chain(ranks, top) -> list:
     shape = tuple(x + 1 for x in top)
     for i in range(len(top)):
         fill = [-1 if i == 0 else 0]
-        ranks = _along(ranks, shape, i, lambda b, s: list(
-            map(sub, b, islice(b, s, None))) + fill * s)
+        ranks = _along(ranks, shape, i, lambda b, s: [
+            *map(sub, b, islice(b, s, None)), *fill * s])
     return ranks
 
 
@@ -331,8 +331,8 @@ def pprime_coefficients(upper, ranks, c) -> list:
     shape = tuple(x + 1 for x in c)
     lower = ranks
     for i in range(len(c)):
-        lower = _along(lower, shape, i, lambda b, s: [0] * s + list(
-            map(sub, b, islice(b, s, None))))
+        lower = _along(lower, shape, i, lambda b, s: [
+            *[0] * s, *map(sub, b, islice(b, s, None))])
     return list(map(sub, upper, lower))
 
 
@@ -348,9 +348,8 @@ def members(ranks, top) -> list:
     shape = tuple(w + 1 for w in top)
     member = [True] * len(ranks)
     for i in range(len(top)):
-        rises = _along(ranks, shape, i, lambda b, s: list(map(
-            lt, b, islice(b, s, None))) + [True] * s)
-        member = list(map(and_, member, rises))
+        member = list(map(and_, member, _along(ranks, shape, i, lambda b, s: [
+            *map(lt, b, islice(b, s, None)), *[True] * s])))
     return member
 
 

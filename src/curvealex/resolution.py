@@ -49,7 +49,6 @@ from .exactmath import (
     INF,
     MultiPoly,
     UniPoly,
-    mp_const,
     mp_div_one_minus,
     mp_mul_one_minus,
     up_integral,
@@ -385,7 +384,7 @@ def en_alexander(g: ResGraph) -> MultiPoly:
         (num if chi < 0 else den).extend([g.vertices[sid]] * abs(chi))
     if g.r == 1:
         num.append((1,))
-    poly = mp_const(g.r, 1)
+    poly = {(0,) * g.r: 1}
     for m in num:
         poly = mp_mul_one_minus(poly, m)
     for m in sorted(den, reverse=True):

@@ -417,6 +417,24 @@ def test_verify_reads_the_honest_rank_at_c_plus_one(tmp_path, capsys,
         VERIFY_PASSED[:5] + ["FAIL window-stability: " + line]
 
 
+@pytest.mark.parametrize("make,other", [
+    (make_cusp, make_quartic_branch), (make_tacnode, make_cusp_tangent_line)],
+    ids=["r1", "r2"])
+def test_verify_fails_when_extra_blow_ups_change_the_product(
+        tmp_path, capsys, monkeypatch, make, other):
+    # the graph with extra blow-ups swapped for another curve's resolution
+    # graph with as many branches: its product differs and divides exactly,
+    # so only resolution-invariance fails
+    monkeypatch.setattr(cli, "free_blowups",
+                        lambda graph, n: resolve(other()))
+    path = _write(tmp_path, "curve.json", curve_to_json(make()))
+    assert cli.main(["verify", path]) == 1
+    expected = list(VERIFY_PASSED)
+    expected[4] = ("FAIL resolution-invariance: extra blow-ups changed the "
+                   "product")
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def _bumped(values, top, points):
     """A table on [0, top], one more at each of the points."""
     return [x + (v in points) for v, x in zip(
