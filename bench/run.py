@@ -10,10 +10,12 @@ conductor (50, 20, 40)) it starts one fresh process per command:
   the child's maximum RSS (``os.wait4``) and the number of ``PASS`` lines;
 * ``stages``: one ``Analysis`` of the curve, timed in the child: the
   blow-up constructor, ``a.jet`` (the jet matrix), ``a.ranks`` (the sweep
-  and certificate), then ``a.chi``, ``a.pprime`` and ``a.membership``;
-  the sha256 of each of these three reads (P' as its sorted terms), so
-  two trees can be shown to read the same series; and the child's
-  maximum RSS.
+  and certificate), then ``a.chi``, ``a.pprime`` and ``a.membership``,
+  with the child's maximum RSS read right after each of them
+  (``<stage>_maxrss_mb``, so a memory reading names the stage that
+  reached it); the sha256 of each of these three reads (P' as its sorted
+  terms), so two trees can be shown to read the same series; and the
+  child's maximum RSS at exit.
 
 Each command runs three times; the file keeps every run and the median of
 each number.  It writes ``BENCH_<LABEL>.json`` in the current directory.
@@ -40,16 +42,20 @@ REPEATS = 3
 
 # the child of the ``stages`` command: argv[1] is the curve file
 STAGES = """
-import hashlib, json, sys, time
+import hashlib, json, resource, sys, time
 from curvealex.cli import parse_curve_file
 from curvealex.filtration import Analysis
+def maxrss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 curve = parse_curve_file(sys.argv[1])
 out, t = {}, time.perf_counter()
 a = Analysis(curve)
-out["construct_s"], t = time.perf_counter() - t, time.perf_counter()
+out["construct_s"] = time.perf_counter() - t
+out["construct_maxrss_mb"], t = maxrss_mb(), time.perf_counter()
 for name in ("jet", "ranks", "chi", "pprime", "membership"):
     getattr(a, name)
-    out[name + "_s"], t = time.perf_counter() - t, time.perf_counter()
+    out[name + "_s"] = time.perf_counter() - t
+    out[name + "_maxrss_mb"], t = maxrss_mb(), time.perf_counter()
 out["conductor"] = list(a.conductor)
 for name, value in (("chi", a.chi), ("pprime", sorted(a.pprime.items())),
                     ("membership", a.membership)):

@@ -6,8 +6,11 @@ semigroup of values.
 Everything reduces to exact ranks of one matrix per curve: the rows are the
 jet coordinates of all monomials visible inside the window, each built from
 the previous row by one truncated product per branch, and the columns are
-(branch, order) pairs in branch-major order.  Since the columns "below v"
-form a per-branch prefix, h(v) = dim O/J(v) is the rank below v, and all
+(branch, order) pairs in branch-major order.  Each column is kept sparse, a
+dict {row: value} of its nonzero integer entries, and every elimination
+runs on that form, over the union of two supports (``_reduced``): on these
+matrices a column is mostly zeros.  Since the columns "below v" form a
+per-branch prefix, h(v) = dim O/J(v) is the rank below v, and all
 other dimensions are alternating sums of that one prefix-rank table, kept
 as a flat list in lexicographic order.  The sweep adds one branch's columns
 at a time, down to the last two axes, and carries the columns still to come
@@ -82,15 +85,16 @@ class JetMatrix:
     """Jet coordinates over a window of every monomial that is visible in it.
 
     A monomial x^a y^b is visible when its valuation on some branch i is
-    below w_i; all other monomials have identically zero jets.  ``rows``
-    follow ``monomials`` in lexicographic order of (a, b).  Row x^a y^b is
-    Dx^a Dy^b times the jet of x^a y^b, where Dx (Dy) is the least common
-    denominator of the x (y) coefficients over all branches, so every entry
-    is an int; scaling a row changes the rank of no set of columns.  Each
-    row is built from the one before it, times Dy y_i on each branch i
-    (times Dx x_i from (a - 1, 0) when b = 0), truncated at w_i.
-    ``columns`` are the columns divided by their content, in branch-major
-    order, and ``sweep`` reads every rank from them.
+    below w_i; all other monomials have identically zero jets.  Row k is
+    the k-th of ``monomials``, in lexicographic order of (a, b).  Row
+    x^a y^b is Dx^a Dy^b times the jet of x^a y^b, where Dx (Dy) is the
+    least common denominator of the x (y) coefficients over all branches,
+    so every entry is an int; scaling a row changes the rank of no set of
+    columns.  Each jet is built from the one before it, times Dy y_i on
+    each branch i (times Dx x_i from (a - 1, 0) when b = 0), truncated at
+    w_i, and its terms go straight into ``columns``: one dict {row: value}
+    per column, holding no zero, divided by the gcd of its values, in
+    branch-major order.  ``sweep`` reads every rank from them.
     """
 
     def __init__(self, curve: Curve, window):
@@ -100,14 +104,15 @@ class JetMatrix:
             raise ValueError("window must have a positive entry per branch")
         self.curve = curve
         self.window = window
-        self.monomials, self.rows = [], []
+        self.monomials = []
         # the coordinate change (x, y) -> (Dx x, Dy y) makes every branch
         # integral and scales row x^a y^b by Dx^a Dy^b, which changes no rank
         xs = up_integral([br.x for br in curve.branches])[1]
         ys = up_integral([br.y for br in curve.branches])[1]
-        # each jet's terms lie below its window, so a row is a zero row with
-        # them written at their branch's offset (the last offset is its length)
+        # each jet's terms lie below its window: term k of branch i goes to
+        # column starts[i] + k (the last start is the number of columns)
         starts = list(accumulate(window, initial=0))
+        columns = [{} for _ in range(starts[-1])]
         # x^a y^b is visible iff its jet is nonzero on some branch (leading
         # coefficients never cancel); the visible b form a prefix for each
         # a, and so do the visible a
@@ -115,18 +120,17 @@ class JetMatrix:
         while any(xa):
             jet, b = xa, 0
             while any(jet):
+                row = len(self.monomials)
                 self.monomials.append((a, b))
-                row = [0] * starts[-1]
                 for p, start in zip(jet, starts):
                     for k, x in p.items():
-                        row[start + k] = x
-                self.rows.append(row)
+                        columns[start + k][row] = x
                 jet = [up_mul_trunc(p, y, w) for p, y, w
                        in zip(jet, ys, window)]
                 b += 1
             xa = [up_mul_trunc(p, x, w) for p, x, w in zip(xa, xs, window)]
             a += 1
-        self.columns = [_primitive(col) for col in zip(*self.rows)]
+        self.columns = list(map(_primitive, columns))
 
     def sweep(self, box) -> tuple:
         """The ranks of the columns below every v of [0, box] inside the
@@ -137,7 +141,8 @@ class JetMatrix:
         ranks, basis = [], []
         starts = accumulate(self.window, initial=0)
         _sweep(ranks, basis, [col for start, n in zip(starts, box)
-                              for col in self.columns[start:start + n]], box)
+                              for col in self.columns[start:start + n]],
+               box, len(self.monomials))
         return ranks, _add_columns(basis, self.columns, self.window, box,
                                    self.window)
 
@@ -146,23 +151,25 @@ class JetMatrix:
         return _add_columns([], self.columns, self.window, (0,) * len(v), v)
 
 
-def _primitive(vec) -> list:
-    """An integer vector divided by its content (zero stays zero)."""
-    g = gcd(*vec)
-    return [x // g for x in vec] if g > 1 else list(vec)
+def _primitive(vec) -> dict:
+    """A sparse integer vector divided by the gcd of its values."""
+    g = gcd(*vec.values())
+    return {k: x // g for k, x in vec.items()} if g > 1 else vec
 
 
-def _sweep(ranks, basis, carried, box, i=0) -> None:
+def _sweep(ranks, basis, carried, box, rows, i=0) -> None:
     """Append the rank below every point of the box [0, box] whose first i
     coordinates the basis already holds, in lexicographic order.
     ``carried`` holds the first box_j columns of each branch j >= i, in
     branch-major order, each reduced against the basis: add branch i's to
     the basis one at a time, reduce the rest against each vector added, and
     recurse, down to the last two axes, which ``_slab`` reads whole (for one
-    branch, one column at a time).  Each frame rebinds its own list and
-    copies only the columns a reduction changes, so cutting the basis back
-    leaves the list of every frame reduced against the basis it holds.
-    The basis is left at the box's top corner."""
+    branch, one column at a time); ``rows``, the number of jet rows,
+    places the slab's slot keys.
+    Each frame rebinds its own list and copies only the columns a reduction
+    changes, so cutting the basis back leaves the list of every frame
+    reduced against the basis it holds.  The basis is left at the box's
+    top corner."""
     n = box[i]
     if i == len(box) - 1:
         ranks.append(len(basis))
@@ -171,38 +178,39 @@ def _sweep(ranks, basis, carried, box, i=0) -> None:
             ranks.append(len(basis))
         return
     if i == len(box) - 2:
-        _slab(ranks, basis, carried[:n], carried[n:])
+        _slab(ranks, basis, carried[:n], carried[n:], rows)
         return
     for k in range(n + 1):
         if k:
             del basis[depth:]
             col, carried = carried[0], carried[1:]
-            if any(col):
-                p = next(j for j, x in enumerate(col) if x)
+            if col:
+                p = min(col)
                 basis.append((p, col))
                 added = basis[-1:]
-                carried = [_reduced(list(x), added) if x[p] else x
+                carried = [_reduced(dict(x), added) if p in x else x
                            for x in carried]
         depth = len(basis)
-        _sweep(ranks, basis, carried[n - k:], box, i + 1)
+        _sweep(ranks, basis, carried[n - k:], box, rows, i + 1)
 
 
-def _slab(ranks, basis, f, g) -> None:
+def _slab(ranks, basis, f, g, n) -> None:
     """Append rank(B + F_j + G_k) for j <= J = len(f) and k <= K = len(g),
     in lexicographic order, where B is the basis and F_j, G_k span the
-    first j columns of f and the first k of g, from J + K eliminations;
-    the basis is left holding B + F_J + G_K.  Every f and g arrives reduced
-    against B, so the slab reduces them only against the vectors it adds.
+    first j columns of f and the first k of g, vectors with keys below n,
+    from J + K eliminations; the basis is left holding B + F_J + G_K.
+    Every f and g arrives reduced against B, so the slab reduces them only
+    against the vectors it adds.
 
     Every entry is an honest rank: rank(B + F_j + G_k) - rank(B + F_j)
     counts the l <= k with g_l outside B + F_j + G_(l-1), and as these
     spans grow with j, that holds iff j < lambda_l, the least j with g_l
     inside (J + 1 if none).  Each g_l is reduced once against F's echelon
-    vectors, each carrying a unit coordinate in the slot J - j of the j at
-    which it entered.  The residual and those coordinates form one vector,
-    linear in g_l, whose first nonzero entry is its level: J + 1 in the
-    residual, j in slot J - j.  Reduced in turn against the vectors kept
-    from g_1 ... g_(l-1), so that it leads at none of their leads, it
+    vectors, each carrying a unit coordinate at the slot key n + J - j of
+    the j at which it entered.  The residual and those coordinates form one
+    vector, linear in g_l, whose least key is its level: J + 1 in the
+    residual, j at slot n + J - j.  Reduced in turn against the vectors
+    kept from g_1 ... g_(l-1), so that it leads at none of their leads, it
     leads at the least level that g_l plus any of their combinations
     reaches: lambda_l, or 0 if it vanishes.  (This is the persistence
     pairing of the two flags F_j and G_k over B.)"""
@@ -211,23 +219,25 @@ def _slab(ranks, basis, f, g) -> None:
     for col in f:
         _add_column(echelon, col)
         starts.append(starts[0] + len(echelon))
-    lifted = [(p, vec + [0] * (J - j) + [1] + [0] * (j - 1)) for j, (p, vec)
+    lifted = [(p, {**vec, n + J - j: 1}) for j, (p, vec)
               in zip(compress(count(1), map(ne, starts, starts[1:])),
                      echelon)]
-    n, kept, levels = len(g[0]) if g else 0, [], []
+    kept, levels = [], []
     for col in g:
-        col = _reduced(list(col) + [0] * J, lifted)
+        col = _reduced(dict(col), lifted)
         had = len(kept)
         _add_column(kept, col)
-        # the lead of what is kept: in the residual, in slot J - j, or past
-        # the last slot (level 0) when nothing is
+        # the lead of what is kept: in the residual, at slot n + J - j, or
+        # past the last slot (level 0) when nothing is
         p = kept[-1][0] if len(kept) > had else n + J
         levels.append(J + 1 if p < n else J + n - p)
     for j, h in enumerate(starts):
         ranks += accumulate((x > j for x in levels), initial=h)
-    # F's echelon vectors and the kept residuals vanish at B's pivots, so
-    # they extend its echelon basis to B + F_J + G_K
-    basis += echelon + [(p, vec[:n]) for p, vec in kept if p < n]
+    # F's echelon vectors and the kept residuals, cut to keys below n,
+    # vanish at B's pivots, so they extend its echelon basis to
+    # B + F_J + G_K
+    basis += echelon + [(p, {k: x for k, x in vec.items() if k < n})
+                        for p, vec in kept if p < n]
 
 
 def _add_columns(basis, columns, window, low, top) -> int:
@@ -240,28 +250,39 @@ def _add_columns(basis, columns, window, low, top) -> int:
 
 
 def _add_column(basis, column) -> None:
-    """Reduce a copy of an integer column against the basis (``_reduced``),
-    and keep a nonzero remainder."""
-    col = _reduced(list(column), basis)
-    if any(col):
-        basis.append((next(j for j, x in enumerate(col) if x), col))
+    """Reduce a copy of a sparse integer column against the basis
+    (``_reduced``), and keep a nonzero remainder with its pivot."""
+    col = _reduced(dict(column), basis)
+    if col:
+        basis.append((min(col), col))
 
 
-def _reduced(col, basis) -> list:
-    """An integer column reduced in place against the basis, dividing out
-    the content after each step.  Each basis vector vanishes at the pivots
-    before it, so one pass clears every pivot."""
+def _reduced(col, basis) -> dict:
+    """A sparse integer column, a dict {row: value} that holds no zero,
+    reduced in place against the basis: each step takes s * col - t * vec
+    over the union of their keys, drops the zeros and divides by the
+    content of the values.  Each basis vector (pivot p, its least key)
+    vanishes at the pivots before it, so one pass clears every pivot."""
     for p, vec in basis:
-        if not col[p]:
+        x = col.get(p)
+        if x is None:
             continue
-        g = gcd(col[p], vec[p])
-        s, t = vec[p] // g, col[p] // g
-        for j, x in enumerate(vec):
-            col[j] = s * col[j] - t * x
-        g = gcd(*col)
+        v = vec[p]
+        g = gcd(x, v)
+        s, t = v // g, x // g
+        if s != 1:
+            for k in col:
+                col[k] *= s
+        for k, y in vec.items():
+            y = col.get(k, 0) - t * y
+            if y:
+                col[k] = y
+            else:
+                del col[k]
+        g = gcd(*col.values())
         if g > 1:
-            for j, x in enumerate(col):
-                col[j] = x // g
+            for k in col:
+                col[k] //= g
     return col
 
 

@@ -1,10 +1,11 @@
 """Shared test curves, the per-point references the tests check the
 library's whole-table reads against, the generic polynomial product and
 long division behind its one-pass binomial ones, the step-by-step blow-up
-engine behind its chained one, the one-column-per-point rank sweep behind
-its slab one, the structure checks of the resolution graph and of a
-branch's semigroup, the value-semigroup properties that membership must
-keep for r >= 2, and the Torres and symmetry oracles on Delta.
+engine behind its chained one, the one-column-per-point rank sweep on
+dense integer lists behind the slab sweep on sparse columns, the structure
+checks of the resolution graph and of a branch's semigroup, the
+value-semigroup properties that membership must keep for r >= 2, and the
+Torres and symmetry oracles on Delta.
 
 Every curve with r > 1 used by the identity checks, plus the one-branch
 curves used by the semigroup checks.  ``TANGENT_CUSPS_DUPLICATE`` is kept
@@ -18,8 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
-from math import lcm, prod
+from itertools import accumulate, islice
+from math import gcd, lcm, prod
 from operator import sub
 from typing import NamedTuple
 
@@ -37,12 +38,7 @@ from curvealex.exactmath import (
     up_mul,
     vec_add,
 )
-from curvealex.filtration import (
-    Analysis,
-    _add_column,
-    _add_columns,
-    _along,
-)
+from curvealex.filtration import Analysis, _along
 from curvealex.resolution import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -238,7 +234,8 @@ def monomial_order(c, a, b):
 
 def monomial_jet(c, a, b, w):
     """Jet coordinates of x^a y^b over the window w (scaled by
-    ``reference_rows`` into the oracle for ``JetMatrix.rows``).
+    ``reference_rows`` into the rows whose columns ``reference_columns``
+    reads).
 
     For each branch i (in order) and each 0 <= k < w_i, the coefficient of
     tau^k in x_i(tau)^a * y_i(tau)^b, read from the untruncated product.
@@ -255,14 +252,34 @@ def monomial_jet(c, a, b, w):
 
 def reference_rows(M):
     """Dx^a Dy^b times the jet of x^a y^b over the window, for every (a, b)
-    in ``M.monomials`` (the oracle for ``JetMatrix.rows``), where Dx and Dy
-    are the least common denominators of the x and of the y coefficients
-    over all branches of the curve."""
+    in ``M.monomials``, where Dx and Dy are the least common denominators
+    of the x and of the y coefficients over all branches of the curve."""
     dx = lcm(*(v.denominator for b in M.curve.branches for v in b.x.values()))
     dy = lcm(*(v.denominator for b in M.curve.branches for v in b.y.values()))
     return [[dx ** a * dy ** b * x
              for x in monomial_jet(M.curve, a, b, M.window)]
             for a, b in M.monomials]
+
+
+def reference_columns(M):
+    """The columns of ``reference_rows(M)`` divided by their content, as
+    dicts {row: value} of their nonzero entries (the oracle for
+    ``M.columns``).  A column with a non-integral entry is left as it is,
+    so it matches no integer column."""
+    out = []
+    for col in zip(*reference_rows(M)):
+        col = [Fraction(x) for x in col]
+        g = 1
+        if all(x.denominator == 1 for x in col):
+            g = gcd(*(x.numerator for x in col)) or 1
+        out.append({k: x / g for k, x in enumerate(col) if x})
+    return out
+
+
+def dense(M) -> list:
+    """The columns of M as integer lists, one entry per monomial."""
+    return [[col.get(k, 0) for k in range(len(M.monomials))]
+            for col in M.columns]
 
 
 def reference_monomials(M):
@@ -276,10 +293,12 @@ def reference_monomials(M):
 
 def reference_rank(M, v) -> int:
     """The rank of the columns of M below v, by Gaussian elimination over
-    the rationals on a fresh submatrix."""
+    the rationals on their dense lists (taken as rows; the rank is the
+    same)."""
+    columns = dense(M)
     offsets = [sum(M.window[:i]) for i in range(len(M.window))]
-    return _rank([[row[o + k] for o, vi in zip(offsets, v)
-                   for k in range(vi)] for row in M.rows])
+    return _rank([columns[o + k] for o, vi in zip(offsets, v)
+                  for k in range(vi)])
 
 
 def reference_ranks(M):
@@ -549,9 +568,47 @@ def mp_exact_div(num, den):
     return quo
 
 
+def _add_columns(basis, columns, window, low, top) -> int:
+    """Add every branch i's dense columns of orders low_i to top_i - 1 to
+    the basis (``window`` columns per branch); its rank."""
+    for start, lo, hi in zip(accumulate(window, initial=0), low, top):
+        for col in columns[start + lo:start + hi]:
+            _add_column(basis, col)
+    return len(basis)
+
+
+def _add_column(basis, column) -> None:
+    """Reduce a copy of a dense integer column against the basis
+    (``_reduced``), and keep a nonzero remainder with its pivot, its first
+    nonzero entry."""
+    col = _reduced(list(column), basis)
+    if any(col):
+        basis.append((next(j for j, x in enumerate(col) if x), col))
+
+
+def _reduced(col, basis) -> list:
+    """A dense integer column reduced in place against the basis, dividing
+    out the content after each step: the list-based kernel that
+    ``filtration._reduced`` runs on sparse columns.  Each basis vector
+    vanishes at the pivots before it, so one pass clears every pivot."""
+    for p, vec in basis:
+        if not col[p]:
+            continue
+        g = gcd(col[p], vec[p])
+        s, t = vec[p] // g, col[p] // g
+        for j, x in enumerate(vec):
+            col[j] = s * col[j] - t * x
+        g = gcd(*col)
+        if g > 1:
+            for j, x in enumerate(col):
+                col[j] = x // g
+    return col
+
+
 def reference_sweep(ranks, basis, columns, window, box, i=0) -> None:
     """The one-column-per-point sweep that ``filtration._sweep``'s slab
-    replaces on the last two axes: append the rank below every point of the
+    replaces on the last two axes, on dense columns with the list-based
+    kernel above: append the rank below every point of the
     box [0, box] whose first i coordinates the basis already holds, in
     lexicographic order: add the next branch's columns (branch-major, first
     in ``columns``, each branch ``window`` long) to the echelon basis one at
@@ -572,12 +629,12 @@ def reference_sweep(ranks, basis, columns, window, box, i=0) -> None:
 
 
 def reference_table(M, box) -> tuple:
-    """What ``M.sweep(box)`` returns, by ``reference_sweep``: the table on
-    [0, box] and the rank of the whole window, the basis left at the box's
-    top corner completed by every branch's rest."""
-    ranks, basis = [], []
-    reference_sweep(ranks, basis, M.columns, M.window, box)
-    return ranks, _add_columns(basis, M.columns, M.window, box, M.window)
+    """What ``M.sweep(box)`` returns, by ``reference_sweep`` on the dense
+    columns: the table on [0, box] and the rank of the whole window, the
+    basis left at the box's top corner completed by every branch's rest."""
+    ranks, basis, columns = [], [], dense(M)
+    reference_sweep(ranks, basis, columns, M.window, box)
+    return ranks, _add_columns(basis, columns, M.window, box, M.window)
 
 
 def face(M, c, i) -> list:
@@ -586,18 +643,19 @@ def face(M, c, i) -> list:
     (``shell_face``; c + 1 inside the window), in lexicographic order:
     branch i's first c_i + 1 columns are added once, then the other
     branches are swept in branch-major order.  (Swept with branch i in
-    its own place, a last face would rebuild that prefix on every row.)"""
-    start = sum(M.window[:i])
+    its own place, a last face would rebuild that prefix on every row.)
+    It runs on the dense columns with the list-based kernel."""
+    start, columns = sum(M.window[:i]), dense(M)
     basis = []
-    for col in M.columns[start:start + c[i] + 1]:
+    for col in columns[start:start + c[i] + 1]:
         _add_column(basis, col)
     window = M.window[:i] + M.window[i + 1:]
     if not window:
         return [len(basis)]
     top = shell_face(c, i)[1]
     ranks = []
-    reference_sweep(ranks, basis, M.columns[:start] +
-                    M.columns[start + M.window[i]:], window,
+    reference_sweep(ranks, basis, columns[:start] +
+                    columns[start + M.window[i]:], window,
                     top[:i] + top[i + 1:])
     return ranks
 

@@ -43,9 +43,9 @@ from corpus import (
     mp_mul,
     reference_monomials,
     reference_pprime,
+    reference_columns,
     reference_rank,
     reference_ranks,
-    reference_rows,
     reference_table,
     rule_extended,
     semigroup_closure,
@@ -70,7 +70,8 @@ def test_jet_matrix_cusp_monomials():
 def test_jet_matrix_window_of_ones_sees_only_constants():
     M = JetMatrix(make_three_lines(), (1, 1, 1))
     assert M.monomials == [(0, 0)]
-    assert M.rows == [[1, 1, 1]]
+    # the one row [1, 1, 1], read by its columns
+    assert M.columns == [{0: 1}] * 3 == reference_columns(M)
 
 
 JET_CURVES = dict(CORPUS_ALL, **{
@@ -86,8 +87,8 @@ def test_jet_rows_are_the_monomial_jets(name):
     for M in (Analysis(c).jet, JetMatrix(c, (1,) * c.r),
               JetMatrix(c, (3, 7, 5, 4)[:c.r])):
         assert M.monomials == reference_monomials(M)
-        assert M.rows == reference_rows(M)
-        assert all(type(x) is int for row in M.rows for x in row)
+        assert M.columns == reference_columns(M)
+        assert all(type(x) is int for col in M.columns for x in col.values())
 
 
 @pytest.mark.parametrize("name", sorted(JET_CURVES))

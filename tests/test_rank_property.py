@@ -1,10 +1,12 @@
-"""Property tests of the jet rows against the per-monomial jets, of the
-prefix-rank table against per-point elimination (with up to three levels
-of the sweep above its slab) and of its slab of the last two axes against
-elimination on planted blocks, of the difference sweeps against the
-per-point alternating sums, of the membership pass against per-point
-membership and, for r >= 2, against the value-semigroup properties read
-from resolution graphs, of the conductor rule of one-branch analyses
+"""Property tests of the jet columns against the per-monomial jets, of
+the prefix-rank table against per-point elimination (with up to three
+levels of the sweep above its slab) and of its slab of the last two axes
+against elimination on planted blocks, of the echelon basis that adding
+sparse columns one by one keeps on large cancelling entries, of the
+difference sweeps against the per-point alternating sums, of the
+membership pass against per-point membership and, for r >= 2, against
+the value-semigroup properties read from resolution graphs, of the
+conductor rule of one-branch analyses
 against a wide window and their Poincare series against the
 Eisenbud-Neumann product, of the one-pass conductor and delta against the
 Noether table, of the analysis's honest table, extended by the rule,
@@ -35,6 +37,7 @@ from curvealex.cli import run_verify  # noqa: E402
 from curvealex.exactmath import iter_box, vec_add  # noqa: E402
 from curvealex.filtration import (  # noqa: E402
     _add_column,
+    _primitive,
     _reduced,
     _slab,
     members,
@@ -59,10 +62,10 @@ from corpus import (  # noqa: E402
     make_rational_three_branches,
     noether_intersections,
     reference_blowups,
+    reference_columns,
     reference_monomials,
     reference_pprime,
     reference_ranks,
-    reference_rows,
     rule_extended,
     sub_box,
     value_semigroup_breaks,
@@ -108,8 +111,8 @@ def jet_matrices(draw):
 @given(jet_matrices())
 def test_jet_rows_match_the_monomial_jets(M):
     assert M.monomials == reference_monomials(M)
-    assert M.rows == reference_rows(M)
-    assert all(type(x) is int for row in M.rows for x in row)
+    assert M.columns == reference_columns(M)
+    assert all(type(x) is int for col in M.columns for x in col.values())
 
 
 @settings(max_examples=100, deadline=None)
@@ -125,6 +128,11 @@ def test_rank_table_matches_per_point_elimination(M, data):
 
 
 SMALL = st.integers(-2, 2)
+
+
+def _sparse(vec) -> dict:
+    """The nonzero entries of an integer list, keyed by their index."""
+    return {k: x for k, x in enumerate(vec) if x}
 
 
 @st.composite
@@ -176,19 +184,87 @@ def test_slab_ranks_match_elimination_on_planted_blocks(blocks):
     # every (j, k) entry of the slab is rank(B + F_j + G_k), and the basis
     # it leaves is an echelon basis of B + F_J + G_K
     B, F, G, H = blocks
+    n = max(map(len, B + F + G + H), default=0)
     basis = []
     for col in B:
-        _add_column(basis, col)
+        _add_column(basis, _sparse(col))
     # the sweep hands the slab its columns reduced against the basis
-    reduced = [[_reduced(list(col), basis) for col in x] for x in (F, G)]
+    reduced = [[_reduced(_sparse(col), basis) for col in x] for x in (F, G)]
     ranks = []
-    _slab(ranks, basis, *reduced)
+    _slab(ranks, basis, *reduced, n)
     assert ranks == [_rank(B + F[:j] + G[:k])
                      for j in range(len(F) + 1) for k in range(len(G) + 1)]
     assert len(basis) == _rank(B + F + G)
     for col in H:
-        _add_column(basis, col)
+        _add_column(basis, _sparse(col))
     assert len(basis) == _rank(B + F + G + H)
+
+
+BIG = st.integers(-10 ** 6, 10 ** 6)
+
+
+@st.composite
+def cancelling_columns(draw):
+    """Integer columns of one length n, entries of a fresh one up to 10^6
+    in size.  Each is drawn fresh (at most three nonzero entries, as in a
+    jet matrix, where a column is mostly zeros), as a large multiple
+    of a fresh or an earlier one, planted in the span of the earlier ones
+    with large coefficients, or planted and then moved by one at one entry,
+    so most reduction steps cancel large entries and leave a large
+    content."""
+    n = draw(st.integers(1, 8))
+
+    def fresh():
+        support = draw(st.sets(st.integers(0, n - 1), max_size=3))
+        return [draw(BIG.filter(bool)) if k in support else 0
+                for k in range(n)]
+
+    columns = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["fresh", "multiple", "planted", "near"]))
+        if kind == "fresh" or not columns:
+            col = fresh()
+        elif kind == "multiple":
+            base = draw(st.sampled_from(columns + [fresh()]))
+            k = draw(BIG.filter(bool))
+            col = [k * x for x in base]
+        else:
+            coeffs = [draw(BIG) for _ in columns]
+            col = [sum(a * x for a, x in zip(coeffs, row))
+                   for row in zip(*columns)]
+            if kind == "near":
+                col[draw(st.integers(0, n - 1))] += 1
+        columns.append(col)
+    return columns
+
+
+# two columns of determinant -1 with entries near 10^6, a combination of
+# them that cancels to zero, and a multiple of the first by 10^6
+@example([[10 ** 6, 10 ** 6 - 1, 0], [10 ** 6 - 1, 10 ** 6 - 2, 0],
+          [3 * 10 ** 6 - 2, 3 * 10 ** 6 - 5, 0],
+          [10 ** 12, 10 ** 12 - 10 ** 6, 0]])
+# a step that clears the pivot 0 and brings in row 2 below the row 5 the
+# column held: the new pivot is the least key, not the first one stored
+@example([[1, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 1]])
+@settings(max_examples=300, deadline=None)
+@given(cancelling_columns())
+def test_add_column_keeps_a_primitive_echelon_basis(columns):
+    # adding the columns one by one gives the rank of every prefix, and
+    # every basis vector stores no zero, is primitive, leads at its pivot
+    # (its least key) and vanishes at every earlier pivot; the columns come
+    # primitive, as a jet matrix hands them over
+    basis = []
+    for k, col in enumerate(columns, 1):
+        column = _primitive(_sparse(col))
+        before = dict(column)
+        _add_column(basis, column)
+        assert column == before  # the column itself is not reduced
+        assert len(basis) == _rank(columns[:k])
+        for i, (p, vec) in enumerate(basis):
+            assert vec and 0 not in vec.values()
+            assert gcd(*vec.values()) == 1
+            assert p == min(vec)
+            assert not any(q in vec for q, _ in basis[:i])
 
 
 @settings(max_examples=100, deadline=None)
