@@ -13,7 +13,9 @@ conductor (50, 20, 40)) it starts one fresh process per command:
   and certificate), then ``a.chi``, ``a.pprime`` and ``a.membership``,
   with the child's maximum RSS read right after each of them
   (``<stage>_maxrss_mb``, so a memory reading names the stage that
-  reached it); the sha256 of each of these three reads (P' as its sorted
+  reached it; the child runs with ``MALLOC_MMAP_THRESHOLD_=131072``, so
+  that reading follows the reads and not glibc's dynamic threshold); the
+  sha256 of each of these three reads (P' as its sorted
   terms), so two trees can be shown to read the same series; and the
   child's maximum RSS at exit.
 
@@ -39,6 +41,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
+# glibc's mmap threshold for the stages child, fixed: left dynamic, it rises
+# with the first large blocks freed, and the maximum RSS after a read then
+# depends on the allocations before it (even on the curve file's path)
+MMAP_THRESHOLD = "131072"
 
 # the child of the ``stages`` command: argv[1] is the curve file
 STAGES = """
@@ -83,10 +89,11 @@ CURVES = [("lines-%d" % k, transverse_lines(k)) for k in range(2, 8)]
 CURVES.append(("wide-50-20-40", WIDE))
 
 
-def run_child(argv, src) -> tuple:
-    """Run argv in a fresh process importing curvealex from src; its
-    stdout, wall seconds and maximum RSS in MB."""
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+def run_child(argv, src, **env) -> tuple:
+    """Run argv in a fresh process importing curvealex from src, with env
+    added to its environment; its stdout, wall seconds and maximum RSS in
+    MB."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()), **env)
     start = time.perf_counter()
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env)
     out = proc.stdout.read()
@@ -108,7 +115,8 @@ def measure(path, src) -> dict:
             "seconds": seconds, "max_rss_mb": rss,
             "passed": out.decode().count("PASS ")})
         out, seconds, rss = run_child(
-            [sys.executable, "-c", STAGES, str(path)], src)
+            [sys.executable, "-c", STAGES, str(path)], src,
+            MALLOC_MMAP_THRESHOLD_=MMAP_THRESHOLD)
         stages["runs"].append(dict(json.loads(out), wall_s=seconds,
                                    max_rss_mb=rss))
     for block in (verify, stages):

@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, compress
+from json.encoder import encode_basestring_ascii
 
 from . import curve as curve_mod
 from .curve import BranchParam, Curve, validate_curve
@@ -202,11 +203,13 @@ def json_text(x, indent="") -> str:
         return repr(x)
     inner = indent + "  "
     if isinstance(x, dict):
-        items = [json.dumps(k) + ": " + json_text(x[k], inner)
-                 for k in sorted(x)]
+        items = [encode_basestring_ascii(k) + ": "
+                 + (repr(v) if type(v) is int else json_text(v, inner))
+                 for k, v in sorted(x.items())]
         brackets = "{}"
     elif isinstance(x, list):
-        items = [json_text(y, inner) for y in x]
+        items = [repr(y) if type(y) is int else json_text(y, inner)
+                 for y in x]
         brackets = "[]"
     else:
         raise TypeError("%r is not an int, a list or a dict" % (x,))

@@ -367,10 +367,13 @@ def members(ranks, top) -> list:
     One such rise also makes J(v) nonzero.  A step off the top face
     v_i = top_i rises by the conductor rule, so it counts as rising."""
     shape = tuple(w + 1 for w in top)
-    member = [True] * len(ranks)
-    for i in range(len(top)):
-        member = list(map(and_, member, _along(ranks, shape, i, lambda b, s: [
-            *map(lt, b, islice(b, s, None)), *[True] * s])))
+
+    def rises(b, s):
+        return [*map(lt, b, islice(b, s, None)), *[True] * s]
+
+    member = _along(ranks, shape, 0, rises)
+    for i in range(1, len(top)):
+        member = list(map(and_, member, _along(ranks, shape, i, rises)))
     return member
 
 

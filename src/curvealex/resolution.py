@@ -29,11 +29,14 @@ When every resident leaves a point by the same chart (all ord x < ord y,
 or all ord x > ord y), the next blow-ups are steps of Euclid's algorithm on
 the two orders: their multiplicities and edges are fixed before any
 coefficient is read (Zariski's multiplicity sequence, Enriques' proximity
-relations).  The engine takes such a run of s blow-ups in one step, one
-division by the axis coordinate to the power s, and records its s centers
-as s single blow-ups would.  It does so only at a point that is the only
-one pending: vertex ids are handed out breadth-first, and the graph files
-``resolve --out`` writes name vertices by id.
+relations).  The engine takes such a run of s blow-ups in one step and
+records its s centers as s single blow-ups would.  Each resident's other
+coordinate is divided once by the axis coordinate to the power s, that is
+by one power of its numerator and one of its denominator, and in the
+x-chart loses its direction constant before its one content normalisation.
+Chains start only at a point that is the only one pending: vertex ids are
+handed out breadth-first, and the graph files ``resolve --out`` writes
+name vertices by id.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import add
 
 from .curve import Curve, validate_curve
 from .exactmath import (
@@ -95,35 +99,50 @@ class RatFunc:
         d, (num,) = up_integral([p])
         return cls(num, {0: d})
 
-    def div(self, other: "RatFunc", s: int = 1) -> "RatFunc":
-        """Quotient self/other^s, with one content normalisation; requires
-        ord(self) >= s ord(other)."""
+    def div(self, other: "RatFunc", s: int = 1, c=0) -> "RatFunc":
+        """self/other^s - c for a rational c = p/q, with one content
+        normalisation; requires ord(self) >= s ord(other).  For self =
+        tau^(s k) n/d and other = tau^k a/b that is (q n b^s - p d a^s) /
+        (q d a^s), with a^s and b^s one power each (``_power``)."""
         k = other.ord
         if k == INF:
             raise ZeroDivisionError("division by an identically zero coordinate")
         if self.ord < s * k:
             raise ValueError("quotient would have a pole at tau = 0")
-        num, den, onum = self.num, self.den, other.num
+        num, onum = self.num, other.num
         if k:
-            num = {e - s * k: c for e, c in num.items()}
-            onum = {e - k: c for e, c in onum.items()}
-        for _ in range(s):
-            num, den = up_mul(num, other.den), up_mul(den, onum)
+            num = {e - s * k: x for e, x in num.items()}
+            onum = {e - k: x for e, x in onum.items()}
+        num = up_mul(num, _power(other.den, s))
+        den = up_mul(self.den, _power(onum, s))
+        if c:
+            p, q = c.numerator, c.denominator
+            if q != 1:
+                num = {e: q * x for e, x in num.items()}
+            for e, x in den.items():
+                x = num.get(e, 0) - p * x
+                if x:
+                    num[e] = x
+                else:
+                    del num[e]
+            if q != 1:
+                den = {e: q * x for e, x in den.items()}
         return RatFunc(num, den)
 
-    def sub_const(self, c) -> "RatFunc":
-        """self - c for a rational c = p/q: (q num - p den) / (q den)."""
-        if not c:
-            return self
-        p, q = c.numerator, c.denominator
-        num = {e: q * x for e, x in self.num.items()}
-        for e, x in self.den.items():
-            s = num.get(e, 0) - p * x
-            if s:
-                num[e] = s
-            else:
-                num.pop(e)
-        return RatFunc(num, {e: q * x for e, x in self.den.items()})
+
+def _power(p: UniPoly, s: int) -> UniPoly:
+    """p^s for s >= 1: a one-term p directly, any other by squaring."""
+    if len(p) == 1:
+        ((e, x),) = p.items()
+        return {e * s: x ** s}
+    out = None
+    while True:
+        if s & 1:
+            out = p if out is None else up_mul(out, p)
+        s >>= 1
+        if not s:
+            return out
+        p = up_mul(p, p)
 
 
 @dataclass
@@ -243,13 +262,13 @@ def _chain(pt: _Point):
 def _divisors_after(nid: int, d, old_axis: dict) -> list:
     """The divisors through the point at direction d on the new divisor
     nid, given the center's divisors by axis."""
-    if d == INF:
+    if d is INF:
         divs = [(nid, "y")]
         if "x" in old_axis:
             divs.append((old_axis["x"], "x"))
     else:
         divs = [(nid, "x")]
-        if d == 0 and "y" in old_axis:
+        if not d and "y" in old_axis:
             divs.append((old_axis["y"], "y"))
     return divs
 
@@ -293,19 +312,21 @@ def _run_blowups(c: Curve, budget: int):
                 % (budget, sorted(b for b, _, _ in pt.residents)))
         mult = {bid: min(fx.ord, fy.ord)
                 for bid, fx, fy in pt.residents}
+        own = tuple(mult.get(i, 0) for i in range(1, r + 1))
         old_axis = {ax: vid for vid, ax in pt.divisors}
         divisors = pt.divisors
         for k in range(s):
             nid += 1
-            vertices[nid] = tuple(
-                mult.get(i, 0) + sum(vertices[vid][i - 1] for vid, _ in divisors)
-                for i in range(1, r + 1))
+            vec = own
+            for vid, _ in divisors:
+                vec = tuple(map(add, vec, vertices[vid]))
+            vertices[nid] = vec
             centers.append(mult)
             if len(divisors) == 2:
                 # the two divisors met at this center and are now separated
                 edges.discard(tuple(sorted(v for v, _ in divisors)))
             for vid, _ in divisors:
-                edges.add(tuple(sorted((vid, nid))))
+                edges.add((vid, nid))  # nid is the largest id so far
             if k + 1 < s:
                 divisors = _divisors_after(nid, chart, old_axis)
 
@@ -314,10 +335,10 @@ def _run_blowups(c: Curve, budget: int):
             groups.setdefault(_direction(fx, fy), []).append((bid, fx, fy))
         for d in sorted(groups):
             members = groups[d]
-            if d == INF:
+            if d is INF:
                 res = [(bid, fx.div(fy, s), fy) for bid, fx, fy in members]
             else:
-                res = [(bid, fx, fy.div(fx, s).sub_const(d))
+                res = [(bid, fx, fy.div(fx, s, d))
                        for bid, fx, fy in members]
             pending.append(
                 _Point(res, _divisors_after(nid, d, old_axis), pt.depth + s))

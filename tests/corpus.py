@@ -1,11 +1,11 @@
 """Shared test curves, the per-point references the tests check the
 library's whole-table reads against, the generic polynomial product and
 long division behind its one-pass binomial ones, the step-by-step blow-up
-engine behind its chained one, the one-column-per-point rank sweep on
-dense integer lists behind the slab sweep on sparse columns, the structure
-checks of the resolution graph and of a branch's semigroup, the
-value-semigroup properties that membership must keep for r >= 2, and the
-Torres and symmetry oracles on Delta.
+engine on s-fold products behind its chained one on powers, the
+one-column-per-point rank sweep on dense integer lists behind the slab
+sweep on sparse columns, the structure checks of the resolution graph and
+of a branch's semigroup, the value-semigroup properties that membership
+must keep for r >= 2, and the Torres and symmetry oracles on Delta.
 
 Every curve with r > 1 used by the identity checks, plus the one-branch
 curves used by the semigroup checks.  ``TANGENT_CUSPS_DUPLICATE`` is kept
@@ -769,10 +769,46 @@ def delgado_invariants(c: Curve, budget: int = DEFAULT_BUDGET):
     return conductor, delta
 
 
+def reference_div(f: RatFunc, g: RatFunc, s: int = 1) -> RatFunc:
+    """f/g^s by s products with g's denominator and with its numerator over
+    tau^k, then one content normalisation: the reference for
+    ``RatFunc.div``, which takes each of the two powers once."""
+    k = g.ord
+    if k == INF:
+        raise ZeroDivisionError("division by an identically zero coordinate")
+    if f.ord < s * k:
+        raise ValueError("quotient would have a pole at tau = 0")
+    num, den, gnum = f.num, f.den, g.num
+    if k:
+        num = {e - s * k: x for e, x in num.items()}
+        gnum = {e - k: x for e, x in gnum.items()}
+    for _ in range(s):
+        num, den = up_mul(num, g.den), up_mul(den, gnum)
+    return RatFunc(num, den)
+
+
+def reference_sub_const(f: RatFunc, c) -> RatFunc:
+    """f - c for a rational c = p/q: (q num - p den) / (q den), normalised
+    again; ``RatFunc.div(g, s, c)`` subtracts c before its one
+    normalisation."""
+    if not c:
+        return f
+    p, q = c.numerator, c.denominator
+    num = {e: q * x for e, x in f.num.items()}
+    for e, x in f.den.items():
+        x = num.get(e, 0) - p * x
+        if x:
+            num[e] = x
+        else:
+            num.pop(e)
+    return RatFunc(num, {e: q * x for e, x in f.den.items()})
+
+
 def reference_blowups(c: Curve, budget: int = DEFAULT_BUDGET):
-    """The step-by-step blow-up engine, one center per iteration: the
-    reference ``_run_blowups``, which takes each Euclid chain in one step,
-    must match whole, exceptions included."""
+    """The step-by-step blow-up engine, one center per iteration, on the
+    reference arithmetic (``reference_div``, then ``reference_sub_const``
+    in the x-chart): the reference ``_run_blowups``, which takes each
+    Euclid chain in one step, must match whole, exceptions included."""
     validate_curve(c)
     r = c.r
     vertices = {}
@@ -817,12 +853,14 @@ def reference_blowups(c: Curve, budget: int = DEFAULT_BUDGET):
         for d in sorted(groups):
             members = groups[d]
             if d == INF:
-                res = [(bid, fx.div(fy), fy) for bid, fx, fy in members]
+                res = [(bid, reference_div(fx, fy), fy)
+                       for bid, fx, fy in members]
                 divs = [(nid, "y")]
                 if "x" in old_axis:
                     divs.append((old_axis["x"], "x"))
             else:
-                res = [(bid, fx, fy.div(fx).sub_const(d))
+                res = [(bid, fx,
+                        reference_sub_const(reference_div(fy, fx), d))
                        for bid, fx, fy in members]
                 divs = [(nid, "x")]
                 if d == 0 and "y" in old_axis:

@@ -746,11 +746,24 @@ def test_fibers_window_sweeps_its_own_table_without_blow_ups(tmp_path,
     assert capsys.readouterr().err.startswith("BudgetExceeded: ")
 
 
-@pytest.mark.parametrize("make", [*CORPUS_ALL.values(),
-                                  lambda: Curve([({2: 1}, {125: 1})])],
-                         ids=[*CORPUS_ALL, "A62"])
-def test_json_text_is_the_indented_json_encoding(make):
-    data = graph_to_json(resolve(make()))
+def _graph_data(make):
+    return lambda: graph_to_json(resolve(make()))
+
+
+JSON_TEXT_INPUTS = {
+    **{name: _graph_data(make) for name, make in CORPUS_ALL.items()},
+    "A62": _graph_data(lambda: Curve([({2: 1}, {125: 1})])),
+    # y = a x^6 for a = -4 ... 3
+    "pencil-8-contact-6": _graph_data(lambda: Curve(
+        [({1: 1}, {6: a} if a else {}) for a in range(-4, 4)])),
+    # keys that json escapes, and int leaves beside nested lists and dicts
+    "escaped-keys": lambda: {"\u00e9": [1, {}], "\n": {"a": []}, '"': -3},
+}
+
+
+@pytest.mark.parametrize("name", JSON_TEXT_INPUTS)
+def test_json_text_is_the_indented_json_encoding(name):
+    data = JSON_TEXT_INPUTS[name]()
     assert json_text(data) == json.dumps(data, indent=2, sort_keys=True)
 
 

@@ -13,8 +13,9 @@ Noether table, of the analysis's honest table, extended by the rule,
 against an honest sweep and its read of P' against the reference read of
 that extension, of every verify check, the symmetry of Delta and
 the Torres formula on random curves, of the chained blow-up engine against
-the step-by-step one, and of every invariant against a rescaling of the
-coordinates."""
+the step-by-step one and of its one-normalisation division against the
+s-fold products and a second normalisation for the direction constant,
+and of every invariant against a rescaling of the coordinates."""
 
 from fractions import Fraction
 from math import gcd, prod
@@ -34,7 +35,7 @@ from curvealex import (  # noqa: E402
     en_alexander,
 )
 from curvealex.cli import run_verify  # noqa: E402
-from curvealex.exactmath import iter_box, vec_add  # noqa: E402
+from curvealex.exactmath import iter_box, up_mul, vec_add  # noqa: E402
 from curvealex.filtration import (  # noqa: E402
     _add_column,
     _primitive,
@@ -44,7 +45,7 @@ from curvealex.filtration import (  # noqa: E402
     minimal_generators,
     pprime_coefficients,
 )
-from curvealex.resolution import _run_blowups  # noqa: E402
+from curvealex.resolution import RatFunc, _power, _run_blowups  # noqa: E402
 
 from corpus import (  # noqa: E402
     _rank,
@@ -63,9 +64,11 @@ from corpus import (  # noqa: E402
     noether_intersections,
     reference_blowups,
     reference_columns,
+    reference_div,
     reference_monomials,
     reference_pprime,
     reference_ranks,
+    reference_sub_const,
     rule_extended,
     sub_box,
     value_semigroup_breaks,
@@ -410,6 +413,59 @@ def test_chained_engine_matches_the_step_loop_on_random_curves(branches,
     c = Curve(branches)
     assert (engine_outcome(_run_blowups, c, budget)
             == engine_outcome(reference_blowups, c, budget))
+
+
+NONZERO = st.integers(-9, 9).filter(bool)
+INT_POLYS = st.dictionaries(st.integers(0, 3), NONZERO, max_size=3)
+
+
+def _shifted(p, k):
+    return {e + k: x for e, x in p.items()}
+
+
+# integer polynomials with a nonzero constant term
+UNITS = st.builds(lambda d0, rest: {0: d0, **_shifted(rest, 1)},
+                  NONZERO, INT_POLYS)
+
+
+@st.composite
+def quotients(draw):
+    """f, g of order >= 1 and s from 1 to 70 with f/g^s a germ (or, in one
+    draw of eight, with a pole at tau = 0), and a constant c: 0, an int or
+    p/q."""
+    g = RatFunc(_shifted(draw(INT_POLYS.filter(bool)), 1), draw(UNITS))
+    s = draw(st.integers(1, 70))
+    pole = draw(st.sampled_from([0] * 7 + [1]))
+    f = RatFunc(_shifted(draw(INT_POLYS), s * g.ord - pole), draw(UNITS))
+    c = draw(st.one_of(st.just(0), NONZERO,
+                       st.builds(Fraction, NONZERO, st.integers(2, 9))))
+    return f, g, s, c
+
+
+def _outcome(quotient):
+    try:
+        q = quotient()
+    except Exception as exc:  # any failure must be the reference's too
+        return type(exc), str(exc)
+    return q.num, q.den
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotients())
+def test_one_normalisation_division_matches_the_s_fold_reference(args):
+    f, g, s, c = args
+    assert (_outcome(lambda: f.div(g, s, c))
+            == _outcome(lambda: reference_sub_const(reference_div(f, g, s),
+                                                    c)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(INT_POLYS.filter(bool), st.integers(1, 70))
+def test_power_is_the_s_fold_product(p, s):
+    product = p
+    for _ in range(s - 1):
+        product = up_mul(product, p)
+    assert _power(p, s) == product
 
 
 SCALES = st.builds(Fraction, st.integers(-5, 5).filter(bool),
