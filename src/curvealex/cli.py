@@ -30,8 +30,8 @@ from .filtration import (
     BoundaryNonzeroError,
     JetMatrix,
     _extend,
+    chi_chain,
     minimal_generators,
-    upper_chain,
 )
 from .resolution import (
     BudgetExceededError,
@@ -358,12 +358,12 @@ def _cmd_fibers(args) -> int:
     c = parse_curve_file(args.input)
     if args.window:
         # chi on [0, window - 2] reads the honest ranks on [0, window - 1];
-        # the cut drops the faces the upper chain fills by the rule
+        # the cut drops the faces its chain fills by the rule
         window = _checked_window(c, args.window)
         box = tuple(w - 1 for w in window)
         top = tuple(w - 2 for w in window)
-        upper = upper_chain(JetMatrix(c, window).sweep(box)[0], box)
-        chi = _extend([-x for x in upper], box, top)
+        chi = _extend(chi_chain(JetMatrix(c, window).sweep(box)[0], box),
+                      box, top)
     else:
         a = Analysis(c, budget=args.budget)
         top, chi = a.conductor, a.chi

@@ -22,11 +22,11 @@ two branches.  One reduction per column of F and of G finds, for each g_l,
 the least j with g_l in B + F_j + G_(l-1), and each rank of that slab
 counts them (``_slab``), so every entry stays an exact rank, neither filled
 by a rule nor taken modulo a prime.  The reads take such a table on a whole
-box [0, w] axis by axis (``_along``): the upper chain, the alternating
-sum of h(v + 1_I) over the subsets I of the branches, on [0, w] by r
-difference sweeps (``upper_chain``), which is minus the fiber Euler
-characteristics; the coefficients of P' on [0, c] as that chain less the
-lower chain, r more sweeps of the table (``pprime_coefficients``);
+box [0, w] axis by axis (``_along``): the fiber Euler characteristics,
+minus the alternating sum of h(v + 1_I) over the subsets I of the
+branches, on [0, w] by r difference sweeps (``chi_chain``); the
+coefficients of P' on [0, c] as the lower chain, r more sweeps of the
+table, less chi (``pprime_coefficients``);
 membership on [0, w] as a table of bools by comparing each point with its
 r successors (``members``); and a branch's minimal generators by one walk
 over that table (``minimal_generators``).  Only the nonzero entries of a
@@ -43,15 +43,15 @@ certificate's rank h(c + 2) = h(c) + 2r makes the 2r columns (i, c_i),
 every honest rank on [0, c + 2] keeps the rule.  An honest check
 therefore takes one more rank, h(c + 1) = h(c) + r.  Each read takes what
 it needs past c from the rule inside the read: membership counts every
-step off the top face as rising, and the upper chain, which chi negates
-and P' reads, fills the last slice of each of its sweeps by the rule, so
-chi vanishes on the faces v_i = c_i for r > 1 (Delta has multidegree
-c - 1) and is 1 at c for one branch.  Past c the rule rises by one per
-step on each axis, so membership and the one-branch chi repeat their
-values at min(v, c), and the reads of two or more differences (P', and
-chi for r > 1) vanish.  So every series is the
-Alexander polynomial Delta on [0, c], for one branch the differences of
-chi or of membership along the axis; the CLI prints Delta / (1 - t).
+step off the top face as rising, and chi, which P' reads, fills the
+last slice of each of its sweeps by the rule, so it vanishes on the faces
+v_i = c_i for r > 1 (Delta has multidegree c - 1) and is 1 at c for one
+branch.  Past c the rule rises by one per step on each axis, so
+membership and the one-branch chi repeat their values at min(v, c), and
+the reads of two or more differences (P', and chi for r > 1) vanish.  So
+every series is the Alexander polynomial Delta on [0, c], for one branch
+the differences of chi or of membership along the axis; the CLI prints
+Delta / (1 - t).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import accumulate, compress, count, islice
 from math import gcd, prod
-from operator import and_, lt, ne, neg, sub
+from operator import and_, lt, ne, sub
 
 from .curve import Curve, validate_curve
 from .exactmath import (
@@ -224,12 +224,12 @@ def _slab(ranks, basis, f, g, n) -> None:
                      echelon)]
     kept, levels = [], []
     for col in g:
-        col = _reduced(dict(col), lifted)
-        had = len(kept)
-        _add_column(kept, col)
-        # the lead of what is kept: in the residual, at slot n + J - j, or
-        # past the last slot (level 0) when nothing is
-        p = kept[-1][0] if len(kept) > had else n + J
+        col = _reduced(_reduced(dict(col), lifted), kept)
+        # its lead: in the residual, at slot n + J - j, or past the last
+        # slot (level 0) when nothing is left
+        p = min(col) if col else n + J
+        if col:
+            kept.append((p, col))
         levels.append(J + 1 if p < n else J + n - p)
     for j, h in enumerate(starts):
         ranks += accumulate((x > j for x in levels), initial=h)
@@ -324,37 +324,41 @@ def _nonzero(values, top) -> MultiPoly:
                     filter(None, values)))
 
 
-def upper_chain(ranks, top) -> list:
-    """The alternating sum of h(v + 1_I) over the subsets I of the branches
-    at every point v of [0, top], from a rank table h on [0, top]: r
-    sweeps, the i-th taking f(v) - f(v + e_i) and filling its last slice,
-    the face v_i = top_i, by the conductor rule: -1 on the first axis
-    swept, 0 on every later one, where that rise has cancelled.  On the
-    conductor's box it is minus chi on the whole of [0, c]; on any box,
-    the points below every top face read the table alone."""
+def chi_chain(ranks, top) -> list:
+    """chi(v), minus the sum of (-1)^|I| h(v + 1_I) over the subsets I of
+    the branches, at every point v of [0, top], from a rank table h on
+    [0, top]: r sweeps, the first taking f(v + e_0) - f(v) and every later
+    one f(v) - f(v + e_i), each filling its last slice, the face
+    v_i = top_i, by the conductor rule: 1 on the first axis, 0 on every
+    later one, where that rise has cancelled.  On the conductor's box it
+    is chi on the whole of [0, c]; on any box, the points below every top
+    face read the table alone."""
     shape = tuple(x + 1 for x in top)
-    for i in range(len(top)):
-        fill = [-1 if i == 0 else 0]
-        ranks = _along(ranks, shape, i, lambda b, s: [
-            *map(sub, b, islice(b, s, None)), *fill * s])
-    return ranks
+    chi = _along(ranks, shape, 0, lambda b, s: [
+        *map(sub, islice(b, s, None), b), *[1] * s])
+    for i in range(1, len(top)):
+        chi = _along(chi, shape, i, lambda b, s: [
+            *map(sub, b, islice(b, s, None)), *[0] * s])
+    return chi
 
 
-def pprime_coefficients(upper, ranks, c) -> list:
+def pprime_coefficients(chi, ranks, c) -> list:
     """The alternating sum of d(v - 1 + 1_I) over the subsets I of the
-    branches at every point v of [0, c], c the conductor, from the upper
-    chain and the honest rank table h on [0, c].  As d(u) = dim
-    J(u)/J(u + 1) is h(u + 1) - h(max(u, 0)) (a condition u_i < 0 is
-    vacuous), that is the upper chain, the sum of h(v + 1_I), less the
-    lower chain, the sum of h(max(v - 1 + 1_I, 0)): r sweeps of the
-    table, each taking h(max(v - e_i, 0)) - h(v), a zero slice at
-    v_i = 0."""
+    branches at every point v of [0, c], c the conductor, from chi and the
+    honest rank table h on [0, c].  As d(u) = dim J(u)/J(u + 1) is
+    h(u + 1) - h(max(u, 0)) (a condition u_i < 0 is vacuous), that is the
+    sum of h(v + 1_I), -chi, less the lower chain, the sum of
+    h(max(v - 1 + 1_I, 0)).  Its r sweeps of the table each start with a
+    zero slice at v_i = 0; the first takes h(v) - h(max(v - e_0, 0)), the
+    later ones h(max(v - e_i, 0)) - h(v), so they give minus that chain,
+    and P' is what they give less chi."""
     shape = tuple(x + 1 for x in c)
-    lower = ranks
-    for i in range(len(c)):
+    lower = _along(ranks, shape, 0, lambda b, s: [
+        *[0] * s, *map(sub, islice(b, s, None), b)])
+    for i in range(1, len(c)):
         lower = _along(lower, shape, i, lambda b, s: [
             *[0] * s, *map(sub, b, islice(b, s, None))])
-    return list(map(sub, upper, lower))
+    return list(map(sub, lower, chi))
 
 
 def members(ranks, top) -> list:
@@ -446,12 +450,12 @@ class Analysis:
     conductor rule, and ``ranks`` is that honest table on [0, c].  Every
     read is a flat table on [0, c], in lexicographic order, swept on
     [0, c] itself, and takes what it needs past c from the rule inside its
-    sweeps: ``upper``, once per curve, which ``chi`` negates and
-    ``pprime`` reads less its lower chain, and ``membership``.  Past c the
-    rule rises by one per step on each axis, so P' and the chi of r > 1
-    vanish there, while membership and the one-branch chi repeat their
-    values at min(v, c): ``members_to`` reads membership there.  Every
-    series is the Alexander polynomial Delta.
+    sweeps: ``chi``, once per curve, which ``pprime`` reads with its
+    lower chain, and ``membership``.  Past c the rule rises by one per
+    step on each axis, so P' and the chi of r > 1 vanish there, while
+    membership and the one-branch chi repeat their values at min(v, c):
+    ``members_to`` reads membership there.  Every series is the Alexander
+    polynomial Delta.
     """
 
     def __init__(self, curve: Curve, budget: int = DEFAULT_BUDGET):
@@ -480,18 +484,12 @@ class Analysis:
         return _certified(self.jet, self.conductor, self.delta)
 
     @cached_property
-    def upper(self) -> list:
-        """The upper chain on [0, c], its faces v_i = c_i filled by the
-        conductor rule (``upper_chain``)."""
-        return upper_chain(self.ranks, self.conductor)
-
-    @cached_property
     def chi(self) -> list:
-        """The fiber Euler characteristics on [0, c], minus the upper chain
-        for every r: by the rule they vanish on every face v_i = c_i for
-        r > 1 (Delta has multidegree c - 1), and chi(c) = 1 for one
-        branch, where h(c + 1) = h(c) + 1."""
-        return list(map(neg, self.upper))
+        """The fiber Euler characteristics on [0, c], swept once per curve
+        (``chi_chain``), their faces v_i = c_i filled by the conductor
+        rule: they vanish there for r > 1 (Delta has multidegree c - 1),
+        and chi(c) = 1 for one branch, where h(c + 1) = h(c) + 1."""
+        return chi_chain(self.ranks, self.conductor)
 
     @cached_property
     def membership(self) -> list:
@@ -522,13 +520,13 @@ class Analysis:
     def pprime(self) -> MultiPoly:
         """The polynomial L_C * prod (t_i - 1): its coefficient at v is the
         alternating sum of c(v - 1 + 1_I) over subsets I of the branches,
-        read on [0, conductor] by ``pprime_coefficients``: the upper chain
-        less the lower chain, swept from ``ranks`` (P' vanishes past c).
-        The lower chain is the one term that chi does not share, minus chi
-        shifted by (1, ..., 1), so verify's fiber-product identity checks
-        it against chi; P' reads ``upper``, not chi."""
+        read on [0, conductor] by ``pprime_coefficients``: the lower chain,
+        swept from ``ranks``, less chi (P' vanishes past c).  The lower
+        chain is the one term that chi does not give, chi shifted by
+        (1, ..., 1), so verify's fiber-product identity checks it against
+        chi; a wrong chi moves P' too."""
         c = self.conductor
-        return _nonzero(pprime_coefficients(self.upper, self.ranks, c), c)
+        return _nonzero(pprime_coefficients(self.chi, self.ranks, c), c)
 
     @cached_property
     def poincare(self) -> MultiPoly:

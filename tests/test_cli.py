@@ -443,13 +443,13 @@ def _bumped(values, top, points):
 
 def _corrupted_shell(monkeypatch, points):
     """Make P''s coefficient one more at each of the points, on the faces
-    v_i = c_i of [0, c] where its upper chain fills the sweeps' last slices
-    by the conductor rule; chi reads that chain, not P''s read, so P'
-    alone moves."""
+    v_i = c_i of [0, c] where the chi it reads fills its sweeps' last
+    slices by the conductor rule; the corruption wraps P''s read, which
+    chi does not read, so P' alone moves."""
     read = filtration.pprime_coefficients
     monkeypatch.setattr(filtration, "pprime_coefficients",
-                        lambda upper, ranks, c:
-                        _bumped(read(upper, ranks, c), c, points))
+                        lambda chi, ranks, c:
+                        _bumped(read(chi, ranks, c), c, points))
 
 
 @pytest.mark.parametrize("make,i,lead", [
@@ -486,14 +486,19 @@ def test_verify_fails_when_chi_leaves_a_zero_face(tmp_path, capsys,
                                                   monkeypatch):
     # for r > 1 the conductor rule makes chi zero on the faces v_i = c_i,
     # where Delta has no term; one more at (c_0, 1, 0, ...) adds a term to
-    # the fiber series, so checks 2 and 3 fail and the four that read no chi
-    # pass: P' reads the upper chain, not chi
+    # the fiber series, and P' reads chi, so it moves too: checks 2 and 3
+    # fail, the division of -P' leaves a remainder, which checks 1 and 4
+    # name, and the two checks that read neither pass
     chi = Analysis.chi.func
     expected = list(VERIFY_PASSED)
+    expected[0] = "FAIL poincare-equals-alexander: poincare != alexander"
     expected[1] = "FAIL fiber-euler-equals-alexander: fiber series != alexander"
     expected[2] = ("FAIL fiber-product-identity: fiber series * (t..-1) != "
                    "pprime")
-    for curve in (make_tacnode(), make_three_lines()):
+    for curve, lead in ((make_tacnode(), "(1, 0)"),
+                        (make_three_lines(), "(2, 1, 0)")):
+        expected[3] = ("FAIL exact-divisibility: remainder with leading term "
+                       "%s while dividing" % lead)
         v = (Analysis(curve).conductor[0], 1) + (0,) * (curve.r - 2)
         monkeypatch.setattr(Analysis, "chi", property(
             lambda self, v=v: _bumped(chi(self), self.conductor, {v})))
@@ -893,10 +898,10 @@ def test_verify_exits_1_when_pprime_leaves_a_remainder(tmp_path, capsys,
 
 def test_verify_names_a_misfilled_shell_point_that_spoils_the_division(
         tmp_path, capsys, monkeypatch):
-    # (2, 0) is the tacnode's (c_0, 0), on the face where P''s upper chain
-    # fills its first sweep by the conductor rule: P' no longer divides, and
-    # the remainder is named; chi does not read P', so the fiber series
-    # passes
+    # (2, 0) is the tacnode's (c_0, 0), on the face where the chi that P'
+    # reads fills its first sweep by the conductor rule: P' no longer
+    # divides, and the remainder is named; chi does not read P', so the
+    # fiber series passes
     _corrupted_shell(monkeypatch, {(2, 0)})
     path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
     assert cli.main(["verify", path]) == 1

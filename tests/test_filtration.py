@@ -526,13 +526,13 @@ def test_reads_of_the_sub_box_match_the_whole_window(name):
 
 @pytest.mark.parametrize("k", [4, 5, 6])
 def test_pprime_read_matches_the_rule_extended_reference(k):
-    # P' reads the upper chain, whose sweeps fill their last slices by the
-    # conductor rule, less the lower chain of the honest table on [0, c];
-    # the reference sweeps the table the rule extends to [0, c + 1]
+    # P' reads the lower chain of the honest table on [0, c] less chi,
+    # whose sweeps fill their last slices by the conductor rule; the
+    # reference sweeps the table the rule extends to [0, c + 1]
     a = Analysis(make_transverse_lines(k))
     c = a.conductor
     top = vec_add(c, (1,) * k)
-    assert pprime_coefficients(a.upper, a.ranks, c) == reference_pprime(
+    assert pprime_coefficients(a.chi, a.ranks, c) == reference_pprime(
         rule_extended(a.ranks, c, top), top)
 
 

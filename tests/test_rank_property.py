@@ -41,6 +41,7 @@ from curvealex.filtration import (  # noqa: E402
     _primitive,
     _reduced,
     _slab,
+    chi_chain,
     members,
     minimal_generators,
     pprime_coefficients,
@@ -295,6 +296,19 @@ def test_members_match_the_per_point_membership(M):
 
 
 @settings(max_examples=100, deadline=None)
+@given(jet_matrices())
+def test_chi_read_matches_the_rule_free_sweeps_on_any_window(M):
+    # chi_chain on the box W - 1 of any window, below its top faces (the
+    # faces its sweeps fill by the conductor rule, which fibers --window
+    # cuts), equals the difference sweeps of the same table with no rule;
+    # that pins the sign of the first axis's sweep
+    box = tuple(w - 1 for w in M.window)
+    ranks = M.sweep(box)[0]
+    assert sub_box(chi_chain(ranks, box), box,
+                   tuple(w - 2 for w in M.window)) == fiber_eulers(ranks, box)
+
+
+@settings(max_examples=100, deadline=None)
 @given(BRANCHES.filter(_not_an_axis_cover))
 def test_conductor_rule_matches_a_wide_window(branch):
     c = Curve([branch])
@@ -342,8 +356,8 @@ def test_filled_table_matches_the_honest_sweep(branches):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(BRANCHES.filter(_not_an_axis_cover), min_size=1, max_size=3))
 def test_pprime_read_matches_the_rule_extended_reference(branches):
-    # P', the upper chain (each sweep's last slice filled by the conductor
-    # rule) less the lower chain of the honest table on [0, c], equals the
+    # P', the lower chain of the honest table on [0, c] less chi (each
+    # sweep's last slice filled by the conductor rule), equals the
     # reference read of the table the rule extends to [0, c + 1]
     c = Curve(branches)
     try:
@@ -353,7 +367,7 @@ def test_pprime_read_matches_the_rule_extended_reference(branches):
         assume(False)
     assume(prod(x + 3 for x in a.conductor) <= 4000)
     top = vec_add(a.conductor, (1,) * c.r)
-    assert pprime_coefficients(a.upper, a.ranks,
+    assert pprime_coefficients(a.chi, a.ranks,
                                a.conductor) == reference_pprime(
         rule_extended(a.ranks, a.conductor, top), top)
 
