@@ -1,10 +1,13 @@
 """Scaling harness for curvealex: how ``verify`` and the stages of one
 analysis grow with the number of branches.
 
-    python3 bench/run.py LABEL [--src DIR]
+    python3 bench/run.py LABEL [--src DIR] [--curves standard|frontier]
 
-For each curve (k transverse lines, k = 2..7, and a three-branch curve of
-conductor (50, 20, 40)) it starts one fresh process per command:
+For each curve of the set (``standard``, the default: k transverse lines,
+k = 2..7, and a three-branch curve of conductor (50, 20, 40);
+``frontier``: 8 transverse lines, 8^8 points on [0, c], and a deep
+three-branch curve of conductor (78, 78, 116), 730,197 points) it starts
+one fresh process per command:
 
 * ``verify``: ``python -m curvealex.cli verify FILE``; the wall seconds,
   the child's maximum RSS (``os.wait4``) and the number of ``PASS`` lines;
@@ -85,8 +88,16 @@ WIDE = {"branches": [
     {"x": [[4, "-3/4"], [5, "-3/2"], [6, "-1/3"]],
      "y": [[4, "1"], [5, "1"], [6, "1"]]}]}
 
-CURVES = [("lines-%d" % k, transverse_lines(k)) for k in range(2, 8)]
-CURVES.append(("wide-50-20-40", WIDE))
+DEEP = {"branches": [
+    {"x": [[4, "1"]], "y": [[6, "1"], [7, "1"]]},
+    {"x": [[4, "1"]], "y": [[6, "2"], [9, "1"]]},
+    {"x": [[6, "1"]], "y": [[9, "-1"], [10, "1"]]}]}
+
+CURVE_SETS = {
+    "standard": [("lines-%d" % k, transverse_lines(k)) for k in range(2, 8)]
+    + [("wide-50-20-40", WIDE)],
+    "frontier": [("lines-8", transverse_lines(8)), ("deep-78-78-116", DEEP)],
+}
 
 
 def run_child(argv, src, **env) -> tuple:
@@ -131,14 +142,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label")
     parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--curves", choices=sorted(CURVE_SETS),
+                        default="standard")
     args = parser.parse_args(argv)
     if not (args.src / "curvealex").is_dir():
         parser.error("no curvealex package in %s" % args.src)
     result = {"label": args.label, "python": platform.python_version(),
               "machine": platform.machine(), "cpus": os.cpu_count(),
-              "repeats": REPEATS, "curves": {}}
+              "repeats": REPEATS, "curve_set": args.curves, "curves": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data in CURVES:
+        for name, data in CURVE_SETS[args.curves]:
             path = Path(tmp) / (name + ".json")
             path.write_text(json.dumps(data))
             result["curves"][name] = entry = measure(path, args.src)

@@ -10,7 +10,12 @@ together with a verification harness checking that they coincide exactly.
 
 from .curve import BranchParam, Curve, validate_curve
 from .exactmath import NotDivisibleError, ord_lead
-from .filtration import Analysis, BoundaryNonzeroError, JetMatrix
+from .filtration import (
+    Analysis,
+    BoundaryNonzeroError,
+    JetMatrix,
+    TableTooLargeError,
+)
 from .resolution import (
     BudgetExceededError,
     ResGraph,
@@ -28,6 +33,7 @@ __all__ = [
     "JetMatrix",
     "NotDivisibleError",
     "ResGraph",
+    "TableTooLargeError",
     "chi_open",
     "en_alexander",
     "ord_lead",

@@ -29,8 +29,10 @@ from .filtration import (
     Analysis,
     BoundaryNonzeroError,
     JetMatrix,
+    TableTooLargeError,
     _extend,
     chi_chain,
+    listed,
     minimal_generators,
 )
 from .resolution import (
@@ -362,8 +364,8 @@ def _cmd_fibers(args) -> int:
         window = _checked_window(c, args.window)
         box = tuple(w - 1 for w in window)
         top = tuple(w - 2 for w in window)
-        chi = _extend(chi_chain(JetMatrix(c, window).sweep(box)[0], box),
-                      box, top)
+        chi = _extend(listed(chi_chain(JetMatrix(c, window).sweep(box)[0],
+                                       box), box), box, top)
     else:
         a = Analysis(c, budget=args.budget)
         top, chi = a.conductor, a.chi
@@ -470,7 +472,7 @@ def main(argv=None) -> int:
         print("%s: %s" % (exc.code, exc), file=sys.stderr)
         return 3
     except (NotDivisibleError, BudgetExceededError, BoundaryNonzeroError,
-            GraphError) as exc:
+            TableTooLargeError, GraphError) as exc:
         print("%s: %s" % (exc.code, exc), file=sys.stderr)
         return 1
 

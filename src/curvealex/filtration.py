@@ -12,7 +12,7 @@ runs on that form, over the union of two supports (``_reduced``): on these
 matrices a column is mostly zeros.  Since the columns "below v" form a
 per-branch prefix, h(v) = dim O/J(v) is the rank below v, and all
 other dimensions are alternating sums of that one prefix-rank table, kept
-as a flat list in lexicographic order.  The sweep adds one branch's columns
+flat in lexicographic order.  The sweep adds one branch's columns
 at a time, down to the last two axes, and carries the columns still to come
 down the walk already reduced against its basis, so each basis vector it
 adds costs one step per carried column that is nonzero at its pivot.  On
@@ -21,16 +21,30 @@ by the relative position of two flags, the prefixes F_j and G_k of the last
 two branches.  One reduction per column of F and of G finds, for each g_l,
 the least j with g_l in B + F_j + G_(l-1), and each rank of that slab
 counts them (``_slab``), so every entry stays an exact rank, neither filled
-by a rule nor taken modulo a prime.  The reads take such a table on a whole
-box [0, w] axis by axis (``_along``): the fiber Euler characteristics,
-minus the alternating sum of h(v + 1_I) over the subsets I of the
-branches, on [0, w] by r difference sweeps (``chi_chain``); the
-coefficients of P' on [0, c] as the lower chain, r more sweeps of the
-table, less chi (``pprime_coefficients``);
-membership on [0, w] as a table of bools by comparing each point with its
-r successors (``members``); and a branch's minimal generators by one walk
-over that table (``minimal_generators``).  Only the nonzero entries of a
-series become polynomial terms (``_nonzero``).
+by a rule nor taken modulo a prime.  The sweep writes its table into an
+array of 16-bit entries.  For r > 1 the reads take that table whole,
+packed into one int whose slot k, bits 16k to 16k + 15, holds entry k
+(``_pack``), and each difference step along an axis is one shift of the
+int by the axis's stride, which sets every slot beside its neighbour on
+that axis, and a fixed number of whole-int operations (``_step``): the
+difference, BIAS = 2^15 added, on the slots off the face the step fills,
+and BIAS plus the fill on that face.  Every slot of the result lies in
+[0, 2^16), so no borrow crosses a slot (Lamport's multiple byte
+processing with full-word instructions, CACM 18(8), 1975).  The reads
+are the fiber Euler characteristics, minus the alternating sum of
+h(v + 1_I) over the subsets I of the branches, on a whole box [0, w] by
+r steps (``chi_chain``); the coefficients of P' on [0, c] as the lower
+chain, r more steps of the table, less chi (``pprime_coefficients``);
+membership on [0, w] as the AND of the r rise tables, bit 0 of each
+biased step (``members``); and a branch's minimal generators by one walk
+over that table (``minimal_generators``).  Only the slots that differ
+from the bias become polynomial terms (``_terms``), and a read becomes a
+list only for the callers that need every entry (``listed``).  For one
+branch each read is one line over the list.  ``JetMatrix.sweep`` refuses
+first, with TableTooLargeError, a table the packed reads cannot hold,
+more than MAX_BRANCHES = 14 axes (|P'| <= 2^r must fit beside the bias)
+or a rank that may reach 2^15, and one of more than MAX_POINTS = 2^31
+points.
 
 One window per curve suffices: the conductor c + 2.  The conductor ideal
 t^c * O-bar lies in the local ring, so past c the table is linear,
@@ -44,7 +58,7 @@ every honest rank on [0, c + 2] keeps the rule.  An honest check
 therefore takes one more rank, h(c + 1) = h(c) + r.  Each read takes what
 it needs past c from the rule inside the read: membership counts every
 step off the top face as rising, and chi, which P' reads, fills the
-last slice of each of its sweeps by the rule, so it vanishes on the faces
+last slice of each of its steps by the rule, so it vanishes on the faces
 v_i = c_i for r > 1 (Delta has multidegree c - 1) and is 1 at c for one
 branch.  Past c the rule rises by one per step on each axis, so
 membership and the one-branch chi repeat their values at min(v, c), and
@@ -56,20 +70,29 @@ Delta / (1 - t).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import cached_property
-from itertools import accumulate, compress, count, islice
+from itertools import accumulate, compress, count
 from math import gcd, prod
-from operator import and_, lt, ne, sub
+from operator import lt, ne, sub
 
 from .curve import Curve, validate_curve
 from .exactmath import (
     MultiPoly,
-    iter_box,
     mp_div_one_minus,
     up_integral,
     up_mul_trunc,
 )
 from .resolution import DEFAULT_BUDGET, _run_blowups
+
+# the packed reads keep each value, biased by BIAS, in a 16-bit slot: every
+# rank lies below BIAS, and |P'| <= 2^r, so r <= MAX_BRANCHES; a table of
+# MAX_POINTS points takes 4 GiB packed
+BIAS = 1 << 15
+MAX_BRANCHES = 14
+MAX_POINTS = 1 << 31
+_KEEP, _DROP = b"\xff\xff", b"\x00\x00"
 
 
 class BoundaryNonzeroError(RuntimeError):
@@ -79,6 +102,14 @@ class BoundaryNonzeroError(RuntimeError):
     in the rank table).  The message carries the numbers that decided it."""
 
     code = "BoundaryNonzero"
+
+
+class TableTooLargeError(RuntimeError):
+    """A rank table that the packed reads cannot hold or that would not fit
+    in memory, refused before the sweep; the message carries the numbers
+    that decided it."""
+
+    code = "TableTooLarge"
 
 
 class JetMatrix:
@@ -134,15 +165,35 @@ class JetMatrix:
 
     def sweep(self, box) -> tuple:
         """The ranks of the columns below every v of [0, box] inside the
-        window, in lexicographic order of v, and h(window): one pass, every
-        entry an exact rank (the last two axes from J + K eliminations per
-        point of the others, ``_slab``), the basis left at the box's top
-        corner completed by every branch's rest."""
-        ranks, basis = [], []
+        window, in lexicographic order of v, as an array of 16-bit
+        entries, and h(window): one pass, every entry an exact rank (the
+        last two axes from J + K eliminations per point of the others,
+        ``_slab``), the basis left at the box's top corner completed by
+        every branch's rest.  A table the packed reads cannot hold (more
+        than MAX_BRANCHES axes, or a rank that may reach BIAS: h(v) is at
+        most the number of rows and at most sum(v)) or of more than
+        MAX_POINTS points is refused first (TableTooLargeError)."""
+        r, points = len(box), prod(x + 1 for x in box)
+        rows, most = len(self.monomials), sum(box)
+        if r > MAX_BRANCHES:
+            raise TableTooLargeError(
+                "a rank table of r = %d branches: the packed reads hold "
+                "|P'| <= 2^r only for r <= %d" % (r, MAX_BRANCHES))
+        if points > MAX_POINTS:
+            raise TableTooLargeError(
+                "the rank table of r = %d branches on the box [0, %r] has "
+                "%d points, more than 2^31 = %d"
+                % (r, tuple(box), points, MAX_POINTS))
+        if min(rows, most) >= BIAS:
+            raise TableTooLargeError(
+                "ranks up to min(rows, sum(box)) = min(%d, %d) on the box "
+                "[0, %r] reach 2^15 = %d, past a 16-bit slot of the packed "
+                "reads" % (rows, most, tuple(box), BIAS))
+        ranks, basis = array("H"), []
         starts = accumulate(self.window, initial=0)
         _sweep(ranks, basis, [col for start, n in zip(starts, box)
                               for col in self.columns[start:start + n]],
-               box, len(self.monomials))
+               box, rows)
         return ranks, _add_columns(basis, self.columns, self.window, box,
                                    self.window)
 
@@ -231,8 +282,10 @@ def _slab(ranks, basis, f, g, n) -> None:
         if col:
             kept.append((p, col))
         levels.append(J + 1 if p < n else J + n - p)
+    rows = []
     for j, h in enumerate(starts):
-        ranks += accumulate((x > j for x in levels), initial=h)
+        rows += accumulate((x > j for x in levels), initial=h)
+    ranks.fromlist(rows)  # one resize of the array per slab
     # F's echelon vectors and the kept residuals, cut to keys below n,
     # vanish at B's pivots, so they extend its echelon basis to
     # B + F_J + G_K
@@ -287,8 +340,10 @@ def _reduced(col, basis) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# whole-table reads: a table is a flat list of values on a box, in
-# lexicographic order, with ``shape`` points per axis
+# whole-table reads: a table holds one value per point of a box, in
+# lexicographic order, with ``shape`` points per axis.  For r > 1 a read is
+# packed: the value at slot k lies, biased by BIAS, in bits 16k to 16k + 15
+# of one int, and every read step is a fixed number of whole-int operations
 # ---------------------------------------------------------------------------
 
 def _along(values, shape, i, f) -> list:
@@ -318,67 +373,156 @@ def _extend(values, c, top) -> list:
     return values
 
 
-def _nonzero(values, top) -> MultiPoly:
-    """The nonzero entries of a table on [0, top], keyed by their points."""
-    return dict(zip(compress(iter_box((0,) * len(top), top), values),
-                    filter(None, values)))
+def _pack(ranks) -> int:
+    """A rank table, each entry below BIAS, in 16-bit slots of one int."""
+    table = array("H", ranks)  # a copy, byteswapped on a big-endian host
+    if sys.byteorder == "big":
+        table.byteswap()
+    return int.from_bytes(table, "little")
 
 
-def chi_chain(ranks, top) -> list:
+def _slot(x) -> bytes:
+    """One 16-bit slot holding x."""
+    return x.to_bytes(2, "little")
+
+
+def _faced(shape, i, inside: bytes, face: bytes, top: bool) -> int:
+    """The int whose slot at each point v of the box holds ``face`` where v
+    lies on the face v_i = shape_i - 1 (``top``) or v_i = 0, and
+    ``inside`` elsewhere: one block repeated."""
+    s = prod(shape[i + 1:])
+    block = inside * (s * (shape[i] - 1))
+    block = block + face * s if top else face * s + block
+    return int.from_bytes(block * prod(shape[:i]), "little")
+
+
+def _step(a, b, keep, bias) -> int:
+    """bias + a - b in every slot that keep holds, bias in the others.  a
+    and b hold one table, one of them shifted, both biased or neither, so
+    every slot of the result lies in [0, 2^16): no borrow crosses a slot,
+    and the carries in between cancel."""
+    return (a & keep) + bias - (b & keep)
+
+
+def _repeated(x, n) -> int:
+    """The int whose n slots each hold x."""
+    return int.from_bytes(_slot(x) * n, "little")
+
+
+def _slots(values, n, code="H") -> array:
+    """The n 16-bit slots of a packed int, as an array of that type code."""
+    slots = array(code, values.to_bytes(2 * n, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
+
+
+def _signed(values, n) -> array:
+    """The n slots of a packed read less the bias, as signed values: XOR
+    with the bias turns x + BIAS into x in two's complement."""
+    return _slots(values ^ _repeated(BIAS, n), n, "h")
+
+
+def listed(values, top) -> list:
+    """Every entry of a read on [0, top], as a list (for one branch the
+    read is one already)."""
+    if len(top) == 1:
+        return values
+    return _signed(values, prod(x + 1 for x in top)).tolist()
+
+
+def _terms(values, top) -> MultiPoly:
+    """The nonzero entries of a read on [0, top], keyed by their points:
+    for r > 1 only the slots that differ from the bias are unpacked, each
+    point by divmod from its slot."""
+    if len(top) == 1:
+        return {(v,): x for v, x in enumerate(values) if x}
+    shape = tuple(x + 1 for x in reversed(top))
+    slots, terms = _signed(values, prod(shape)), {}
+    for k in compress(range(len(slots)), slots):
+        point, rest = [], k
+        for n in shape:
+            rest, x = divmod(rest, n)
+            point.append(x)
+        terms[tuple(reversed(point))] = slots[k]
+    return terms
+
+
+def chi_chain(ranks, top):
     """chi(v), minus the sum of (-1)^|I| h(v + 1_I) over the subsets I of
     the branches, at every point v of [0, top], from a rank table h on
-    [0, top]: r sweeps, the first taking f(v + e_0) - f(v) and every later
+    [0, top]: r steps, the first taking f(v + e_0) - f(v) and every later
     one f(v) - f(v + e_i), each filling its last slice, the face
     v_i = top_i, by the conductor rule: 1 on the first axis, 0 on every
-    later one, where that rise has cancelled.  On the conductor's box it
-    is chi on the whole of [0, c]; on any box, the points below every top
-    face read the table alone."""
+    later one, where that rise has cancelled.  For one branch the list
+    [h(1) - h(0), ..., h(top) - h(top - 1), 1]; for r > 1 packed, each step
+    one shift of the int by the axis's stride and ``_step``, and the first
+    face filled with 0 too, since the next step cancels a constant face.
+    On the conductor's box it is chi on the whole of [0, c]; on any box,
+    the points below every top face read the table alone."""
+    if len(top) == 1:
+        return [*map(sub, ranks[1:], ranks), 1]
     shape = tuple(x + 1 for x in top)
-    chi = _along(ranks, shape, 0, lambda b, s: [
-        *map(sub, islice(b, s, None), b), *[1] * s])
-    for i in range(1, len(top)):
-        chi = _along(chi, shape, i, lambda b, s: [
-            *map(sub, b, islice(b, s, None)), *[0] * s])
+    bias = _repeated(BIAS, len(ranks))
+    chi = _pack(ranks)
+    for i in range(len(top)):
+        s = 16 * prod(shape[i + 1:])
+        keep = _faced(shape, i, _KEEP, _DROP, True)
+        if i:
+            chi = _step(chi, chi >> s, keep, bias)
+        else:
+            chi = _step(chi >> s, chi, keep, bias)
     return chi
 
 
-def pprime_coefficients(chi, ranks, c) -> list:
+def pprime_coefficients(chi, ranks, c):
     """The alternating sum of d(v - 1 + 1_I) over the subsets I of the
-    branches at every point v of [0, c], c the conductor, from chi and the
-    honest rank table h on [0, c].  As d(u) = dim J(u)/J(u + 1) is
-    h(u + 1) - h(max(u, 0)) (a condition u_i < 0 is vacuous), that is the
-    sum of h(v + 1_I), -chi, less the lower chain, the sum of
-    h(max(v - 1 + 1_I, 0)).  Its r sweeps of the table each start with a
-    zero slice at v_i = 0; the first takes h(v) - h(max(v - e_0, 0)), the
-    later ones h(max(v - e_i, 0)) - h(v), so they give minus that chain,
-    and P' is what they give less chi."""
+    branches at every point v of [0, c], c the conductor, from chi (as
+    ``chi_chain`` reads it) and the honest rank table h on [0, c].  As
+    d(u) = dim J(u)/J(u + 1) is h(u + 1) - h(max(u, 0)) (a condition
+    u_i < 0 is vacuous), that is the sum of h(v + 1_I), -chi, less the
+    lower chain, the sum of h(max(v - 1 + 1_I, 0)).  Its r steps of the
+    table each start with a zero slice at v_i = 0; the first takes
+    h(v) - h(max(v - e_0, 0)), the later ones h(max(v - e_i, 0)) - h(v), so
+    they give minus that chain, and P' is what they give less chi: for one
+    branch a list, for r > 1 packed, each step a shift of the int towards
+    the higher slots."""
+    if len(c) == 1:
+        return [*map(sub, [0, *map(sub, ranks[1:], ranks)], chi)]
     shape = tuple(x + 1 for x in c)
-    lower = _along(ranks, shape, 0, lambda b, s: [
-        *[0] * s, *map(sub, islice(b, s, None), b)])
-    for i in range(1, len(c)):
-        lower = _along(lower, shape, i, lambda b, s: [
-            *[0] * s, *map(sub, b, islice(b, s, None))])
-    return list(map(sub, lower, chi))
+    bias = _repeated(BIAS, len(ranks))
+    lower = _pack(ranks)
+    for i in range(len(c)):
+        s = 16 * prod(shape[i + 1:])
+        keep = _faced(shape, i, _KEEP, _DROP, False)
+        if i:
+            lower = _step(lower << s, lower, keep, bias)
+        else:
+            lower = _step(lower, lower << s, keep, bias)
+    return lower + bias - chi
 
 
 def members(ranks, top) -> list:
     """Whether each point of [0, top] is a value, as a table of bools read
-    axis by axis from the rank table on the same box, where top is at least
-    the conductor: some germ takes the exact valuation vector v with every
+    from the rank table on the same box, where top is at least the
+    conductor: some germ takes the exact valuation vector v with every
     leading coefficient nonzero iff each singleton constraint drops the
     dimension, that is ranks[v + e_i] > ranks[v] for every branch i (over an
     infinite field a space is never a finite union of proper subspaces).
     One such rise also makes J(v) nonzero.  A step off the top face
-    v_i = top_i rises by the conductor rule, so it counts as rising."""
-    shape = tuple(w + 1 for w in top)
-
-    def rises(b, s):
-        return [*map(lt, b, islice(b, s, None)), *[True] * s]
-
-    member = _along(ranks, shape, 0, rises)
-    for i in range(1, len(top)):
-        member = list(map(and_, member, _along(ranks, shape, i, rises)))
-    return member
+    v_i = top_i rises by the conductor rule, so it counts as rising.  For
+    r > 1 each rise is bit 0 of a biased step, and the r of them are ANDed
+    as packed ints."""
+    if len(top) == 1:
+        return [*map(lt, ranks, ranks[1:]), True]
+    shape = tuple(x + 1 for x in top)
+    table = _pack(ranks)
+    member = _repeated(1, len(ranks))
+    for i in range(len(top)):
+        member &= _step(table >> 16 * prod(shape[i + 1:]), table,
+                        _faced(shape, i, _KEEP, _DROP, True),
+                        _faced(shape, i, _slot(BIAS), _slot(BIAS + 1), True))
+    return list(map(bool, _slots(member, len(ranks))))
 
 
 def minimal_generators(a: Analysis) -> list:
@@ -447,11 +591,15 @@ class Analysis:
     on first use at the window c + 2, is swept only on [0, c]; the
     conductor is certified from that table and the window's rank
     (``_certified``), which keeps every honest rank of [0, c + 2] on the
-    conductor rule, and ``ranks`` is that honest table on [0, c].  Every
-    read is a flat table on [0, c], in lexicographic order, swept on
-    [0, c] itself, and takes what it needs past c from the rule inside its
-    sweeps: ``chi``, once per curve, which ``pprime`` reads with its
-    lower chain, and ``membership``.  Past c the rule rises by one per
+    conductor rule, and ``ranks`` is that honest table on [0, c], an
+    array of 16-bit entries.  Every read is a table on [0, c], in
+    lexicographic order, read from [0, c] itself, and takes what it needs
+    past c from the rule inside its steps: ``chi_table``, once per curve,
+    which ``pprime`` reads with its lower chain, and ``membership``.  For
+    r > 1 chi and P' stay packed (``chi_chain``), and the series take
+    their nonzero terms straight from the packed ints; ``chi`` and
+    ``membership`` are lists, for the callers that need every entry; for
+    one branch every read is a list.  Past c the rule rises by one per
     step on each axis, so P' and the chi of r > 1 vanish there, while
     membership and the one-branch chi repeat their values at min(v, c):
     ``members_to`` reads membership there.  Every series is the Alexander
@@ -479,21 +627,27 @@ class Analysis:
         return JetMatrix(self.curve, tuple(x + 2 for x in c))
 
     @cached_property
-    def ranks(self) -> list:
+    def ranks(self) -> array:
         """The honest table on [0, c], swept and certified."""
         return _certified(self.jet, self.conductor, self.delta)
 
     @cached_property
-    def chi(self) -> list:
-        """The fiber Euler characteristics on [0, c], swept once per curve
-        (``chi_chain``), their faces v_i = c_i filled by the conductor
-        rule: they vanish there for r > 1 (Delta has multidegree c - 1),
-        and chi(c) = 1 for one branch, where h(c + 1) = h(c) + 1."""
+    def chi_table(self):
+        """The fiber Euler characteristics on [0, c], read once per curve
+        (``chi_chain``: a list for one branch, packed for r > 1), their
+        faces v_i = c_i filled by the conductor rule: they vanish there for
+        r > 1 (Delta has multidegree c - 1), and chi(c) = 1 for one branch,
+        where h(c + 1) = h(c) + 1."""
         return chi_chain(self.ranks, self.conductor)
 
     @cached_property
+    def chi(self) -> list:
+        """The fiber Euler characteristics on [0, c], as a list."""
+        return listed(self.chi_table, self.conductor)
+
+    @cached_property
     def membership(self) -> list:
-        """Whether each point of [0, c] is a value."""
+        """Whether each point of [0, c] is a value, as a list."""
         return members(self.ranks, self.conductor)
 
     def members_to(self, top) -> list:
@@ -501,11 +655,11 @@ class Analysis:
         return _extend(self.membership, self.conductor, top)
 
     def _series(self, values) -> MultiPoly:
-        """The nonzero terms of a flat table on [0, c]; for r = 1, of its
+        """The nonzero terms of a read on [0, c]; for r = 1, of its
         product with (1 - t): f(v) - f(v - 1), with f(-1) = 0."""
         if self.curve.r == 1:
             values = list(map(sub, values, [0] + values[:-1]))
-        return _nonzero(values, self.conductor)
+        return _terms(values, self.conductor)
 
     @cached_property
     def fiber_series(self) -> MultiPoly:
@@ -514,7 +668,7 @@ class Analysis:
         [0, conductor].  For r > 1 chi vanishes past c, where the rank
         table is linear.  For r = 1 chi repeats chi(c) past c, and the
         polynomial is its series times (1 - t)."""
-        return self._series(self.chi)
+        return self._series(self.chi_table)
 
     @cached_property
     def pprime(self) -> MultiPoly:
@@ -526,7 +680,7 @@ class Analysis:
         (1, ..., 1), so verify's fiber-product identity checks it against
         chi; a wrong chi moves P' too."""
         c = self.conductor
-        return _nonzero(pprime_coefficients(self.chi, self.ranks, c), c)
+        return _terms(pprime_coefficients(self.chi_table, self.ranks, c), c)
 
     @cached_property
     def poincare(self) -> MultiPoly:

@@ -3,7 +3,8 @@ library's whole-table reads against, the generic polynomial product and
 long division behind its one-pass binomial ones, the step-by-step blow-up
 engine on s-fold products behind its chained one on powers, the
 one-column-per-point rank sweep on dense integer lists behind the slab
-sweep on sparse columns, the structure checks of the resolution graph and
+sweep on sparse columns, the list reads of chi, P' and membership behind
+the packed ones, the structure checks of the resolution graph and
 of a branch's semigroup, the value-semigroup properties that membership
 must keep for r >= 2, and the Torres and symmetry oracles on Delta.
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
 from math import gcd, lcm, prod
-from operator import sub
+from operator import and_, lt, sub
 from typing import NamedTuple
 
 from curvealex import Curve, ResGraph
@@ -364,7 +365,7 @@ def rule_extended(ranks, c, top) -> list:
     of a certified analysis keeps up to its window c + 2.  Along each axis
     the slices up to min(top_i, c_i) are kept and the slice at c_i repeats
     past it, rising by one per step."""
-    shape = [x + 1 for x in c]
+    shape, ranks = [x + 1 for x in c], list(ranks)
     for i in reversed(range(len(c))):
         keep = min(top[i], c[i]) + 1
         steps = range(1, top[i] - c[i] + 1)
@@ -414,6 +415,49 @@ def reference_pprime(ranks, window) -> list:
     for i in range(len(window)):
         lower = _along(lower, shape, i, lambda b, s: b[:s] + b[:-s])
     return _differences([x - y for x, y in zip(ranks, lower)], shape)
+
+
+def list_chi(ranks, top) -> list:
+    """chi on [0, top] from a rank table on [0, top], as a list, by r
+    difference sweeps of the list, each filling its last slice by the
+    conductor rule (1 on the first axis, 0 on every later one): the list
+    read behind ``filtration.chi_chain``."""
+    shape = tuple(x + 1 for x in top)
+    chi = _along(list(ranks), shape, 0, lambda b, s: [
+        *map(sub, islice(b, s, None), b), *[1] * s])
+    for i in range(1, len(top)):
+        chi = _along(chi, shape, i, lambda b, s: [
+            *map(sub, b, islice(b, s, None)), *[0] * s])
+    return chi
+
+
+def list_pprime(chi, ranks, c) -> list:
+    """P' on [0, c] from chi (a list) and a rank table on [0, c], as a
+    list: r sweeps of the lower chain, each starting with a zero slice,
+    less chi; the list read behind ``filtration.pprime_coefficients``."""
+    shape = tuple(x + 1 for x in c)
+    lower = _along(list(ranks), shape, 0, lambda b, s: [
+        *[0] * s, *map(sub, islice(b, s, None), b)])
+    for i in range(1, len(c)):
+        lower = _along(lower, shape, i, lambda b, s: [
+            *[0] * s, *map(sub, b, islice(b, s, None))])
+    return list(map(sub, lower, chi))
+
+
+def list_members(ranks, top) -> list:
+    """Membership on [0, top] from a rank table on [0, top], as a list of
+    bools: the AND of the r rise tables, each counting a step off the top
+    face as rising; the list read behind ``filtration.members``."""
+    shape = tuple(w + 1 for w in top)
+
+    def rises(b, s):
+        return [*map(lt, b, islice(b, s, None)), *[True] * s]
+
+    ranks = list(ranks)
+    member = _along(ranks, shape, 0, rises)
+    for i in range(1, len(top)):
+        member = list(map(and_, member, _along(ranks, shape, i, rises)))
+    return member
 
 
 def sub_box(values, window, top) -> list:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -436,9 +437,13 @@ def test_verify_fails_when_extra_blow_ups_change_the_product(
 
 
 def _bumped(values, top, points):
-    """A table on [0, top], one more at each of the points."""
-    return [x + (v in points) for v, x in zip(
-        iter_box((0,) * len(top), tuple(top)), values, strict=True)]
+    """A read on [0, top] (a list for one branch, packed in 16-bit slots
+    for r > 1), one more at each of the points."""
+    box = iter_box((0,) * len(top), tuple(top))
+    if len(top) > 1:
+        return values + sum(1 << 16 * k for k, v in enumerate(box)
+                            if v in points)
+    return [x + (v in points) for v, x in zip(box, values, strict=True)]
 
 
 def _corrupted_shell(monkeypatch, points):
@@ -489,7 +494,7 @@ def test_verify_fails_when_chi_leaves_a_zero_face(tmp_path, capsys,
     # the fiber series, and P' reads chi, so it moves too: checks 2 and 3
     # fail, the division of -P' leaves a remainder, which checks 1 and 4
     # name, and the two checks that read neither pass
-    chi = Analysis.chi.func
+    chi = Analysis.chi_table.func
     expected = list(VERIFY_PASSED)
     expected[0] = "FAIL poincare-equals-alexander: poincare != alexander"
     expected[1] = "FAIL fiber-euler-equals-alexander: fiber series != alexander"
@@ -500,7 +505,7 @@ def test_verify_fails_when_chi_leaves_a_zero_face(tmp_path, capsys,
         expected[3] = ("FAIL exact-divisibility: remainder with leading term "
                        "%s while dividing" % lead)
         v = (Analysis(curve).conductor[0], 1) + (0,) * (curve.r - 2)
-        monkeypatch.setattr(Analysis, "chi", property(
+        monkeypatch.setattr(Analysis, "chi_table", property(
             lambda self, v=v: _bumped(chi(self), self.conductor, {v})))
         path = _write(tmp_path, "curve.json", curve_to_json(curve))
         assert cli.main(["verify", path]) == 1
@@ -523,14 +528,14 @@ def test_verify_compares_the_exact_polynomials_whatever_the_bound(
         tmp_path, monkeypatch, capsys, bound):
     # chi corrupted at v = c - 1 = 15 on the quartic: a bound below 15
     # must not hide it, because verify compares the exact Delta
-    chi = Analysis.chi.func
+    chi = Analysis.chi_table.func
 
     def corrupted(a):
         values = chi(a)
         values[a.conductor[0] - 1] += 5
         return values
 
-    monkeypatch.setattr(Analysis, "chi", property(corrupted))
+    monkeypatch.setattr(Analysis, "chi_table", property(corrupted))
     path = _write(tmp_path, "quartic.json",
                   curve_to_json(make_quartic_branch()))
     assert cli.main(["verify", path] + bound) == 1
@@ -787,6 +792,41 @@ def test_semigroup_command_output(tmp_path, capsys):
     assert lines[0] == "conductor\t2"
     assert "generator\t2" in lines and "generator\t3" in lines
     assert "member\t4" in lines and "member\t1" not in lines
+
+
+PENCIL_JSON = {"branches": [{"x": [[1, "1"]], "y": [[6, str(a)]] if a else []}
+                            for a in range(-4, 4)]}
+
+
+def test_a_table_past_2_31_points_is_refused_before_the_sweep(
+        tmp_path, capsys, monkeypatch):
+    # the pencil y = a x^6, a = -4 ... 3, has conductor (42,)^8: [0, c]
+    # holds 43^8 points, so the series pipelines exit 1 at once, with no
+    # sweep begun, while the graph pipeline prints Delta, six equal
+    # binomial coefficients of (1 - T)^6 at each multiple of (1, ..., 1)
+    monkeypatch.setattr(filtration, "_sweep", None)
+    path = _write(tmp_path, "pencil.json", PENCIL_JSON)
+    assert cli.main(["alexander", "--via", "poincare", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "TableTooLarge: the rank table of r = 8 branches on the box [0, (42, "
+        "42, 42, 42, 42, 42, 42, 42)] has 11688200277601 points, more than "
+        "2^31 = 2147483648\n")
+    assert cli.main(["alexander", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "%d\t%s" % ((-1) ** (d // 6) * comb(6, d // 6), ",".join([str(d)] * 8))
+        for d in range(42)]
+
+
+def test_fibers_window_refuses_fifteen_branches(tmp_path, capsys):
+    lines = [{"x": [[1, "1"]], "y": [[1, str(a)]] if a else []}
+             for a in range(14)] + [{"x": [], "y": [[1, "1"]]}]
+    path = _write(tmp_path, "lines.json", {"branches": lines})
+    assert cli.main(["fibers", "--window", ",".join("1" * 15), path]) == 1
+    assert capsys.readouterr().err == (
+        "TableTooLarge: a rank table of r = 15 branches: the packed reads "
+        "hold |P'| <= 2^r only for r <= 14\n")
 
 
 def test_fibers_command_output(tmp_path, capsys):

@@ -12,6 +12,8 @@ from curvealex.filtration import (
     Analysis,
     BoundaryNonzeroError,
     JetMatrix,
+    TableTooLargeError,
+    listed,
     members,
     pprime_coefficients,
 )
@@ -171,7 +173,47 @@ def test_sweep_matches_the_one_column_per_point_reference(name):
     if r > 1:
         boxes |= {c[:-2] + (0, c[-1]), c[:-2] + (0, 0)}
     for box in sorted(boxes):
-        assert M.sweep(box) == (sub_box(ranks, M.window, box), rank), box
+        table, total = M.sweep(box)
+        assert (list(table), total) == (sub_box(ranks, M.window, box),
+                                        rank), box
+
+
+
+def test_sweep_refuses_more_branches_than_the_packed_reads_hold():
+    # |P'| <= 2^r must fit beside the bias 2^15 in a 16-bit slot; the
+    # refusal comes before the sweep, even for the one point of [0, 0]
+    M = JetMatrix(make_transverse_lines(15), (1,) * 15)
+    with pytest.raises(TableTooLargeError) as info:
+        M.sweep((0,) * 15)
+    assert str(info.value) == ("a rank table of r = 15 branches: the packed "
+                               "reads hold |P'| <= 2^r only for r <= 14")
+    assert len(JetMatrix(make_transverse_lines(14), (1,) * 14).sweep(
+        (0,) * 14)[0]) == 1
+
+
+def test_sweep_refuses_a_rank_that_may_reach_the_bias():
+    # h(v) <= rows and h(v) <= sum(v): a 16-bit slot holds the biased
+    # differences only while one of the bounds stays below 2^15
+    M = JetMatrix(Curve([({1: 1}, {})]), (2 ** 15 + 1,))
+    with pytest.raises(TableTooLargeError) as info:
+        M.sweep((2 ** 15,))
+    assert str(info.value) == (
+        "ranks up to min(rows, sum(box)) = min(32769, 32768) on the box "
+        "[0, (32768,)] reach 2^15 = 32768, past a 16-bit slot of the packed "
+        "reads")
+
+
+def test_sweep_refuses_a_box_of_more_than_2_31_points(monkeypatch):
+    # the pencil y = a x^6, a = -4 ... 3: conductor (42,)^8, 43^8 points
+    monkeypatch.setattr(filtration, "_sweep", None)
+    M = JetMatrix(Curve([({1: 1}, {6: a} if a else {})
+                         for a in range(-4, 4)]), (44,) * 8)
+    with pytest.raises(TableTooLargeError) as info:
+        M.sweep((42,) * 8)
+    assert str(info.value) == (
+        "the rank table of r = 8 branches on the box [0, (42, 42, 42, 42, "
+        "42, 42, 42, 42)] has 11688200277601 points, more than 2^31 = "
+        "2147483648")
 
 
 # the curves the symmetry and metamorphic oracles run on
@@ -512,7 +554,7 @@ def test_reads_of_the_sub_box_match_the_whole_window(name):
     a = Analysis(ORACLE_CURVES[name]())
     (ranks, window), r = filled(a), a.curve.r
     c, inner = a.conductor, vec_add(a.conductor, (1,) * r)
-    assert a.ranks == sub_box(ranks, window, c)
+    assert list(a.ranks) == sub_box(ranks, window, c)
     assert a.membership == sub_box(members(ranks, window), window, c)
     chi, pprime = fiber_eulers(ranks, window), reference_pprime(ranks, window)
     assert a.chi == sub_box(chi, inner, c)
@@ -532,8 +574,8 @@ def test_pprime_read_matches_the_rule_extended_reference(k):
     a = Analysis(make_transverse_lines(k))
     c = a.conductor
     top = vec_add(c, (1,) * k)
-    assert pprime_coefficients(a.chi, a.ranks, c) == reference_pprime(
-        rule_extended(a.ranks, c, top), top)
+    assert listed(pprime_coefficients(a.chi_table, a.ranks, c), c) == \
+        reference_pprime(rule_extended(a.ranks, c, top), top)
 
 
 SPY_CURVES = dict(CORPUS_MULTI, **{"four-lines": make_four_lines,
@@ -542,22 +584,27 @@ SPY_CURVES = dict(CORPUS_MULTI, **{"four-lines": make_four_lines,
 
 @pytest.mark.parametrize("name", sorted(SPY_CURVES))
 def test_reads_take_no_table_past_the_conductor(name, monkeypatch):
-    # for r > 1 chi, P' and membership read the honest table on [0, c] and
-    # take what they need past c from the conductor rule inside their
-    # sweeps: no table they rebuild along an axis is longer than [0, c]
+    # for r > 1 chi, P' and membership read the honest table on [0, c],
+    # packed, and take what they need past c from the conductor rule inside
+    # their steps: every step's table, and every packed read unpacked,
+    # spans exactly the prod(c_i + 1) slots of [0, c] (each slot is biased,
+    # so the top one is nonzero)
     a = Analysis(SPY_CURVES[name]())
-    size, lengths = prod(x + 1 for x in a.conductor), []
-    along = filtration._along
+    size, spans = prod(x + 1 for x in a.conductor), []
+    step, signed = filtration._step, filtration._signed
 
-    def spy(values, shape, i, f):
-        out = along(values, shape, i, f)
-        lengths.extend((len(values), len(out)))
-        return out
+    def span(values):
+        spans.append(-(-values.bit_length() // 16))
+        return values
 
     a.ranks
-    monkeypatch.setattr(filtration, "_along", spy)
+    monkeypatch.setattr(filtration, "_step", lambda *args: span(step(*args)))
+    monkeypatch.setattr(filtration, "_signed",
+                        lambda values, n: signed(span(values), n))
     a.chi, a.pprime, a.membership
-    assert max(lengths) == size
+    # r steps each for chi, P''s lower chain and membership; chi and P'
+    # unpacked once each
+    assert spans == [size] * (3 * a.curve.r + 2)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))

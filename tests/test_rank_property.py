@@ -3,8 +3,9 @@ the prefix-rank table against per-point elimination (with up to three
 levels of the sweep above its slab) and of its slab of the last two axes
 against elimination on planted blocks, of the echelon basis that adding
 sparse columns one by one keeps on large cancelling entries, of the
-difference sweeps against the per-point alternating sums, of the
-membership pass against per-point membership and, for r >= 2, against
+difference sweeps against the per-point alternating sums, of the packed
+reads of chi, P' and membership against the list reads on random monotone
+tables, of the membership pass against per-point membership and, for r >= 2, against
 the value-semigroup properties read from resolution graphs, of the
 conductor rule of one-branch analyses
 against a wide window and their Poincare series against the
@@ -17,6 +18,7 @@ the step-by-step one and of its one-normalisation division against the
 s-fold products and a second normalisation for the direction constant,
 and of every invariant against a rescaling of the coordinates."""
 
+from array import array
 from fractions import Fraction
 from math import gcd, prod
 
@@ -42,6 +44,7 @@ from curvealex.filtration import (  # noqa: E402
     _reduced,
     _slab,
     chi_chain,
+    listed,
     members,
     minimal_generators,
     pprime_coefficients,
@@ -61,6 +64,9 @@ from corpus import (  # noqa: E402
     filled,
     honest,
     is_member,
+    list_chi,
+    list_members,
+    list_pprime,
     make_rational_three_branches,
     noether_intersections,
     reference_blowups,
@@ -124,11 +130,12 @@ def test_jet_rows_match_the_monomial_jets(M):
 def test_rank_table_matches_per_point_elimination(M, data):
     reference = reference_ranks(M)
     ranks, rank = M.sweep(M.window)
-    assert ranks == reference
+    assert list(ranks) == reference
     assert rank == ranks[-1]
     # a smaller box reads the same ranks and completes the same rank
     box = tuple(data.draw(st.integers(0, w)) for w in M.window)
-    assert M.sweep(box) == (sub_box(reference, M.window, box), rank)
+    table, total = M.sweep(box)
+    assert (list(table), total) == (sub_box(reference, M.window, box), rank)
 
 
 SMALL = st.integers(-2, 2)
@@ -194,9 +201,9 @@ def test_slab_ranks_match_elimination_on_planted_blocks(blocks):
         _add_column(basis, _sparse(col))
     # the sweep hands the slab its columns reduced against the basis
     reduced = [[_reduced(_sparse(col), basis) for col in x] for x in (F, G)]
-    ranks = []
+    ranks = array("H")
     _slab(ranks, basis, *reduced, n)
-    assert ranks == [_rank(B + F[:j] + G[:k])
+    assert list(ranks) == [_rank(B + F[:j] + G[:k])
                      for j in range(len(F) + 1) for k in range(len(G) + 1)]
     assert len(basis) == _rank(B + F + G)
     for col in H:
@@ -304,8 +311,59 @@ def test_chi_read_matches_the_rule_free_sweeps_on_any_window(M):
     # that pins the sign of the first axis's sweep
     box = tuple(w - 1 for w in M.window)
     ranks = M.sweep(box)[0]
-    assert sub_box(chi_chain(ranks, box), box,
+    assert sub_box(listed(chi_chain(ranks, box), box), box,
                    tuple(w - 2 for w in M.window)) == fiber_eulers(ranks, box)
+
+
+@st.composite
+def monotone_tables(draw):
+    """A table on a random box [0, top], r <= 5, each of whose steps along
+    an axis rises by 0 or 1, as a rank table's do: the max over a few
+    groups of the min over each group's ramps, a ramp being
+    base + sum_i min(max(v_i - low_i, 0), length_i) (min and max keep such
+    steps); half of them shifted so that their largest entry is 2^15 - 1,
+    the largest rank the packed reads take."""
+    r = draw(st.integers(1, 5))
+    top = tuple(draw(st.integers(0, {1: 9, 2: 6, 3: 4}.get(r, 2)))
+                for _ in range(r))
+    ramp = st.tuples(st.integers(0, 3), st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        min_size=r, max_size=r))
+    groups = draw(st.lists(st.lists(ramp, min_size=1, max_size=3),
+                           min_size=1, max_size=3))
+    table = [max(min(base + sum(min(max(x - low, 0), length)
+                                for x, (low, length) in zip(v, axes))
+                     for base, axes in group) for group in groups)
+             for v in iter_box((0,) * r, top)]
+    if draw(st.booleans()):
+        table = [x + 2 ** 15 - 1 - max(table) for x in table]
+    return table, top
+
+
+def _weight_table(r, halves, high):
+    """On {0, 1}^r, floor((|v| + halves) / 2), plus ``high``: the steps rise
+    at every other weight, which makes the alternating sums of the reads
+    as large as 2^(r - 2)."""
+    return [(sum(v) + halves) // 2 + high
+            for v in iter_box((0,) * r, (1,) * r)], (1,) * r
+
+
+@settings(max_examples=200, deadline=None)
+@given(monotone_tables())
+@example(_weight_table(14, 0, 0))
+@example(_weight_table(14, 1, 2 ** 15 - 8))
+@example(([2 ** 15 - 7 + max(x, y) for x, y in iter_box((0, 0), (6, 6))],
+          (6, 6)))
+def test_packed_reads_match_the_list_reads(drawn):
+    # chi, P' and membership, packed for r > 1 in 16-bit slots biased by
+    # 2^15, equal the list reads they replace, entry by entry, up to ranks
+    # of 2^15 - 1 and on r = 14 axes, where |P'| reaches 2^12
+    table, top = drawn
+    chi = list_chi(table, top)
+    assert listed(chi_chain(table, top), top) == chi
+    assert listed(pprime_coefficients(chi_chain(table, top), table, top),
+                  top) == list_pprime(chi, table, top)
+    assert members(table, top) == list_members(table, top)
 
 
 @settings(max_examples=100, deadline=None)
@@ -349,7 +407,7 @@ def test_filled_table_matches_the_honest_sweep(branches):
         assume(False)
     assume(prod(x + 3 for x in a.conductor) <= 4000)
     ranks, rank = a.jet.sweep(a.jet.window)
-    assert filled(a).ranks == ranks
+    assert filled(a).ranks == list(ranks)
     assert a.jet.sweep(a.conductor)[1] == rank == ranks[-1]
 
 
@@ -367,8 +425,8 @@ def test_pprime_read_matches_the_rule_extended_reference(branches):
         assume(False)
     assume(prod(x + 3 for x in a.conductor) <= 4000)
     top = vec_add(a.conductor, (1,) * c.r)
-    assert pprime_coefficients(a.chi, a.ranks,
-                               a.conductor) == reference_pprime(
+    assert listed(pprime_coefficients(a.chi_table, a.ranks, a.conductor),
+                  a.conductor) == reference_pprime(
         rule_extended(a.ranks, a.conductor, top), top)
 
 
