@@ -5,9 +5,10 @@ analysis grow with the number of branches.
 
 For each curve of the set (``standard``, the default: k transverse lines,
 k = 2..7, and a three-branch curve of conductor (50, 20, 40);
-``frontier``: 8 transverse lines, 8^8 points on [0, c], and a deep
-three-branch curve of conductor (78, 78, 116), 730,197 points) it starts
-one fresh process per command:
+``frontier``: 8 transverse lines, 8^8 points on [0, c], a deep
+three-branch curve of conductor (78, 78, 116), 730,197 points, and a deep
+four-branch curve of conductor (73, 108, 37, 18), 5,823,652 points and a
+140 x 244 jet matrix) it starts one fresh process per command:
 
 * ``verify``: ``python -m curvealex.cli verify FILE``; the wall seconds,
   the child's maximum RSS (``os.wait4``) and the number of ``PASS`` lines;
@@ -93,10 +94,17 @@ DEEP = {"branches": [
     {"x": [[4, "1"]], "y": [[6, "2"], [9, "1"]]},
     {"x": [[6, "1"]], "y": [[9, "-1"], [10, "1"]]}]}
 
+DEEP4 = {"branches": [
+    {"x": [[4, "1"]], "y": [[6, "1"], [7, "1"]]},
+    {"x": [[6, "1"]], "y": [[9, "-1"], [10, "1"]]},
+    {"x": [[2, "1"]], "y": [[3, "1"]]},
+    {"x": [[1, "1"]], "y": []}]}
+
 CURVE_SETS = {
     "standard": [("lines-%d" % k, transverse_lines(k)) for k in range(2, 8)]
     + [("wide-50-20-40", WIDE)],
-    "frontier": [("lines-8", transverse_lines(8)), ("deep-78-78-116", DEEP)],
+    "frontier": [("lines-8", transverse_lines(8)), ("deep-78-78-116", DEEP),
+                 ("deep-73-108-37-18", DEEP4)],
 }
 
 

@@ -24,27 +24,29 @@ counts them (``_slab``), so every entry stays an exact rank, neither filled
 by a rule nor taken modulo a prime.  The sweep writes its table into an
 array of 16-bit entries.  For r > 1 the reads take that table whole,
 packed into one int whose slot k, bits 16k to 16k + 15, holds entry k
-(``_pack``), and each difference step along an axis is one shift of the
-int by the axis's stride, which sets every slot beside its neighbour on
-that axis, and a fixed number of whole-int operations (``_step``): the
-difference, BIAS = 2^15 added, on the slots off the face the step fills,
-and BIAS plus the fill on that face.  Every slot of the result lies in
-[0, 2^16), so no borrow crosses a slot (Lamport's multiple byte
-processing with full-word instructions, CACM 18(8), 1975).  The reads
-are the fiber Euler characteristics, minus the alternating sum of
-h(v + 1_I) over the subsets I of the branches, on a whole box [0, w] by
-r steps (``chi_chain``); the coefficients of P' on [0, c] as the lower
-chain, r more steps of the table, less chi (``pprime_coefficients``);
-membership on [0, w] as the AND of the r rise tables, bit 0 of each
-biased step (``members``); and a branch's minimal generators by one walk
-over that table (``minimal_generators``).  Only the slots that differ
-from the bias become polynomial terms (``_terms``), and a read becomes a
-list only for the callers that need every entry (``listed``).  For one
-branch each read is one line over the list.  ``JetMatrix.sweep`` refuses
-first, with TableTooLargeError, a table the packed reads cannot hold,
-more than MAX_BRANCHES = 14 axes (|P'| <= 2^r must fit beside the bias)
-or a rank that may reach 2^15, and one of more than MAX_POINTS = 2^31
-points.
+(``_pack``).  Each read step pairs every slot with its neighbour along one
+axis, above or below, by one shift of the int by the axis's stride, and
+masks off the face that neighbour leaves (``_neighbour``, the one place
+that shifts a table or builds a mask); a fixed number of whole-int
+operations then take the difference, a bias added, and the bias alone on
+that face (``_step``).  Every slot of the result lies in [0, 2^16), so no
+borrow crosses a slot (Lamport's multiple byte processing with full-word
+instructions, CACM 18(8), 1975).  chi and P' are r-fold differences of h,
+one chain of r steps each (``_chain``), biased by BIAS = 2^15: the fiber
+Euler characteristics, minus the alternating sum of h(v + 1_I) over the
+subsets I of the branches, on a whole box [0, w], the chain upwards from v
+(``chi_chain``); the coefficients of P' on [0, c], the chain downwards
+from v, at v - 1 + 1_I, less chi (``pprime_coefficients``).  Membership
+on [0, w] is the AND of the r rises to the neighbour above, 0 or 1 in
+every slot and 1 on the top face (``members``), and one walk over it finds
+a branch's minimal generators (``minimal_generators``).  Only the slots
+that differ from the bias become polynomial terms (``_terms``), and a read
+becomes a list only for the callers that need every entry (``listed``).
+For one branch each read is one line over the list.  ``JetMatrix.sweep``
+refuses first, with TableTooLargeError, a table the packed reads cannot
+hold, more than MAX_BRANCHES = 14 axes (|P'| <= 2^r must fit beside the
+bias) or a rank that may reach 2^15, and one of more than MAX_POINTS =
+2^31 points.
 
 One window per curve suffices: the conductor c + 2.  The conductor ideal
 t^c * O-bar lies in the local ring, so past c the table is linear,
@@ -92,7 +94,6 @@ from .resolution import DEFAULT_BUDGET, _run_blowups
 BIAS = 1 << 15
 MAX_BRANCHES = 14
 MAX_POINTS = 1 << 31
-_KEEP, _DROP = b"\xff\xff", b"\x00\x00"
 
 
 class BoundaryNonzeroError(RuntimeError):
@@ -381,32 +382,29 @@ def _pack(ranks) -> int:
     return int.from_bytes(table, "little")
 
 
-def _slot(x) -> bytes:
-    """One 16-bit slot holding x."""
-    return x.to_bytes(2, "little")
-
-
-def _faced(shape, i, inside: bytes, face: bytes, top: bool) -> int:
-    """The int whose slot at each point v of the box holds ``face`` where v
-    lies on the face v_i = shape_i - 1 (``top``) or v_i = 0, and
-    ``inside`` elsewhere: one block repeated."""
-    s = prod(shape[i + 1:])
-    block = inside * (s * (shape[i] - 1))
-    block = block + face * s if top else face * s + block
-    return int.from_bytes(block * prod(shape[:i]), "little")
+def _neighbour(f, top, i, up) -> tuple:
+    """A packed table f on [0, top] shifted by axis i's stride, each slot
+    then holding f at its neighbour v + e_i (``up``) or v - e_i, and the
+    keep mask of the face that neighbour leaves, v_i = top_i or v_i = 0:
+    0xffff in every slot off that face and 0 on it, one block repeated."""
+    s = prod(x + 1 for x in top[i + 1:])
+    block, face = b"\xff\xff" * (s * top[i]), bytes(2 * s)
+    block = block + face if up else face + block
+    keep = int.from_bytes(block * prod(x + 1 for x in top[:i]), "little")
+    return (f >> 16 * s if up else f << 16 * s), keep
 
 
 def _step(a, b, keep, bias) -> int:
-    """bias + a - b in every slot that keep holds, bias in the others.  a
-    and b hold one table, one of them shifted, both biased or neither, so
-    every slot of the result lies in [0, 2^16): no borrow crosses a slot,
-    and the carries in between cancel."""
+    """bias + a - b in every slot that keep holds, bias alone in the
+    others.  a and b hold one table, one of them shifted, both biased or
+    neither, and every slot of the result lies in [0, 2^16): no borrow
+    crosses a slot, and the carries in between cancel."""
     return (a & keep) + bias - (b & keep)
 
 
 def _repeated(x, n) -> int:
     """The int whose n slots each hold x."""
-    return int.from_bytes(_slot(x) * n, "little")
+    return int.from_bytes(x.to_bytes(2, "little") * n, "little")
 
 
 def _slots(values, n, code="H") -> array:
@@ -448,6 +446,23 @@ def _terms(values, top) -> MultiPoly:
     return terms
 
 
+def _chain(ranks, top, up, bias) -> int:
+    """r difference steps of a rank table h on [0, top], packed and biased
+    by ``bias``, BIAS in every slot: step i pairs every slot with its
+    neighbour v + e_i (``up``) or v - e_i, the bias alone on the face that
+    neighbour leaves (``_neighbour``).  The first step takes each pair's
+    rise, h at its higher point less h at its lower one, and every later
+    one minus the rise: each sign is its operands' order."""
+    f = _pack(ranks)
+    for i in range(len(top)):
+        g, keep = _neighbour(f, top, i, up)
+        # g holds the higher point of each pair iff up
+        f = _step(g, f, keep, bias) if up == (not i) else \
+            _step(f, g, keep, bias)
+        del g  # freed before the next shift makes its copy
+    return f
+
+
 def chi_chain(ranks, top):
     """chi(v), minus the sum of (-1)^|I| h(v + 1_I) over the subsets I of
     the branches, at every point v of [0, top], from a rank table h on
@@ -455,24 +470,14 @@ def chi_chain(ranks, top):
     one f(v) - f(v + e_i), each filling its last slice, the face
     v_i = top_i, by the conductor rule: 1 on the first axis, 0 on every
     later one, where that rise has cancelled.  For one branch the list
-    [h(1) - h(0), ..., h(top) - h(top - 1), 1]; for r > 1 packed, each step
-    one shift of the int by the axis's stride and ``_step``, and the first
-    face filled with 0 too, since the next step cancels a constant face.
-    On the conductor's box it is chi on the whole of [0, c]; on any box,
-    the points below every top face read the table alone."""
+    [h(1) - h(0), ..., h(top) - h(top - 1), 1]; for r > 1 the chain
+    upwards (``_chain``), its first face filled with 0 too, since the next
+    step cancels a constant face.  On the conductor's box it is chi on the
+    whole of [0, c]; on any box, the points below every top face read the
+    table alone."""
     if len(top) == 1:
         return [*map(sub, ranks[1:], ranks), 1]
-    shape = tuple(x + 1 for x in top)
-    bias = _repeated(BIAS, len(ranks))
-    chi = _pack(ranks)
-    for i in range(len(top)):
-        s = 16 * prod(shape[i + 1:])
-        keep = _faced(shape, i, _KEEP, _DROP, True)
-        if i:
-            chi = _step(chi, chi >> s, keep, bias)
-        else:
-            chi = _step(chi >> s, chi, keep, bias)
-    return chi
+    return _chain(ranks, top, True, _repeated(BIAS, len(ranks)))
 
 
 def pprime_coefficients(chi, ranks, c):
@@ -485,21 +490,11 @@ def pprime_coefficients(chi, ranks, c):
     table each start with a zero slice at v_i = 0; the first takes
     h(v) - h(max(v - e_0, 0)), the later ones h(max(v - e_i, 0)) - h(v), so
     they give minus that chain, and P' is what they give less chi: for one
-    branch a list, for r > 1 packed, each step a shift of the int towards
-    the higher slots."""
+    branch a list, for r > 1 the chain downwards (``_chain``), packed."""
     if len(c) == 1:
         return [*map(sub, [0, *map(sub, ranks[1:], ranks)], chi)]
-    shape = tuple(x + 1 for x in c)
     bias = _repeated(BIAS, len(ranks))
-    lower = _pack(ranks)
-    for i in range(len(c)):
-        s = 16 * prod(shape[i + 1:])
-        keep = _faced(shape, i, _KEEP, _DROP, False)
-        if i:
-            lower = _step(lower << s, lower, keep, bias)
-        else:
-            lower = _step(lower, lower << s, keep, bias)
-    return lower + bias - chi
+    return _chain(ranks, c, False, bias) + bias - chi
 
 
 def members(ranks, top) -> list:
@@ -511,30 +506,34 @@ def members(ranks, top) -> list:
     infinite field a space is never a finite union of proper subspaces).
     One such rise also makes J(v) nonzero.  A step off the top face
     v_i = top_i rises by the conductor rule, so it counts as rising.  For
-    r > 1 each rise is bit 0 of a biased step, and the r of them are ANDed
-    as packed ints."""
+    r > 1 membership, true at first, is ANDed with each rise, 0 or 1 in
+    every slot, one packed step to the neighbour above (``_neighbour``)
+    off its face."""
     if len(top) == 1:
         return [*map(lt, ranks, ranks[1:]), True]
-    shape = tuple(x + 1 for x in top)
     table = _pack(ranks)
     member = _repeated(1, len(ranks))
     for i in range(len(top)):
-        member &= _step(table >> 16 * prod(shape[i + 1:]), table,
-                        _faced(shape, i, _KEEP, _DROP, True),
-                        _faced(shape, i, _slot(BIAS), _slot(BIAS + 1), True))
+        above, keep = _neighbour(table, top, i, True)
+        # the bias is member itself on the face, so the AND keeps it there
+        member &= _step(above, table, keep, member - (member & keep))
+        del above, keep  # freed before the next shift and mask
     return list(map(bool, _slots(member, len(ranks))))
 
 
 def minimal_generators(a: Analysis) -> list:
     """Minimal generators of a one-branch analysis: the nonzero members
-    below 2c + 3 that are not a sum of two nonzero members (every generator
-    is below the conductor plus the multiplicity).  A member v is such a
-    sum iff v - g is a member for some generator g < v, so one ascending
-    walk over the members finds them all."""
+    up to c + m, m the least nonzero member, that are not a sum of two
+    nonzero members.  Every generator is at most c + m: a member v > c + m
+    is m plus the nonzero member v - m > c, and c + m is m + c when c > 0
+    (the smooth branch, c = 0, has the one generator 1 = c + m).  A member
+    v is such a sum iff v - g is a member for some generator g < v, so one
+    ascending walk over the members finds them all."""
     if a.curve.r != 1:
         raise ValueError("minimal generators are defined for one branch")
-    top = 2 * a.conductor[0] + 2
-    member = a.members_to((top,))
+    c = a.conductor[0]
+    member = a.members_to((2 * c + 1,))  # past c + m: m <= max(c, 1)
+    top = c + member.index(True, 1)
     gens = []
     for v in compress(range(1, top + 1), member[1:]):
         if not any(member[v - g] for g in gens):

@@ -587,7 +587,8 @@ def test_reads_take_no_table_past_the_conductor(name, monkeypatch):
     # for r > 1 chi, P' and membership read the honest table on [0, c],
     # packed, and take what they need past c from the conductor rule inside
     # their steps: every step's table, and every packed read unpacked,
-    # spans exactly the prod(c_i + 1) slots of [0, c] (each slot is biased,
+    # spans exactly the prod(c_i + 1) slots of [0, c] (chi's and P''s
+    # slots are biased, and membership's top slot, on every top face, rises,
     # so the top one is nonzero)
     a = Analysis(SPY_CURVES[name]())
     size, spans = prod(x + 1 for x in a.conductor), []

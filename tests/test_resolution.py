@@ -238,7 +238,18 @@ def test_resolution_invariance_under_extra_blowups(name):
         assert en_alexander(g) == base
 
 
-@pytest.mark.parametrize("make", [make_cusp, make_quartic_branch])
+def make_a62():
+    """A_62 = (t^2, t^125), a chain of 62 blow-ups: generators 2 and 125."""
+    return Curve([({2: 1}, {125: 1})])
+
+
+def make_three_pairs():
+    """(t^8, t^12 + t^14 + t^15): generators 8, 12, 26 and 53."""
+    return Curve([({8: 1}, {12: 1, 14: 1, 15: 1})])
+
+
+@pytest.mark.parametrize("make", [make_cusp, make_quartic_branch, make_a62,
+                                  make_three_pairs])
 def test_dead_end_multiplicities_are_the_minimal_generators(make):
     c = make()
     g = resolve(c)
