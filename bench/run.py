@@ -12,6 +12,10 @@ four-branch curve of conductor (73, 108, 37, 18), 5,823,652 points and a
 
 * ``verify``: ``python -m curvealex.cli verify FILE``; the wall seconds,
   the child's maximum RSS (``os.wait4``) and the number of ``PASS`` lines;
+  the child runs with ``MALLOC_MMAP_THRESHOLD_=131072``, as the ``stages``
+  child does, so its maximum RSS follows the work and not the order in
+  which the reads free their ints (``verify`` RSS in files written without
+  that setting is not comparable);
 * ``stages``: one ``Analysis`` of the curve, timed in the child: the
   blow-up constructor, ``a.jet`` (the jet matrix), ``a.ranks`` (the sweep
   and certificate), then ``a.chi``, ``a.pprime`` and ``a.membership``,
@@ -45,7 +49,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
-# glibc's mmap threshold for the stages child, fixed: left dynamic, it rises
+# glibc's mmap threshold for both children, fixed: left dynamic, it rises
 # with the first large blocks freed, and the maximum RSS after a read then
 # depends on the allocations before it (even on the curve file's path)
 MMAP_THRESHOLD = "131072"
@@ -129,7 +133,8 @@ def measure(path, src) -> dict:
     verify, stages = {"runs": []}, {"runs": []}
     for _ in range(REPEATS):
         out, seconds, rss = run_child(
-            [sys.executable, "-m", "curvealex.cli", "verify", str(path)], src)
+            [sys.executable, "-m", "curvealex.cli", "verify", str(path)], src,
+            MALLOC_MMAP_THRESHOLD_=MMAP_THRESHOLD)
         verify["runs"].append({
             "seconds": seconds, "max_rss_mb": rss,
             "passed": out.decode().count("PASS ")})

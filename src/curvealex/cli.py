@@ -17,7 +17,7 @@ from itertools import accumulate, compress
 from json.encoder import encode_basestring_ascii
 
 from . import curve as curve_mod
-from .curve import BranchParam, Curve, validate_curve
+from .curve import BranchParam, Curve
 from .exactmath import (
     MultiPoly,
     NotDivisibleError,
@@ -108,9 +108,7 @@ def curve_from_json(data) -> Curve:
         if not isinstance(b, dict) or "x" not in b or "y" not in b:
             raise ParseError("each branch needs 'x' and 'y' term lists")
         out.append(BranchParam(_poly_from_json(b["x"]), _poly_from_json(b["y"])))
-    c = Curve(out)
-    validate_curve(c)
-    return c
+    return Curve(out)
 
 
 def _read_json(path):
@@ -294,11 +292,11 @@ def run_verify(c: Curve, budget=DEFAULT_BUDGET):
     fibers = a.fiber_series
     # P' = -(1 - t_1...t_r) Delta for r > 1, and P' = -Delta for r = 1
     product = mp_mul_one_minus(fibers, (1,) * r) if r > 1 else fibers
-    # the certificate puts every honest rank of [0, c + 2] on the conductor
-    # rule, which the reads take past c: one more honest rank, h(c + 1), is
-    # checked against it
+    # the certificate proved h(c) = sum(c) - delta and puts every honest
+    # rank of [0, c + 2] on the conductor rule, which the reads take past c:
+    # one more honest rank, h(c + 1), is checked against it
     top = vec_add(a.conductor, (1,) * r)
-    h, rule = a.jet.rank_below(top), a.ranks[-1] + r
+    h, rule = a.jet.rank_below(top), sum(a.conductor) - a.delta + r
     return [
         ("poincare-equals-alexander", poincare == alex,
          "poincare != alexander"),

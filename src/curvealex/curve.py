@@ -2,7 +2,8 @@
 
 A branch is a map tau -> (x(tau), y(tau)) through the origin; a curve is an
 ordered list of branches (the ordering fixes the numbering of the variables
-t_1, ..., t_r everywhere downstream).
+t_1, ..., t_r everywhere downstream).  A ``Curve`` is checked once, when
+it is made (``validate_curve``): no later stage checks it again.
 """
 
 from __future__ import annotations
@@ -39,20 +40,13 @@ class BranchParam:
         self.x = up_normal(x)
         self.y = up_normal(y)
 
-    @property
-    def ord_x(self):
-        return ord_lead(self.x)[0]
-
-    @property
-    def ord_y(self):
-        return ord_lead(self.y)[0]
-
     def __repr__(self):
         return "BranchParam(x=%r, y=%r)" % (self.x, self.y)
 
 
 class Curve:
-    """A reduced plane curve germ as an ordered union of branches."""
+    """A reduced plane curve germ as an ordered union of branches, whose
+    branches are checked when it is made (``validate_curve``)."""
 
     __slots__ = ("branches",)
 
@@ -61,6 +55,7 @@ class Curve:
                          for b in branches]
         if not self.branches:
             raise ValidationError("a curve needs at least one branch")
+        validate_curve(self)
 
     @property
     def r(self) -> int:
@@ -72,6 +67,7 @@ class Curve:
 
 def validate_curve(c: Curve) -> None:
     """Check every branch parametrization; raises a ValidationError subclass.
+    ``Curve.__init__`` calls it, so a curve is checked once, when it is made.
 
     Rejects branches that are identically zero, do not pass through the
     origin (some coordinate has a nonzero constant term), factor through
@@ -82,14 +78,14 @@ def validate_curve(c: Curve) -> None:
     for idx, b in enumerate(c.branches, start=1):
         if not b.x and not b.y:
             raise ZeroBranchError("branch %d is identically zero" % idx)
-        if min(b.ord_x, b.ord_y) < 1:
+        k = min(ord_lead(b.x)[0], ord_lead(b.y)[0])
+        if k < 1:
             raise OrderZeroError(
                 "branch %d does not pass through the origin" % idx)
         g = gcd(*b.x, *b.y)
         if g > 1:
             raise NonPrimitiveError(
                 "branch %d factors through tau^%d" % (idx, g))
-        k = min(b.ord_x, b.ord_y)
         if not (b.x and b.y) and k > 1:
             raise NonPrimitiveError(
                 "branch %d is a %d-fold cover of the %s axis"

@@ -74,12 +74,12 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, compress, count
 from math import gcd, prod
 from operator import lt, ne, sub
 
-from .curve import Curve, validate_curve
+from .curve import Curve
 from .exactmath import (
     MultiPoly,
     mp_div_one_minus,
@@ -130,7 +130,6 @@ class JetMatrix:
     """
 
     def __init__(self, curve: Curve, window):
-        validate_curve(curve)
         window = tuple(int(x) for x in window)
         if len(window) != curve.r or any(w < 1 for w in window):
             raise ValueError("window must have a positive entry per branch")
@@ -407,6 +406,13 @@ def _repeated(x, n) -> int:
     return int.from_bytes(x.to_bytes(2, "little") * n, "little")
 
 
+@lru_cache(maxsize=1)
+def _bias(n) -> int:
+    """BIAS in each of n slots, built once per table size and shared by
+    every read of the table (only the last size's is kept)."""
+    return _repeated(BIAS, n)
+
+
 def _slots(values, n, code="H") -> array:
     """The n 16-bit slots of a packed int, as an array of that type code."""
     slots = array(code, values.to_bytes(2 * n, "little"))
@@ -418,7 +424,7 @@ def _slots(values, n, code="H") -> array:
 def _signed(values, n) -> array:
     """The n slots of a packed read less the bias, as signed values: XOR
     with the bias turns x + BIAS into x in two's complement."""
-    return _slots(values ^ _repeated(BIAS, n), n, "h")
+    return _slots(values ^ _bias(n), n, "h")
 
 
 def listed(values, top) -> list:
@@ -477,7 +483,7 @@ def chi_chain(ranks, top):
     table alone."""
     if len(top) == 1:
         return [*map(sub, ranks[1:], ranks), 1]
-    return _chain(ranks, top, True, _repeated(BIAS, len(ranks)))
+    return _chain(ranks, top, True, _bias(len(ranks)))
 
 
 def pprime_coefficients(chi, ranks, c):
@@ -493,7 +499,7 @@ def pprime_coefficients(chi, ranks, c):
     branch a list, for r > 1 the chain downwards (``_chain``), packed."""
     if len(c) == 1:
         return [*map(sub, [0, *map(sub, ranks[1:], ranks)], chi)]
-    bias = _repeated(BIAS, len(ranks))
+    bias = _bias(len(ranks))
     return _chain(ranks, c, False, bias) + bias - chi
 
 

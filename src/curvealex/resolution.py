@@ -48,7 +48,7 @@ from functools import cached_property
 from math import gcd
 from operator import add
 
-from .curve import Curve, validate_curve
+from .curve import Curve
 from .exactmath import (
     INF,
     MultiPoly,
@@ -287,7 +287,6 @@ def _run_blowups(c: Curve, budget: int):
     Ids are handed out breadth-first, so a chain beside a waiting point
     would take ids that belong to that point's blow-up; with r = 1, and at
     the root, the popped point is always the only one."""
-    validate_curve(c)
     r = c.r
     vertices = {}
     edges = set()

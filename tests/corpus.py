@@ -227,8 +227,8 @@ def monomial_order(c, a, b):
     contributing nothing when its power is zero."""
     out = []
     for br in c.branches:
-        oa = _scaled_order(a, br.ord_x)
-        ob = _scaled_order(b, br.ord_y)
+        oa = _scaled_order(a, ord_lead(br.x)[0])
+        ob = _scaled_order(b, ord_lead(br.y)[0])
         out.append(oa + ob if oa != INF and ob != INF else INF)
     return tuple(out)
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from curvealex import Curve, cli, filtration, resolution
+from curvealex import curve as curve_mod
 from curvealex.cli import (
     ArrowCountMismatchError,
     NotATreeError,
@@ -885,19 +886,76 @@ def test_a_repeated_command_leaves_no_cyclic_garbage(tmp_path, capsys,
 
 AXIS_COVER = {"x": [], "y": [[2, "1"], [3, "1"]]}
 X_AXIS = {"x": [[1, "1"]], "y": []}
+# every command form that reads a curve file, a window of one entry each
+CURVE_COMMANDS = [["semigroup"], ["resolve"], ["alexander"],
+                  ["alexander", "--via", "poincare"],
+                  ["alexander", "--via", "fibers"], ["poincare"], ["fibers"],
+                  ["fibers", "--window", "3"], ["semigroup", "--window", "3"],
+                  ["verify"]]
 
 
-@pytest.mark.parametrize("cmd", ["semigroup", "resolve"])
-@pytest.mark.parametrize("branches,idx", [([AXIS_COVER], 1),
-                                          ([X_AXIS, AXIS_COVER], 2)],
-                         ids=["alone", "beside-the-x-axis"])
-def test_axis_cover_is_non_primitive(tmp_path, capsys, cmd, branches, idx):
+@pytest.mark.parametrize("argv", CURVE_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("branches,line", [
+    ([AXIS_COVER], "NonPrimitive: branch 1 is a 2-fold cover of the y axis"),
+    ([X_AXIS, AXIS_COVER],
+     "NonPrimitive: branch 2 is a 2-fold cover of the y axis"),
+    ([X_AXIS, {"x": [], "y": []}], "ZeroBranch: branch 2 is identically zero"),
+    ([{"x": [[0, "1"], [1, "1"]], "y": [[1, "1"]]}],
+     "OrderZero: branch 1 does not pass through the origin"),
+    (NONPRIMITIVE_JSON["branches"],
+     "NonPrimitive: branch 1 factors through tau^2")],
+    ids=["alone", "beside-the-x-axis", "zero-branch", "off-the-origin",
+         "through-tau-squared"])
+def test_axis_cover_is_non_primitive(tmp_path, capsys, argv, branches, line):
+    # each rejection is the curve's own, raised while the file is read and
+    # before any window is checked
     path = _write(tmp_path, "cover.json", {"branches": branches})
-    assert cli.main([cmd, path]) == 3
+    assert cli.main([argv[0], path, *argv[1:]]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("NonPrimitive: branch %d is a 2-fold cover of "
-                            "the y axis\n" % idx)
+    assert captured.err == line + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    [*argv[:-1], "4,4"] if "--window" in argv else argv
+    for argv in CURVE_COMMANDS], ids=" ".join)
+def test_each_command_checks_its_curve_once(tmp_path, capsys, monkeypatch,
+                                            argv):
+    # a spy in every module that binds validate_curve: the one check is the
+    # one Curve makes when the file is read, and no later stage repeats it
+    path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
+    check, checked = curve_mod.validate_curve, []
+
+    def counted(c):
+        checked.append(c)
+        check(c)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("curvealex") and \
+                getattr(mod, "validate_curve", None) is check:
+            monkeypatch.setattr(mod, "validate_curve", counted)
+    assert cli.main([argv[0], path, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(checked) == 1
+
+
+@pytest.mark.parametrize("argv,builds", [
+    (["verify"], 1),  # chi, P' and the terms of both
+    (["alexander", "--via", "poincare"], 1),  # chi, P' and P''s terms
+    (["alexander", "--via", "fibers"], 1),  # chi and its terms
+    (["fibers"], 1),  # chi and its list
+    (["fibers", "--window", "4,4"], 1),
+    (["semigroup"], 0)],  # membership is unbiased
+    ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
+def test_the_reads_of_one_table_build_one_packed_bias(tmp_path, capsys,
+                                                      argv, builds):
+    # every packed read of one table shares its bias int: a build is a
+    # miss of its memo
+    filtration._bias.cache_clear()
+    path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
+    assert cli.main([argv[0], path, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert filtration._bias.cache_info().misses == builds
 
 
 @pytest.mark.parametrize("cmd", ["semigroup", "resolve"])

@@ -53,6 +53,25 @@ def test_validate_rejects_zero_branch():
         validate_curve(Curve([({}, {})]))
 
 
+@pytest.mark.parametrize("branch,error,message", [
+    (({}, {}), ZeroBranchError, "branch 1 is identically zero"),
+    (({0: 1, 1: 1}, {1: 1}), OrderZeroError,
+     "branch 1 does not pass through the origin"),
+    (({2: 1}, {4: 1}), NonPrimitiveError, "branch 1 factors through tau^2"),
+    (({}, {2: 1, 4: 1}), NonPrimitiveError, "branch 1 factors through tau^2"),
+    (({3: 1, 4: 2}, {}), NonPrimitiveError,
+     "branch 1 is a 3-fold cover of the x axis")],
+    ids=["zero", "off-the-origin", "through-tau-squared",
+         "axis-through-tau-squared", "axis-cover"])
+def test_curve_rejects_an_invalid_branch_when_it_is_made(branch, error,
+                                                         message):
+    # the constructor alone checks: no curve that validate_curve rejects
+    # can exist for a later stage to read
+    with pytest.raises(error) as info:
+        Curve([branch])
+    assert str(info.value) == message
+
+
 def test_germ_valuation_of_y_on_cusp():
     b = BranchParam({2: 1}, {3: 1})
     assert germ_valuation({(0, 1): 1}, b) == (3, 1)
@@ -123,7 +142,7 @@ def test_valuation_multiplicative_on_random_germs():
 
 def test_monomial_order_matches_computed_jet_order():
     rng = random.Random(29)
-    c = Curve([({2: 1}, {3: 1, 4: 2}), ({1: 1}, {}), ({}, {2: 1, 3: 1})])
+    c = Curve([({2: 1}, {3: 1, 4: 2}), ({1: 1}, {}), ({}, {1: 1, 3: 1})])
     w = (9, 9, 9)
     for _ in range(60):
         a, b = rng.randint(0, 3), rng.randint(0, 3)
