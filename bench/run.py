@@ -1,5 +1,5 @@
-"""Scaling harness for curvealex: how ``verify`` and the stages of one
-analysis grow with the number of branches.
+"""Scaling harness for curvealex: how ``verify``, ``semigroup`` and the
+stages of one analysis grow with the number of branches.
 
     python3 bench/run.py LABEL [--src DIR] [--curves standard|frontier]
 
@@ -25,7 +25,11 @@ four-branch curve of conductor (73, 108, 37, 18), 5,823,652 points and a
   that reading follows the reads and not glibc's dynamic threshold); the
   sha256 of each of these three reads (P' as its sorted
   terms), so two trees can be shown to read the same series; and the
-  child's maximum RSS at exit.
+  child's maximum RSS at exit;
+* ``semigroup``: ``python -m curvealex.cli semigroup FILE``, with the
+  same fixed threshold; the wall seconds, the child's maximum RSS and the
+  sha256 of its stdout, so two trees can be shown to print the same
+  members.
 
 Each command runs three times; the file keeps every run and the median of
 each number.  It writes ``BENCH_<LABEL>.json`` in the current directory.
@@ -37,6 +41,7 @@ one machine.  Standard library only; it is not part of the test suite.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -128,9 +133,9 @@ def run_child(argv, src, **env) -> tuple:
 
 
 def measure(path, src) -> dict:
-    """Every run of both commands on one curve file, and the median of each
-    of their timings and RSS readings."""
-    verify, stages = {"runs": []}, {"runs": []}
+    """Every run of the three commands on one curve file, and the median of
+    each of their timings and RSS readings."""
+    verify, stages, semigroup = {"runs": []}, {"runs": []}, {"runs": []}
     for _ in range(REPEATS):
         out, seconds, rss = run_child(
             [sys.executable, "-m", "curvealex.cli", "verify", str(path)], src,
@@ -143,12 +148,18 @@ def measure(path, src) -> dict:
             MALLOC_MMAP_THRESHOLD_=MMAP_THRESHOLD)
         stages["runs"].append(dict(json.loads(out), wall_s=seconds,
                                    max_rss_mb=rss))
-    for block in (verify, stages):
+        out, seconds, rss = run_child(
+            [sys.executable, "-m", "curvealex.cli", "semigroup", str(path)],
+            src, MALLOC_MMAP_THRESHOLD_=MMAP_THRESHOLD)
+        semigroup["runs"].append({
+            "seconds": seconds, "max_rss_mb": rss,
+            "sha256": hashlib.sha256(out).hexdigest()})
+    for block in (verify, stages, semigroup):
         for key, value in block["runs"][0].items():
             if isinstance(value, float):
                 block[key] = statistics.median(
                     run[key] for run in block["runs"])
-    return {"verify": verify, "stages": stages}
+    return {"verify": verify, "stages": stages, "semigroup": semigroup}
 
 
 def main(argv=None) -> int:
@@ -168,10 +179,13 @@ def main(argv=None) -> int:
             path = Path(tmp) / (name + ".json")
             path.write_text(json.dumps(data))
             result["curves"][name] = entry = measure(path, args.src)
-            print("%-14s verify %7.3f s %6.1f MB  ranks %7.3f s" % (
-                name, entry["verify"]["seconds"],
-                entry["verify"]["max_rss_mb"],
-                entry["stages"]["ranks_s"]), file=sys.stderr)
+            print("%-14s verify %7.3f s %6.1f MB  ranks %7.3f s  "
+                  "semigroup %7.3f s %6.1f MB" % (
+                      name, entry["verify"]["seconds"],
+                      entry["verify"]["max_rss_mb"],
+                      entry["stages"]["ranks_s"],
+                      entry["semigroup"]["seconds"],
+                      entry["semigroup"]["max_rss_mb"]), file=sys.stderr)
     target = Path("BENCH_%s.json" % args.label)
     target.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(target)

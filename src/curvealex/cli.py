@@ -13,8 +13,9 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, compress
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
+from operator import lt
 
 from . import curve as curve_mod
 from .curve import BranchParam, Curve
@@ -30,10 +31,11 @@ from .filtration import (
     BoundaryNonzeroError,
     JetMatrix,
     TableTooLargeError,
-    _extend,
+    check_table,
     chi_chain,
     listed,
     minimal_generators,
+    visible_rows,
 )
 from .resolution import (
     BudgetExceededError,
@@ -357,18 +359,19 @@ def _checked_window(c: Curve, window) -> tuple:
 def _cmd_fibers(args) -> int:
     c = parse_curve_file(args.input)
     if args.window:
-        # chi on [0, window - 2] reads the honest ranks on [0, window - 1];
-        # the cut drops the faces its chain fills by the rule
+        # chi on [0, window - 2] reads the honest ranks on [0, window - 1],
+        # refused before any row is built; the lines leave out the faces
+        # v_i = window_i - 1, which its chain fills by the rule
         window = _checked_window(c, args.window)
         box = tuple(w - 1 for w in window)
-        top = tuple(w - 2 for w in window)
-        chi = _extend(listed(chi_chain(JetMatrix(c, window).sweep(box)[0],
-                                       box), box), box, top)
+        check_table(visible_rows(c, window), box)
+        chi = listed(chi_chain(JetMatrix(c, window).sweep(box)[0], box), box)
+        points = [(v, x) for v, x in zip(iter_box((0,) * c.r, box), chi)
+                  if all(map(lt, v, box))]
     else:
         a = Analysis(c, budget=args.budget)
-        top, chi = a.conductor, a.chi
-    lines = ["%d\t%s" % (x, _point(v))
-             for v, x in zip(iter_box((0,) * c.r, top), chi)]
+        points = zip(iter_box((0,) * c.r, a.conductor), a.chi)
+    lines = ["%d\t%s" % (x, _point(v)) for v, x in points]
     _emit("\n".join(lines), args.out)
     return 0
 
@@ -388,8 +391,7 @@ def _cmd_semigroup(args) -> int:
     if window:
         # the window only shortens the output: members on [0, window - 2]
         top = tuple(min(t, w - 2) for t, w in zip(top, window))
-    members = compress(iter_box((0,) * c.r, top), a.members_to(top))
-    lines.extend("member\t%s" % _point(v) for v in members)
+    lines.extend("member\t%s" % _point(v) for v in a.members_in(top))
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -42,11 +42,10 @@ every slot and 1 on the top face (``members``), and one walk over it finds
 a branch's minimal generators (``minimal_generators``).  Only the slots
 that differ from the bias become polynomial terms (``_terms``), and a read
 becomes a list only for the callers that need every entry (``listed``).
-For one branch each read is one line over the list.  ``JetMatrix.sweep``
-refuses first, with TableTooLargeError, a table the packed reads cannot
-hold, more than MAX_BRANCHES = 14 axes (|P'| <= 2^r must fit beside the
-bias) or a rank that may reach 2^15, and one of more than MAX_POINTS =
-2^31 points.
+For one branch each read is one line over the list.  ``check_table``
+refuses, before the sweep, a table the packed reads cannot hold, more
+than MAX_BRANCHES = 14 axes (|P'| <= 2^r must fit beside the bias) or a
+rank that may reach 2^15, and one of more than MAX_POINTS = 2^31 points.
 
 One window per curve suffices: the conductor c + 2.  The conductor ideal
 t^c * O-bar lies in the local ring, so past c the table is linear,
@@ -63,8 +62,9 @@ step off the top face as rising, and chi, which P' reads, fills the
 last slice of each of its steps by the rule, so it vanishes on the faces
 v_i = c_i for r > 1 (Delta has multidegree c - 1) and is 1 at c for one
 branch.  Past c the rule rises by one per step on each axis, so
-membership and the one-branch chi repeat their values at min(v, c), and
-the reads of two or more differences (P', and chi for r > 1) vanish.  So
+membership and the one-branch chi repeat their values at min(v, c)
+(``members_in`` lists the values on any box by it), and the reads of two
+or more differences (P', and chi for r > 1) vanish.  So
 every series is the Alexander polynomial Delta on [0, c], for one branch
 the differences of chi or of membership along the axis; the CLI prints
 Delta / (1 - t).
@@ -75,14 +75,16 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import cached_property, lru_cache
-from itertools import accumulate, compress, count
+from itertools import accumulate, compress, count, product, takewhile
 from math import gcd, prod
 from operator import lt, ne, sub
 
 from .curve import Curve
 from .exactmath import (
     MultiPoly,
+    iter_box,
     mp_div_one_minus,
+    ord_lead,
     up_integral,
     up_mul_trunc,
 )
@@ -169,26 +171,10 @@ class JetMatrix:
         entries, and h(window): one pass, every entry an exact rank (the
         last two axes from J + K eliminations per point of the others,
         ``_slab``), the basis left at the box's top corner completed by
-        every branch's rest.  A table the packed reads cannot hold (more
-        than MAX_BRANCHES axes, or a rank that may reach BIAS: h(v) is at
-        most the number of rows and at most sum(v)) or of more than
-        MAX_POINTS points is refused first (TableTooLargeError)."""
-        r, points = len(box), prod(x + 1 for x in box)
-        rows, most = len(self.monomials), sum(box)
-        if r > MAX_BRANCHES:
-            raise TableTooLargeError(
-                "a rank table of r = %d branches: the packed reads hold "
-                "|P'| <= 2^r only for r <= %d" % (r, MAX_BRANCHES))
-        if points > MAX_POINTS:
-            raise TableTooLargeError(
-                "the rank table of r = %d branches on the box [0, %r] has "
-                "%d points, more than 2^31 = %d"
-                % (r, tuple(box), points, MAX_POINTS))
-        if min(rows, most) >= BIAS:
-            raise TableTooLargeError(
-                "ranks up to min(rows, sum(box)) = min(%d, %d) on the box "
-                "[0, %r] reach 2^15 = %d, past a 16-bit slot of the packed "
-                "reads" % (rows, most, tuple(box), BIAS))
+        every branch's rest.  A table the packed reads cannot hold is
+        refused first (``check_table``)."""
+        rows = len(self.monomials)
+        check_table(rows, box)
         ranks, basis = array("H"), []
         starts = accumulate(self.window, initial=0)
         _sweep(ranks, basis, [col for start, n in zip(starts, box)
@@ -200,6 +186,41 @@ class JetMatrix:
     def rank_below(self, v) -> int:
         """The rank of the columns below v, from an empty basis."""
         return _add_columns([], self.columns, self.window, (0,) * len(v), v)
+
+
+def visible_rows(curve: Curve, window) -> int:
+    """The rows of the ``JetMatrix`` at the window, from the branch orders
+    alone: x^a y^b is visible iff a ord x_i + b ord y_i < w_i on some
+    branch i, so for each a the visible b form a prefix.  An order past w_i
+    counts as w_i (a coordinate that is 0 has order infinity)."""
+    orders = [(min(ord_lead(br.x)[0], w), min(ord_lead(br.y)[0], w), w)
+              for br, w in zip(curve.branches, window)]
+    # for each a, ceil((w_i - a ord x_i) / ord y_i) visible b on branch i
+    return sum(takewhile(lambda n: n > 0, (
+        max(-((a * x - w) // y) for x, y, w in orders) for a in count())))
+
+
+def check_table(rows, box) -> None:
+    """Refuse (TableTooLargeError) a rank table on [0, box], of a jet matrix
+    of that many rows (``visible_rows`` counts them before it is built),
+    that the packed reads cannot hold (more than MAX_BRANCHES axes, or a
+    rank that may reach BIAS: h(v) <= rows and h(v) <= sum(v)) or of more
+    than MAX_POINTS points."""
+    r, points = len(box), prod(x + 1 for x in box)
+    if r > MAX_BRANCHES:
+        raise TableTooLargeError(
+            "a rank table of r = %d branches: the packed reads hold "
+            "|P'| <= 2^r only for r <= %d" % (r, MAX_BRANCHES))
+    if points > MAX_POINTS:
+        raise TableTooLargeError(
+            "the rank table of r = %d branches on the box [0, %r] has "
+            "%d points, more than 2^31 = %d"
+            % (r, tuple(box), points, MAX_POINTS))
+    if min(rows, sum(box)) >= BIAS:
+        raise TableTooLargeError(
+            "ranks up to min(rows, sum(box)) = min(%d, %d) on the box "
+            "[0, %r] reach 2^15 = %d, past a 16-bit slot of the packed "
+            "reads" % (rows, sum(box), tuple(box), BIAS))
 
 
 def _primitive(vec) -> dict:
@@ -345,33 +366,6 @@ def _reduced(col, basis) -> dict:
 # packed: the value at slot k lies, biased by BIAS, in bits 16k to 16k + 15
 # of one int, and every read step is a fixed number of whole-int operations
 # ---------------------------------------------------------------------------
-
-def _along(values, shape, i, f) -> list:
-    """The table rebuilt along axis i: f(block, step) maps each block of
-    values that share their coordinates before i (``shape[i]`` slices of
-    ``step`` values, one per coordinate i) to its new block."""
-    step = prod(shape[i + 1:])
-    block = shape[i] * step
-    if block == len(values):
-        return f(values, step)  # one block: no copies
-    out = []
-    for k in range(0, len(values), block):
-        out += f(values[k:k + block], step)
-    return out
-
-
-def _extend(values, c, top) -> list:
-    """The table f(min(v, c)) on [0, top], from a table f on [0, c]: along
-    each axis, the slices up to min(top_i, c_i) are kept and the slice at
-    c_i repeats past it."""
-    shape = [x + 1 for x in c]
-    for i in reversed(range(len(c))):
-        keep, past = min(top[i], c[i]) + 1, max(top[i] - c[i], 0)
-        values = _along(values, shape, i,
-                        lambda b, s: b[:keep * s] + b[-s:] * past)
-        shape[i] = top[i] + 1
-    return values
-
 
 def _pack(ranks) -> int:
     """A rank table, each entry below BIAS, in 16-bit slots of one int."""
@@ -538,7 +532,8 @@ def minimal_generators(a: Analysis) -> list:
     if a.curve.r != 1:
         raise ValueError("minimal generators are defined for one branch")
     c = a.conductor[0]
-    member = a.members_to((2 * c + 1,))  # past c + m: m <= max(c, 1)
+    # v is a value iff min(v, c) is: True on (c, 2c + 1], past c + m
+    member = a.membership + [True] * (c + 1)
     top = c + member.index(True, 1)
     gens = []
     for v in compress(range(1, top + 1), member[1:]):
@@ -593,22 +588,14 @@ class Analysis:
     Delgado's c_i = 2 delta_i + sum_{j != i} (C_i . C_j) and delta =
     sum_i delta_i + sum_{i<j} (C_i . C_j) (Delgado de la Mata, Manuscripta
     Math. 59, 1987), summed point by point.  One jet matrix ``jet``, built
-    on first use at the window c + 2, is swept only on [0, c]; the
-    conductor is certified from that table and the window's rank
-    (``_certified``), which keeps every honest rank of [0, c + 2] on the
-    conductor rule, and ``ranks`` is that honest table on [0, c], an
-    array of 16-bit entries.  Every read is a table on [0, c], in
-    lexicographic order, read from [0, c] itself, and takes what it needs
-    past c from the rule inside its steps: ``chi_table``, once per curve,
-    which ``pprime`` reads with its lower chain, and ``membership``.  For
-    r > 1 chi and P' stay packed (``chi_chain``), and the series take
-    their nonzero terms straight from the packed ints; ``chi`` and
-    ``membership`` are lists, for the callers that need every entry; for
-    one branch every read is a list.  Past c the rule rises by one per
-    step on each axis, so P' and the chi of r > 1 vanish there, while
-    membership and the one-branch chi repeat their values at min(v, c):
-    ``members_to`` reads membership there.  Every series is the Alexander
-    polynomial Delta.
+    on first use at the window c + 2, is swept only on [0, c]: ``ranks``,
+    certified (``_certified``).  Every read is a table on [0, c] that takes
+    what it needs past c from the conductor rule inside its steps:
+    ``chi_table`` (packed for r > 1), which ``pprime`` reads, and the
+    lists ``chi`` and ``membership``.  Past c, P' and the chi of r > 1
+    vanish, and membership and the one-branch chi repeat their values at
+    min(v, c), by which ``members_in`` lists the values on any box.  Every
+    series is the Alexander polynomial Delta.
     """
 
     def __init__(self, curve: Curve, budget: int = DEFAULT_BUDGET):
@@ -655,9 +642,19 @@ class Analysis:
         """Whether each point of [0, c] is a value, as a list."""
         return members(self.ranks, self.conductor)
 
-    def members_to(self, top) -> list:
-        """Whether each point of [0, top] is a value, read at min(v, c)."""
-        return _extend(self.membership, self.conductor, top)
+    def members_in(self, top) -> list:
+        """The points of [0, top] that are values, in lexicographic order.
+        v is a value iff min(v, c) is, so along each axis i a top_i below
+        c_i cuts the members past it, and each member u on the face
+        u_i = c_i repeats from c_i + 1 to top_i, one product per member."""
+        c = self.conductor
+        points = list(compress(iter_box((0,) * len(c), c), self.membership))
+        for i, (ci, ti) in enumerate(zip(c, top)):
+            points = [u for u in points if u[i] <= ti]
+            for u in [u for u in points if u[i] == ci]:
+                points += product(*zip(u[:i]), range(ci + 1, ti + 1),
+                                  *zip(u[i + 1:]))
+        return sorted(points)
 
     def _series(self, values) -> MultiPoly:
         """The nonzero terms of a read on [0, c]; for r = 1, of its

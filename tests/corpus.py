@@ -39,7 +39,7 @@ from curvealex.exactmath import (
     up_mul,
     vec_add,
 )
-from curvealex.filtration import Analysis, _along
+from curvealex.filtration import Analysis
 from curvealex.resolution import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -351,6 +351,20 @@ class Table(NamedTuple):
 
     ranks: list
     window: tuple
+
+
+def _along(values, shape, i, f) -> list:
+    """The table rebuilt along axis i: f(block, step) maps each block of
+    values that share their coordinates before i (``shape[i]`` slices of
+    ``step`` values, one per coordinate i) to its new block."""
+    step = prod(shape[i + 1:])
+    block = shape[i] * step
+    if block == len(values):
+        return f(values, step)  # one block: no copies
+    out = []
+    for k in range(0, len(values), block):
+        out += f(values[k:k + block], step)
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -977,13 +991,12 @@ def verify_semigroup_properties(c: Curve) -> SemigroupReport:
 
     delta = a.conductor[0]
     top = 2 * delta + 2
-    members = a.members_to((top,))
 
     checks = {}
     checks["conductor-formula"] = (
         delta - 1 == sum(n * g for n, g in zip(ns, gens[1:])) - beta0)
     checks["unique-representation"] = all(
-        _representations(v, gens, ns) == members[v]
+        _representations(v, gens, ns) == is_member(a, (v,))
         for v in range(top + 1))
     checks["generator-growth"] = all(
         (ns[j] + 1) * gens[j + 1] < gens[j + 2]

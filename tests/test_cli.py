@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -682,13 +683,16 @@ WINDOW_CURVES = {"cusp": CUSP_JSON, "node": NODE_JSON,
 
 
 def _windows(conductor):
-    """Ones, c + 2, c + 5, a staggered window c_i + 1 + 2i and one that
-    cuts inside [0, c] on every axis, ceil(c_i / 2) + 1."""
+    """Ones, c + 2, c + 5, a staggered window c_i + 1 + 2i, one that cuts
+    inside [0, c] on every axis, ceil(c_i / 2) + 1, and a mixed one, that
+    cut on the even axes and c_i + 5 on the odd ones."""
     return [tuple(1 for _ in conductor),
             tuple(x + 2 for x in conductor),
             tuple(x + 5 for x in conductor),
             tuple(x + 1 + 2 * i for i, x in enumerate(conductor)),
-            tuple((x + 1) // 2 + 1 for x in conductor)]
+            tuple((x + 1) // 2 + 1 for x in conductor),
+            tuple(x + 5 if i % 2 else (x + 1) // 2 + 1
+                  for i, x in enumerate(conductor))]
 
 
 def _run(argv, capsys):
@@ -828,6 +832,22 @@ def test_fibers_window_refuses_fifteen_branches(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "TableTooLarge: a rank table of r = 15 branches: the packed reads "
         "hold |P'| <= 2^r only for r <= 14\n")
+
+
+def test_fibers_window_refuses_a_table_before_building_its_rows(
+        tmp_path, capsys):
+    # the cusp at the window 33000: 90,761,000 visible monomials and
+    # Sigma box = 32999 >= 2^15, refused from the branch orders alone
+    path = _write(tmp_path, "cusp.json", CUSP_JSON)
+    start = time.perf_counter()
+    assert cli.main(["fibers", "--window", "33000", path]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "TableTooLarge: ranks up to min(rows, sum(box)) = min(90761000, "
+        "32999) on the box [0, (32999,)] reach 2^15 = 32768, past a 16-bit "
+        "slot of the packed reads\n")
 
 
 def test_fibers_command_output(tmp_path, capsys):

@@ -16,6 +16,7 @@ from curvealex.filtration import (
     listed,
     members,
     pprime_coefficients,
+    visible_rows,
 )
 from curvealex.resolution import en_alexander, resolve
 
@@ -201,6 +202,18 @@ def test_sweep_refuses_a_rank_that_may_reach_the_bias():
         "ranks up to min(rows, sum(box)) = min(32769, 32768) on the box "
         "[0, (32768,)] reach 2^15 = 32768, past a 16-bit slot of the packed "
         "reads")
+
+
+@pytest.mark.parametrize("name", sorted(RANK_CURVES))
+def test_visible_rows_count_the_jet_rows(name):
+    # the rows follow from the branch orders alone, before any is built
+    c = RANK_CURVES[name]()
+    conductor = Analysis(c).conductor
+    for window in ((1,) * c.r, (2,) * c.r, vec_add(conductor, (2,) * c.r),
+                   tuple(x + 1 + 3 * i for i, x in enumerate(conductor)),
+                   tuple(x // 2 + 1 for x in conductor)):
+        assert visible_rows(c, window) == \
+            len(JetMatrix(c, window).monomials), window
 
 
 def test_sweep_refuses_a_box_of_more_than_2_31_points(monkeypatch):
@@ -535,13 +548,14 @@ def test_is_member_far_past_the_window_reads_min_v_c(name):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
 def test_members_to_reads_every_point_at_min_v_c(name):
+    # the members up to top: ``members_in`` lists the points of [0, top]
+    # that the table reads as values at min(v, c)
     a = Analysis(ORACLE_CURVES[name]())
     c, r = a.conductor, a.curve.r
     for top in (vec_add(c, (2,) * r), tuple(x // 2 for x in c),
                 tuple(x + 3 if i % 2 else x // 2 for i, x in enumerate(c))):
-        box = list(iter_box((0,) * r, top))
-        assert list(zip(box, a.members_to(top), strict=True)) == \
-            [(v, is_member(a, v)) for v in box]
+        assert a.members_in(top) == [v for v in iter_box((0,) * r, top)
+                                     if is_member(a, v)]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))

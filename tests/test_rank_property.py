@@ -430,6 +430,25 @@ def test_pprime_read_matches_the_rule_extended_reference(branches):
         rule_extended(a.ranks, a.conductor, top), top)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(BRANCHES.filter(_not_an_axis_cover), min_size=1, max_size=3),
+       st.data())
+def test_members_in_lists_every_value_read_at_min_v_c(branches, data):
+    # a top cut below c on some axes and past c + 2 on others: the values
+    # the analysis lists are the points its table reads at min(v, c)
+    c = Curve(branches)
+    try:
+        a = Analysis(c)
+    except BudgetExceededError:
+        # coincident branches, or a map of degree > 1 onto its image
+        assume(False)
+    assume(prod(x + 6 for x in a.conductor) <= 20000)
+    top = data.draw(st.tuples(*(st.integers(-1, x + 5)
+                                for x in a.conductor)))
+    assert a.members_in(top) == [v for v in iter_box((0,) * c.r, top)
+                                 if is_member(a, v)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(BRANCHES.filter(_not_an_axis_cover), min_size=1, max_size=3))
 def test_random_curves_pass_every_verify_check(branches):
