@@ -1,14 +1,19 @@
 """Scaling harness for curvealex: how ``verify``, ``semigroup`` and the
 stages of one analysis grow with the number of branches.
 
-    python3 bench/run.py LABEL [--src DIR] [--curves standard|frontier]
+    python3 bench/run.py LABEL [--src DIR]
+                         [--curves standard|frontier|one-branch]
 
 For each curve of the set (``standard``, the default: k transverse lines,
 k = 2..7, and a three-branch curve of conductor (50, 20, 40);
 ``frontier``: 8 transverse lines, 8^8 points on [0, c], a deep
 three-branch curve of conductor (78, 78, 116), 730,197 points, and a deep
 four-branch curve of conductor (73, 108, 37, 18), 5,823,652 points and a
-140 x 244 jet matrix) it starts one fresh process per command:
+140 x 244 jet matrix; ``one-branch``: A_62 = (t^2, t^125), conductor 124,
+the quartic (t^4, t^6 + t^7), conductor 16, (t^8, t^12 + t^14 + t^15),
+conductor 84, and (t^12, t^18 + t^21 + t^23), conductor 206, whose
+tables are one echelon of the jet rows) it starts one fresh process per
+command:
 
 * ``verify``: ``python -m curvealex.cli verify FILE``; the wall seconds,
   the child's maximum RSS (``os.wait4``) and the number of ``PASS`` lines;
@@ -109,11 +114,21 @@ DEEP4 = {"branches": [
     {"x": [[2, "1"]], "y": [[3, "1"]]},
     {"x": [[1, "1"]], "y": []}]}
 
+
+def one_branch(x: int, ys) -> dict:
+    """The branch (t^x, sum of t^e for e in ys)."""
+    return {"branches": [{"x": [[x, "1"]], "y": [[e, "1"] for e in ys]}]}
+
+
 CURVE_SETS = {
     "standard": [("lines-%d" % k, transverse_lines(k)) for k in range(2, 8)]
     + [("wide-50-20-40", WIDE)],
     "frontier": [("lines-8", transverse_lines(8)), ("deep-78-78-116", DEEP),
                  ("deep-73-108-37-18", DEEP4)],
+    "one-branch": [("a62", one_branch(2, [125])),
+                   ("quartic", one_branch(4, [6, 7])),
+                   ("eight-12-14-15", one_branch(8, [12, 14, 15])),
+                   ("twelve-18-21-23", one_branch(12, [18, 21, 23]))],
 }
 
 

@@ -6,16 +6,23 @@ semigroup of values.
 Everything reduces to exact ranks of one matrix per curve: the rows are the
 jet coordinates of all monomials visible inside the window, each built from
 the previous row by one truncated product per branch, and the columns are
-(branch, order) pairs in branch-major order.  Each column is kept sparse, a
-dict {row: value} of its nonzero integer entries, and every elimination
-runs on that form, over the union of two supports (``_reduced``): on these
-matrices a column is mostly zeros.  Since the columns "below v" form a
-per-branch prefix, h(v) = dim O/J(v) is the rank below v, and all
-other dimensions are alternating sums of that one prefix-rank table, kept
-flat in lexicographic order.  The sweep adds one branch's columns
-at a time, down to the last two axes, and carries the columns still to come
-down the walk already reduced against its basis, so each basis vector it
-adds costs one step per carried column that is nonzero at its pivot.  On
+(branch, order) pairs in branch-major order.  Every vector is kept sparse,
+a dict of its nonzero integer entries, and every elimination runs on that
+form, over the union of two supports (``_reduced``): on these matrices a
+vector is mostly zeros.  Since the columns "below v" form a per-branch
+prefix, h(v) = dim O/J(v) is the rank below v, and all other dimensions
+are alternating sums of that one prefix-rank table, kept flat in
+lexicographic order.  For one branch h(v) is the number of semigroup
+values below v, and one row echelon gives the whole table: the matrix keeps
+its rows, {order: value}, and ``_echelon`` pivots each on its least order,
+so h(v) is the number of pivots below v.  It reduces only the staircase of
+rows not yet proved dependent: once x^a y^b reduces to zero, every
+x^a' y^b' with a' >= a and b' >= b is a combination of the rows before it.
+For r > 1 the matrix keeps its columns, {row: value}, and the sweep adds
+one branch's columns at a time, down to the last two axes, and carries the
+columns still to come down the walk already reduced against its basis, so
+each basis vector it adds costs one step per carried column that is
+nonzero at its pivot.  On
 the last two axes the (J + 1) x (K + 1) ranks over each basis B are fixed
 by the relative position of two flags, the prefixes F_j and G_k of the last
 two branches.  One reduction per column of F and of G finds, for each g_l,
@@ -74,9 +81,10 @@ from __future__ import annotations
 
 import sys
 from array import array
+from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, compress, count, product, takewhile
-from math import gcd, prod
+from itertools import accumulate, compress, count, product
+from math import gcd, inf, prod
 from operator import lt, ne, sub
 
 from .curve import Curve
@@ -126,9 +134,11 @@ class JetMatrix:
     so every entry is an int; scaling a row changes the rank of no set of
     columns.  Each jet is built from the one before it, times Dy y_i on
     each branch i (times Dx x_i from (a - 1, 0) when b = 0), truncated at
-    w_i, and its terms go straight into ``columns``: one dict {row: value}
-    per column, holding no zero, divided by the gcd of its values, in
-    branch-major order.  ``sweep`` reads every rank from them.
+    w_i.  One branch keeps those jets as ``rows``, one dict {order: value}
+    per row, holding no zero, which ``sweep`` brings to one echelon.  For
+    r > 1 their terms go into ``columns``: one dict {row: value} per
+    column, holding no zero, divided by the gcd of its values, in
+    branch-major order, from which ``sweep`` reads every rank.
     """
 
     def __init__(self, curve: Curve, window):
@@ -142,39 +152,53 @@ class JetMatrix:
         # integral and scales row x^a y^b by Dx^a Dy^b, which changes no rank
         xs = up_integral([br.x for br in curve.branches])[1]
         ys = up_integral([br.y for br in curve.branches])[1]
-        # each jet's terms lie below its window: term k of branch i goes to
-        # column starts[i] + k (the last start is the number of columns)
-        starts = list(accumulate(window, initial=0))
-        columns = [{} for _ in range(starts[-1])]
         # x^a y^b is visible iff its jet is nonzero on some branch (leading
         # coefficients never cancel); the visible b form a prefix for each
         # a, and so do the visible a
+        jets = []
         xa, a = [{0: 1}] * curve.r, 0
         while any(xa):
             jet, b = xa, 0
             while any(jet):
-                row = len(self.monomials)
                 self.monomials.append((a, b))
-                for p, start in zip(jet, starts):
-                    for k, x in p.items():
-                        columns[start + k][row] = x
+                jets.append(jet)
                 jet = [up_mul_trunc(p, y, w) for p, y, w
                        in zip(jet, ys, window)]
                 b += 1
             xa = [up_mul_trunc(p, x, w) for p, x, w in zip(xa, xs, window)]
             a += 1
+        if curve.r == 1:
+            self.rows = [p for p, in jets]
+            return
+        # each jet's terms lie below its window: term k of branch i goes to
+        # column starts[i] + k (the last start is the number of columns)
+        starts = list(accumulate(window, initial=0))
+        columns = [{} for _ in range(starts[-1])]
+        for row, jet in enumerate(jets):
+            for p, start in zip(jet, starts):
+                for k, x in p.items():
+                    columns[start + k][row] = x
         self.columns = list(map(_primitive, columns))
 
     def sweep(self, box) -> tuple:
         """The ranks of the columns below every v of [0, box] inside the
         window, in lexicographic order of v, as an array of 16-bit
-        entries, and h(window): one pass, every entry an exact rank (the
-        last two axes from J + K eliminations per point of the others,
-        ``_slab``), the basis left at the box's top corner completed by
-        every branch's rest.  A table the packed reads cannot hold is
-        refused first (``check_table``)."""
+        entries, and h(window), every entry an exact rank.  For one branch
+        from one echelon of the rows (``_echelon``): cutting the rows at v
+        commutes with row operations, and cut there its rows of pivot
+        below v stay independent while the others vanish, so h(v) is the
+        number of pivots below v and h(window) the number of pivots.  For
+        r > 1 from one pass over the columns (the last two axes from
+        J + K eliminations per point of the others, ``_slab``), the basis
+        left at the box's top corner completed by every branch's rest.  A
+        table the packed reads cannot hold is refused first
+        (``check_table``)."""
         rows = len(self.monomials)
         check_table(rows, box)
+        if self.curve.r == 1:
+            pivots = _echelon(self.rows, self.monomials)
+            below = map(pivots.__contains__, range(box[0]))
+            return array("H", accumulate(below, initial=0)), len(pivots)
         ranks, basis = array("H"), []
         starts = accumulate(self.window, initial=0)
         _sweep(ranks, basis, [col for start, n in zip(starts, box)
@@ -184,20 +208,56 @@ class JetMatrix:
                                    self.window)
 
     def rank_below(self, v) -> int:
-        """The rank of the columns below v, from an empty basis."""
+        """The rank of the columns below v, from an empty basis: for one
+        branch the pivots of a fresh echelon of the rows cut at v."""
+        if self.curve.r == 1:
+            return len(_echelon([{k: x for k, x in row.items() if k < v[0]}
+                                 for row in self.rows], self.monomials))
         return _add_columns([], self.columns, self.window, (0,) * len(v), v)
 
 
 def visible_rows(curve: Curve, window) -> int:
     """The rows of the ``JetMatrix`` at the window, from the branch orders
     alone: x^a y^b is visible iff a ord x_i + b ord y_i < w_i on some
-    branch i, so for each a the visible b form a prefix.  An order past w_i
-    counts as w_i (a coordinate that is 0 has order infinity)."""
-    orders = [(min(ord_lead(br.x)[0], w), min(ord_lead(br.y)[0], w), w)
-              for br, w in zip(curve.branches, window)]
-    # for each a, ceil((w_i - a ord x_i) / ord y_i) visible b on branch i
-    return sum(takewhile(lambda n: n > 0, (
-        max(-((a * x - w) // y) for x, y, w in orders) for a in count())))
+    branch i, so for each a the visible b are the n(a) = max_i ceil((w_i -
+    a ord x_i) / ord y_i) > 0 below the ceiling of the upper envelope of r
+    decreasing lines.  An order past w_i counts as w_i (a coordinate that
+    is 0 has order infinity).  Each line of the envelope is on top over one
+    run of a, to its first crossing with a less steep one, and the sum of
+    n(a) over that run is one floor sum (``_floor_sum``): O(r^2 + r log w)
+    steps, however many a there are."""
+    lines = [(min(ord_lead(br.x)[0], w), min(ord_lead(br.y)[0], w), w)
+             for br, w in zip(curve.branches, window)]
+    rows, a = 0, 0
+    while True:
+        # a line on top at a
+        x, y, w = max(lines, key=lambda line: Fraction(line[2] - a * line[0],
+                                                      line[1]))
+        if a * x >= w:
+            return rows  # every line is <= 0 from a on
+        # on top, and positive, up to the first crossing with a less steep
+        # line j: (w - a x) / y >= (w_j - a x_j) / y_j iff a d <= w y_j -
+        # w_j y, where d = x y_j - x_j y > 0; that holds at a, so end >= a
+        end = min([(w - 1) // x] + [(w * yj - wj * y) // d for xj, yj, wj
+                                    in lines if (d := x * yj - xj * y) > 0])
+        # sum of ceil((w - u x) / y) over u = a ... end, summed from end
+        rows += _floor_sum(end - a + 1, y, x, w - end * x + y - 1)
+        a = end + 1
+
+
+def _floor_sum(n, m, a, b) -> int:
+    """The sum of floor((a k + b) / m) over k = 0 ... n - 1, for n >= 0,
+    m >= 1 and a, b >= 0, by the Euclid-like reduction that swaps the roles
+    of a and m (as in the AtCoder Library's floor_sum)."""
+    total = 0
+    while n:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        top = a * n + b
+        if top < m:
+            break
+        (n, b), m, a = divmod(top, m), a, m
+    return total
 
 
 def check_table(rows, box) -> None:
@@ -223,6 +283,33 @@ def check_table(rows, box) -> None:
             "reads" % (rows, sum(box), tuple(box), BIAS))
 
 
+def _echelon(rows, monomials) -> dict:
+    """One branch's rows, x^a y^b in lexicographic order of (a, b), in a
+    row echelon that pivots each row on its least order: {pivot: row}.
+    Each row is reduced against the row whose pivot is its least order
+    (``_reduced``) until that order is no pivot, where it becomes one, or
+    nothing is left.  A row that reduces to zero is a relation x^a y^b =
+    a combination of lex-earlier monomials mod t^w, an invisible one being
+    0 there; times x^i y^j it makes x^(a+i) y^(b+j) a combination of
+    monomials lex-earlier than it.  So every row (a', b') with a' >= a and
+    b' >= b lies in the span of the rows before it and adds no pivot: only
+    the staircase below the least b of such a row is reduced."""
+    basis, dead = {}, inf
+    for (_, b), row in zip(monomials, rows):
+        if b >= dead:
+            continue
+        vec = dict(row)
+        while vec:
+            p = min(vec)
+            if p not in basis:
+                basis[p] = vec
+                break
+            _reduced(vec, ((p, basis[p]),))
+        else:  # reduced to zero
+            dead = b
+    return basis
+
+
 def _primitive(vec) -> dict:
     """A sparse integer vector divided by the gcd of its values."""
     g = gcd(*vec.values())
@@ -235,20 +322,14 @@ def _sweep(ranks, basis, carried, box, rows, i=0) -> None:
     ``carried`` holds the first box_j columns of each branch j >= i, in
     branch-major order, each reduced against the basis: add branch i's to
     the basis one at a time, reduce the rest against each vector added, and
-    recurse, down to the last two axes, which ``_slab`` reads whole (for one
-    branch, one column at a time); ``rows``, the number of jet rows,
-    places the slab's slot keys.
+    recurse, down to the last two axes, which ``_slab`` reads whole
+    (r > 1; one branch's table is ``_echelon``'s); ``rows``, the number of
+    jet rows, places the slab's slot keys.
     Each frame rebinds its own list and copies only the columns a reduction
     changes, so cutting the basis back leaves the list of every frame
     reduced against the basis it holds.  The basis is left at the box's
     top corner."""
     n = box[i]
-    if i == len(box) - 1:
-        ranks.append(len(basis))
-        for col in carried:
-            _add_column(basis, col)
-            ranks.append(len(basis))
-        return
     if i == len(box) - 2:
         _slab(ranks, basis, carried[:n], carried[n:], rows)
         return

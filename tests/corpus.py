@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice, takewhile
 from math import gcd, lcm, prod
 from operator import and_, lt, sub
 from typing import NamedTuple
@@ -244,11 +244,18 @@ def monomial_jet(c, a, b, w):
     """
     out = []
     for br, wi in zip(c.branches, w):
-        p = {0: Fraction(1)}
-        for factor in [br.x] * a + [br.y] * b:
-            p = up_mul(p, factor)
+        p = up_mul(_power(br, "x", a), _power(br, "y", b))
         out.extend(p.get(k, 0) for k in range(wi))
     return out
+
+
+@lru_cache(maxsize=1024)
+def _power(branch, coord, k) -> dict:
+    """The untruncated k-th power of the branch's coordinate ``coord``
+    ("x" or "y"), one product on the (cached) power before it."""
+    if not k:
+        return {0: Fraction(1)}
+    return up_mul(_power(branch, coord, k - 1), getattr(branch, coord))
 
 
 def reference_rows(M):
@@ -257,9 +264,11 @@ def reference_rows(M):
     of the x and of the y coefficients over all branches of the curve."""
     dx = lcm(*(v.denominator for b in M.curve.branches for v in b.x.values()))
     dy = lcm(*(v.denominator for b in M.curve.branches for v in b.y.values()))
-    return [[dx ** a * dy ** b * x
-             for x in monomial_jet(M.curve, a, b, M.window)]
-            for a, b in M.monomials]
+    rows = []
+    for a, b in M.monomials:
+        scale = dx ** a * dy ** b
+        rows.append([scale * x for x in monomial_jet(M.curve, a, b, M.window)])
+    return rows
 
 
 def reference_columns(M):
@@ -278,9 +287,12 @@ def reference_columns(M):
 
 
 def dense(M) -> list:
-    """The columns of M as integer lists, one entry per monomial."""
-    return [[col.get(k, 0) for k in range(len(M.monomials))]
-            for col in M.columns]
+    """The columns of ``reference_rows(M)``, one entry per monomial, as
+    integer lists: the matrix whose ranks every table of M reads, whether
+    M keeps it as columns (r > 1) or as rows (one branch)."""
+    columns = [[Fraction(x) for x in col] for col in zip(*reference_rows(M))]
+    assert all(x.denominator == 1 for col in columns for x in col)
+    return [[x.numerator for x in col] for col in columns]
 
 
 def reference_monomials(M):
@@ -292,21 +304,37 @@ def reference_monomials(M):
                    zip(monomial_order(M.curve, a, b), M.window))]
 
 
+def reference_visible_rows(curve, window) -> int:
+    """The rows of the jet matrix at the window, one pass per exponent a of
+    x: for each a, max_i ceil((w_i - a ord x_i) / ord y_i) visible b, an
+    order past w_i counting as w_i (the oracle for ``visible_rows``)."""
+    orders = [(min(ord_lead(br.x)[0], w), min(ord_lead(br.y)[0], w), w)
+              for br, w in zip(curve.branches, window)]
+    return sum(takewhile(lambda n: n > 0, (
+        max(-((a * x - w) // y) for x, y, w in orders) for a in count())))
+
+
 def reference_rank(M, v) -> int:
     """The rank of the columns of M below v, by Gaussian elimination over
     the rationals on their dense lists (taken as rows; the rank is the
     same)."""
-    columns = dense(M)
-    offsets = [sum(M.window[:i]) for i in range(len(M.window))]
-    return _rank([columns[o + k] for o, vi in zip(offsets, v)
-                  for k in range(vi)])
+    return _rank_below(dense(M), M.window, v)
 
 
 def reference_ranks(M):
     """``reference_rank`` at every v of the window box, in lexicographic
     order (the oracle for the tables of ``M.sweep`` and ``Analysis``)."""
-    return [reference_rank(M, v)
+    columns = dense(M)
+    return [_rank_below(columns, M.window, v)
             for v in iter_box((0,) * len(M.window), M.window)]
+
+
+def _rank_below(columns, window, v) -> int:
+    """The rank of the dense columns below v, each branch ``window`` long
+    in branch-major order."""
+    offsets = accumulate(window, initial=0)
+    return _rank([columns[o + k] for o, vi in zip(offsets, v)
+                  for k in range(vi)])
 
 
 def _rank(mat) -> int:
@@ -330,7 +358,8 @@ def _rank(mat) -> int:
             f = rows[idx][col]
             if f:
                 ratio = Fraction(f) / pval
-                rows[idx] = [a - ratio * b for a, b in zip(rows[idx], prow)]
+                rows[idx] = [a - ratio * b if b else a
+                             for a, b in zip(rows[idx], prow)]
         rank += 1
         if rank == len(rows):
             break

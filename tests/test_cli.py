@@ -733,6 +733,29 @@ def test_fibers_window_agrees_with_the_plain_fibers(tmp_path, capsys, name):
             assert chi.get(v, x) == x, (text, v)
 
 
+WIDE_WINDOW_CURVES = {
+    "quartic": {"branches": [{"x": [[4, "1"]], "y": [[6, "1"], [7, "1"]]}]},
+    "eight": {"branches": [{"x": [[8, "1"]],
+                            "y": [[12, "1"], [14, "1"], [15, "1"]]}]},
+    "six": {"branches": [{"x": [[6, "1"]],
+                          "y": [[9, "1"], [10, "1/3"], [11, "-2"]]}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_WINDOW_CURVES))
+def test_fibers_on_a_wide_window_is_chi_then_one_past_the_conductor(
+        tmp_path, capsys, name):
+    # the window 300 is one honest echelon of the jet rows, most of them
+    # skipped by the staircase; it prints fibers' lines on [0, c], then
+    # chi = 1 up to 298, where h rises by one per step (the conductor rule)
+    path = _write(tmp_path, name + ".json", WIDE_WINDOW_CURVES[name])
+    plain = _run(["fibers", path], capsys)
+    c, = Analysis(parse_curve_file(path)).conductor
+    assert len(plain) == c + 1
+    assert _run(["fibers", path, "--window", "300"], capsys) == \
+        plain + ["1\t%d" % v for v in range(c + 1, 299)]
+
+
 @pytest.mark.parametrize("name, window", [("cusp", "1"), ("node", "1,1")])
 def test_fibers_window_of_ones_prints_nothing(tmp_path, capsys, name,
                                               window):
@@ -836,18 +859,20 @@ def test_fibers_window_refuses_fifteen_branches(tmp_path, capsys):
 
 def test_fibers_window_refuses_a_table_before_building_its_rows(
         tmp_path, capsys):
-    # the cusp at the window 33000: 90,761,000 visible monomials and
-    # Sigma box = 32999 >= 2^15, refused from the branch orders alone
+    # the cusp at the windows 33000 (90,761,000 visible monomials) and
+    # 10^8: Sigma box >= 2^15, refused from the branch orders alone, the
+    # rows counted in closed form
     path = _write(tmp_path, "cusp.json", CUSP_JSON)
-    start = time.perf_counter()
-    assert cli.main(["fibers", "--window", "33000", path]) == 1
-    assert time.perf_counter() - start < 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "TableTooLarge: ranks up to min(rows, sum(box)) = min(90761000, "
-        "32999) on the box [0, (32999,)] reach 2^15 = 32768, past a 16-bit "
-        "slot of the packed reads\n")
+    for window, rows in ((33000, 90761000), (10 ** 8, 833333366666667)):
+        start = time.perf_counter()
+        assert cli.main(["fibers", "--window", str(window), path]) == 1
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "TableTooLarge: ranks up to min(rows, sum(box)) = min(%d, %d) on "
+            "the box [0, (%d,)] reach 2^15 = 32768, past a 16-bit slot of "
+            "the packed reads\n" % (rows, window - 1, window - 1))
 
 
 def test_fibers_command_output(tmp_path, capsys):

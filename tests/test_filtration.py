@@ -49,6 +49,7 @@ from corpus import (
     reference_columns,
     reference_rank,
     reference_ranks,
+    reference_rows,
     reference_table,
     rule_extended,
     semigroup_closure,
@@ -90,6 +91,12 @@ def test_jet_rows_are_the_monomial_jets(name):
     for M in (Analysis(c).jet, JetMatrix(c, (1,) * c.r),
               JetMatrix(c, (3, 7, 5, 4)[:c.r])):
         assert M.monomials == reference_monomials(M)
+        if c.r == 1:
+            # one branch keeps its rows, each {order: value}, and no column
+            assert M.rows == [{k: x for k, x in enumerate(row) if x}
+                              for row in reference_rows(M)]
+            assert all(type(x) is int for row in M.rows for x in row.values())
+            continue
         assert M.columns == reference_columns(M)
         assert all(type(x) is int for col in M.columns for x in col.values())
 

@@ -48,6 +48,7 @@ from curvealex.filtration import (  # noqa: E402
     members,
     minimal_generators,
     pprime_coefficients,
+    visible_rows,
 )
 from curvealex.resolution import RatFunc, _power, _run_blowups  # noqa: E402
 
@@ -57,6 +58,7 @@ from corpus import (  # noqa: E402
     check_alexander_symmetry,
     check_torres_formula,
     delgado_invariants,
+    dense,
     engine_outcome,
     escape_breaks,
     fiber_euler,
@@ -75,7 +77,9 @@ from corpus import (  # noqa: E402
     reference_monomials,
     reference_pprime,
     reference_ranks,
+    reference_rows,
     reference_sub_const,
+    reference_visible_rows,
     rule_extended,
     sub_box,
     value_semigroup_breaks,
@@ -121,6 +125,11 @@ def jet_matrices(draw):
 @given(jet_matrices())
 def test_jet_rows_match_the_monomial_jets(M):
     assert M.monomials == reference_monomials(M)
+    if M.curve.r == 1:
+        # one branch keeps its rows, each {order: value}, and no column
+        assert M.rows == list(map(_sparse, reference_rows(M)))
+        assert all(type(x) is int for row in M.rows for x in row.values())
+        return
     assert M.columns == reference_columns(M)
     assert all(type(x) is int for col in M.columns for x in col.values())
 
@@ -136,6 +145,51 @@ def test_rank_table_matches_per_point_elimination(M, data):
     box = tuple(data.draw(st.integers(0, w)) for w in M.window)
     table, total = M.sweep(box)
     assert (list(table), total) == (sub_box(reference, M.window, box), rank)
+
+
+# one-branch curves of orders 2 to 7, whose dense reference at the window 33
+# keeps to a few hundred rows
+SINGULAR = st.tuples(*[st.dictionaries(st.integers(2, 7), COEFFS,
+                                       min_size=1, max_size=3)] * 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SINGULAR.filter(_primitive_support), st.data())
+def test_one_branch_echelon_matches_elimination_on_the_dense_rows(branch,
+                                                                 data):
+    # one echelon of the rows, most of them skipped by the staircase on
+    # the wider windows, against Gaussian elimination on the dense rows of
+    # the widest window cut at every v: below v <= w the rows that are
+    # visible at 33 but not at w are zero, so its ranks are those of every
+    # window w; rank_below runs its own echelon on the rows cut at v
+    columns = dense(JetMatrix(Curve([branch]), (33,)))
+    reference = [_rank(columns[:v]) for v in range(34)]
+    for w in (5, 17, 33):
+        M = JetMatrix(Curve([branch]), (w,))
+        table, total = M.sweep((w - 1,))
+        assert (list(table), total) == (reference[:w], reference[w])
+        v = data.draw(st.integers(0, w))
+        assert M.rank_below((v,)) == reference[v]
+
+
+# the orders (p, q) of a branch x = t^p + t^(p + 1), y = t^q, None for a
+# coordinate that is 0 (the other then of order 1)
+ORDERS = st.sampled_from([(None, 1), (1, None)]) | st.tuples(
+    st.integers(1, 40), st.integers(1, 40))
+
+
+def _branch_of_orders(p, q):
+    return ({p: 1, p + 1: 1} if p else {}, {q: 1} if q else {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(ORDERS, st.integers(1, 3000)), min_size=1,
+                max_size=4))
+def test_visible_rows_in_closed_form_match_the_loop_over_a(branches):
+    curve = Curve([_branch_of_orders(*orders) for orders, _ in branches])
+    window = tuple(w for _, w in branches)
+    assert visible_rows(curve, window) == \
+        reference_visible_rows(curve, window)
 
 
 SMALL = st.integers(-2, 2)
