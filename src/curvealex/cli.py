@@ -1,6 +1,11 @@
 """Command line interface: file formats, dispatch, and the cross-pipeline
 verification harness.
 
+Every line a command prints comes from one %-format string, chosen once
+per line shape: a polynomial term, a fiber, a member, an item of the
+graph file.  ``_point`` formats only single points, the conductor line
+and the points in error messages.
+
 Exit codes: 0 success (verify: all checks pass), 1 computation error or a
 failed verify check, 2 parse error, 3 curve validation error, 64 unknown
 subcommand.
@@ -14,7 +19,6 @@ import sys
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from json.encoder import encode_basestring_ascii
 from operator import lt
 
 from . import curve as curve_mod
@@ -185,42 +189,6 @@ def graph_from_json(data) -> ResGraph:
     return graph
 
 
-def graph_to_json(g: ResGraph) -> dict:
-    return {
-        "r": g.r,
-        "vertices": [{"id": vid, "m": list(g.vertices[vid])}
-                     for vid in sorted(g.vertices)],
-        "edges": [list(e) for e in sorted(g.edges)],
-        "arrows": [{"vertex": v, "branch": b} for v, b in g.arrows],
-        "root": g.root,
-    }
-
-
-def json_text(x, indent="") -> str:
-    """``json.dumps(x, indent=2, sort_keys=True)`` for ints, lists and
-    str-keyed dicts, byte for byte.  The encoder behind ``indent`` is pure
-    Python and leaves reference cycles for the cyclic collector; this
-    leaves none."""
-    if type(x) is int:
-        return repr(x)
-    inner = indent + "  "
-    if isinstance(x, dict):
-        items = [encode_basestring_ascii(k) + ": "
-                 + (repr(v) if type(v) is int else json_text(v, inner))
-                 for k, v in sorted(x.items())]
-        brackets = "{}"
-    elif isinstance(x, list):
-        items = [repr(y) if type(y) is int else json_text(y, inner)
-                 for y in x]
-        brackets = "[]"
-    else:
-        raise TypeError("%r is not an int, a list or a dict" % (x,))
-    if not items:
-        return brackets
-    body = (",\n" + inner).join(items)
-    return "%s\n%s%s\n%s%s" % (brackets[0], inner, body, indent, brackets[1])
-
-
 def _load_input(path):
     """A curve or a graph file, told apart by their top-level keys."""
     data = _read_json(path)
@@ -236,27 +204,65 @@ def _load_input(path):
 # ---------------------------------------------------------------------------
 
 def _point(v) -> str:
-    """A lattice point as the CLI prints it: comma-joined coordinates."""
+    """A single lattice point as the CLI prints it, comma-joined
+    coordinates: the conductor line and the error messages."""
     return ",".join(map(str, v))
+
+
+def _row(head: str, r: int) -> str:
+    """The %-format of a line that ends in a point of r coordinates: head,
+    then r comma-joined %d, filled as ``fmt % (*head_values, *point)``."""
+    return head + ",".join(["%d"] * r)
 
 
 def format_poly(p: dict) -> str:
     """One term per line: coefficient, tab, comma-joined exponents, sorted
     lexicographically; byte-for-byte deterministic."""
-    lines = ["%d\t%s" % (p[e], _point(e)) for e in sorted(p)]
-    return "\n".join(lines)
+    fmt = _row("%d\t", len(next(iter(p), ())))
+    return "\n".join([fmt % (x, *e) for e, x in sorted(p.items())])
 
 
 def printed_series(delta: MultiPoly, bound=None) -> MultiPoly:
     """What the CLI prints of the Alexander polynomial Delta (constant term
     1) that every pipeline returns: Delta for r > 1; for r = 1 the monodromy
     zeta function Delta / (1 - t), the prefix sums of Delta on [0, bound]
-    (default 2 deg Delta + 2, twice the conductor plus two)."""
+    (default 2 deg Delta + 2, twice the conductor plus two), taken over
+    Delta's coefficient list on [0, bound]."""
     if len(next(iter(delta))) > 1:
         return delta
     top = 2 * max(delta)[0] + 2 if bound is None else bound
-    sums = accumulate(delta.get((v,), 0) for v in range(top + 1))
-    return {(v,): x for v, x in enumerate(sums) if x}
+    coeffs = [0] * (top + 1)
+    for (v,), x in delta.items():
+        if v <= top:
+            coeffs[v] = x
+    return {(v,): x for v, x in enumerate(accumulate(coeffs)) if x}
+
+
+# the graph file as json.dumps(indent=2, sort_keys=True) writes its object:
+# the keys in sorted order, every int and bracket of a list item on a line
+# of its own, a list of no items as []
+_GRAPH = ('{\n  "arrows": %s,\n  "edges": %s,\n  "r": %d,\n  "root": %d,\n'
+          '  "vertices": %s\n}')
+_ARROW = '    {\n      "branch": %d,\n      "vertex": %d\n    }'
+_EDGE = "    [\n      %d,\n      %d\n    ]"
+
+
+def _items(items) -> str:
+    """A list of the graph file's object from its items' text."""
+    return "[\n%s\n  ]" % ",\n".join(items) if items else "[]"
+
+
+def graph_text(g: ResGraph) -> str:
+    """The graph file of g, which ``graph_from_json`` reads back: its
+    arrows in order, its edges and vertices sorted, each item from one
+    format string, byte for byte ``json.dumps(obj, indent=2,
+    sort_keys=True)`` of its JSON object."""
+    vertex = ('    {\n      "id": %d,\n      "m": [\n        '
+              + ",\n        ".join(["%d"] * g.r) + "\n      ]\n    }")
+    return _GRAPH % (
+        _items([_ARROW % (b, v) for v, b in g.arrows]),
+        _items([_EDGE % e for e in sorted(g.edges)]), g.r, g.root,
+        _items([vertex % (vid, *m) for vid, m in sorted(g.vertices.items())]))
 
 
 def _emit(text: str, out_path) -> None:
@@ -324,7 +330,7 @@ def run_verify(c: Curve, budget=DEFAULT_BUDGET):
 def _cmd_resolve(args) -> int:
     c = parse_curve_file(args.input)
     g = resolve(c, args.budget)
-    _emit(json_text(graph_to_json(g)), args.out)
+    _emit(graph_text(g), args.out)
     return 0
 
 
@@ -371,8 +377,8 @@ def _cmd_fibers(args) -> int:
     else:
         a = Analysis(c, budget=args.budget)
         points = zip(iter_box((0,) * c.r, a.conductor), a.chi)
-    lines = ["%d\t%s" % (x, _point(v)) for v, x in points]
-    _emit("\n".join(lines), args.out)
+    fmt = _row("%d\t", c.r)
+    _emit("\n".join([fmt % (x, *v) for v, x in points]), args.out)
     return 0
 
 
@@ -391,7 +397,8 @@ def _cmd_semigroup(args) -> int:
     if window:
         # the window only shortens the output: members on [0, window - 2]
         top = tuple(min(t, w - 2) for t, w in zip(top, window))
-    lines.extend("member\t%s" % _point(v) for v in a.members_in(top))
+    fmt = _row("member\t", c.r)
+    lines.extend([fmt % v for v in a.members_in(top)])
     _emit("\n".join(lines), args.out)
     return 0
 

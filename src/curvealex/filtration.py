@@ -52,7 +52,8 @@ becomes a list only for the callers that need every entry (``listed``).
 For one branch each read is one line over the list.  ``check_table``
 refuses, before the sweep, a table the packed reads cannot hold, more
 than MAX_BRANCHES = 14 axes (|P'| <= 2^r must fit beside the bias) or a
-rank that may reach 2^15, and one of more than MAX_POINTS = 2^31 points.
+rank that may reach 2^15, one of more than MAX_POINTS = 2^31 points, and
+one whose jet matrix has more than MAX_ROWS = 2^20 rows.
 
 One window per curve suffices: the conductor c + 2.  The conductor ideal
 t^c * O-bar lies in the local ring, so past c the table is linear,
@@ -100,10 +101,13 @@ from .resolution import DEFAULT_BUDGET, _run_blowups
 
 # the packed reads keep each value, biased by BIAS, in a 16-bit slot: every
 # rank lies below BIAS, and |P'| <= 2^r, so r <= MAX_BRANCHES; a table of
-# MAX_POINTS points takes 4 GiB packed
+# MAX_POINTS points takes 4 GiB packed; a jet row costs at least its
+# monomial and a one-term jet, about 350 bytes, so MAX_ROWS rows take about
+# 0.4 GB before any sweep
 BIAS = 1 << 15
 MAX_BRANCHES = 14
 MAX_POINTS = 1 << 31
+MAX_ROWS = 1 << 20
 
 
 class BoundaryNonzeroError(RuntimeError):
@@ -264,8 +268,8 @@ def check_table(rows, box) -> None:
     """Refuse (TableTooLargeError) a rank table on [0, box], of a jet matrix
     of that many rows (``visible_rows`` counts them before it is built),
     that the packed reads cannot hold (more than MAX_BRANCHES axes, or a
-    rank that may reach BIAS: h(v) <= rows and h(v) <= sum(v)) or of more
-    than MAX_POINTS points."""
+    rank that may reach BIAS: h(v) <= rows and h(v) <= sum(v)), of more
+    than MAX_POINTS points or of more than MAX_ROWS rows."""
     r, points = len(box), prod(x + 1 for x in box)
     if r > MAX_BRANCHES:
         raise TableTooLargeError(
@@ -281,6 +285,10 @@ def check_table(rows, box) -> None:
             "ranks up to min(rows, sum(box)) = min(%d, %d) on the box "
             "[0, %r] reach 2^15 = %d, past a 16-bit slot of the packed "
             "reads" % (rows, sum(box), tuple(box), BIAS))
+    if rows > MAX_ROWS:
+        raise TableTooLargeError(
+            "the jet matrix of the rank table on the box [0, %r] has %d "
+            "rows, more than 2^20 = %d" % (tuple(box), rows, MAX_ROWS))
 
 
 def _echelon(rows, monomials) -> dict:

@@ -1,12 +1,14 @@
 """Shared test curves, the per-point references the tests check the
-library's whole-table reads against, the generic polynomial product and
-long division behind its one-pass binomial ones, the step-by-step blow-up
-engine on s-fold products behind its chained one on powers, the
-one-column-per-point rank sweep on dense integer lists behind the slab
-sweep on sparse columns, the list reads of chi, P' and membership behind
-the packed ones, the structure checks of the resolution graph and
-of a branch's semigroup, the value-semigroup properties that membership
-must keep for r >= 2, and the Torres and symmetry oracles on Delta.
+library's whole-table reads against, the graph file's JSON object and
+the per-point one-branch series behind the CLI's writers, the generic
+polynomial product and long division behind its one-pass binomial ones,
+the step-by-step blow-up engine on s-fold products behind its chained
+one on powers, the one-column-per-point rank sweep on dense integer lists
+behind the slab sweep on sparse columns, the list reads of chi, P' and
+membership behind the packed ones, the structure checks of the
+resolution graph and of a branch's semigroup, the value-semigroup
+properties that membership must keep for r >= 2, and the Torres and
+symmetry oracles on Delta.
 
 Every curve with r > 1 used by the identity checks, plus the one-branch
 curves used by the semigroup checks.  ``TANGENT_CUSPS_DUPLICATE`` is kept
@@ -159,6 +161,31 @@ def semigroup_closure(gens, bound):
 
 def parse_graph_file(path) -> ResGraph:
     return graph_from_json(_read_json(path))
+
+
+def graph_to_json(g: ResGraph) -> dict:
+    """The JSON object of a graph file, as ``cli.graph_from_json`` reads
+    it; ``json.dumps(indent=2, sort_keys=True)`` of it is the reference for
+    ``cli.graph_text``."""
+    return {
+        "r": g.r,
+        "vertices": [{"id": vid, "m": list(g.vertices[vid])}
+                     for vid in sorted(g.vertices)],
+        "edges": [list(e) for e in sorted(g.edges)],
+        "arrows": [{"vertex": v, "branch": b} for v, b in g.arrows],
+        "root": g.root,
+    }
+
+
+def reference_printed_series(delta: MultiPoly, bound=None) -> MultiPoly:
+    """``cli.printed_series`` point by point: for r = 1 the prefix sums of
+    Delta on [0, bound] (default 2 deg Delta + 2), each coefficient looked
+    up by its exponent tuple."""
+    if len(next(iter(delta))) > 1:
+        return delta
+    top = 2 * max(delta)[0] + 2 if bound is None else bound
+    sums = accumulate(delta.get((v,), 0) for v in range(top + 1))
+    return {(v,): x for v, x in enumerate(sums) if x}
 
 
 def curve_to_json(c, name=None) -> dict:

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -20,9 +21,9 @@ from curvealex.cli import (
     curve_from_json,
     format_poly,
     graph_from_json,
-    graph_to_json,
-    json_text,
+    graph_text,
     parse_curve_file,
+    printed_series,
 )
 from curvealex.exactmath import iter_box, vec_add
 from curvealex.filtration import Analysis, JetMatrix
@@ -31,13 +32,16 @@ from curvealex.resolution import resolve
 from corpus import (
     CORPUS_ALL,
     curve_to_json,
+    graph_to_json,
     make_cusp,
     make_cusp_tangent_line,
     make_quartic_branch,
+    make_smooth_branch,
     make_tacnode,
     make_three_lines,
     make_wide_three_branches,
     parse_graph_file,
+    reference_printed_series,
 )
 
 CUSP_JSON = {"branches": [{"x": [[2, "1"]], "y": [[3, "1"]]}]}
@@ -784,25 +788,23 @@ def test_fibers_window_sweeps_its_own_table_without_blow_ups(tmp_path,
     assert capsys.readouterr().err.startswith("BudgetExceeded: ")
 
 
-def _graph_data(make):
-    return lambda: graph_to_json(resolve(make()))
-
-
 JSON_TEXT_INPUTS = {
-    **{name: _graph_data(make) for name, make in CORPUS_ALL.items()},
-    "A62": _graph_data(lambda: Curve([({2: 1}, {125: 1})])),
+    **CORPUS_ALL,
+    "smooth": make_smooth_branch,  # one vertex: the edges are []
+    "A62": lambda: Curve([({2: 1}, {125: 1})]),
     # y = a x^6 for a = -4 ... 3
-    "pencil-8-contact-6": _graph_data(lambda: Curve(
-        [({1: 1}, {6: a} if a else {}) for a in range(-4, 4)])),
-    # keys that json escapes, and int leaves beside nested lists and dicts
-    "escaped-keys": lambda: {"\u00e9": [1, {}], "\n": {"a": []}, '"': -3},
+    "pencil-8-contact-6": lambda: Curve(
+        [({1: 1}, {6: a} if a else {}) for a in range(-4, 4)]),
 }
 
 
 @pytest.mark.parametrize("name", JSON_TEXT_INPUTS)
 def test_json_text_is_the_indented_json_encoding(name):
-    data = JSON_TEXT_INPUTS[name]()
-    assert json_text(data) == json.dumps(data, indent=2, sort_keys=True)
+    # graph_text writes the graph file by its fixed schema, the bytes of
+    # the generic encoder on the graph's JSON object
+    g = resolve(JSON_TEXT_INPUTS[name]())
+    assert graph_text(g) == json.dumps(graph_to_json(g), indent=2,
+                                       sort_keys=True)
 
 
 def test_resolve_emits_parseable_graph(tmp_path, capsys):
@@ -861,18 +863,26 @@ def test_fibers_window_refuses_a_table_before_building_its_rows(
         tmp_path, capsys):
     # the cusp at the windows 33000 (90,761,000 visible monomials) and
     # 10^8: Sigma box >= 2^15, refused from the branch orders alone, the
-    # rows counted in closed form
+    # rows counted in closed form; at 20000 and 32768, Sigma box < 2^15,
+    # but more than 2^20 rows
     path = _write(tmp_path, "cusp.json", CUSP_JSON)
-    for window, rows in ((33000, 90761000), (10 ** 8, 833333366666667)):
+    for window, rows in ((33000, 90761000), (10 ** 8, 833333366666667),
+                         (20000, 33340000), (32768, 89489408)):
         start = time.perf_counter()
         assert cli.main(["fibers", "--window", str(window), path]) == 1
         assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "TableTooLarge: ranks up to min(rows, sum(box)) = min(%d, %d) on "
-            "the box [0, (%d,)] reach 2^15 = 32768, past a 16-bit slot of "
-            "the packed reads\n" % (rows, window - 1, window - 1))
+        if window - 1 >= 2 ** 15:
+            assert captured.err == (
+                "TableTooLarge: ranks up to min(rows, sum(box)) = min(%d, %d) "
+                "on the box [0, (%d,)] reach 2^15 = 32768, past a 16-bit slot "
+                "of the packed reads\n" % (rows, window - 1, window - 1))
+        else:
+            assert captured.err == (
+                "TableTooLarge: the jet matrix of the rank table on the box "
+                "[0, (%d,)] has %d rows, more than 2^20 = 1048576\n"
+                % (window - 1, rows))
 
 
 def test_fibers_command_output(tmp_path, capsys):
@@ -1063,3 +1073,26 @@ def test_verify_names_a_misfilled_shell_point_that_spoils_the_division(
 def test_format_poly_is_sorted_and_tab_separated():
     p = {(1, 1): 1, (0, 0): -1, (2, 0): 3}
     assert format_poly(p) == "-1\t0,0\n1\t1,1\n3\t2,0"
+    # exponents sort as integers, not as text
+    assert format_poly({(12,): -2, (0,): 1, (3,): 40}) == \
+        "1\t0\n40\t3\n-2\t12"
+    assert format_poly({(0, 10, 2): -7, (0, 2, 10): 1, (1, 0, 0): -10}) == \
+        "1\t0,2,10\n-7\t0,10,2\n-10\t1,0,0"
+    assert format_poly({}) == ""
+
+
+def test_printed_series_is_the_per_point_prefix_sum():
+    # random one-branch Deltas (constant term 1, degree d, some gaps and
+    # negative coefficients), cut at 0, below d, at d, by default and far
+    # past the default
+    rng = random.Random(37)
+    for _ in range(200):
+        d = rng.randrange(0, 60)
+        delta = {(0,): 1}
+        delta.update({(v,): rng.choice([-3, -1, 1, 2])
+                      for v in range(1, d + 1)
+                      if v == d or rng.random() < 0.5})
+        for bound in (0, rng.randrange(d) if d else 0, d, None, 10 * d + 50):
+            got = printed_series(delta, bound)
+            want = reference_printed_series(delta, bound)
+            assert (got, list(got)) == (want, list(want)), (delta, bound)
