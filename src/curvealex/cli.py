@@ -353,8 +353,13 @@ def _cmd_poincare(args) -> int:
     return 0
 
 
-def _checked_window(c: Curve, window) -> tuple:
-    """An explicit --window, which needs one positive entry per branch."""
+def _checked_window(c: Curve, text) -> tuple:
+    """An explicit --window 'a,b,...', which needs one positive entry per
+    branch."""
+    try:
+        window = tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ParseError("bad --window %r" % text) from exc
     if len(window) != c.r or min(window) < 1:
         raise ParseError("--window %s needs %d positive entries, one per "
                          "branch of this r = %d curve"
@@ -364,7 +369,7 @@ def _checked_window(c: Curve, window) -> tuple:
 
 def _cmd_fibers(args) -> int:
     c = parse_curve_file(args.input)
-    if args.window:
+    if args.window is not None:
         # chi on [0, window - 2] reads the honest ranks on [0, window - 1],
         # refused before any row is built; the lines leave out the faces
         # v_i = window_i - 1, which its chain fills by the rule
@@ -384,7 +389,7 @@ def _cmd_fibers(args) -> int:
 
 def _cmd_semigroup(args) -> int:
     c = parse_curve_file(args.input)
-    window = _checked_window(c, args.window) if args.window else None
+    window = None if args.window is None else _checked_window(c, args.window)
     a = Analysis(c, args.budget)
     lines = ["conductor\t%s" % _point(a.conductor)]
     if c.r == 1:
@@ -412,13 +417,6 @@ def _cmd_verify(args) -> int:
     return 0 if all(ok for _, ok, _ in results) else 1
 
 
-def _parse_window(text):
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ParseError("bad --window %r" % text) from exc
-
-
 @cache
 def _build_parser(cmd: str) -> argparse.ArgumentParser:
     """The parser of one subcommand, built once: each parser holds reference
@@ -440,7 +438,7 @@ def _build_parser(cmd: str) -> argparse.ArgumentParser:
         p.add_argument("--via", choices=("graph", "poincare", "fibers"),
                        default="graph", help="which pipeline computes it")
     if cmd in ("fibers", "semigroup"):
-        p.add_argument("--window", type=_parse_window, default=None,
+        p.add_argument("--window", default=None,
                        help="explicit jet window 'a,b,...'")
     return p
 

@@ -12,20 +12,24 @@ form, over the union of two supports (``_reduced``): on these matrices a
 vector is mostly zeros.  Since the columns "below v" form a per-branch
 prefix, h(v) = dim O/J(v) is the rank below v, and all other dimensions
 are alternating sums of that one prefix-rank table, kept flat in
-lexicographic order.  For one branch h(v) is the number of semigroup
-values below v, and one row echelon gives the whole table: the matrix keeps
-its rows, {order: value}, and ``_echelon`` pivots each on its least order,
-so h(v) is the number of pivots below v.  It reduces only the staircase of
-rows not yet proved dependent: once x^a y^b reduces to zero, every
-x^a' y^b' with a' >= a and b' >= b is a combination of the rows before it.
-For r > 1 the matrix keeps its columns, {row: value}, and the sweep adds
-one branch's columns at a time, down to the last two axes, and carries the
-columns still to come down the walk already reduced against its basis, so
-each basis vector it adds costs one step per carried column that is
-nonzero at its pivot.  On
-the last two axes the (J + 1) x (K + 1) ranks over each basis B are fixed
-by the relative position of two flags, the prefixes F_j and G_k of the last
-two branches.  One reduction per column of F and of G finds, for each g_l,
+lexicographic order.  The matrix keeps its rows, {column: value}, and each
+single rank, of the whole window or below one v, is one row echelon of the
+rows cut there (``_echelon``), which pivots each row on its least column.
+It reduces only the staircase of rows not yet proved dependent: once
+x^a y^b reduces to zero, every x^a' y^b' with a' >= a and b' >= b is a
+combination of the rows before it, as the jet map to the product of the
+C[t]/t^(v_i) is a ring homomorphism, whose kernel is an ideal.  For one
+branch the columns below v are a prefix, so one echelon gives the whole
+table: h(v), the number of semigroup values below v, is the number of
+pivots below v.  For r > 1 the matrix also keeps its columns,
+{row: value}, and the sweep adds one branch's columns at a time, down to
+the last two axes, and carries the columns still to come down the walk
+already reduced against those added, so each nonzero one it adds costs
+one step per carried column that is nonzero at its pivot; of those added
+it keeps only their number, the rank.  On the last two axes the
+(J + 1) x (K + 1) ranks over each span B are fixed by the relative
+position of two flags, the prefixes F_j and G_k of the last two
+branches.  One reduction per column of F and of G finds, for each g_l,
 the least j with g_l in B + F_j + G_(l-1), and each rank of that slab
 counts them (``_slab``), so every entry stays an exact rank, neither filled
 by a rule nor taken modulo a prime.  The sweep writes its table into an
@@ -138,11 +142,13 @@ class JetMatrix:
     so every entry is an int; scaling a row changes the rank of no set of
     columns.  Each jet is built from the one before it, times Dy y_i on
     each branch i (times Dx x_i from (a - 1, 0) when b = 0), truncated at
-    w_i.  One branch keeps those jets as ``rows``, one dict {order: value}
-    per row, holding no zero, which ``sweep`` brings to one echelon.  For
-    r > 1 their terms go into ``columns``: one dict {row: value} per
+    w_i.  ``rows`` keeps those jets, one dict per row holding no zero,
+    term k of branch i at the column starts_i + k, where starts_i is the
+    sum of the windows before branch i (for one branch the jets as they
+    stand, {order: value}); every single rank is one echelon of them.  For
+    r > 1 ``columns`` is their transpose: one dict {row: value} per
     column, holding no zero, divided by the gcd of its values, in
-    branch-major order, from which ``sweep`` reads every rank.
+    branch-major order, from which ``sweep`` reads its table.
     """
 
     def __init__(self, curve: Curve, window):
@@ -177,47 +183,46 @@ class JetMatrix:
         # each jet's terms lie below its window: term k of branch i goes to
         # column starts[i] + k (the last start is the number of columns)
         starts = list(accumulate(window, initial=0))
+        self.rows = [{start + k: x for p, start in zip(jet, starts)
+                      for k, x in p.items()} for jet in jets]
         columns = [{} for _ in range(starts[-1])]
-        for row, jet in enumerate(jets):
-            for p, start in zip(jet, starts):
-                for k, x in p.items():
-                    columns[start + k][row] = x
+        for row, vec in enumerate(self.rows):
+            for k, x in vec.items():
+                columns[k][row] = x
         self.columns = list(map(_primitive, columns))
 
     def sweep(self, box) -> tuple:
         """The ranks of the columns below every v of [0, box] inside the
         window, in lexicographic order of v, as an array of 16-bit
-        entries, and h(window), every entry an exact rank.  For one branch
-        from one echelon of the rows (``_echelon``): cutting the rows at v
-        commutes with row operations, and cut there its rows of pivot
-        below v stay independent while the others vanish, so h(v) is the
-        number of pivots below v and h(window) the number of pivots.  For
-        r > 1 from one pass over the columns (the last two axes from
-        J + K eliminations per point of the others, ``_slab``), the basis
-        left at the box's top corner completed by every branch's rest.  A
-        table the packed reads cannot hold is refused first
-        (``check_table``)."""
+        entries, and h(window), every entry an exact rank.  h(window) is
+        the number of pivots of one echelon of the rows (``_echelon``).
+        For one branch the table comes from that echelon too: cutting the
+        rows at v commutes with row operations, and cut there its rows of
+        pivot below v stay independent while the others vanish, so h(v) is
+        the number of pivots below v.  For r > 1 it comes from one pass
+        over the columns (the last two axes from J + K eliminations per
+        point of the others, ``_slab``).  A table the packed reads cannot
+        hold is refused first (``check_table``)."""
         rows = len(self.monomials)
         check_table(rows, box)
+        pivots = _echelon(self.rows, self.monomials)
         if self.curve.r == 1:
-            pivots = _echelon(self.rows, self.monomials)
             below = map(pivots.__contains__, range(box[0]))
             return array("H", accumulate(below, initial=0)), len(pivots)
-        ranks, basis = array("H"), []
-        starts = accumulate(self.window, initial=0)
-        _sweep(ranks, basis, [col for start, n in zip(starts, box)
-                              for col in self.columns[start:start + n]],
+        ranks, starts = array("H"), accumulate(self.window, initial=0)
+        _sweep(ranks, 0, [col for start, n in zip(starts, box)
+                          for col in self.columns[start:start + n]],
                box, rows)
-        return ranks, _add_columns(basis, self.columns, self.window, box,
-                                   self.window)
+        return ranks, len(pivots)
 
     def rank_below(self, v) -> int:
-        """The rank of the columns below v, from an empty basis: for one
-        branch the pivots of a fresh echelon of the rows cut at v."""
-        if self.curve.r == 1:
-            return len(_echelon([{k: x for k, x in row.items() if k < v[0]}
-                                 for row in self.rows], self.monomials))
-        return _add_columns([], self.columns, self.window, (0,) * len(v), v)
+        """The rank of the columns below v, v inside the window: the pivots
+        of one echelon of the rows cut at v (``_echelon``)."""
+        below = {start + k for start, x
+                 in zip(accumulate(self.window, initial=0), v)
+                 for k in range(x)}
+        return len(_echelon([{k: x for k, x in row.items() if k in below}
+                             for row in self.rows], self.monomials))
 
 
 def visible_rows(curve: Curve, window) -> int:
@@ -292,16 +297,18 @@ def check_table(rows, box) -> None:
 
 
 def _echelon(rows, monomials) -> dict:
-    """One branch's rows, x^a y^b in lexicographic order of (a, b), in a
-    row echelon that pivots each row on its least order: {pivot: row}.
-    Each row is reduced against the row whose pivot is its least order
-    (``_reduced``) until that order is no pivot, where it becomes one, or
-    nothing is left.  A row that reduces to zero is a relation x^a y^b =
-    a combination of lex-earlier monomials mod t^w, an invisible one being
-    0 there; times x^i y^j it makes x^(a+i) y^(b+j) a combination of
-    monomials lex-earlier than it.  So every row (a', b') with a' >= a and
-    b' >= b lies in the span of the rows before it and adds no pivot: only
-    the staircase below the least b of such a row is reduced."""
+    """Jet rows, x^a y^b in lexicographic order of (a, b), each cut to the
+    columns below some v, in a row echelon that pivots each row on its
+    least column: {pivot: row}.  Each row is reduced against the row whose
+    pivot is its least column (``_reduced``) until that column is no
+    pivot, where it becomes one, or nothing is left.  A row that reduces to
+    zero is a relation x^a y^b = a combination of lex-earlier monomials
+    mod t^(v_i) on every branch i, an invisible one being 0 there; the jet
+    map is a ring homomorphism, so times x^i y^j it makes x^(a+i) y^(b+j) a
+    combination of monomials lex-earlier than it.  So every row (a', b')
+    with a' >= a and b' >= b lies in the span of the rows before it and adds
+    no pivot: only the staircase below the least b of such a row is
+    reduced."""
     basis, dead = {}, inf
     for (_, b), row in zip(monomials, rows):
         if b >= dead:
@@ -324,44 +331,42 @@ def _primitive(vec) -> dict:
     return {k: x // g for k, x in vec.items()} if g > 1 else vec
 
 
-def _sweep(ranks, basis, carried, box, rows, i=0) -> None:
+def _sweep(ranks, h, carried, box, rows, i=0) -> None:
     """Append the rank below every point of the box [0, box] whose first i
-    coordinates the basis already holds, in lexicographic order.
-    ``carried`` holds the first box_j columns of each branch j >= i, in
-    branch-major order, each reduced against the basis: add branch i's to
-    the basis one at a time, reduce the rest against each vector added, and
-    recurse, down to the last two axes, which ``_slab`` reads whole
-    (r > 1; one branch's table is ``_echelon``'s); ``rows``, the number of
-    jet rows, places the slab's slot keys.
-    Each frame rebinds its own list and copies only the columns a reduction
-    changes, so cutting the basis back leaves the list of every frame
-    reduced against the basis it holds.  The basis is left at the box's
-    top corner."""
+    coordinates are fixed, in lexicographic order, where the columns below
+    those coordinates have rank h.  ``carried`` holds the first box_j
+    columns of each branch j >= i, in branch-major order, each reduced
+    against an echelon basis of those columns: take branch i's one at a
+    time, each nonzero one a basis vector that raises h by one and against
+    which the rest are reduced, and recurse, down to the last two axes,
+    which ``_slab`` reads whole (r > 1; one branch's table is
+    ``_echelon``'s); ``rows``, the number of jet rows, places the slab's
+    slot keys.  Each frame rebinds its own list and copies only the columns
+    a reduction changes, so the list each frame passes down stays reduced
+    against every basis vector above it; only their number is kept."""
     n = box[i]
     if i == len(box) - 2:
-        _slab(ranks, basis, carried[:n], carried[n:], rows)
+        _slab(ranks, h, carried[:n], carried[n:], rows)
         return
     for k in range(n + 1):
         if k:
-            del basis[depth:]
             col, carried = carried[0], carried[1:]
             if col:
+                h += 1
                 p = min(col)
-                basis.append((p, col))
-                added = basis[-1:]
+                added = ((p, col),)
                 carried = [_reduced(dict(x), added) if p in x else x
                            for x in carried]
-        depth = len(basis)
-        _sweep(ranks, basis, carried[n - k:], box, rows, i + 1)
+        _sweep(ranks, h, carried[n - k:], box, rows, i + 1)
 
 
-def _slab(ranks, basis, f, g, n) -> None:
+def _slab(ranks, h, f, g, n) -> None:
     """Append rank(B + F_j + G_k) for j <= J = len(f) and k <= K = len(g),
-    in lexicographic order, where B is the basis and F_j, G_k span the
-    first j columns of f and the first k of g, vectors with keys below n,
-    from J + K eliminations; the basis is left holding B + F_J + G_K.
-    Every f and g arrives reduced against B, so the slab reduces them only
-    against the vectors it adds.
+    in lexicographic order, where B is a span of rank h and F_j, G_k span
+    the first j columns of f and the first k of g, vectors with keys below
+    n, from J + K eliminations.  Every f and g arrives reduced against an
+    echelon basis of B, so the slab reduces them only against the vectors
+    it adds.
 
     Every entry is an honest rank: rank(B + F_j + G_k) - rank(B + F_j)
     counts the l <= k with g_l outside B + F_j + G_(l-1), and as these
@@ -376,7 +381,7 @@ def _slab(ranks, basis, f, g, n) -> None:
     reaches: lambda_l, or 0 if it vanishes.  (This is the persistence
     pairing of the two flags F_j and G_k over B.)"""
     echelon, J = [], len(f)
-    starts = [len(basis)]  # rank(B + F_j), where row j of the slab starts
+    starts = [h]  # rank(B + F_j), where row j of the slab starts
     for col in f:
         _add_column(echelon, col)
         starts.append(starts[0] + len(echelon))
@@ -393,23 +398,9 @@ def _slab(ranks, basis, f, g, n) -> None:
             kept.append((p, col))
         levels.append(J + 1 if p < n else J + n - p)
     rows = []
-    for j, h in enumerate(starts):
-        rows += accumulate((x > j for x in levels), initial=h)
+    for j, start in enumerate(starts):
+        rows += accumulate((x > j for x in levels), initial=start)
     ranks.fromlist(rows)  # one resize of the array per slab
-    # F's echelon vectors and the kept residuals, cut to keys below n,
-    # vanish at B's pivots, so they extend its echelon basis to
-    # B + F_J + G_K
-    basis += echelon + [(p, {k: x for k, x in vec.items() if k < n})
-                        for p, vec in kept if p < n]
-
-
-def _add_columns(basis, columns, window, low, top) -> int:
-    """Add every branch i's columns of orders low_i to top_i - 1 to the
-    basis (``window`` columns per branch); its rank."""
-    for start, lo, hi in zip(accumulate(window, initial=0), low, top):
-        for col in columns[start + lo:start + hi]:
-            _add_column(basis, col)
-    return len(basis)
 
 
 def _add_column(basis, column) -> None:

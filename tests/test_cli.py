@@ -62,9 +62,9 @@ def _write(tmp_path, name, data):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts runs of the blow-up engine, jet-matrix builds and honest ranks
-    taken from an empty basis, and records the window of each build and the
-    box of each sweep."""
+    """Counts runs of the blow-up engine, jet-matrix builds and single
+    honest ranks (``rank_below``), and records the window of each build and
+    the box of each sweep."""
     counts = {"engine": 0, "jet": 0, "windows": [], "boxes": [], "honest": 0}
     engine = resolution._run_blowups
     init, sweep = JetMatrix.__init__, JetMatrix.sweep
@@ -679,6 +679,17 @@ def test_bad_window_is_a_parse_error(tmp_path, capsys, cmd, window):
     err = capsys.readouterr().err
     assert err.startswith("ParseError: --window %s " % window)
     assert "r = 2" in err
+
+
+@pytest.mark.parametrize("cmd,window", [("fibers", "3,"),
+                                        ("semigroup", "x")])
+def test_malformed_window_is_a_parse_error(tmp_path, capsys, cmd, window):
+    # the window is parsed with the curve in hand, so argparse neither
+    # catches the error nor prints its usage
+    path = _write(tmp_path, "cusp.json", CUSP_JSON)
+    assert cli.main([cmd, path, "--window", window]) == 2
+    assert capsys.readouterr() == ("", "ParseError: bad --window %r\n"
+                                   % window)
 
 
 WINDOW_CURVES = {"cusp": CUSP_JSON, "node": NODE_JSON,

@@ -91,12 +91,13 @@ def test_jet_rows_are_the_monomial_jets(name):
     for M in (Analysis(c).jet, JetMatrix(c, (1,) * c.r),
               JetMatrix(c, (3, 7, 5, 4)[:c.r])):
         assert M.monomials == reference_monomials(M)
+        # every row is {starts_i + k: value}, term k of branch i, which the
+        # dense reference row holds at that index
+        assert M.rows == [{k: x for k, x in enumerate(row) if x}
+                          for row in reference_rows(M)]
+        assert all(type(x) is int for row in M.rows for x in row.values())
         if c.r == 1:
-            # one branch keeps its rows, each {order: value}, and no column
-            assert M.rows == [{k: x for k, x in enumerate(row) if x}
-                              for row in reference_rows(M)]
-            assert all(type(x) is int for row in M.rows for x in row.values())
-            continue
+            continue  # one branch keeps no column
         assert M.columns == reference_columns(M)
         assert all(type(x) is int for col in M.columns for x in col.values())
 
@@ -172,7 +173,7 @@ def test_sweep_matches_the_one_column_per_point_reference(name):
     # the slab reads the last two axes from J + K eliminations per node; the
     # reference adds one column per point.  Every box's table is the
     # reference's on the whole window cut to the box, and every box
-    # completes the window's rank: [0, c], [0, c + 1], the window, and c
+    # returns the window's rank: [0, c], [0, c + 1], the window, and c
     # with 0 on the last axis (K = 0), on the one before it (J = 0) or both
     a = Analysis(SLAB_CURVES[name]())
     M, c, r = a.jet, a.conductor, a.curve.r
