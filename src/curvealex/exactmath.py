@@ -141,14 +141,20 @@ def _check_rank(a: MultiPoly, b: MultiPoly) -> None:
         raise DimensionError("mixed %d- and %d-variable polynomials" % (ra, rb))
 
 
-def mp_mul_one_minus(p: MultiPoly, m: ExpVec) -> MultiPoly:
-    """The product p * (1 - t^m) in one pass, as p - t^m p: one shifted
-    term per term of p."""
+def mp_mul_one_minus(p: MultiPoly, m: ExpVec, e: int = 1) -> MultiPoly:
+    """The product p * (1 - t^m)^e for a power e >= 0, by the binomial
+    theorem: p once, then for k = 1, ..., e one pass over p, each term
+    shifted by k m and scaled by (-1)^k C(e, k).  No partial product is
+    formed, so every pass reads only the terms of p."""
     out = dict(p)
-    for e, x in p.items():
-        e = tuple(map(add, e, m))
-        out[e] = out.get(e, 0) - x
-    return {e: x for e, x in out.items() if x}
+    s, c = m, 1
+    for k in range(1, e + 1):
+        c = -c * (e - k + 1) // k
+        for v, x in p.items():
+            v = tuple(map(add, v, s))
+            out[v] = out.get(v, 0) + c * x
+        s = tuple(map(add, s, m))
+    return {v: x for v, x in out.items() if x}
 
 
 def mp_div_one_minus(p: MultiPoly, m: ExpVec) -> MultiPoly:
@@ -160,7 +166,8 @@ def mp_div_one_minus(p: MultiPoly, m: ExpVec) -> MultiPoly:
     dominated by m: on each line q is the running sum of p from b.  q is a
     polynomial iff p sums to 0 along every line.  If not, NotDivisibleError
     names the lexicographically largest base point with a nonzero line sum,
-    the term where long division by the leading term t^m stops.
+    the term where long division by the leading term t^m stops, and the
+    divisor 1 - t^m.
     """
     steps = [i for i, x in enumerate(m) if x]
     if not steps:
@@ -174,7 +181,8 @@ def mp_div_one_minus(p: MultiPoly, m: ExpVec) -> MultiPoly:
     rest = [b for b, line in lines.items() if sum(line.values())]
     if rest:
         raise NotDivisibleError(
-            "remainder with leading term %r while dividing" % (max(rest),))
+            "remainder with leading term %r while dividing by 1 - t^%r"
+            % (max(rest), m))
     q = {}
     for v, line in lines.items():
         s = 0

@@ -387,26 +387,36 @@ def en_alexander(g: ResGraph) -> MultiPoly:
     vertices of (1 - t^m)^(-chi of the smooth part), times (1 - t) for
     r = 1.
 
-    The product is Delta, a polynomial with constant term 1: the numerator
-    binomials are multiplied in, each in one pass as p - t^m p
-    (``mp_mul_one_minus``), then the denominator binomials divided off
-    exactly, each in one pass along the lines of direction m
-    (``mp_div_one_minus``).  A graph that is no
+    The exponents are netted first, one per multiplicity vector m: each
+    vertex adds its -chi to the exponent of its m (a vertex of chi = 0
+    adds nothing), and for r = 1 the factor (1 - t) adds 1 to (1,).  Equal
+    binomials of opposite sign, such as the two of a free blow-up, cancel
+    there before any arithmetic.  The product is Delta, a polynomial with
+    constant term 1: each positive power (1 - t^m)^e is multiplied in with
+    one call, by the binomial theorem (``mp_mul_one_minus``), then each
+    negative one divided off exactly, largest m first, one binomial at a
+    time, each in one pass along the lines of direction m
+    (``mp_div_one_minus``).  If N/D is a polynomial, every partial
+    quotient is one, so the order changes nothing.  A graph that is no
     curve's resolution graph can leave a remainder: NotDivisibleError names
     the lexicographically largest base point of a line whose sum is
-    nonzero, in the first division that fails, dividing largest m first.
+    nonzero, in the first division that fails, and its divisor 1 - t^m.
     For r = 1 the extra factor (1 - t) makes the product Delta too, of
     degree the conductor: the monodromy zeta function is Delta / (1 - t).
     """
-    num, den = [], []
-    for sid in g.vertices:
+    exps = {(1,): 1} if g.r == 1 else {}
+    for sid, m in g.vertices.items():
         chi = chi_open(g, sid)
-        (num if chi < 0 else den).extend([g.vertices[sid]] * abs(chi))
-    if g.r == 1:
-        num.append((1,))
+        if chi:
+            exps[m] = exps.get(m, 0) - chi
     poly = {(0,) * g.r: 1}
-    for m in num:
-        poly = mp_mul_one_minus(poly, m)
+    den = []
+    for m, e in exps.items():
+        if e > 0:
+            poly = mp_mul_one_minus(poly, m, e)
+        elif e:
+            den.append(m)
     for m in sorted(den, reverse=True):
-        poly = mp_div_one_minus(poly, m)
+        for _ in range(-exps[m]):
+            poly = mp_div_one_minus(poly, m)
     return poly

@@ -1,7 +1,8 @@
 """Shared test curves, the per-point references the tests check the
 library's whole-table reads against, the graph file's JSON object and
 the per-point one-branch series behind the CLI's writers, the generic
-polynomial product and long division behind its one-pass binomial ones,
+polynomial product and long division behind its one-pass binomial ones
+and the list-order Eisenbud-Neumann product behind its netted one,
 the step-by-step blow-up engine on s-fold products behind its chained
 one on powers, the one-column-per-point rank sweep on dense integer lists
 behind the slab sweep on sparse columns, the list reads of chi, P' and
@@ -51,6 +52,7 @@ from curvealex.resolution import (
     _Point,
     _run_blowups,
     _settled,
+    chi_open,
     en_alexander,
     resolve,
 )
@@ -680,6 +682,26 @@ def mp_exact_div(num, den):
             else:
                 rem.pop(key, None)
     return quo
+
+
+def reference_en_alexander(g: ResGraph) -> MultiPoly:
+    """The Eisenbud-Neumann product as a list of binomials (the reference
+    for ``en_alexander``'s netted exponents): each vertex's binomial
+    repeated |chi| times, the numerators multiplied in vertex order, then
+    (1 - t) for r = 1, then the denominators divided off largest first,
+    each by the generic ``mp_mul`` and ``mp_exact_div``."""
+    num, den = [], []
+    for sid in g.vertices:
+        chi = chi_open(g, sid)
+        (num if chi < 0 else den).extend([g.vertices[sid]] * abs(chi))
+    if g.r == 1:
+        num.append((1,))
+    poly = {(0,) * g.r: 1}
+    for m in num:
+        poly = mp_mul(poly, mp_one_minus(m))
+    for m in sorted(den, reverse=True):
+        poly = mp_exact_div(poly, mp_one_minus(m))
+    return poly
 
 
 def _add_columns(basis, columns, window, low, top) -> int:

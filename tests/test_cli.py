@@ -258,6 +258,25 @@ def test_graph_with_duplicate_vertex_id_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "ParseError: duplicate vertex id 2\n"
 
 
+@pytest.mark.parametrize("ids,edges,line", [
+    ([1, 2], [[1, 2], [2, 1]], "edge (1, 2) is listed twice"),
+    ([1, 2, 3], [[1, 3], [3, 1]], "edge (1, 3) is listed twice"),
+    ([1], [[1, 1]], "edge (1, 1) is a loop")],
+    ids=["reversed-pair", "reversed-pair-fits-the-count", "loop"])
+def test_graph_with_a_loop_or_a_repeated_edge_exits_2(tmp_path, capsys, ids,
+                                                      edges, line):
+    # the edges are counted as listed, so none of them passes as a tree or
+    # takes another edge's error
+    data = {"r": 1, "vertices": [{"id": v, "m": [v]} for v in ids],
+            "edges": edges, "arrows": [{"vertex": 1, "branch": 1}],
+            "root": 1}
+    path = _write(tmp_path, "repeated-edge-graph.json", data)
+    assert cli.main(["alexander", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "NotATree: %s\n" % line
+
+
 def test_graph_with_missing_arrow_is_rejected():
     data = {
         "r": 2,
@@ -320,7 +339,7 @@ def test_two_branch_graph_that_resolves_no_curve_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("NotDivisible: remainder with leading term "
-                            "(5, 2) while dividing\n")
+                            "(5, 2) while dividing by 1 - t^(5, 4)\n")
 
 
 def test_via_poincare_rejects_graph_input(tmp_path, capsys):
@@ -442,6 +461,31 @@ def test_verify_fails_when_extra_blow_ups_change_the_product(
     assert capsys.readouterr().out.splitlines() == expected
 
 
+@pytest.mark.parametrize("make,line", [
+    (make_cusp, "(7,) while dividing by 1 - t^(12,)"),
+    (make_tacnode, "(1, 1) while dividing by 1 - t^(4, 4)")],
+    ids=["r1", "r2"])
+def test_verify_fails_when_extra_blow_ups_leave_a_remainder(
+        tmp_path, capsys, monkeypatch, make, line):
+    # each extra vertex with twice its target's multiplicity: the product
+    # is no polynomial, and resolution-invariance fails with the message of
+    # the division that stops, while the other checks pass
+    def doubled(graph, n):
+        g = resolution.free_blowups(graph, n)
+        for vid in range(max(graph.vertices) + 1, max(g.vertices) + 1):
+            target = next(a for a, b in g.edges if b == vid)
+            g.vertices[vid] = tuple(2 * x for x in g.vertices[target])
+        return g
+
+    monkeypatch.setattr(cli, "free_blowups", doubled)
+    path = _write(tmp_path, "curve.json", curve_to_json(make()))
+    assert cli.main(["verify", path]) == 1
+    expected = list(VERIFY_PASSED)
+    expected[4] = ("FAIL resolution-invariance: extra blow-ups changed the "
+                   "product: remainder with leading term " + line)
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def _bumped(values, top, points):
     """A read on [0, top] (a list for one branch, packed in 16-bit slots
     for r > 1), one more at each of the points."""
@@ -489,7 +533,8 @@ def test_verify_names_the_corrupted_point_of_each_face(tmp_path, capsys,
     if lead is not None:
         expected[0] = "FAIL poincare-equals-alexander: poincare != alexander"
         expected[3] = ("FAIL exact-divisibility: remainder with leading term "
-                       "%s while dividing" % lead)
+                       "%s while dividing by 1 - t^%r"
+                       % (lead, (1,) * curve.r))
     assert capsys.readouterr().out.splitlines() == expected
 
 
@@ -509,7 +554,8 @@ def test_verify_fails_when_chi_leaves_a_zero_face(tmp_path, capsys,
     for curve, lead in ((make_tacnode(), "(1, 0)"),
                         (make_three_lines(), "(2, 1, 0)")):
         expected[3] = ("FAIL exact-divisibility: remainder with leading term "
-                       "%s while dividing" % lead)
+                       "%s while dividing by 1 - t^%r"
+                       % (lead, (1,) * curve.r))
         v = (Analysis(curve).conductor[0], 1) + (0,) * (curve.r - 2)
         monkeypatch.setattr(Analysis, "chi_table", property(
             lambda self, v=v: _bumped(chi(self), self.conductor, {v})))
@@ -1054,7 +1100,7 @@ def test_verify_exits_1_when_pprime_leaves_a_remainder(tmp_path, capsys,
         "PASS fiber-euler-equals-alexander",
         "FAIL fiber-product-identity: fiber series * (t..-1) != pprime",
         "FAIL exact-divisibility: remainder with leading term (1, 0) while "
-        "dividing",
+        "dividing by 1 - t^(1, 1)",
         "PASS resolution-invariance",
         "PASS window-stability"]
     assert captured.err == ""
@@ -1075,7 +1121,7 @@ def test_verify_names_a_misfilled_shell_point_that_spoils_the_division(
         "PASS fiber-euler-equals-alexander",
         "FAIL fiber-product-identity: fiber series * (t..-1) != pprime",
         "FAIL exact-divisibility: remainder with leading term (2, 0) while "
-        "dividing",
+        "dividing by 1 - t^(1, 1)",
         "PASS resolution-invariance",
         "PASS window-stability"]
     assert captured.err == ""

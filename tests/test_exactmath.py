@@ -125,6 +125,21 @@ def test_product_by_one_minus_matches_the_generic_product():
         assert mp_mul_one_minus(p, m) == mp_mul(p, mp_one_minus(m))
 
 
+def test_power_of_one_minus_matches_the_repeated_generic_product():
+    # one call for (1 - t^m)^e against e products by 1 - t^m, e = 0 ... 6
+    rng = random.Random(29)
+    for _ in range(200):
+        r = rng.choice([1, 2, 3])
+        m = tuple(rng.randint(0, 2) for _ in range(r))
+        if not any(m):
+            m = (1,) + m[1:]
+        p = _random_multipoly(rng, r)
+        product = p
+        for e in range(7):
+            assert mp_mul_one_minus(p, m, e) == product
+            product = mp_mul(product, mp_one_minus(m))
+
+
 def _quotient_or_message(divide, *args):
     try:
         return divide(*args)
@@ -147,7 +162,11 @@ def test_division_by_one_minus_matches_long_division():
             p[e] = p.get(e, 0) + rng.choice([-2, -1, 1, 2])
             p = {e: c for e, c in p.items() if c}
         got = _quotient_or_message(mp_div_one_minus, p, m)
-        assert got == _quotient_or_message(mp_exact_div, p, mp_one_minus(m))
+        want = _quotient_or_message(mp_exact_div, p, mp_one_minus(m))
+        if isinstance(want, str):
+            # the one-pass division names its divisor too
+            want += " by 1 - t^%r" % (m,)
+        assert got == want
         assert isinstance(got, str) if spoiled else got == q
 
 

@@ -52,7 +52,13 @@ from curvealex.filtration import (  # noqa: E402
     pprime_coefficients,
     visible_rows,
 )
-from curvealex.resolution import RatFunc, _power, _run_blowups  # noqa: E402
+from curvealex.resolution import (  # noqa: E402
+    RatFunc,
+    _power,
+    _run_blowups,
+    free_blowups,
+    resolve,
+)
 
 from corpus import (  # noqa: E402
     _rank,
@@ -76,6 +82,7 @@ from corpus import (  # noqa: E402
     reference_blowups,
     reference_columns,
     reference_div,
+    reference_en_alexander,
     reference_monomials,
     reference_pprime,
     reference_rank,
@@ -528,6 +535,20 @@ def test_random_curves_pass_every_verify_check(branches):
     assume(prod(x + 3 for x in conductor) <= 4000)
     assert [(name, ok) for name, ok, _ in run_verify(c)] == [
         (name, True) for name in VERIFY_CHECKS]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(BRANCHES.filter(_not_an_axis_cover), min_size=1, max_size=3))
+def test_netted_product_matches_the_list_order_reference_on_random_curves(
+        branches):
+    try:
+        g = resolve(Curve(branches))
+    except BudgetExceededError:
+        # coincident branches, or a map of degree > 1 onto its image
+        assume(False)
+    for extra in range(7):
+        h = free_blowups(g, extra)
+        assert en_alexander(h) == reference_en_alexander(h)
 
 
 @settings(max_examples=50, deadline=None)

@@ -32,8 +32,11 @@ from corpus import (
     make_smooth_branch,
     make_tacnode,
     make_tangent_cusps_duplicate,
+    make_transverse_lines,
+    make_wide_three_branches,
     noether_intersections,
     reference_blowups,
+    reference_en_alexander,
 )
 
 
@@ -236,6 +239,26 @@ def test_resolution_invariance_under_extra_blowups(name):
         g = free_blowups(resolve(c), extra)
         assert len(g.vertices) == len(resolve(c).vertices) + extra
         assert en_alexander(g) == base
+
+
+# every corpus curve that resolves: the duplicate tangent cusps do not
+EN_CURVES = dict(CORPUS_ALL, **{
+    "axes-and-cusp": make_axes_and_cusp, "four-lines": make_four_lines,
+    "six-lines": lambda: make_transverse_lines(6),
+    "quartic": make_quartic_branch,
+    "rational-three-branches": make_rational_three_branches,
+    "smooth": make_smooth_branch,
+    "wide-three-branches": make_wide_three_branches})
+
+
+@pytest.mark.parametrize("name", sorted(EN_CURVES))
+def test_netted_product_matches_the_list_order_reference(name):
+    # each free blow-up adds one binomial to the numerator and one to the
+    # denominator, or moves a dead end's binomial to the new vertex
+    g = resolve(EN_CURVES[name]())
+    for extra in range(7):
+        h = free_blowups(g, extra)
+        assert en_alexander(h) == reference_en_alexander(h)
 
 
 def make_a62():
