@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 from functools import cache
@@ -273,14 +275,24 @@ def graph_text(g: ResGraph) -> str:
         _items([vertex % (vid, *m) for vid, m in sorted(g.vertices.items())]))
 
 
+def _in_place(path, flags):
+    """The opener of an --out file: open's flags without O_TRUNC."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _emit(text: str, out_path) -> None:
-    """Write text and a final newline; empty text (an empty box) writes
-    nothing."""
+    """Write text and a final newline, or nothing for empty text (an empty
+    box), to stdout or to the file out_path.  The file is written in place
+    and a regular one is then cut to the written length (left empty for
+    empty text): truncating it to zero first, as open(path, "w") does, makes
+    ext4 flush it on close.  A device or FIFO is written, never truncated."""
     text = text + "\n" if text else ""
     if out_path:
         try:
-            with open(out_path, "w") as fh:
+            with open(out_path, "w", opener=_in_place) as fh:
                 fh.write(text)
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
         except OSError as exc:
             raise ParseError("cannot write %s: %s" % (out_path, exc)) from exc
     else:
@@ -290,6 +302,17 @@ def _emit(text: str, out_path) -> None:
 # ---------------------------------------------------------------------------
 # pipelines
 # ---------------------------------------------------------------------------
+
+def _mismatch(left: str, p: MultiPoly, right: str, q: MultiPoly) -> str:
+    """Empty if the polynomials p and q are equal; else the reason verify
+    prints, which is read only then: the least exponent where they differ
+    and the coefficient of each there, e.g. 'p != q at 2,1: 3 against 2'."""
+    if p == q:
+        return ""
+    e = min(e for e in p.keys() | q.keys() if p.get(e) != q.get(e))
+    return "%s != %s at %s: %s against %s" % (
+        left, right, _point(e), p.get(e, 0), q.get(e, 0))
+
 
 def run_verify(c: Curve, budget=DEFAULT_BUDGET):
     """The six cross-pipeline checks on the exact Alexander polynomials, as
@@ -320,14 +343,18 @@ def run_verify(c: Curve, budget=DEFAULT_BUDGET):
         invariant = en_alexander(free_blowups(a.graph, 3)) == alex
     except NotDivisibleError as exc:
         invariant, invariance = False, "%s: %s" % (invariance, exc)
-    return [
-        ("poincare-equals-alexander", poincare == alex,
-         "poincare != alexander"),
-        ("fiber-euler-equals-alexander", fibers == alex,
-         "fiber series != alexander"),
+    # checks 1-3: a failing row names where its two sides differ
+    checks = [
+        ("poincare-equals-alexander",
+         _mismatch("poincare", poincare, "alexander", alex) if not remainder
+         else "poincare != alexander: %s" % remainder),
+        ("fiber-euler-equals-alexander",
+         _mismatch("fiber series", fibers, "alexander", alex)),
         ("fiber-product-identity",
-         {e: -x for e, x in product.items()} == a.pprime,
-         "fiber series * (t..-1) != pprime"),
+         _mismatch("fiber series * (t..-1)",
+                   {e: -x for e, x in product.items()}, "pprime", a.pprime)),
+    ]
+    return [(name, not reason, reason) for name, reason in checks] + [
         ("exact-divisibility", not remainder, remainder),
         ("resolution-invariance", invariant, invariance),
         ("window-stability", h == rule,

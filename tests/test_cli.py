@@ -143,6 +143,60 @@ def test_unwritable_out_file_exits_2(tmp_path, capsys):
         "ParseError: cannot write %s: " % out)
 
 
+def test_out_overwrites_a_longer_or_shorter_file_in_place(tmp_path, capsys):
+    # A_62's graph has 64 vertices and the quartic's far fewer: each
+    # --out onto the other's file leaves exactly the bytes resolve prints,
+    # in the same inode, and alexander reads the graph back
+    out = tmp_path / "graph.json"
+    curves = {name: _write(tmp_path, name + ".json", data) for name, data in
+              (("a62", _a_k(62)), ("quartic",
+                                   curve_to_json(make_quartic_branch())))}
+    assert cli.main(["resolve", curves["a62"], "--out", str(out)]) == 0
+    inode = out.stat().st_ino
+    for name in ("quartic", "a62", "quartic"):
+        assert cli.main(["resolve", curves[name], "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.stat().st_ino == inode
+        assert out.read_text() == "\n".join(_run(["resolve", curves[name]],
+                                                 capsys)) + "\n"
+        assert _run(["alexander", str(out)], capsys) == \
+            _run(["alexander", curves[name]], capsys)
+
+
+@pytest.mark.parametrize("cmd", ["alexander", "fibers", "semigroup"])
+def test_out_writes_a_device_without_truncating_it(tmp_path, capsys, cmd):
+    path = _write(tmp_path, "cusp.json", CUSP_JSON)
+    assert cli.main([cmd, path, "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_out_creates_a_file_with_the_mode_open_gives(tmp_path, capsys):
+    path = _write(tmp_path, "cusp.json", CUSP_JSON)
+    umask = os.umask(0o027)
+    try:
+        assert cli.main(["resolve", path, "--out",
+                         str(tmp_path / "new.json")]) == 0
+        open(tmp_path / "opened.json", "w").close()
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "new.json").stat().st_mode == \
+        (tmp_path / "opened.json").stat().st_mode
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_says_what_open_says(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.json"
+    if where == "directory":
+        out = tmp_path / "a-directory"
+        out.mkdir()
+    with pytest.raises(OSError) as exc:
+        open(out, "w")
+    assert cli.main(["resolve", _write(tmp_path, "cusp.json", CUSP_JSON),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr() == \
+        ("", "ParseError: cannot write %s: %s\n" % (out, exc.value))
+
+
 def test_rational_string_coefficients(tmp_path):
     data = {"branches": [{"x": [[2, "1/2"]], "y": [[3, 2]]}]}
     c = parse_curve_file(_write(tmp_path, "half.json", data))
@@ -517,46 +571,57 @@ def test_verify_names_the_corrupted_point_of_each_face(tmp_path, capsys,
                                                        monkeypatch, make, i,
                                                        lead):
     # one more at the middle point of P''s face v_i = c_i: P' moves, so
-    # the fiber-product identity fails, and for r > 1 the division by
-    # t_1...t_r - 1 leaves a remainder, which the FAIL lines name; chi,
-    # membership and window-stability do not read P' and pass
+    # the fiber-product identity fails there and names it, and for r > 1
+    # the division by t_1...t_r - 1 leaves a remainder, which the FAIL
+    # lines of checks 1 and 4 name; chi, membership and window-stability
+    # do not read P' and pass
     curve = make()
-    c = Analysis(curve).conductor
+    a = Analysis(curve)
+    c = a.conductor
     low = tuple(x if j == i else 0 for j, x in enumerate(c))
     points = list(iter_box(low, c))
-    _corrupted_shell(monkeypatch, {points[len(points) // 2]})
+    point = points[len(points) // 2]
+    x = a.pprime.get(point, 0)
+    _corrupted_shell(monkeypatch, {point})
     path = _write(tmp_path, "curve.json", curve_to_json(curve))
     assert cli.main(["verify", path]) == 1
     expected = list(VERIFY_PASSED)
     expected[2] = ("FAIL fiber-product-identity: fiber series * (t..-1) != "
-                   "pprime")
+                   "pprime at %s: %d against %d"
+                   % (cli._point(point), x, x + 1))
     if lead is not None:
-        expected[0] = "FAIL poincare-equals-alexander: poincare != alexander"
-        expected[3] = ("FAIL exact-divisibility: remainder with leading term "
-                       "%s while dividing by 1 - t^%r"
-                       % (lead, (1,) * curve.r))
+        remainder = ("remainder with leading term %s while dividing by "
+                     "1 - t^%r" % (lead, (1,) * curve.r))
+        expected[0] = ("FAIL poincare-equals-alexander: poincare != "
+                       "alexander: " + remainder)
+        expected[3] = "FAIL exact-divisibility: " + remainder
     assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_verify_fails_when_chi_leaves_a_zero_face(tmp_path, capsys,
                                                   monkeypatch):
     # for r > 1 the conductor rule makes chi zero on the faces v_i = c_i,
-    # where Delta has no term; one more at (c_0, 1, 0, ...) adds a term to
-    # the fiber series, and P' reads chi, so it moves too: checks 2 and 3
-    # fail, the division of -P' leaves a remainder, which checks 1 and 4
-    # name, and the two checks that read neither pass
+    # where Delta has no term; one more at v = (c_0, 1, 0, ...) adds a term
+    # to the fiber series, which check 2 names, and P' reads chi, so it
+    # moves by -t^v too: the two sides of check 3 first differ at
+    # v + (1, ..., 1), past c, where P' vanishes and the product has +1;
+    # the division of -P' leaves a remainder, which checks 1 and 4 name,
+    # and the two checks that read neither pass
     chi = Analysis.chi_table.func
     expected = list(VERIFY_PASSED)
-    expected[0] = "FAIL poincare-equals-alexander: poincare != alexander"
-    expected[1] = "FAIL fiber-euler-equals-alexander: fiber series != alexander"
-    expected[2] = ("FAIL fiber-product-identity: fiber series * (t..-1) != "
-                   "pprime")
     for curve, lead in ((make_tacnode(), "(1, 0)"),
                         (make_three_lines(), "(2, 1, 0)")):
-        expected[3] = ("FAIL exact-divisibility: remainder with leading term "
-                       "%s while dividing by 1 - t^%r"
-                       % (lead, (1,) * curve.r))
+        remainder = ("remainder with leading term %s while dividing by "
+                     "1 - t^%r" % (lead, (1,) * curve.r))
         v = (Analysis(curve).conductor[0], 1) + (0,) * (curve.r - 2)
+        expected[0] = ("FAIL poincare-equals-alexander: poincare != "
+                       "alexander: " + remainder)
+        expected[1] = ("FAIL fiber-euler-equals-alexander: fiber series != "
+                       "alexander at %s: 1 against 0" % cli._point(v))
+        expected[2] = ("FAIL fiber-product-identity: fiber series * (t..-1) "
+                       "!= pprime at %s: 1 against 0"
+                       % cli._point(vec_add(v, (1,) * curve.r)))
+        expected[3] = "FAIL exact-divisibility: " + remainder
         monkeypatch.setattr(Analysis, "chi_table", property(
             lambda self, v=v: _bumped(chi(self), self.conductor, {v})))
         path = _write(tmp_path, "curve.json", curve_to_json(curve))
@@ -579,7 +644,9 @@ def test_verify_one_branch_passes_below_the_conductor(tmp_path, capsys, k,
 def test_verify_compares_the_exact_polynomials_whatever_the_bound(
         tmp_path, monkeypatch, capsys, bound):
     # chi corrupted at v = c - 1 = 15 on the quartic: a bound below 15
-    # must not hide it, because verify compares the exact Delta
+    # must not hide it, because verify compares the exact Delta; the fiber
+    # series moves by 5 (t^15 - t^16), and P' by -5 t^15 alone (its lower
+    # chain reads the ranks), so the two sides of check 3 differ at 16
     chi = Analysis.chi_table.func
 
     def corrupted(a):
@@ -593,8 +660,10 @@ def test_verify_compares_the_exact_polynomials_whatever_the_bound(
     assert cli.main(["verify", path] + bound) == 1
     assert capsys.readouterr().out.splitlines() == [
         "PASS poincare-equals-alexander",
-        "FAIL fiber-euler-equals-alexander: fiber series != alexander",
-        "FAIL fiber-product-identity: fiber series * (t..-1) != pprime",
+        "FAIL fiber-euler-equals-alexander: fiber series != alexander at "
+        "15: 4 against -1",
+        "FAIL fiber-product-identity: fiber series * (t..-1) != pprime at "
+        "16: 4 against -1",
         "PASS exact-divisibility",
         "PASS resolution-invariance",
         "PASS window-stability"]
@@ -825,6 +894,7 @@ def test_fibers_window_of_ones_prints_nothing(tmp_path, capsys, name,
     assert cli.main(["fibers", path, "--window", window]) == 0
     assert capsys.readouterr().out == ""
     out = tmp_path / "fibers.txt"
+    out.write_text("an older file's text\n")
     assert cli.main(["fibers", path, "--window", window,
                      "--out", str(out)]) == 0
     assert out.read_text() == ""
@@ -1089,16 +1159,20 @@ def test_duplicate_branch_curve_exits_1(tmp_path, capsys):
 def test_verify_exits_1_when_pprime_leaves_a_remainder(tmp_path, capsys,
                                                        monkeypatch):
     # check 1 divides pprime by t_1 t_2 - 1; the remainder fails it and
-    # the exact-divisibility check, and every check still prints its line
+    # the exact-divisibility check, and every check still prints its line;
+    # the node's fiber series is 1, so check 3 compares t_1 t_2 - 1 with
+    # t_1 - 1 and names (1, 0), the lesser of the two terms they differ in
     monkeypatch.setattr(Analysis, "pprime",
                         property(lambda self: {(1, 0): 1, (0, 0): -1}))
     path = _write(tmp_path, "node.json", NODE_JSON)
     assert cli.main(["verify", path]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
-        "FAIL poincare-equals-alexander: poincare != alexander",
+        "FAIL poincare-equals-alexander: poincare != alexander: remainder "
+        "with leading term (1, 0) while dividing by 1 - t^(1, 1)",
         "PASS fiber-euler-equals-alexander",
-        "FAIL fiber-product-identity: fiber series * (t..-1) != pprime",
+        "FAIL fiber-product-identity: fiber series * (t..-1) != pprime at "
+        "1,0: 0 against 1",
         "FAIL exact-divisibility: remainder with leading term (1, 0) while "
         "dividing by 1 - t^(1, 1)",
         "PASS resolution-invariance",
@@ -1111,20 +1185,51 @@ def test_verify_names_a_misfilled_shell_point_that_spoils_the_division(
     # (2, 0) is the tacnode's (c_0, 0), on the face where the chi that P'
     # reads fills its first sweep by the conductor rule: P' no longer
     # divides, and the remainder is named; chi does not read P', so the
-    # fiber series passes
+    # fiber series passes, and check 3 names (2, 0), where P' has no term
     _corrupted_shell(monkeypatch, {(2, 0)})
     path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
     assert cli.main(["verify", path]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
-        "FAIL poincare-equals-alexander: poincare != alexander",
+        "FAIL poincare-equals-alexander: poincare != alexander: remainder "
+        "with leading term (2, 0) while dividing by 1 - t^(1, 1)",
         "PASS fiber-euler-equals-alexander",
-        "FAIL fiber-product-identity: fiber series * (t..-1) != pprime",
+        "FAIL fiber-product-identity: fiber series * (t..-1) != pprime at "
+        "2,0: 0 against 1",
         "FAIL exact-divisibility: remainder with leading term (2, 0) while "
         "dividing by 1 - t^(1, 1)",
         "PASS resolution-invariance",
         "PASS window-stability"]
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("prop,change,reasons", [
+    ("poincare", lambda p: {**p, (0, 1): 3, (1, 1): 2},
+     {0: "poincare != alexander at 0,1: 3 against 0"}),
+    ("fiber_series", lambda p: {**p, (1, 0): 2},
+     {1: "fiber series != alexander at 1,0: 2 against 0",
+      2: "fiber series * (t..-1) != pprime at 1,0: -2 against 0"}),
+    ("pprime", lambda p: {e: 2 * x for e, x in p.items()},
+     {0: "poincare != alexander at 0,0: 2 against 1",
+      2: "fiber series * (t..-1) != pprime at 0,0: -1 against -2"})],
+    ids=["poincare", "fiber-series", "pprime"])
+def test_verify_fail_lines_name_the_least_exponent_where_the_sides_differ(
+        tmp_path, capsys, monkeypatch, prop, change, reasons):
+    # the tacnode's Delta is 1 + t_1 t_2 and its P' is t_1^2 t_2^2 - 1:
+    # a wrong poincare differs from it at (0, 1) and (1, 1) and the lesser
+    # is named; a fiber series 2 t_1 too high moves the product by
+    # 2 t_1 (t_1 t_2 - 1); a doubled P' still divides, into 2 Delta
+    passing = cli.run_verify(make_tacnode())
+    assert [reason for _, _, reason in passing[:3]] == ["", "", ""]
+    read = getattr(Analysis, prop).func
+    monkeypatch.setattr(Analysis, prop,
+                        property(lambda self: change(read(self))))
+    path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
+    assert cli.main(["verify", path]) == 1
+    expected = list(VERIFY_PASSED)
+    for i, reason in reasons.items():
+        expected[i] = "FAIL %s: %s" % (expected[i][len("PASS "):], reason)
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_format_poly_is_sorted_and_tab_separated():
