@@ -7,7 +7,8 @@ Every infinitely near point carries its own affine chart.  Each resident
 branch is parametrized there by a pair of rational functions p(tau)/q(tau)
 with integer coefficients and q(0) != 0 (the class :class:`RatFunc`); this
 family is closed under the two blow-up substitutions, so the whole recursion
-runs on integers with no series truncation at all.
+runs on integers with no series truncation at all; a coordinate with int
+coefficients is taken as it stands.
 
 At any point the incident exceptional divisors (at most two, always meeting
 transversally) have local equation u = 0 or v = 0, and this stays true after
@@ -30,10 +31,12 @@ or all ord x > ord y), the next blow-ups are steps of Euclid's algorithm on
 the two orders: their multiplicities and edges are fixed before any
 coefficient is read (Zariski's multiplicity sequence, Enriques' proximity
 relations).  The engine takes such a run of s blow-ups in one step and
-records its s centers as s single blow-ups would.  Each resident's other
-coordinate is divided once by the axis coordinate to the power s, that is
-by one power of its numerator and one of its denominator, and in the
-x-chart loses its direction constant before its one content normalisation.
+records its s centers as s single blow-ups would, each after the first
+by one addition to the vector before.  Each resident's other coordinate
+is divided once by the axis coordinate to the power s: one power of its
+numerator and one of its denominator, or, both one term (x = a tau^n),
+an exponent shift and two scalings; in the x-chart it loses its
+direction constant before its one content normalisation.
 Chains start only at a point that is the only one pending: vertex ids are
 handed out breadth-first, and the graph files ``resolve --out`` writes
 name vertices by id.
@@ -94,8 +97,11 @@ class RatFunc:
 
     @classmethod
     def of(cls, p: UniPoly) -> "RatFunc":
-        """A branch coordinate p with rational coefficients: (d p) / d for
-        the least common denominator d."""
+        """A branch coordinate p with rational coefficients: p over 1 when
+        every coefficient is an int, else (d p) / d for the least common
+        denominator d."""
+        if all(type(x) is int for x in p.values()):
+            return cls(p, {0: 1})
         d, (num,) = up_integral([p])
         return cls(num, {0: d})
 
@@ -103,18 +109,27 @@ class RatFunc:
         """self/other^s - c for a rational c = p/q, with one content
         normalisation; requires ord(self) >= s ord(other).  For self =
         tau^(s k) n/d and other = tau^k a/b that is (q n b^s - p d a^s) /
-        (q d a^s), with a^s and b^s one power each (``_power``)."""
+        (q d a^s), with a^s and b^s one power each (``_power``), or two
+        scalings when a and b are one term each."""
         k = other.ord
         if k == INF:
             raise ZeroDivisionError("division by an identically zero coordinate")
-        if self.ord < s * k:
+        sk = s * k
+        if self.ord < sk:
             raise ValueError("quotient would have a pole at tau = 0")
-        num, onum = self.num, other.num
-        if k:
-            num = {e - s * k: x for e, x in num.items()}
-            onum = {e - k: x for e, x in onum.items()}
-        num = up_mul(num, _power(other.den, s))
-        den = up_mul(self.den, _power(onum, s))
+        onum, oden = other.num, other.den
+        if len(onum) == 1 and len(oden) == 1:
+            # fresh dicts: the subtraction of c below writes into num
+            a, b = onum[k] ** s, oden[0] ** s
+            num = {e - sk: x * b for e, x in self.num.items()}
+            den = {e: x * a for e, x in self.den.items()}
+        else:
+            num = self.num
+            if k:
+                num = {e - sk: x for e, x in num.items()}
+                onum = {e - k: x for e, x in onum.items()}
+            num = up_mul(num, _power(oden, s))
+            den = up_mul(self.den, _power(onum, s))
         if c:
             p, q = c.numerator, c.denominator
             if q != 1:
@@ -191,31 +206,6 @@ def chi_open(g: ResGraph, sid: int) -> int:
 # the blow-up engine
 # ---------------------------------------------------------------------------
 
-class _Point:
-    """An infinitely near point: resident strict transforms plus the
-    exceptional divisors through it (at most 2, distinct axes)."""
-
-    __slots__ = ("residents", "divisors", "depth")
-
-    def __init__(self, residents, divisors, depth):
-        self.residents = residents  # list of (branch id, RatFunc x, RatFunc y)
-        self.divisors = divisors  # list of (vertex id, "x" | "y")
-        self.depth = depth
-        for _, fx, fy in residents:
-            assert min(fx.ord, fy.ord) >= 1, "resident misses the point"
-
-
-def _settled(pt: _Point) -> bool:
-    # Normal crossing reached at this point: a single smooth resident meeting
-    # a single divisor transversally.
-    if len(pt.residents) != 1 or len(pt.divisors) != 1:
-        return False
-    _, fx, fy = pt.residents[0]
-    _, axis = pt.divisors[0]
-    along = fx.ord if axis == "x" else fy.ord
-    return along == 1
-
-
 def _direction(fx: RatFunc, fy: RatFunc):
     """y/x at tau = 0: 0, INF, or the exact ratio of the leading terms."""
     ox, oy = fx.ord, fy.ord
@@ -228,8 +218,8 @@ def _direction(fx: RatFunc, fy: RatFunc):
     return INF
 
 
-def _chain(pt: _Point):
-    """The number s of blow-ups in a row, from pt on, at which every
+def _chain(residents, divisors):
+    """The number s of blow-ups in a row, from a point on, at which every
     resident leaves by one chart, and that chart's direction: 0 when every
     ord x < ord y, INF when every ord x > ord y; (1, None) when the
     residents split.
@@ -240,7 +230,7 @@ def _chain(pt: _Point):
     (an identically zero coordinate never leaves it).  Centers after the
     first are unsettled, unless a lone resident has oa = 1 and no divisor
     on the axis the chart keeps: it settles after one blow-up."""
-    ords = [(fx.ord, fy.ord) for _, fx, fy in pt.residents]
+    ords = [(fx.ord, fy.ord) for _, fx, fy in residents]
     if all(a < b for a, b in ords):
         chart, kept = 0, "y"
     elif all(a > b for a, b in ords):
@@ -249,7 +239,7 @@ def _chain(pt: _Point):
     else:
         return 1, None
     if len(ords) == 1 and ords[0][0] == 1 and all(
-            ax != kept for _, ax in pt.divisors):
+            ax != kept for _, ax in divisors):
         return 1, chart
     s = INF
     for a, b in ords:
@@ -278,15 +268,20 @@ def _run_blowups(c: Curve, budget: int):
     graph together with the per-center multiplicity log (branch id -> local
     multiplicity of its strict transform at that center).
 
-    A point that is the only one pending takes its whole Euclid chain
-    (``_chain``) in one step: the s centers are recorded one by one, with
-    the same ids, edges and multiplicities as s single blow-ups, and each
-    resident's other coordinate is divided once by its axis coordinate to
-    the power s.  The step loop would check the budget at the depths
-    depth, ..., depth + s - 1, so the chain raises iff depth + s > budget.
-    Ids are handed out breadth-first, so a chain beside a waiting point
-    would take ids that belong to that point's blow-up; with r = 1, and at
-    the root, the popped point is always the only one."""
+    A point is a tuple (residents, divisors, depth): the residents are
+    (branch id, RatFunc x, RatFunc y), the divisors through it (at most 2,
+    distinct axes) (vertex id, "x" | "y").  A point that is the only one
+    pending takes its whole Euclid chain (``_chain``) in one step: the s
+    centers are recorded one by one, with the same ids, edges and
+    multiplicities as s single blow-ups, and each resident's other
+    coordinate is divided once by its axis coordinate to the power s.
+    Each center after the first meets the one before and the divisor the
+    chart keeps, a sum fixed for the chain.  The step loop would check the
+    budget at the depths depth, ..., depth + s - 1, so the chain raises iff
+    depth + s > budget.  Ids are handed out breadth-first, so a chain
+    beside a waiting point would take ids that belong to that point's
+    blow-up; with r = 1, and at the root, the popped point is always the
+    only one."""
     r = c.r
     vertices = {}
     edges = set()
@@ -294,53 +289,73 @@ def _run_blowups(c: Curve, budget: int):
     centers = []
     start = [(i, RatFunc.of(b.x), RatFunc.of(b.y))
              for i, b in enumerate(c.branches, start=1)]
-    pending = deque([_Point(start, [], 0)])
+    pending = deque([(start, [], 0)])
     nid = 0
     while pending:
-        pt = pending.popleft()
-        if _settled(pt):
-            bid = pt.residents[0][0]
-            if bid in arrows:
-                raise GraphError("branch %d settled twice" % bid)
-            arrows[bid] = pt.divisors[0][0]
-            continue
-        s, chart = (1, None) if pending else _chain(pt)
-        if pt.depth + s > budget:
+        residents, divisors, depth = pending.popleft()
+        for _, fx, fy in residents:
+            assert min(fx.ord, fy.ord) >= 1, "resident misses the point"
+        if len(residents) == 1 and len(divisors) == 1:
+            # normal crossing: a single smooth resident meeting a single
+            # divisor transversally
+            bid, fx, fy = residents[0]
+            ((vid, axis),) = divisors
+            if (fx.ord if axis == "x" else fy.ord) == 1:
+                if bid in arrows:
+                    raise GraphError("branch %d settled twice" % bid)
+                arrows[bid] = vid
+                continue
+        s, chart = (1, None) if pending else _chain(residents, divisors)
+        if depth + s > budget:
             raise BudgetExceededError(
                 "no separation after %d blow-ups; branches %r look coincident"
-                % (budget, sorted(b for b, _, _ in pt.residents)))
-        mult = {bid: min(fx.ord, fy.ord)
-                for bid, fx, fy in pt.residents}
+                % (budget, sorted(b for b, _, _ in residents)))
+        mult = {bid: min(fx.ord, fy.ord) for bid, fx, fy in residents}
         own = tuple(mult.get(i, 0) for i in range(1, r + 1))
-        old_axis = {ax: vid for vid, ax in pt.divisors}
-        divisors = pt.divisors
-        for k in range(s):
-            nid += 1
-            vec = own
-            for vid, _ in divisors:
-                vec = tuple(map(add, vec, vertices[vid]))
-            vertices[nid] = vec
-            centers.append(mult)
-            if len(divisors) == 2:
-                # the two divisors met at this center and are now separated
-                edges.discard(tuple(sorted(v for v, _ in divisors)))
-            for vid, _ in divisors:
-                edges.add((vid, nid))  # nid is the largest id so far
-            if k + 1 < s:
-                divisors = _divisors_after(nid, chart, old_axis)
+        old_axis = {ax: vid for vid, ax in divisors}
+        nid += 1
+        vec = own
+        for vid, _ in divisors:
+            vec = tuple(map(add, vec, vertices[vid]))
+            edges.add((vid, nid))  # nid is the largest id so far
+        vertices[nid] = vec
+        centers.append(mult)
+        if len(divisors) == 2:
+            # the two divisors met at this center and are now separated
+            edges.discard(tuple(sorted(v for v, _ in divisors)))
+        if s > 1:
+            kept = old_axis.get("x" if chart is INF else "y")
+            step = own if kept is None else tuple(
+                map(add, own, vertices[kept]))
+            first = nid
+            for _ in range(s - 1):
+                nid += 1
+                vec = tuple(map(add, vec, step))
+                vertices[nid] = vec
+                centers.append(mult)
+                edges.add((nid - 1, nid))
+            if kept is not None:
+                # the kept divisor meets only the chain's last center
+                edges.discard((kept, first))
+                edges.add((kept, nid))
 
-        groups = {}
-        for bid, fx, fy in pt.residents:
-            groups.setdefault(_direction(fx, fy), []).append((bid, fx, fy))
-        for d in sorted(groups):
-            members = groups[d]
+        depth += s
+        if len(residents) == 1:
+            _, fx, fy = residents[0]
+            groups = [(_direction(fx, fy), residents)]
+        else:
+            by_direction = {}
+            for res in residents:
+                by_direction.setdefault(
+                    _direction(res[1], res[2]), []).append(res)
+            groups = sorted(by_direction.items())
+        for d, members in groups:
             if d is INF:
                 res = [(bid, fx.div(fy, s), fy) for bid, fx, fy in members]
             else:
                 res = [(bid, fx, fy.div(fx, s, d))
                        for bid, fx, fy in members]
-            pending.append(
-                _Point(res, _divisors_after(nid, d, old_axis), pt.depth + s))
+            pending.append((res, _divisors_after(nid, d, old_axis), depth))
 
     if sorted(arrows) != list(range(1, r + 1)):
         raise GraphError("arrow bookkeeping failed: %r" % (arrows,))

@@ -49,9 +49,7 @@ from curvealex.resolution import (
     GraphError,
     RatFunc,
     _direction,
-    _Point,
     _run_blowups,
-    _settled,
     chi_open,
     en_alexander,
     resolve,
@@ -938,6 +936,31 @@ def reference_sub_const(f: RatFunc, c) -> RatFunc:
         else:
             num.pop(e)
     return RatFunc(num, {e: q * x for e, x in f.den.items()})
+
+
+class _Point:
+    """An infinitely near point: resident strict transforms plus the
+    exceptional divisors through it (at most 2, distinct axes)."""
+
+    __slots__ = ("residents", "divisors", "depth")
+
+    def __init__(self, residents, divisors, depth):
+        self.residents = residents  # list of (branch id, RatFunc x, RatFunc y)
+        self.divisors = divisors  # list of (vertex id, "x" | "y")
+        self.depth = depth
+        for _, fx, fy in residents:
+            assert min(fx.ord, fy.ord) >= 1, "resident misses the point"
+
+
+def _settled(pt: _Point) -> bool:
+    # Normal crossing reached at this point: a single smooth resident meeting
+    # a single divisor transversally.
+    if len(pt.residents) != 1 or len(pt.divisors) != 1:
+        return False
+    _, fx, fy = pt.residents[0]
+    _, axis = pt.divisors[0]
+    along = fx.ord if axis == "x" else fy.ord
+    return along == 1
 
 
 def reference_blowups(c: Curve, budget: int = DEFAULT_BUDGET):

@@ -16,9 +16,12 @@ Noether table, of the analysis's honest table, extended by the rule,
 against an honest sweep and its read of P' against the reference read of
 that extension, of every verify check, the symmetry of Delta and
 the Torres formula on random curves, of the chained blow-up engine against
-the step-by-step one and of its one-normalisation division against the
-s-fold products and a second normalisation for the direction constant,
-and of every invariant against a rescaling of the coordinates."""
+the step-by-step one on rational and on integer curves, of its
+one-normalisation division, by any coordinate and by a one-term one,
+against the s-fold products and a second normalisation for the direction
+constant, leaving its operands unchanged, of the branch coordinates
+against the least common denominator, leaving the curve unchanged, and of
+every invariant against a rescaling of the coordinates."""
 
 from array import array
 from fractions import Fraction
@@ -39,7 +42,12 @@ from curvealex import (  # noqa: E402
     en_alexander,
 )
 from curvealex.cli import run_verify  # noqa: E402
-from curvealex.exactmath import iter_box, up_mul, vec_add  # noqa: E402
+from curvealex.exactmath import (  # noqa: E402
+    iter_box,
+    up_integral,
+    up_mul,
+    vec_add,
+)
 from curvealex.filtration import (  # noqa: E402
     _add_column,
     _primitive,
@@ -593,6 +601,25 @@ def test_chained_engine_matches_the_step_loop_on_random_curves(branches,
             == engine_outcome(reference_blowups, c, budget))
 
 
+INT_COEFF_POLYS = st.dictionaries(st.integers(1, 6),
+                                  st.integers(-3, 3).filter(bool), max_size=3)
+INT_BRANCHES = st.tuples(INT_COEFF_POLYS, INT_COEFF_POLYS).filter(
+    _primitive_support)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(INT_BRANCHES.filter(_not_an_axis_cover), min_size=1,
+                max_size=3),
+       st.integers(1, 66))
+def test_chained_engine_matches_the_step_loop_on_random_integer_curves(
+        branches, budget):
+    # int coefficients, as every curve file's "1" and "-3" are read: the
+    # engine takes them as they stand, with no common denominator
+    c = Curve(branches)
+    assert (engine_outcome(_run_blowups, c, budget)
+            == engine_outcome(reference_blowups, c, budget))
+
+
 NONZERO = st.integers(-9, 9).filter(bool)
 INT_POLYS = st.dictionaries(st.integers(0, 3), NONZERO, max_size=3)
 
@@ -600,6 +627,9 @@ INT_POLYS = st.dictionaries(st.integers(0, 3), NONZERO, max_size=3)
 def _shifted(p, k):
     return {e + k: x for e, x in p.items()}
 
+
+CONSTANTS = st.one_of(st.just(0), NONZERO,
+                      st.builds(Fraction, NONZERO, st.integers(2, 9)))
 
 # integer polynomials with a nonzero constant term
 UNITS = st.builds(lambda d0, rest: {0: d0, **_shifted(rest, 1)},
@@ -615,8 +645,7 @@ def quotients(draw):
     s = draw(st.integers(1, 70))
     pole = draw(st.sampled_from([0] * 7 + [1]))
     f = RatFunc(_shifted(draw(INT_POLYS), s * g.ord - pole), draw(UNITS))
-    c = draw(st.one_of(st.just(0), NONZERO,
-                       st.builds(Fraction, NONZERO, st.integers(2, 9))))
+    c = draw(CONSTANTS)
     return f, g, s, c
 
 
@@ -635,6 +664,80 @@ def test_one_normalisation_division_matches_the_s_fold_reference(args):
     assert (_outcome(lambda: f.div(g, s, c))
             == _outcome(lambda: reference_sub_const(reference_div(f, g, s),
                                                     c)))
+
+
+@st.composite
+def monomial_quotients(draw):
+    """g = a tau^k / b, one term over a constant as for x = a tau^n, s from
+    1 to 70, f with f/g^s a germ (or, in one draw of eight with k > 0,
+    with a pole at tau = 0), and a constant c: 0, an int or p/q."""
+    k = draw(st.integers(0, 3))
+    g = RatFunc({k: draw(NONZERO)}, {0: draw(NONZERO)})
+    s = draw(st.integers(1, 70))
+    pole = draw(st.sampled_from([0] * 7 + [1])) if k else 0
+    f = RatFunc(_shifted(draw(INT_POLYS), s * k - pole), draw(UNITS))
+    c = draw(CONSTANTS)
+    return f, g, s, c
+
+
+def _terms(*fs):
+    return [(dict(f.num), dict(f.den)) for f in fs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_quotients())
+def test_division_by_one_term_matches_the_s_fold_reference(args):
+    # a one-term divisor is a shift and two scalings; the subtraction of c
+    # writes into a numerator, which must be none of the operands'
+    f, g, s, c = args
+    before = _terms(f, g)
+    assert (_outcome(lambda: f.div(g, s, c))
+            == _outcome(lambda: reference_sub_const(reference_div(f, g, s),
+                                                    c)))
+    assert _terms(f, g) == before
+
+
+def _coefficients(kind):
+    ints = st.integers(-9, 9).filter(bool)
+    return {"int": ints,
+            "fraction": st.builds(Fraction, ints, st.integers(2, 6)),
+            "fraction over 1": st.builds(Fraction, ints),
+            "mixed": st.one_of(ints, st.builds(Fraction, ints,
+                                               st.integers(1, 6)))}[kind]
+
+
+COORDINATES = st.sampled_from(("int", "fraction", "fraction over 1",
+                               "mixed")).flatmap(
+    lambda kind: st.dictionaries(st.integers(1, 6), _coefficients(kind),
+                                 max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(COORDINATES, COORDINATES.filter(bool), CONSTANTS)
+def test_of_clears_denominators_and_keeps_the_curve_unchanged(p, q, c):
+    # int coordinates are taken as they stand, any other over the least
+    # common denominator; either way no later division writes into the
+    # curve's dicts
+    for poly in (p, q):
+        d, (num,) = up_integral([poly])
+        want, got = RatFunc(num, {0: d}), RatFunc.of(poly)
+        assert (got.num, got.den, got.ord) == (want.num, want.den, want.ord)
+        assert all(type(x) is int for x in [*got.num.values(),
+                                            *got.den.values()])
+    before = dict(p), dict(q)
+    f, g = RatFunc.of(p), RatFunc.of(q)
+    quotients = [g.div(g, 1, c)]
+    if p:
+        quotients.append(f.div(f, 1, c))
+    h = f
+    for _ in range(4):
+        if h.ord < g.ord:
+            break
+        h = h.div(g, 1, c)
+        quotients.append(h)
+    for h in quotients:
+        h.num[0] = h.num.get(0, 0) + 1  # a quotient is the caller's own
+    assert (p, q) == before
 
 
 @settings(max_examples=150, deadline=None)
