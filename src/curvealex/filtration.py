@@ -3,38 +3,38 @@ their prefix-rank tables, and the membership, fiber Euler characteristics
 and series read from them, and the minimal generators of a branch's
 semigroup of values.
 
-Everything reduces to exact ranks of one matrix per curve: the rows are the
-jet coordinates of all monomials visible inside the window, each built from
-the previous row by one truncated product per branch, and the columns are
-(branch, order) pairs in branch-major order.  Every vector is kept sparse,
-a dict of its nonzero integer entries, and every elimination runs on that
-form, over the union of two supports (``_reduced``): on these matrices a
-vector is mostly zeros.  Since the columns "below v" form a per-branch
-prefix, h(v) = dim O/J(v) is the rank below v, and all other dimensions
-are alternating sums of that one prefix-rank table, kept flat in
-lexicographic order.  The matrix keeps its rows, {column: value}, and each
-single rank, of the whole window or below one v, is one row echelon of the
-rows cut there (``_echelon``), which pivots each row on its least column.
-It reduces only the staircase of rows not yet proved dependent: once
-x^a y^b reduces to zero, every x^a' y^b' with a' >= a and b' >= b is a
-combination of the rows before it, as the jet map to the product of the
+Everything reduces to exact ranks of one matrix per curve: the rows are
+the jet coordinates of all monomials visible inside the window, each built
+from the previous row by one truncated product per branch, and the columns
+are (branch, order) pairs in branch-major order.  Every vector is kept
+sparse, a dict of its nonzero integer entries, and every elimination runs
+on that form, over the union of two supports (``_reduced``): on these
+matrices a vector is mostly zeros.  Since the columns "below v" form a
+per-branch prefix, h(v) = dim O/J(v) is the rank below v, and all other
+dimensions are alternating sums of that one prefix-rank table, kept flat
+in lexicographic order.  The matrix keeps its rows, {column: value}, and
+each single rank, of the whole window or below one v, is one row echelon
+of the rows cut there (``_echelon``), which pivots each row on its least
+column.  It reduces only the staircase of rows not yet proved dependent:
+once x^a y^b reduces to zero, every x^a' y^b' with a' >= a and b' >= b is
+a combination of the rows before it, as the jet map to the product of the
 C[t]/t^(v_i) is a ring homomorphism, whose kernel is an ideal.  For one
 branch the columns below v are a prefix, so one echelon gives the whole
 table: h(v), the number of semigroup values below v, is the number of
-pivots below v.  For r > 1 the matrix also keeps its columns,
-{row: value}, and the sweep adds one branch's columns at a time, down to
-the last two axes, and carries the columns still to come down the walk
-already reduced against those added, so each nonzero one it adds costs
-one step per carried column that is nonzero at its pivot; of those added
-it keeps only their number, the rank.  On the last two axes the
+pivots below v.  For r > 1 the sweep transposes the rows into the columns
+below its box, {row: value}, and adds one branch's columns at a time, down
+to the last two axes, and carries the columns still to come down the walk
+already reduced against those added, so each nonzero one it adds costs one
+step per carried column that is nonzero at its pivot; of those added it
+keeps only their number, the rank.  On the last two axes the
 (J + 1) x (K + 1) ranks over each span B are fixed by the relative
-position of two flags, the prefixes F_j and G_k of the last two
-branches.  One reduction per column of F and of G finds, for each g_l,
-the least j with g_l in B + F_j + G_(l-1), and each rank of that slab
-counts them (``_slab``), so every entry stays an exact rank, neither filled
-by a rule nor taken modulo a prime.  The sweep writes its table into an
-array of 16-bit entries.  For r > 1 the reads take that table whole,
-packed into one int whose slot k, bits 16k to 16k + 15, holds entry k
+position of two flags, the prefixes F_j and G_k of the last two branches.
+One reduction per column of F and of G finds, for each g_l, the least j
+with g_l in B + F_j + G_(l-1), and each rank of that slab counts them
+(``_slab``), so every entry stays an exact rank, neither filled by a rule
+nor taken modulo a prime.  The sweep writes its table into an array of
+16-bit entries.  Every read, for every r, takes that table whole, packed
+into one int whose slot k, bits 16k to 16k + 15, holds entry k
 (``_pack``).  Each read step pairs every slot with its neighbour along one
 axis, above or below, by one shift of the int by the axis's stride, and
 masks off the face that neighbour leaves (``_neighbour``, the one place
@@ -47,17 +47,16 @@ one chain of r steps each (``_chain``), biased by BIAS = 2^15: the fiber
 Euler characteristics, minus the alternating sum of h(v + 1_I) over the
 subsets I of the branches, on a whole box [0, w], the chain upwards from v
 (``chi_chain``); the coefficients of P' on [0, c], the chain downwards
-from v, at v - 1 + 1_I, less chi (``pprime_coefficients``).  Membership
-on [0, w] is the AND of the r rises to the neighbour above, 0 or 1 in
-every slot and 1 on the top face (``members``), and one walk over it finds
-a branch's minimal generators (``minimal_generators``).  Only the slots
-that differ from the bias become polynomial terms (``_terms``), and a read
+from v, at v - 1 + 1_I, less chi (``pprime_coefficients``).  Membership on
+[0, w] is the AND of the r rises to the neighbour above, 0 or 1 in every
+slot and 1 on the top face (``members``), and one walk over it finds a
+branch's minimal generators (``minimal_generators``).  Only the slots that
+differ from the bias become polynomial terms (``_terms``), and a read
 becomes a list only for the callers that need every entry (``listed``).
-For one branch each read is one line over the list.  ``check_table``
-refuses, before the sweep, a table the packed reads cannot hold, more
-than MAX_BRANCHES = 14 axes (|P'| <= 2^r must fit beside the bias) or a
-rank that may reach 2^15, one of more than MAX_POINTS = 2^31 points, and
-one whose jet matrix has more than MAX_ROWS = 2^20 rows.
+``check_table`` refuses, before the sweep, a table the packed reads cannot
+hold, more than MAX_BRANCHES = 14 axes (|P'| <= 2^r must fit beside the
+bias) or a rank that may reach 2^15, one of more than MAX_POINTS = 2^31
+points, and one whose jet matrix has more than MAX_ROWS = 2^20 rows.
 
 One window per curve suffices: the conductor c + 2.  The conductor ideal
 t^c * O-bar lies in the local ring, so past c the table is linear,
@@ -90,7 +89,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress, count, product
 from math import gcd, inf, prod
-from operator import lt, ne, sub
+from operator import ne, sub
 
 from .curve import Curve
 from .exactmath import (
@@ -145,10 +144,9 @@ class JetMatrix:
     w_i.  ``rows`` keeps those jets, one dict per row holding no zero,
     term k of branch i at the column starts_i + k, where starts_i is the
     sum of the windows before branch i (for one branch the jets as they
-    stand, {order: value}); every single rank is one echelon of them.  For
-    r > 1 ``columns`` is their transpose: one dict {row: value} per
-    column, holding no zero, divided by the gcd of its values, in
-    branch-major order, from which ``sweep`` reads its table.
+    stand, {order: value}), and is the matrix's one copy: every single
+    rank is one echelon of them, and for r > 1 ``sweep`` transposes them
+    into the columns below its box for that sweep alone (``_columns``).
     """
 
     def __init__(self, curve: Curve, window):
@@ -177,19 +175,12 @@ class JetMatrix:
                 b += 1
             xa = [up_mul_trunc(p, x, w) for p, x, w in zip(xa, xs, window)]
             a += 1
-        if curve.r == 1:
-            self.rows = [p for p, in jets]
-            return
         # each jet's terms lie below its window: term k of branch i goes to
-        # column starts[i] + k (the last start is the number of columns)
+        # column starts[i] + k, and one branch's jets stand as they are
         starts = list(accumulate(window, initial=0))
-        self.rows = [{start + k: x for p, start in zip(jet, starts)
-                      for k, x in p.items()} for jet in jets]
-        columns = [{} for _ in range(starts[-1])]
-        for row, vec in enumerate(self.rows):
-            for k, x in vec.items():
-                columns[k][row] = x
-        self.columns = list(map(_primitive, columns))
+        self.rows = [p for p, in jets] if curve.r == 1 else [
+            {start + k: x for p, start in zip(jet, starts)
+             for k, x in p.items()} for jet in jets]
 
     def sweep(self, box) -> tuple:
         """The ranks of the columns below every v of [0, box] inside the
@@ -200,8 +191,9 @@ class JetMatrix:
         rows at v commutes with row operations, and cut there its rows of
         pivot below v stay independent while the others vanish, so h(v) is
         the number of pivots below v.  For r > 1 it comes from one pass
-        over the columns (the last two axes from J + K eliminations per
-        point of the others, ``_slab``).  A table the packed reads cannot
+        over the columns below the box, built from the rows for this sweep
+        alone (``_columns``), the last two axes from J + K eliminations per
+        point of the others (``_slab``).  A table the packed reads cannot
         hold is refused first (``check_table``)."""
         rows = len(self.monomials)
         check_table(rows, box)
@@ -209,10 +201,8 @@ class JetMatrix:
         if self.curve.r == 1:
             below = map(pivots.__contains__, range(box[0]))
             return array("H", accumulate(below, initial=0)), len(pivots)
-        ranks, starts = array("H"), accumulate(self.window, initial=0)
-        _sweep(ranks, 0, [col for start, n in zip(starts, box)
-                          for col in self.columns[start:start + n]],
-               box, rows)
+        ranks = array("H")
+        _sweep(ranks, 0, _columns(self.rows, self.window, box), box, rows)
         return ranks, len(pivots)
 
     def rank_below(self, v) -> int:
@@ -323,6 +313,20 @@ def _echelon(rows, monomials) -> dict:
         else:  # reduced to zero
             dead = b
     return basis
+
+
+def _columns(rows, window, box) -> list:
+    """The columns (i, k), k < box_i, of jet rows at the window, in
+    branch-major order: one dict {row: value} per column, holding no zero,
+    divided by the gcd of its values.  The columns past the box are
+    transposed here but never made primitive, and are freed on return."""
+    starts = list(accumulate(window, initial=0))
+    columns = [{} for _ in range(starts[-1])]
+    for row, vec in enumerate(rows):
+        for k, x in vec.items():
+            columns[k][row] = x
+    return [_primitive(col) for start, n in zip(starts, box)
+            for col in columns[start:start + n]]
 
 
 def _primitive(vec) -> dict:
@@ -502,19 +506,14 @@ def _signed(values, n) -> array:
 
 
 def listed(values, top) -> list:
-    """Every entry of a read on [0, top], as a list (for one branch the
-    read is one already)."""
-    if len(top) == 1:
-        return values
+    """Every entry of a read on [0, top], as a list."""
     return _signed(values, prod(x + 1 for x in top)).tolist()
 
 
 def _terms(values, top) -> MultiPoly:
     """The nonzero entries of a read on [0, top], keyed by their points:
-    for r > 1 only the slots that differ from the bias are unpacked, each
-    point by divmod from its slot."""
-    if len(top) == 1:
-        return {(v,): x for v, x in enumerate(values) if x}
+    only the slots that differ from the bias are unpacked, each point by
+    divmod from its slot."""
     shape = tuple(x + 1 for x in reversed(top))
     slots, terms = _signed(values, prod(shape)), {}
     for k in compress(range(len(slots)), slots):
@@ -532,7 +531,9 @@ def _chain(ranks, top, up, bias) -> int:
     neighbour v + e_i (``up``) or v - e_i, the bias alone on the face that
     neighbour leaves (``_neighbour``).  The first step takes each pair's
     rise, h at its higher point less h at its lower one, and every later
-    one minus the rise: each sign is its operands' order."""
+    one minus the rise: each sign is its operands' order.  Upwards, a 1 is
+    ORed into the bias of the first step's face v_0 = top_0, the table's
+    last prod(top_j + 1, j > 0) slots: the conductor rule's rise there."""
     f = _pack(ranks)
     for i in range(len(top)):
         g, keep = _neighbour(f, top, i, up)
@@ -540,27 +541,27 @@ def _chain(ranks, top, up, bias) -> int:
         f = _step(g, f, keep, bias) if up == (not i) else \
             _step(f, g, keep, bias)
         del g  # freed before the next shift makes its copy
+        if up and not i:
+            face = len(ranks) // (top[0] + 1)
+            f |= _repeated(1, face) << 16 * (len(ranks) - face)
     return f
 
 
-def chi_chain(ranks, top):
+def chi_chain(ranks, top) -> int:
     """chi(v), minus the sum of (-1)^|I| h(v + 1_I) over the subsets I of
     the branches, at every point v of [0, top], from a rank table h on
-    [0, top]: r steps, the first taking f(v + e_0) - f(v) and every later
-    one f(v) - f(v + e_i), each filling its last slice, the face
-    v_i = top_i, by the conductor rule: 1 on the first axis, 0 on every
-    later one, where that rise has cancelled.  For one branch the list
-    [h(1) - h(0), ..., h(top) - h(top - 1), 1]; for r > 1 the chain
-    upwards (``_chain``), its first face filled with 0 too, since the next
-    step cancels a constant face.  On the conductor's box it is chi on the
-    whole of [0, c]; on any box, the points below every top face read the
-    table alone."""
-    if len(top) == 1:
-        return [*map(sub, ranks[1:], ranks), 1]
+    [0, top], packed: the chain upwards (``_chain``), r steps, the first
+    taking f(v + e_0) - f(v) and every later one f(v) - f(v + e_i), each
+    filling its last slice, the face v_i = top_i, by the conductor rule: 1
+    on the first axis, 0 on every later one, where that rise has cancelled
+    (the next step cancels the first face's constant 1).  So chi(c) = 1 for
+    one branch, and chi vanishes on the faces for r > 1.  On the
+    conductor's box it is chi on the whole of [0, c]; on any box, the
+    points below every top face read the table alone."""
     return _chain(ranks, top, True, _bias(len(ranks)))
 
 
-def pprime_coefficients(chi, ranks, c):
+def pprime_coefficients(chi, ranks, c) -> int:
     """The alternating sum of d(v - 1 + 1_I) over the subsets I of the
     branches at every point v of [0, c], c the conductor, from chi (as
     ``chi_chain`` reads it) and the honest rank table h on [0, c].  As
@@ -569,10 +570,8 @@ def pprime_coefficients(chi, ranks, c):
     lower chain, the sum of h(max(v - 1 + 1_I, 0)).  Its r steps of the
     table each start with a zero slice at v_i = 0; the first takes
     h(v) - h(max(v - e_0, 0)), the later ones h(max(v - e_i, 0)) - h(v), so
-    they give minus that chain, and P' is what they give less chi: for one
-    branch a list, for r > 1 the chain downwards (``_chain``), packed."""
-    if len(c) == 1:
-        return [*map(sub, [0, *map(sub, ranks[1:], ranks)], chi)]
+    they give minus that chain, and P' is what they give less chi: the
+    chain downwards (``_chain``), packed."""
     bias = _bias(len(ranks))
     return _chain(ranks, c, False, bias) + bias - chi
 
@@ -585,12 +584,10 @@ def members(ranks, top) -> list:
     dimension, that is ranks[v + e_i] > ranks[v] for every branch i (over an
     infinite field a space is never a finite union of proper subspaces).
     One such rise also makes J(v) nonzero.  A step off the top face
-    v_i = top_i rises by the conductor rule, so it counts as rising.  For
-    r > 1 membership, true at first, is ANDed with each rise, 0 or 1 in
-    every slot, one packed step to the neighbour above (``_neighbour``)
-    off its face."""
-    if len(top) == 1:
-        return [*map(lt, ranks, ranks[1:]), True]
+    v_i = top_i rises by the conductor rule, so it counts as rising.
+    Membership, true at first, is ANDed with each rise, 0 or 1 in every
+    slot, one packed step to the neighbour above (``_neighbour``) off its
+    face."""
     table = _pack(ranks)
     member = _repeated(1, len(ranks))
     for i in range(len(top)):
@@ -620,6 +617,13 @@ def minimal_generators(a: Analysis) -> list:
         if not any(member[v - g] for g in gens):
             gens.append(v)
     return gens
+
+
+def _times_one_minus(values) -> MultiPoly:
+    """The nonzero terms of (1 - t) times a one-branch read on [0, c], as a
+    list: f(v) - f(v - 1), with f(-1) = 0."""
+    return {(v,): x for v, x in enumerate(map(sub, values, [0, *values]))
+            if x}
 
 
 def _certified(M: JetMatrix, c, delta) -> list:
@@ -671,8 +675,8 @@ class Analysis:
     on first use at the window c + 2, is swept only on [0, c]: ``ranks``,
     certified (``_certified``).  Every read is a table on [0, c] that takes
     what it needs past c from the conductor rule inside its steps:
-    ``chi_table`` (packed for r > 1), which ``pprime`` reads, and the
-    lists ``chi`` and ``membership``.  Past c, P' and the chi of r > 1
+    ``chi_table`` (packed), which ``pprime`` reads, and the lists ``chi``
+    and ``membership``.  Past c, P' and the chi of r > 1
     vanish, and membership and the one-branch chi repeat their values at
     min(v, c), by which ``members_in`` lists the values on any box.  Every
     series is the Alexander polynomial Delta.
@@ -704,12 +708,11 @@ class Analysis:
         return _certified(self.jet, self.conductor, self.delta)
 
     @cached_property
-    def chi_table(self):
-        """The fiber Euler characteristics on [0, c], read once per curve
-        (``chi_chain``: a list for one branch, packed for r > 1), their
-        faces v_i = c_i filled by the conductor rule: they vanish there for
-        r > 1 (Delta has multidegree c - 1), and chi(c) = 1 for one branch,
-        where h(c + 1) = h(c) + 1."""
+    def chi_table(self) -> int:
+        """The fiber Euler characteristics on [0, c], packed, read once per
+        curve (``chi_chain``), their faces v_i = c_i filled by the
+        conductor rule: they vanish there for r > 1 (Delta has multidegree
+        c - 1), and chi(c) = 1 for one branch, where h(c + 1) = h(c) + 1."""
         return chi_chain(self.ranks, self.conductor)
 
     @cached_property
@@ -736,21 +739,16 @@ class Analysis:
                                   *zip(u[i + 1:]))
         return sorted(points)
 
-    def _series(self, values) -> MultiPoly:
-        """The nonzero terms of a read on [0, c]; for r = 1, of its
-        product with (1 - t): f(v) - f(v - 1), with f(-1) = 0."""
-        if self.curve.r == 1:
-            values = list(map(sub, values, [0] + values[:-1]))
-        return _terms(values, self.conductor)
-
     @cached_property
     def fiber_series(self) -> MultiPoly:
         """Sum of fiber Euler characteristics: chi of the projectivized
         extended semigroup, graded by valuation, a polynomial on
         [0, conductor].  For r > 1 chi vanishes past c, where the rank
         table is linear.  For r = 1 chi repeats chi(c) past c, and the
-        polynomial is its series times (1 - t)."""
-        return self._series(self.chi_table)
+        polynomial is its series times (1 - t), from the list ``chi``."""
+        if self.curve.r == 1:
+            return _times_one_minus(self.chi)
+        return _terms(self.chi_table, self.conductor)
 
     @cached_property
     def pprime(self) -> MultiPoly:
@@ -777,6 +775,6 @@ class Analysis:
         """
         r = self.curve.r
         if r == 1:
-            return self._series(self.membership)
+            return _times_one_minus(self.membership)
         return mp_div_one_minus({e: -x for e, x in self.pprime.items()},
                                 (1,) * r)

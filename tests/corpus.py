@@ -298,18 +298,20 @@ def reference_rows(M):
     return rows
 
 
-def reference_columns(M):
-    """The columns of ``reference_rows(M)`` divided by their content, as
-    dicts {row: value} of their nonzero entries (the oracle for
-    ``M.columns``).  A column with a non-integral entry is left as it is,
-    so it matches no integer column."""
-    out = []
-    for col in zip(*reference_rows(M)):
-        col = [Fraction(x) for x in col]
-        g = 1
-        if all(x.denominator == 1 for x in col):
-            g = gcd(*(x.numerator for x in col)) or 1
-        out.append({k: x / g for k, x in enumerate(col) if x})
+def reference_columns(M, box):
+    """The columns (i, k), k < box_i, of ``reference_rows(M)``, in
+    branch-major order, divided by their content, as dicts {row: value} of
+    their nonzero entries (the oracle for the columns that ``M.sweep(box)``
+    builds, ``filtration._columns``).  A column with a non-integral entry
+    is left as it is, so it matches no integer column."""
+    columns, out = list(zip(*reference_rows(M))), []
+    for start, n in zip(accumulate(M.window, initial=0), box):
+        for col in columns[start:start + n]:
+            col = [Fraction(x) for x in col]
+            g = 1
+            if all(x.denominator == 1 for x in col):
+                g = gcd(*(x.numerator for x in col)) or 1
+            out.append({k: x / g for k, x in enumerate(col) if x})
     return out
 
 

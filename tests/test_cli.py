@@ -541,13 +541,11 @@ def test_verify_fails_when_extra_blow_ups_leave_a_remainder(
 
 
 def _bumped(values, top, points):
-    """A read on [0, top] (a list for one branch, packed in 16-bit slots
-    for r > 1), one more at each of the points."""
+    """A read on [0, top], packed in 16-bit slots, one more at each of the
+    points."""
     box = iter_box((0,) * len(top), tuple(top))
-    if len(top) > 1:
-        return values + sum(1 << 16 * k for k, v in enumerate(box)
-                            if v in points)
-    return [x + (v in points) for v, x in zip(box, values, strict=True)]
+    return values + sum(1 << 16 * k for k, v in enumerate(box)
+                        if v in points)
 
 
 def _corrupted_shell(monkeypatch, points):
@@ -650,9 +648,8 @@ def test_verify_compares_the_exact_polynomials_whatever_the_bound(
     chi = Analysis.chi_table.func
 
     def corrupted(a):
-        values = chi(a)
-        values[a.conductor[0] - 1] += 5
-        return values
+        # five more in the packed slot of v = c - 1
+        return chi(a) + (5 << 16 * (a.conductor[0] - 1))
 
     monkeypatch.setattr(Analysis, "chi_table", property(corrupted))
     path = _write(tmp_path, "quartic.json",
@@ -1012,6 +1009,27 @@ def test_fibers_window_refuses_a_table_before_building_its_rows(
                 % (window - 1, rows))
 
 
+def test_fibers_window_reads_ranks_up_to_the_last_16_bit_one(tmp_path,
+                                                              capsys):
+    # the line y = 0, x = t: at the window 32768 its 32,768 visible rows are
+    # x^a, a < 32768, and h(v) = v on [0, 32767] reaches 2^15 - 1, the
+    # largest rank a 16-bit slot of the packed reads takes beside the bias;
+    # chi is 1 at every point off the top face; one more rank is refused
+    path = _write(tmp_path, "line.json",
+                  {"branches": [{"x": [[1, "1"]], "y": []}]})
+    assert cli.main(["fibers", "--window", "32768", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "".join("1\t%d\n" % v for v in range(32767))
+    assert captured.err == ""
+    assert cli.main(["fibers", "--window", "32769", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "TableTooLarge: ranks up to min(rows, sum(box)) = min(32769, 32768) "
+        "on the box [0, (32768,)] reach 2^15 = 32768, past a 16-bit slot of "
+        "the packed reads\n")
+
+
 def test_fibers_command_output(tmp_path, capsys):
     path = _write(tmp_path, "node.json", NODE_JSON)
     assert cli.main(["fibers", path]) == 0
@@ -1121,20 +1139,31 @@ def test_each_command_checks_its_curve_once(tmp_path, capsys, monkeypatch,
     assert len(checked) == 1
 
 
-@pytest.mark.parametrize("argv,builds", [
-    (["verify"], 1),  # chi, P' and the terms of both
-    (["alexander", "--via", "poincare"], 1),  # chi, P' and P''s terms
-    (["alexander", "--via", "fibers"], 1),  # chi and its terms
-    (["fibers"], 1),  # chi and its list
-    (["fibers", "--window", "4,4"], 1),
-    (["semigroup"], 0)],  # membership is unbiased
-    ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
+@pytest.mark.parametrize("make,argv,builds", [pytest.param(
+    make, argv.split(), builds, id="%s%s-%d" % (
+        "cusp " if make is make_cusp else "", argv, builds))
+    for make, argv, builds in [
+        (make_tacnode, "verify", 1),  # chi, P' and the terms of both
+        (make_tacnode, "alexander --via poincare", 1),  # chi, P', its terms
+        (make_tacnode, "alexander --via fibers", 1),  # chi and its terms
+        (make_tacnode, "fibers", 1),  # chi and its list
+        (make_tacnode, "fibers --window 4,4", 1),
+        (make_tacnode, "semigroup", 0),  # membership is unbiased
+        # one branch: chi and P' are packed reads too, and the series of
+        # chi and of membership are (1 - t) times their lists
+        (make_cusp, "verify", 1),
+        (make_cusp, "alexander --via fibers", 1),
+        (make_cusp, "fibers", 1),
+        (make_cusp, "fibers --window 7", 1),
+        (make_cusp, "alexander --via poincare", 0),  # membership alone
+        (make_cusp, "poincare", 0),
+        (make_cusp, "semigroup", 0)]])
 def test_the_reads_of_one_table_build_one_packed_bias(tmp_path, capsys,
-                                                      argv, builds):
+                                                      make, argv, builds):
     # every packed read of one table shares its bias int: a build is a
     # miss of its memo
     filtration._bias.cache_clear()
-    path = _write(tmp_path, "tacnode.json", curve_to_json(make_tacnode()))
+    path = _write(tmp_path, "curve.json", curve_to_json(make()))
     assert cli.main([argv[0], path, *argv[1:]]) == 0
     capsys.readouterr()
     assert filtration._bias.cache_info().misses == builds

@@ -13,6 +13,7 @@ from curvealex.filtration import (
     BoundaryNonzeroError,
     JetMatrix,
     TableTooLargeError,
+    _columns,
     listed,
     members,
     pprime_coefficients,
@@ -74,8 +75,9 @@ def test_jet_matrix_cusp_monomials():
 def test_jet_matrix_window_of_ones_sees_only_constants():
     M = JetMatrix(make_three_lines(), (1, 1, 1))
     assert M.monomials == [(0, 0)]
-    # the one row [1, 1, 1], read by its columns
-    assert M.columns == [{0: 1}] * 3 == reference_columns(M)
+    # the one row [1, 1, 1], read by the sweep as its columns
+    assert _columns(M.rows, M.window, M.window) == [{0: 1}] * 3 == \
+        reference_columns(M, M.window)
 
 
 JET_CURVES = dict(CORPUS_ALL, **{
@@ -97,9 +99,14 @@ def test_jet_rows_are_the_monomial_jets(name):
                           for row in reference_rows(M)]
         assert all(type(x) is int for row in M.rows for x in row.values())
         if c.r == 1:
-            continue  # one branch keeps no column
-        assert M.columns == reference_columns(M)
-        assert all(type(x) is int for col in M.columns for x in col.values())
+            continue  # one branch's sweep takes no column
+        # the columns that the sweep builds from the rows, at the box
+        # window - 2 (c for the analysis's matrix) and at the whole window
+        for box in (tuple(max(w - 2, 0) for w in M.window), M.window):
+            columns = _columns(M.rows, M.window, box)
+            assert columns == reference_columns(M, box)
+            assert all(type(x) is int for col in columns
+                       for x in col.values())
 
 
 @pytest.mark.parametrize("name", sorted(JET_CURVES))

@@ -50,6 +50,7 @@ from curvealex.exactmath import (  # noqa: E402
 )
 from curvealex.filtration import (  # noqa: E402
     _add_column,
+    _columns,
     _primitive,
     _reduced,
     _slab,
@@ -149,9 +150,13 @@ def test_jet_rows_match_the_monomial_jets(M):
     assert M.rows == list(map(_sparse, reference_rows(M)))
     assert all(type(x) is int for row in M.rows for x in row.values())
     if M.curve.r == 1:
-        return  # one branch keeps no column
-    assert M.columns == reference_columns(M)
-    assert all(type(x) is int for col in M.columns for x in col.values())
+        return  # one branch's sweep takes no column
+    # the columns that the sweep builds from the rows, at the box
+    # window - 2 and at the whole window
+    for box in (tuple(max(w - 2, 0) for w in M.window), M.window):
+        columns = _columns(M.rows, M.window, box)
+        assert columns == reference_columns(M, box)
+        assert all(type(x) is int for col in columns for x in col.values())
 
 
 @settings(max_examples=100, deadline=None)
