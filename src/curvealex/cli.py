@@ -49,7 +49,6 @@ from .resolution import (
     GraphError,
     ResGraph,
     en_alexander,
-    free_blowups,
     resolve,
 )
 
@@ -318,7 +317,10 @@ def run_verify(c: Curve, budget=DEFAULT_BUDGET):
     """The six cross-pipeline checks on the exact Alexander polynomials, as
     six rows (name, passed, reason) in a fixed order.  The reason is what
     ``verify`` prints after the name of a failing row, and is nonempty
-    whenever the row fails."""
+    whenever the row fails.  One analysis runs the blow-up engine once,
+    and its graph gives the one Eisenbud-Neumann product Delta that the
+    filtration's series are compared with; the fifth row compares Delta
+    with its mirror about the conductor."""
     r = c.r
     a = Analysis(c, budget)
     alex = en_alexander(a.graph)
@@ -336,14 +338,15 @@ def run_verify(c: Curve, budget=DEFAULT_BUDGET):
     # one more honest rank, h(c + 1), is checked against it
     top = vec_add(a.conductor, (1,) * r)
     h, rule = a.jet.rank_below(top), sum(a.conductor) - a.delta + r
-    # a graph with extra free blow-ups has the same product; one that is
-    # not a polynomial fails the check with the division's message
-    invariance = "extra blow-ups changed the product"
-    try:
-        invariant = en_alexander(free_blowups(a.graph, 3)) == alex
-    except NotDivisibleError as exc:
-        invariant, invariance = False, "%s: %s" % (invariance, exc)
-    # checks 1-3: a failing row names where its two sides differ
+    # Delta inherits the symmetry of the semigroup of values about the
+    # conductor: t^c Delta(1/t) = Delta for r = 1, and t^(c - 1) Delta(1/t)
+    # = (-1)^r Delta for r > 1
+    shift, sign, mirrored = ((0, 1, "t^c alexander(1/t)") if r == 1 else
+                             (1, (-1) ** r, "(-1)^r t^(c-1) alexander(1/t)"))
+    mirror = {tuple(x - shift - y for x, y in zip(a.conductor, e)): sign * k
+              for e, k in alex.items()}
+    # checks 1-3 and 5 name the least exponent where their two sides
+    # differ; checks 1-5 fail iff their reason is nonempty
     checks = [
         ("poincare-equals-alexander",
          _mismatch("poincare", poincare, "alexander", alex) if not remainder
@@ -353,10 +356,10 @@ def run_verify(c: Curve, budget=DEFAULT_BUDGET):
         ("fiber-product-identity",
          _mismatch("fiber series * (t..-1)",
                    {e: -x for e, x in product.items()}, "pprime", a.pprime)),
+        ("exact-divisibility", remainder),
+        ("alexander-symmetry", _mismatch("alexander", alex, mirrored, mirror)),
     ]
     return [(name, not reason, reason) for name, reason in checks] + [
-        ("exact-divisibility", not remainder, remainder),
-        ("resolution-invariance", invariant, invariance),
         ("window-stability", h == rule,
          "h(%s) = %d on the honest re-sweep, %d by the conductor rule"
          % (_point(top), h, rule)),

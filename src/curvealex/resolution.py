@@ -376,23 +376,6 @@ def resolve(c: Curve, budget: int = DEFAULT_BUDGET) -> ResGraph:
     return _run_blowups(c, budget)[0]
 
 
-def free_blowups(g: ResGraph, extra: int) -> ResGraph:
-    """A copy of the graph after ``extra`` more blow-ups at free smooth
-    points of the total transform (points of one exceptional component
-    only): each adds a dead-end vertex carrying the multiplicity of its
-    target, the vertices taken in turn by id, and must not change the
-    Eisenbud-Neumann product."""
-    vertices, edges = dict(g.vertices), set(g.edges)
-    targets, nid = sorted(vertices), max(vertices)
-    for k in range(extra):
-        target = targets[k % len(targets)]
-        nid += 1
-        vertices[nid] = vertices[target]
-        edges.add((target, nid))
-    return ResGraph(r=g.r, vertices=vertices, edges=edges,
-                    arrows=list(g.arrows), root=g.root)
-
-
 # ---------------------------------------------------------------------------
 # the Eisenbud-Neumann product
 # ---------------------------------------------------------------------------

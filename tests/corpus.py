@@ -3,8 +3,9 @@ library's whole-table reads against, the graph file's JSON object and
 the per-point one-branch series behind the CLI's writers, the generic
 polynomial product and long division behind its one-pass binomial ones
 and the list-order Eisenbud-Neumann product behind its netted one,
-the step-by-step blow-up engine on s-fold products behind its chained
-one on powers, the one-column-per-point rank sweep on dense integer lists
+the free blow-ups that must leave that product unchanged, the
+step-by-step blow-up engine on s-fold products behind its chained one on
+powers, the one-column-per-point rank sweep on dense integer lists
 behind the slab sweep on sparse columns, the list reads of chi, P' and
 membership behind the packed ones, the structure checks of the
 resolution graph and of a branch's semigroup, the value-semigroup
@@ -702,6 +703,23 @@ def reference_en_alexander(g: ResGraph) -> MultiPoly:
     for m in sorted(den, reverse=True):
         poly = mp_exact_div(poly, mp_one_minus(m))
     return poly
+
+
+def free_blowups(g: ResGraph, extra: int) -> ResGraph:
+    """A copy of the graph after ``extra`` more blow-ups at free smooth
+    points of the total transform (points of one exceptional component
+    only): each adds a dead-end vertex carrying the multiplicity of its
+    target, the vertices taken in turn by id, and must not change the
+    Eisenbud-Neumann product."""
+    vertices, edges = dict(g.vertices), set(g.edges)
+    targets, nid = sorted(vertices), max(vertices)
+    for k in range(extra):
+        target = targets[k % len(targets)]
+        nid += 1
+        vertices[nid] = vertices[target]
+        edges.add((target, nid))
+    return ResGraph(r=g.r, vertices=vertices, edges=edges,
+                    arrows=list(g.arrows), root=g.root)
 
 
 def _add_columns(basis, columns, window, low, top) -> int:

@@ -22,7 +22,6 @@ from curvealex.filtration import Analysis, JetMatrix
 from curvealex.resolution import (
     BudgetExceededError,
     en_alexander,
-    free_blowups,
     resolve,
 )
 
@@ -31,6 +30,7 @@ from corpus import (
     c_dim,
     fiber_euler,
     filled,
+    free_blowups,
     germ_valuation,
     is_member,
     make_cusp,

@@ -62,17 +62,23 @@ def _write(tmp_path, name, data):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts runs of the blow-up engine, jet-matrix builds and single
-    honest ranks (``rank_below``), and records the window of each build and
-    the box of each sweep."""
-    counts = {"engine": 0, "jet": 0, "windows": [], "boxes": [], "honest": 0}
-    engine = resolution._run_blowups
+    """Counts runs of the blow-up engine, Eisenbud-Neumann products
+    (``en_alexander``), jet-matrix builds and single honest ranks
+    (``rank_below``), and records the window of each build and the box of
+    each sweep."""
+    counts = {"engine": 0, "products": 0, "jet": 0, "windows": [],
+              "boxes": [], "honest": 0}
+    engine, product = resolution._run_blowups, resolution.en_alexander
     init, sweep = JetMatrix.__init__, JetMatrix.sweep
     rank_below = JetMatrix.rank_below
 
     def counted_engine(*args, **kwargs):
         counts["engine"] += 1
         return engine(*args, **kwargs)
+
+    def counted_product(g):
+        counts["products"] += 1
+        return product(g)
 
     def counted_init(self, *args, **kwargs):
         counts["jet"] += 1
@@ -91,6 +97,9 @@ def calls(monkeypatch):
         if name.startswith("curvealex") and \
                 getattr(mod, "_run_blowups", None) is engine:
             monkeypatch.setattr(mod, "_run_blowups", counted_engine)
+        if name.startswith("curvealex") and \
+                getattr(mod, "en_alexander", None) is product:
+            monkeypatch.setattr(mod, "en_alexander", counted_product)
     monkeypatch.setattr(JetMatrix, "__init__", counted_init)
     monkeypatch.setattr(JetMatrix, "sweep", counted_sweep)
     monkeypatch.setattr(JetMatrix, "rank_below", counted_rank_below)
@@ -409,8 +418,9 @@ def test_verify_tacnode_all_pass(tmp_path, capsys, calls):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 6
     assert all(line.startswith("PASS ") for line in lines)
-    # one analysis, whose graph takes the extra blow-ups, and one jet matrix
+    # one analysis, whose graph gives the one product, and one jet matrix
     assert calls["engine"] == 1
+    assert calls["products"] == 1
     assert calls["jet"] == 1
     # the conductor is (2, 2): the analysis sweeps [0, c] of its window
     # c + 2, and window-stability takes one honest rank, h(c + 1)
@@ -466,14 +476,14 @@ def test_verify_fails_when_the_wider_window_moves_c(tmp_path, capsys,
     assert lines[:5] == ["PASS " + name for name in (
         "poincare-equals-alexander", "fiber-euler-equals-alexander",
         "fiber-product-identity", "exact-divisibility",
-        "resolution-invariance")]
+        "alexander-symmetry")]
     assert lines[5:] == ["FAIL window-stability: h(3,3) = 5 on the honest "
                          "re-sweep, 4 by the conductor rule"]
 
 
 VERIFY_PASSED = ["PASS " + name for name in (
     "poincare-equals-alexander", "fiber-euler-equals-alexander",
-    "fiber-product-identity", "exact-divisibility", "resolution-invariance",
+    "fiber-product-identity", "exact-divisibility", "alexander-symmetry",
     "window-stability")]
 
 
@@ -497,46 +507,36 @@ def test_verify_reads_the_honest_rank_at_c_plus_one(tmp_path, capsys,
         VERIFY_PASSED[:5] + ["FAIL window-stability: " + line]
 
 
-@pytest.mark.parametrize("make,other", [
-    (make_cusp, make_quartic_branch), (make_tacnode, make_cusp_tangent_line)],
+@pytest.mark.parametrize("make,term,reasons", [
+    (make_cusp, (2,),
+     {0: "poincare != alexander at 2: 1 against 2",
+      1: "fiber series != alexander at 2: 1 against 2",
+      4: "alexander != t^c alexander(1/t) at 0: 1 against 2"}),
+    (make_tacnode, (1, 0),
+     {0: "poincare != alexander at 1,0: 0 against 1",
+      1: "fiber series != alexander at 1,0: 0 against 1",
+      4: "alexander != (-1)^r t^(c-1) alexander(1/t) at 0,1: 0 against 1"})],
     ids=["r1", "r2"])
-def test_verify_fails_when_extra_blow_ups_change_the_product(
-        tmp_path, capsys, monkeypatch, make, other):
-    # the graph with extra blow-ups swapped for another curve's resolution
-    # graph with as many branches: its product differs and divides exactly,
-    # so only resolution-invariance fails
-    monkeypatch.setattr(cli, "free_blowups",
-                        lambda graph, n: resolve(other()))
+def test_verify_fails_when_alexander_is_not_symmetric(
+        tmp_path, capsys, monkeypatch, make, term, reasons):
+    # one term more in the product, off its own mirror: on the cusp
+    # (Delta = 1 - t + t^2, c = 2) t^2 mirrors to t^0, and on the tacnode
+    # (Delta = 1 + t_1 t_2, c = (2, 2)) t^(1,0) to t^(0,1).  Checks 1 and 2
+    # compare the filtration's series with the product and fail where the
+    # term was added, symmetry names the least exponent of the two, and
+    # the checks that do not read the product pass
+    product = cli.en_alexander
+
+    def lopsided(g):
+        delta = product(g)
+        return {**delta, term: delta.get(term, 0) + 1}
+
+    monkeypatch.setattr(cli, "en_alexander", lopsided)
     path = _write(tmp_path, "curve.json", curve_to_json(make()))
     assert cli.main(["verify", path]) == 1
     expected = list(VERIFY_PASSED)
-    expected[4] = ("FAIL resolution-invariance: extra blow-ups changed the "
-                   "product")
-    assert capsys.readouterr().out.splitlines() == expected
-
-
-@pytest.mark.parametrize("make,line", [
-    (make_cusp, "(7,) while dividing by 1 - t^(12,)"),
-    (make_tacnode, "(1, 1) while dividing by 1 - t^(4, 4)")],
-    ids=["r1", "r2"])
-def test_verify_fails_when_extra_blow_ups_leave_a_remainder(
-        tmp_path, capsys, monkeypatch, make, line):
-    # each extra vertex with twice its target's multiplicity: the product
-    # is no polynomial, and resolution-invariance fails with the message of
-    # the division that stops, while the other checks pass
-    def doubled(graph, n):
-        g = resolution.free_blowups(graph, n)
-        for vid in range(max(graph.vertices) + 1, max(g.vertices) + 1):
-            target = next(a for a, b in g.edges if b == vid)
-            g.vertices[vid] = tuple(2 * x for x in g.vertices[target])
-        return g
-
-    monkeypatch.setattr(cli, "free_blowups", doubled)
-    path = _write(tmp_path, "curve.json", curve_to_json(make()))
-    assert cli.main(["verify", path]) == 1
-    expected = list(VERIFY_PASSED)
-    expected[4] = ("FAIL resolution-invariance: extra blow-ups changed the "
-                   "product: remainder with leading term " + line)
+    for i, reason in reasons.items():
+        expected[i] = "FAIL %s: %s" % (expected[i][len("PASS "):], reason)
     assert capsys.readouterr().out.splitlines() == expected
 
 
@@ -628,13 +628,15 @@ def test_verify_fails_when_chi_leaves_a_zero_face(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("k,bound", [(1, b) for b in range(5)] + [(40, 3)])
-def test_verify_one_branch_passes_below_the_conductor(tmp_path, capsys, k,
-                                                      bound):
+def test_verify_one_branch_passes_below_the_conductor(tmp_path, capsys, calls,
+                                                      k, bound):
     path = _write(tmp_path, "a%d.json" % k, _a_k(k))
     assert cli.main(["verify", path, "--bound", str(bound)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 6
     assert all(line.startswith("PASS ") for line in lines)
+    # one blow-up run and one product, whatever the bound
+    assert (calls["engine"], calls["products"]) == (1, 1)
 
 
 @pytest.mark.parametrize("bound", [[], ["--bound", "0"], ["--bound", "3"]],
@@ -662,7 +664,7 @@ def test_verify_compares_the_exact_polynomials_whatever_the_bound(
         "FAIL fiber-product-identity: fiber series * (t..-1) != pprime at "
         "16: 4 against -1",
         "PASS exact-divisibility",
-        "PASS resolution-invariance",
+        "PASS alexander-symmetry",
         "PASS window-stability"]
 
 
@@ -720,8 +722,9 @@ def test_one_branch_command_analyses_once(tmp_path, capsys, calls, argv,
     path = _write(tmp_path, "cusp.json", CUSP_JSON)
     assert cli.main(argv[:1] + [path] + argv[1:]) == 0
     # the cusp's conductor is 2: one window of conductor + 2, swept on
-    # [0, 2]
-    assert calls == {"engine": engine, "jet": jet, "windows": [(4,)] * jet,
+    # [0, 2]; only the graph pipeline of alexander takes the product
+    assert calls == {"engine": engine, "products": int(argv == ["alexander"]),
+                     "jet": jet, "windows": [(4,)] * jet,
                      "boxes": [(2,)] * jet, "honest": 0}
 
 
@@ -1204,7 +1207,7 @@ def test_verify_exits_1_when_pprime_leaves_a_remainder(tmp_path, capsys,
         "1,0: 0 against 1",
         "FAIL exact-divisibility: remainder with leading term (1, 0) while "
         "dividing by 1 - t^(1, 1)",
-        "PASS resolution-invariance",
+        "PASS alexander-symmetry",
         "PASS window-stability"]
     assert captured.err == ""
 
@@ -1227,7 +1230,7 @@ def test_verify_names_a_misfilled_shell_point_that_spoils_the_division(
         "2,0: 0 against 1",
         "FAIL exact-divisibility: remainder with leading term (2, 0) while "
         "dividing by 1 - t^(1, 1)",
-        "PASS resolution-invariance",
+        "PASS alexander-symmetry",
         "PASS window-stability"]
     assert captured.err == ""
 

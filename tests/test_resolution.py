@@ -10,7 +10,6 @@ from curvealex.resolution import (
     _run_blowups,
     chi_open,
     en_alexander,
-    free_blowups,
     resolve,
 )
 from curvealex.filtration import Analysis, minimal_generators
@@ -21,6 +20,7 @@ from corpus import (
     classify_graph,
     delgado_invariants,
     engine_outcome,
+    free_blowups,
     germ_valuation,
     make_axes_and_cusp,
     make_cusp,
